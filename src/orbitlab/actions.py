@@ -1,9 +1,15 @@
 """Finite permutation actions: orbits, growth functions, density, restriction.
 
-Groups are handled by explicit element enumeration (breadth-first closure of
-the generators), which is exact and plenty at desk scale.  Permutations are
-tuples p of length N with p[i-1] the image of the point i; points are 1-based
-to match the rest of the library.
+A group is given by generators.  Its order comes from a base and strong
+generating set (deterministic Schreier-Sims), so it needs only the
+generators.  Everything else that works with group elements lists them once
+by breadth-first closure of the generators, in sorted order and against the
+group-order cap, and then answers from write-once indexes over that list:
+pointwise stabilizers are refined from the stabilizer of a shorter prefix of
+points, and the elements sending given points to given images (a coset of a
+pointwise stabilizer) are one dictionary lookup.  Permutations are tuples p
+of length N with p[i-1] the image of the point i; points are 1-based to match
+the rest of the library.
 """
 
 from __future__ import annotations
@@ -67,6 +73,84 @@ def mulclose(gens, n: int, cap: int = DEFAULT_GROUP_ORDER_CAP) -> list[Perm]:
     return sorted(els)
 
 
+def _sift(g: Perm, base, transversals, start: int) -> tuple[Perm, int]:
+    """Divide g by transversal elements from level `start` on; return the
+    residue and the level where it left the chain (len(base) if none)."""
+    for i in range(start, len(base)):
+        u = transversals[i].get(g[base[i] - 1])
+        if u is None:
+            return g, i
+        g = pmul(pinv(u), g)
+    return g, len(base)
+
+
+def _orbit_transversal(point: int, gens, ident: Perm) -> dict:
+    """Orbit of `point` under <gens>: each orbit point q -> an element
+    sending `point` to q."""
+    transversal = {point: ident}
+    bdy = [point]
+    while bdy:
+        new = []
+        for p in bdy:
+            for s in gens:
+                q = s[p - 1]
+                if q not in transversal:
+                    transversal[q] = pmul(s, transversal[p])
+                    new.append(q)
+        bdy = new
+    return transversal
+
+
+def _schreier_sims_order(gens, n: int) -> int:
+    """Order of the group generated by `gens`, as the product of the basic
+    orbit lengths of a base and strong generating set built by deterministic
+    Schreier-Sims (Sims 1970; Seress, Permutation Group Algorithms, ch. 4).
+    Lists no group elements."""
+    ident = identity_perm(n)
+    gens = [g for g in gens if g != ident]
+
+    def moved(g: Perm) -> int:
+        return next(x for x in range(1, n + 1) if g[x - 1] != x)
+
+    base: list = []
+    for g in gens:
+        if all(g[b - 1] == b for b in base):
+            base.append(moved(g))
+    # strong[i] generates the pointwise stabilizer of base[:i] once done
+    strong = [[g for g in gens if all(g[b - 1] == b for b in base[:i])] for i in range(len(base))]
+    transversals = [_orbit_transversal(b, s, ident) for b, s in zip(base, strong)]
+
+    def residue(i: int):
+        """A Schreier generator of level i that does not sift, or None."""
+        t = transversals[i]
+        for p, u in t.items():
+            for s in strong[i]:
+                h, j = _sift(pmul(pinv(t[s[p - 1]]), pmul(s, u)), base, transversals, i + 1)
+                if h != ident:
+                    return h, j
+        return None
+
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            base.append(moved(h))
+            strong.append([])
+            transversals.append(None)
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            transversals[level] = _orbit_transversal(base[level], strong[level], ident)
+        i = j
+    order = 1
+    for t in transversals:
+        order *= len(t)
+    return order
+
+
 def _check_perm(p, n: int) -> Perm:
     p = tuple(p)
     if sorted(p) != list(range(1, n + 1)):
@@ -82,6 +166,9 @@ class FiniteAction:
     generators: tuple[Perm, ...]
     order_cap: int = DEFAULT_GROUP_ORDER_CAP
     _elements: list = field(default=None, compare=False, repr=False)
+    # write-once indexes over elements(), keyed by sorted point tuples
+    _stabilizers: dict = field(default=None, init=False, compare=False, repr=False)
+    _cosets: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.domain_size < 1:
@@ -89,6 +176,8 @@ class FiniteAction:
         gens = tuple(_check_perm(g, self.domain_size) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_elements", [])
+        object.__setattr__(self, "_stabilizers", {})
+        object.__setattr__(self, "_cosets", {})
 
     def elements(self) -> list[Perm]:
         # write-once memo; the value is deterministic so races are harmless
@@ -99,7 +188,8 @@ class FiniteAction:
         return self._elements
 
     def order(self) -> int:
-        return len(self.elements())
+        """The group order, from the generators alone (no cap applies)."""
+        return _schreier_sims_order(self.generators, self.domain_size)
 
     def element_set(self) -> frozenset:
         return frozenset(self.elements())
@@ -111,9 +201,43 @@ class FiniteAction:
         mine = self.element_set()
         return all(g in mine for g in other.generators)
 
+    def _points(self, points) -> tuple[int, ...]:
+        pts = tuple(sorted(set(points)))
+        if pts and not (1 <= pts[0] and pts[-1] <= self.domain_size):
+            raise MalformedInputError(f"points {pts} are not all in [{self.domain_size}]")
+        return pts
+
     def pointwise_stabilizer(self, points) -> list[Perm]:
-        pts = list(points)
-        return [g for g in self.elements() if all(g[x - 1] == x for x in pts)]
+        """The elements fixing every given point, in sorted order."""
+        return list(self._stabilizer(self._points(points)))
+
+    def _stabilizer(self, pts: tuple[int, ...]) -> list[Perm]:
+        """G_pts for sorted distinct pts, refined from G_{pts[:-1]}: the
+        elements of the shorter prefix's stabilizer that fix pts[-1]."""
+        stab = self._stabilizers.get(pts)
+        if stab is None:
+            if pts:
+                x = pts[-1]
+                stab = [g for g in self._stabilizer(pts[:-1]) if g[x - 1] == x]
+            else:
+                stab = self.elements()
+            self._stabilizers[pts] = stab
+        return stab
+
+    def transporter(self, mapping: dict) -> list[Perm]:
+        """The elements g with g(x) = mapping[x] for every key x, in sorted
+        order: a left coset of the pointwise stabilizer of the keys, or empty.
+
+        The elements are grouped once per key set by their images of it, so
+        each later call is one lookup."""
+        pts = self._points(mapping)
+        index = self._cosets.get(pts)
+        if index is None:
+            index = {}
+            for g in self.elements():
+                index.setdefault(tuple(g[x - 1] for x in pts), []).append(g)
+            self._cosets[pts] = index
+        return list(index.get(tuple(mapping[x] for x in pts), ()))
 
 
 def symmetric_action(n: int) -> FiniteAction:
@@ -334,13 +458,12 @@ def is_t_dense(H: FiniteAction, G: FiniteAction, t: int) -> bool:
     N = G.domain_size
     if t > N:
         raise MalformedInputError("t exceeds domain size")
-    order_G = G.order()
-    h_els = H.elements()
+    order_G, order_H = G.order(), H.order()
     for size in range(1, t + 1):
         for gamma in combinations(range(1, N + 1), size):
             stab = G.pointwise_stabilizer(gamma)
-            meet = sum(1 for h in h_els if all(h[x - 1] == x for x in gamma))
-            if len(h_els) * len(stab) != order_G * meet:
+            meet = H.pointwise_stabilizer(gamma)
+            if order_H * len(stab) != order_G * len(meet):
                 return False
     return True
 

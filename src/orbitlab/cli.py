@@ -35,7 +35,7 @@ from .modlab import (
     parse_chain_file,
     restriction_decomposition_check,
 )
-from .orbitcat import OrbitCategory, phi_iso_report
+from .orbitcat import phi_iso_report
 from .polynomials import CoefficientField, MonomialOrder
 from .structures import (
     age_for,
@@ -213,25 +213,11 @@ def cmd_sap(args) -> int:
 def cmd_orbitcat(args) -> int:
     action = parse_group_file(_read(args.group))
     report = phi_iso_report(action, args.cap)
-    cat = OrbitCategory(action)
-    from itertools import combinations
-
-    subsets = [
-        frozenset(c)
-        for size in range(0, args.cap + 1)
-        for c in combinations(range(1, action.domain_size + 1), size)
-    ]
-    matrix = []
-    for sigma in subsets:
-        row = []
-        for gamma in subsets:
-            row.append(len(cat.hom(cat.object(sigma), cat.object(gamma))))
-        matrix.append(row)
     _emit(
         args,
         {
-            "objects": [sorted(s) for s in subsets],
-            "hom_counts": matrix,
+            "objects": [list(s) for s in report.objects],
+            "hom_counts": [list(row) for row in report.hom_counts],
             "isomorphism": report.passed,
             "object_collisions": [list(map(list, c)) for c in report.object_collisions],
             "hom_mismatches": [

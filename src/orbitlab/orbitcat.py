@@ -79,6 +79,7 @@ class OrbitCategory:
         self.action = action
         self._objects: dict = {}
         self._stab_sets: dict = {}
+        self._inverses: list = []  # pinv of each element, aligned with elements()
 
     def stabilizer_set(self, gamma: frozenset) -> frozenset:
         if gamma not in self._stab_sets:
@@ -90,12 +91,14 @@ class OrbitCategory:
     def object(self, gamma) -> OrbitObject:
         gamma = frozenset(gamma)
         if gamma not in self._objects:
-            stab = sorted(self.stabilizer_set(gamma))
+            stab = self.action.pointwise_stabilizer(gamma)
             pts = tuple(sorted(gamma))
+            elements = self.action.elements()
+            if not self._inverses:
+                self._inverses.extend(pinv(g) for g in elements)
             transversal = []
             seen = set()
-            for g in self.action.elements():
-                inv = pinv(g)
+            for g, inv in zip(elements, self._inverses):
                 key = tuple(inv[b - 1] for b in pts)
                 if key not in seen:
                     seen.add(key)
@@ -120,12 +123,11 @@ class OrbitCategory:
         return out
 
     def extensions(self, embedding: StructureEmbedding) -> list[Perm]:
-        m = embedding.mapping
-        return [
-            g
-            for g in self.action.elements()
-            if all(g[int(x) - 1] == int(y) for x, y in m.items())
-        ]
+        """The group elements that agree with the embedding on its source, in
+        sorted order: one left coset of the source's pointwise stabilizer."""
+        return self.action.transporter(
+            {int(x): int(y) for x, y in embedding.mapping.items()}
+        )
 
     def phi(self, embedding: StructureEmbedding) -> OrbitMorphism:
         """The orbit morphism G/G_Sigma -> G/G_Gamma induced by an embedding
@@ -151,6 +153,8 @@ class OrbitCategory:
 @dataclass(frozen=True)
 class PhiIsoReport:
     size_cap: int
+    objects: tuple  # the subsets of size <= cap, each as a sorted tuple
+    hom_counts: tuple  # hom_counts[i][j] = |hom(G/G_{objects[i]}, G/G_{objects[j]})|
     object_collisions: tuple  # pairs of distinct subsets sharing a stabilizer
     hom_mismatches: tuple  # (gamma, sigma, embedding count, orbit hom count)
     missing_extensions: tuple  # embeddings with no extension in G
@@ -195,11 +199,13 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
     M = canonical_structure(action, max_arity=max(size_cap, 1))
     mismatches = []
     missing = []
+    hom_counts = {}
     for gamma in subsets:
         sub_gamma = M.induced(sorted(gamma))
         for sigma in subsets:
             embs = enumerate_embeddings(sub_gamma, M.induced(sorted(sigma)))
             morphisms = cat.hom(cat.object(sigma), cat.object(gamma))
+            hom_counts[sigma, gamma] = len(morphisms)
             images = set()
             extension_failed = False
             for e in embs:
@@ -225,6 +231,8 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
     ]
     return PhiIsoReport(
         size_cap,
+        tuple(tuple(sorted(s)) for s in subsets),
+        tuple(tuple(hom_counts[s, g] for g in subsets) for s in subsets),
         tuple(collisions),
         tuple(mismatches),
         tuple(missing),

@@ -55,6 +55,89 @@ def test_mulclose_cap():
         mulclose(symmetric_action(8).generators, 8, cap=100)
 
 
+def small_groups():
+    return [
+        symmetric_action(4),
+        cyclic_action(5),
+        FiniteAction(4, (perm_from_cycles("(1 2 3 4)", 4), perm_from_cycles("(1 3)", 4))),
+        FiniteAction(4, (perm_from_cycles("(1 2 3)", 4), perm_from_cycles("(2 3 4)", 4))),
+        FiniteAction(5, (perm_from_cycles("(1 2)(3 4)", 5), perm_from_cycles("(3 4 5)", 5))),
+        trivial_action(4),
+    ]
+
+
+def test_order_matches_element_count():
+    rng = random.Random(17)
+    groups = small_groups() + [random_subgroup(rng, rng.randint(1, 6)) for _ in range(40)]
+    for G in groups:
+        assert G.order() == len(mulclose(G.generators, G.domain_size)), G.generators
+
+
+def test_order_above_the_cap_lists_no_elements():
+    A6 = FiniteAction(6, tuple(perm_from_cycles(f"(1 2 {k})", 6) for k in range(3, 7)))
+    assert A6.order() == 360
+    S8, S10 = symmetric_action(8), symmetric_action(10)
+    assert S8.order() == 40320
+    assert S10.order() == 3628800
+    assert not S8._elements and not S10._elements
+    with pytest.raises(ResourceCapError):
+        S8.elements()  # listing elements still stops at the cap
+
+
+def test_order_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(19)
+    for _ in range(30):
+        n = rng.randint(2, 10)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            pts = list(range(1, n + 1))
+            rng.shuffle(pts)
+            if rng.random() < 0.5:  # keep only one cycle, so subgroups vary in size
+                cycle = perm_from_cycles(f"({' '.join(map(str, pts[: rng.randint(2, n)]))})", n)
+                pts = list(cycle)
+            gens.append(tuple(pts))
+        G = FiniteAction(n, tuple(gens))
+        sym = combinatorics.PermutationGroup(
+            [combinatorics.Permutation([x - 1 for x in g]) for g in G.generators]
+        )
+        assert G.order() == sym.order(), G.generators
+
+
+def test_pointwise_stabilizer_matches_filter():
+    for G in small_groups():
+        N = G.domain_size
+        els = G.elements()
+        for size in range(N + 1):
+            for gamma in combinations(range(1, N + 1), size):
+                want = [g for g in els if all(g[x - 1] == x for x in gamma)]
+                assert G.pointwise_stabilizer(gamma) == want
+                assert G.pointwise_stabilizer(tuple(reversed(gamma))) == want
+                assert G.pointwise_stabilizer(set(gamma)) == want
+                assert G.pointwise_stabilizer(gamma + gamma[:1]) == want
+        with pytest.raises(MalformedInputError):
+            G.pointwise_stabilizer((N + 1,))
+
+
+def test_pointwise_stabilizer_returns_a_fresh_list():
+    S4 = symmetric_action(4)
+    S4.pointwise_stabilizer((1,)).clear()
+    assert len(S4.pointwise_stabilizer((1,))) == 6
+    assert len(S4.pointwise_stabilizer((1, 2))) == 2
+
+
+def test_transporter_matches_filter():
+    for G in small_groups():
+        N = G.domain_size
+        els = G.elements()
+        for size in range(min(N, 3) + 1):
+            for pts in permutations(range(1, N + 1), size):
+                for imgs in permutations(range(1, N + 1), size):
+                    mapping = dict(zip(pts, imgs))
+                    want = [g for g in els if all(g[x - 1] == y for x, y in mapping.items())]
+                    assert G.transporter(mapping) == want
+
+
 def test_orbit_modes():
     c4 = cyclic_action(4)
     assert orbit_count(c4, 1, "subsets") == 1

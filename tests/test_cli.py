@@ -70,6 +70,18 @@ def test_growth_json_deterministic(capsys, grp):
     assert out1 == out2
 
 
+def test_growth_json_above_the_group_order_cap(capsys, grp):
+    code, data = run_json(capsys, "growth", "--group", grp("s8.grp", S8), "--max-n", "4")
+    assert code == 0
+    assert data["group_order"] == 40320
+    assert data["f"] == data["F"] == [1, 1, 1, 1]
+    assert data["F_star"] == [1, 2, 5, 15]
+
+
+def test_listing_elements_above_the_cap_exits_3(capsys, grp):
+    assert main(["orbitcat", "--group", grp("s8.grp", S8), "--cap", "1"]) == 3
+
+
 def test_same_orbits(capsys, grp):
     code, data = run_json(
         capsys,
@@ -135,6 +147,18 @@ def test_orbitcat(capsys, grp):
     assert data["isomorphism"] is False
     assert data["consistent_with_fixed_points"] is True
     assert [1, 2] in data["fixed_point_violations"]
+
+
+def test_orbitcat_deterministic(capsys, grp):
+    path = grp("s5.grp", "N=5\n(1 2)\n(1 2 3 4 5)\n")
+    code1, out1 = run(capsys, "orbitcat", "--group", path, "--cap", "2")
+    code2, out2 = run(capsys, "orbitcat", "--group", path, "--cap", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    data = json.loads(out1)
+    assert data["objects"][:2] == [[], [1]]
+    # G/G is a point; no other coset space of S5 has a G-fixed point to receive it
+    assert data["hom_counts"][0] == [1] + [0] * 15
 
 
 def test_noeth_chain(capsys, tmp_path):

@@ -5,7 +5,13 @@ from itertools import combinations, product
 
 import pytest
 
-from orbitlab.actions import FiniteAction, perm_from_cycles, pmul, symmetric_action
+from orbitlab.actions import (
+    FiniteAction,
+    perm_from_cycles,
+    pmul,
+    symmetric_action,
+    trivial_action,
+)
 from orbitlab.orbitcat import (
     NoExtensionError,
     OrbitCategory,
@@ -176,3 +182,43 @@ def test_phi_iso_report_trivial_group_collides():
     report = phi_iso_report(trivial, 1)
     assert report.object_collisions  # every stabilizer is the whole group
     assert not report.passed
+
+
+def test_extensions_match_filter_on_every_embedding():
+    groups = [
+        symmetric_action(4),
+        FiniteAction(5, (perm_from_cycles("(1 2 3 4 5)", 5),)),
+        FiniteAction(4, (perm_from_cycles("(1 2 3 4)", 4), perm_from_cycles("(1 3)", 4))),
+        trivial_action(4),
+    ]
+    checked = missing = 0
+    for G in groups:
+        N = G.domain_size
+        cat = OrbitCategory(G)
+        # arity 1 keeps only the point orbits, so C5 gets embeddings no rotation extends
+        for arity in (1, 2):
+            M = canonical_structure(G, arity)
+            subs = [M.induced(c) for k in range(N + 1) for c in combinations(range(1, N + 1), k)]
+            for source in subs:
+                for target in subs:
+                    for e in enumerate_embeddings(source, target):
+                        m = e.mapping
+                        want = [
+                            g
+                            for g in G.elements()
+                            if all(g[int(x) - 1] == int(y) for x, y in m.items())
+                        ]
+                        assert cat.extensions(e) == want, (G.generators, m)
+                        checked += 1
+                        missing += not want
+    assert checked and missing
+
+
+def test_phi_iso_report_carries_hom_counts():
+    S4 = symmetric_action(4)
+    report = phi_iso_report(S4, 2)
+    subsets = [c for k in range(3) for c in combinations(range(1, 5), k)]
+    assert report.objects == tuple(subsets)
+    for i, sigma in enumerate(subsets):
+        for j, gamma in enumerate(subsets):
+            assert report.hom_counts[i][j] == len(orbit_hom(S4, sigma, gamma))
