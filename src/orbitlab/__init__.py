@@ -65,8 +65,6 @@ from .orbitcat import (
     OrbitMorphism,
     OrbitObject,
     PhiIsoReport,
-    orbit_hom,
-    phi,
     phi_iso_report,
 )
 from .polynomials import (

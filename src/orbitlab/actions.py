@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
-from .errors import MalformedInputError, ResourceCapError
+from .errors import MalformedInputError, ResourceCapError, parse_int
 
 Perm = tuple[int, ...]
 
@@ -414,7 +414,7 @@ def same_orbits(G: FiniteAction, H: FiniteAction, n: int, mode: str = "injective
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Independent evaluations of the four same-orbit conditions at level n:
+    """Evaluations of the four same-orbit conditions at level n:
     (1) on all n-tuples, (2) on injective n-tuples, (3) on all s-tuples for
     every s <= n, (4) on injective s-tuples for every s <= n."""
 
@@ -433,10 +433,13 @@ class LemmaReport:
 def lemma_equivalence_check(G: FiniteAction, H: FiniteAction, n: int) -> LemmaReport:
     if n > G.domain_size:
         raise MalformedInputError("n exceeds domain size")
+    if n < 0:
+        raise MalformedInputError("n must be a natural number")
     c1 = same_orbits(G, H, n, "power")
     c2 = same_orbits(G, H, n, "injective")
-    c3 = all(same_orbits(G, H, s, "power") for s in range(1, n + 1))
-    c4 = all(same_orbits(G, H, s, "injective") for s in range(1, n + 1))
+    # (3) and (4) include level n itself, which (1) and (2) already settled
+    c3 = c1 and all(same_orbits(G, H, s, "power") for s in range(1, n))
+    c4 = c2 and all(same_orbits(G, H, s, "injective") for s in range(1, n))
     witness = None
     if len({c1, c2, c3, c4}) != 1:
         witness = f"conditions disagree: ({c1}, {c2}, {c3}, {c4})"
@@ -569,7 +572,7 @@ def perm_from_cycles(text: str, n: int) -> Perm:
     if consumed:
         raise MalformedInputError(f"junk in cycle notation: {text!r}")
     for cyc in _CYCLE_RE.findall(body):
-        pts = [int(tok) for tok in cyc.split()]
+        pts = [parse_int(tok, "cycle entry") for tok in cyc.split()]
         if not pts:
             continue
         if len(set(pts)) != len(pts) or any(not 1 <= p <= n for p in pts):
@@ -595,7 +598,11 @@ def parse_group_file(text: str) -> FiniteAction:
         if ln.startswith("["):
             if not ln.endswith("]"):
                 raise MalformedInputError(f"bad one-line permutation: {ln!r}")
-            vals = [int(tok) for tok in ln[1:-1].split(",") if tok.strip()]
+            vals = [
+                parse_int(tok, "permutation entry")
+                for tok in ln[1:-1].split(",")
+                if tok.strip()
+            ]
             gens.append(_check_perm(vals, n))
         else:
             gens.append(perm_from_cycles(ln, n))

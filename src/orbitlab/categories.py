@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -71,6 +72,7 @@ def in_relation(kind: CategoryKind, n: int, tup: tuple[int, ...]) -> bool:
     raise AssertionError(kind)
 
 
+@lru_cache(maxsize=None)
 def canonical_relation(kind: CategoryKind, n: int) -> frozenset[tuple[int, ...]]:
     """All tuples of distinct points of [n] in the canonical relation of `kind`."""
     a = RELATION_ARITY[kind]

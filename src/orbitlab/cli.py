@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Every subcommand emits one report (JSON by default, TSV for growth tables)
+Every subcommand emits one JSON report (`growth --format tsv` a TSV table)
 that echoes the full configuration and the tool version, so identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1 the
 checked property fails (a witness is printed), 2 malformed input, 3 a
@@ -284,47 +284,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"orbitlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-
     p = sub.add_parser("homset", help="enumerate a hom-set")
     p.add_argument("--kind", required=True, choices=("fi", "oi", "bi", "ci", "si"))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_homset)
 
     p = sub.add_parser("factorize", help="factor a morphism as eps' after g")
     p.add_argument("--morphism", required=True, help="e.g. 'CI 3->4 : [2,3,1]'")
-    common(p)
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("growth", help="orbit growth profile of a group file")
     p.add_argument("--group", required=True)
     p.add_argument("--max-n", type=int, required=True)
-    common(p)
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("same-orbits", help="lemma conditions for two groups")
     p.add_argument("--group", required=True)
     p.add_argument("--subgroup", required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_same_orbits)
 
     p = sub.add_parser("dense", help="t-density of a subgroup")
     p.add_argument("--group", required=True)
     p.add_argument("--subgroup", required=True)
     p.add_argument("--t", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_dense)
 
     p = sub.add_parser("fullness-witness", help="restriction fullness probe")
     p.add_argument("--group", required=True)
     p.add_argument("--subgroup", required=True, help="the subgroup H being restricted to")
     p.add_argument("--k-subgroup", required=True, help="the subgroup K of the coset module")
-    common(p)
     p.set_defaults(func=cmd_fullness_witness)
 
     p = sub.add_parser("amalgamate", help="amalgamate two embedding files")
@@ -336,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("set", "linear", "betweenness", "cyclic", "separation", "pair"),
     )
     p.add_argument("--weak", action="store_true", help="allow non-pushout universes")
-    common(p)
     p.set_defaults(func=cmd_amalgamate)
 
     p = sub.add_parser("sap", help="strong amalgamation property check")
@@ -347,13 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("set", "linear", "betweenness", "cyclic", "separation", "pair"),
     )
     p.add_argument("--cap", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_sap)
 
     p = sub.add_parser("orbitcat", help="orbit-category comparison report")
     p.add_argument("--group", required=True)
     p.add_argument("--cap", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_orbitcat)
 
     p = sub.add_parser("noeth-chain", help="ascending chain stabilization experiment")
@@ -363,14 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True, help="degree cap D")
     p.add_argument("--field", default="q", help="q or fp:P")
     p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-    common(p)
     p.set_defaults(func=cmd_noeth_chain)
 
     p = sub.add_parser("restrict-check", help="restriction decomposition check")
     p.add_argument("--kind", required=True, choices=("fi", "oi", "bi", "ci", "si"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_restrict_check)
 
     return parser

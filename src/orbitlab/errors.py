@@ -24,3 +24,11 @@ class FalsificationError(OrbitlabError):
     contradict one of the combinatorial facts the library relies on,
     and must be surfaced verbatim.
     """
+
+
+def parse_int(text: str, what: str) -> int:
+    """`int(text)`, reporting text that is not an integer as malformed input."""
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInputError(f"bad {what}: {text!r}") from None

@@ -7,7 +7,9 @@ post-composing the basis morphisms.  Width components of finitely generated
 subpresheaves are handled as submodules of a free module over the width-s
 polynomial ring, with a straightforward Buchberger engine (position-over-term
 extension of the chosen monomial order, basis positions ordered by the
-lexicographic hom-set order).
+lexicographic hom-set order).  A vector of that free module maps each
+position with a nonzero coordinate to a Polynomial, so all coefficient
+arithmetic goes through Polynomial.
 
 Everything is truncated: statements are certified only up to a width W and,
 when Buchberger pairs are discarded, up to a degree bound D.  Both appear in
@@ -27,7 +29,7 @@ from .categories import (
     factorize,
     hom_set,
 )
-from .errors import MalformedInputError, ResourceCapError
+from .errors import MalformedInputError, ResourceCapError, parse_int
 from .polynomials import (
     GREVLEX,
     CoefficientField,
@@ -48,26 +50,36 @@ DEFAULT_PAIR_CAP = 20_000
 
 
 class ModuleVector:
-    """Element of R^rank with R the width-variable polynomial ring; terms map
-    (position, monomial) to a nonzero coefficient."""
+    """Element of R^rank with R the width-variable polynomial ring: `coords`
+    maps each position with a nonzero coordinate to its Polynomial."""
 
-    __slots__ = ("width", "field", "rank", "terms")
+    __slots__ = ("width", "field", "rank", "coords")
 
-    def __init__(self, width, field, rank, terms=None):
+    def __init__(self, width, field, rank, entries=None):
         self.width = width
         self.field = field
         self.rank = rank
-        clean = {}
-        for (pos, mono), c in (terms or {}).items():
+        coords = {}
+        for pos, poly in (entries or {}).items():
             if not 0 <= pos < rank:
                 raise MalformedInputError(f"position {pos} outside rank {rank}")
-            c = field.coerce(c)
-            if c != field.zero:
-                clean[(pos, tuple(mono))] = c
-        self.terms = clean
+            if poly.width != width or poly.field != field:
+                raise MalformedInputError("coordinate lives in the wrong ring")
+            if not poly.is_zero():
+                coords[pos] = poly
+        self.coords = coords
+
+    @property
+    def terms(self) -> dict:
+        """Flat view: (position, monomial) -> nonzero coefficient."""
+        return {
+            (pos, mono): c
+            for pos, poly in self.coords.items()
+            for mono, c in poly.terms.items()
+        }
 
     def is_zero(self):
-        return not self.terms
+        return not self.coords
 
     def _check(self, other):
         if (self.width, self.field, self.rank) != (other.width, other.field, other.rank):
@@ -75,49 +87,24 @@ class ModuleVector:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = f.add(terms.get(k, f.zero), c)
-        return ModuleVector(self.width, f, self.rank, terms)
-
-    def __neg__(self):
-        f = self.field
-        return ModuleVector(
-            self.width, f, self.rank, {k: f.neg(c) for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
+        coords = dict(self.coords)
+        for pos, poly in other.coords.items():
+            coords[pos] = coords[pos] + poly if pos in coords else poly
+        return ModuleVector(self.width, self.field, self.rank, coords)
 
     def term_mul(self, mono, c):
-        f = self.field
-        c = f.coerce(c)
-        mono = tuple(mono)
         return ModuleVector(
             self.width,
-            f,
+            self.field,
             self.rank,
-            {
-                (pos, tuple(a + b for a, b in zip(m, mono))): f.mul(cc, c)
-                for (pos, m), cc in self.terms.items()
-            },
+            {pos: poly.term_mul(mono, c) for pos, poly in self.coords.items()},
         )
-
-    def scale(self, c):
-        return self.term_mul((0,) * self.width, c)
-
-    def monic(self, order):
-        (_, _), lc = self.leading(order)
-        return self.scale(self.field.inv(lc))
 
     def leading(self, order: MonomialOrder):
         """Position-over-term: lower positions dominate."""
-        key = max(self.terms, key=lambda k: (-k[0], order.key(k[1])))
-        return key, self.terms[key]
-
-    def degree(self):
-        return max((monomial_degree(m) for _, m in self.terms), default=0)
+        pos = min(self.coords)
+        mono, c = self.coords[pos].leading(order)
+        return (pos, mono), c
 
     def __eq__(self, other):
         return (
@@ -125,14 +112,14 @@ class ModuleVector:
             and self.width == other.width
             and self.field == other.field
             and self.rank == other.rank
-            and self.terms == other.terms
+            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.width, self.rank, frozenset(self.terms.items())))
+        return hash((self.width, self.rank, frozenset(self.coords.items())))
 
     def __repr__(self):
-        return f"ModuleVector({self.terms})"
+        return f"ModuleVector({self.coords})"
 
 
 def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
@@ -142,19 +129,17 @@ def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
     work = v
     while not work.is_zero():
         (pos, mono), c = work.leading(order)
-        reduced = False
         for g in basis:
             (gpos, gmono), gc = g.leading(order)
             if gpos == pos and monomial_divides(gmono, mono):
                 factor = monomial_div(mono, gmono)
-                coeff = f.mul(c, f.inv(gc))
-                work = work - g.term_mul(factor, coeff)
-                reduced = True
+                work = work + g.term_mul(factor, f.neg(f.mul(c, f.inv(gc))))
                 break
-        if not reduced:
-            remainder[(pos, mono)] = c
+        else:
+            lead = Polynomial.monomial(v.width, mono, c, f)
+            remainder[pos] = remainder[pos] + lead if pos in remainder else lead
             work = ModuleVector(
-                v.width, f, v.rank, {k: cc for k, cc in work.terms.items() if k != (pos, mono)}
+                v.width, f, v.rank, {**work.coords, pos: work.coords[pos] - lead}
             )
     return ModuleVector(v.width, f, v.rank, remainder)
 
@@ -210,8 +195,8 @@ def groebner_basis(
             capped = True
             continue
         f = gi.field
-        s = gi.term_mul(monomial_div(lcm, mi), f.inv(ci)) - gj.term_mul(
-            monomial_div(lcm, mj), f.inv(cj)
+        s = gi.term_mul(monomial_div(lcm, mi), f.inv(ci)) + gj.term_mul(
+            monomial_div(lcm, mj), f.neg(f.inv(cj))
         )
         r = normal_form(s, basis, order)
         if not r.is_zero():
@@ -243,7 +228,8 @@ def _reduce_basis(basis, order: MonomialOrder) -> tuple:
         others = kept[:i] + kept[i + 1 :]
         r = normal_form(g, others, order)
         if not r.is_zero():
-            reduced.append(r.monic(order))
+            _, lc = r.leading(order)
+            reduced.append(r.term_mul((0,) * r.width, r.field.inv(lc)))
     reduced.sort(key=lambda v: sorted(v.terms))
     return tuple(reduced)
 
@@ -335,33 +321,22 @@ def apply_morphism(v: PresheafElement, pi: InjectionMorphism) -> PresheafElement
     return presheaf_element(v.kind, v.gen_width, pi.target, out)
 
 
-def component_basis(kind: CategoryKind, gen_width: int, width: int) -> list:
-    """Ordered free-module basis of the width component: the hom-set in its
-    canonical lexicographic order."""
-    return hom_set(kind, gen_width, width)
-
-
 def to_vector(v: PresheafElement, basis=None) -> ModuleVector:
-    basis = basis if basis is not None else component_basis(v.kind, v.gen_width, v.width)
+    """Coordinates of v in the free module whose positions are the basis
+    morphisms (by default the hom-set in its lexicographic order)."""
+    basis = basis if basis is not None else hom_set(v.kind, v.gen_width, v.width)
     index = {eps: i for i, eps in enumerate(basis)}
-    terms = {}
-    for eps, poly in v.coeffs:
-        pos = index[eps]
-        for mono, c in poly.terms.items():
-            terms[(pos, mono)] = c
-    return ModuleVector(v.width, v.field, len(basis), terms)
+    return ModuleVector(
+        v.width, v.field, len(basis), {index[eps]: poly for eps, poly in v.coeffs}
+    )
 
 
 def from_vector(
     kind, gen_width, vec: ModuleVector, basis=None
 ) -> PresheafElement:
-    basis = basis if basis is not None else component_basis(kind, gen_width, vec.width)
-    polys = {}
-    for (pos, mono), c in vec.terms.items():
-        eps = basis[pos]
-        poly = polys.get(eps, Polynomial.zero(vec.width, vec.field))
-        polys[eps] = poly + Polynomial.monomial(vec.width, mono, c, vec.field)
-    return presheaf_element(kind, gen_width, vec.width, polys)
+    basis = basis if basis is not None else hom_set(kind, gen_width, vec.width)
+    coeffs = {basis[pos]: poly for pos, poly in vec.coords.items()}
+    return presheaf_element(kind, gen_width, vec.width, coeffs)
 
 
 @dataclass(frozen=True)
@@ -398,12 +373,14 @@ def width_component(
             raise MalformedInputError("generator kind mismatch")
     # a generator at width > `width` has no morphisms into [width] and
     # contributes nothing; the hom-set loop below handles that uniformly
-    basis = tuple(component_basis(kind, gen_width, width))
+    basis = tuple(hom_set(kind, gen_width, width))
     vectors = []
     for g in generators:
         for pi in hom_set(kind, g.width, width):
             vectors.append(to_vector(apply_morphism(g, pi), basis))
-    gb = groebner_basis(vectors, order, degree_cap)
+    # images of one generator under different morphisms often coincide (a
+    # symmetric polynomial under FI); each repeat only adds S-pairs
+    gb = groebner_basis(list(dict.fromkeys(vectors)), order, degree_cap)
     return TruncatedSubmodule(kind, gen_width, generators, width, basis, gb)
 
 
@@ -594,12 +571,15 @@ def parse_element_line(
     if len(head) != 3:
         raise MalformedInputError(f"bad element header: {parts[0]!r}")
     kind = CategoryKind.from_string(head[0])
-    n, s = int(head[1]), int(head[2])
+    n = parse_int(head[1], "generator width")
+    s = parse_int(head[2], "width")
     image_text = parts[1].strip()
     if not (image_text.startswith("[") and image_text.endswith("]")):
         raise MalformedInputError(f"bad image: {image_text!r}")
     image = tuple(
-        int(tok) for tok in image_text[1:-1].split(",") if tok.strip()
+        parse_int(tok, "image entry")
+        for tok in image_text[1:-1].split(",")
+        if tok.strip()
     )
     eps = InjectionMorphism(kind, n, s, image)
     poly = parse_polynomial(parts[2], s, field)

@@ -238,12 +238,3 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
         tuple(missing),
         tuple(violations),
     )
-
-
-def orbit_hom(action: FiniteAction, source_gamma, target_gamma) -> list[OrbitMorphism]:
-    cat = OrbitCategory(action)
-    return cat.hom(cat.object(source_gamma), cat.object(target_gamma))
-
-
-def phi(action: FiniteAction, embedding: StructureEmbedding) -> OrbitMorphism:
-    return OrbitCategory(action).phi(embedding)

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, parse_int
 
 Monomial = tuple
 
@@ -82,7 +82,11 @@ class CoefficientField:
         if self.modulus is None:
             return Fraction(x)
         if isinstance(x, Fraction):
-            return x.numerator * pow(x.denominator, -1, self.modulus) % self.modulus
+            try:
+                inverse = pow(x.denominator, -1, self.modulus)
+            except ValueError:
+                raise MalformedInputError(f"{x} has no value in {self}") from None
+            return x.numerator * inverse % self.modulus
         return int(x) % self.modulus
 
     def add(self, a, b):
@@ -116,7 +120,7 @@ class CoefficientField:
         if s == "q":
             return cls(None)
         if s.startswith("fp:"):
-            return cls(int(s[3:]))
+            return cls(parse_int(s[3:], "prime modulus"))
         raise MalformedInputError(f"unknown field spec {s!r} (use q or fp:P)")
 
 

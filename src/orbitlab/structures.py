@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .actions import FiniteAction, orbits
-from .categories import CategoryKind, in_relation
-from .errors import MalformedInputError, ResourceCapError
+from .categories import CategoryKind, canonical_relation
+from .errors import MalformedInputError, ResourceCapError, parse_int
 
 BUILTIN_KINDS = {
     "set": CategoryKind.FI,
@@ -98,15 +98,9 @@ def arrangement_structure(kind_name: str, arrangement) -> FiniteStructure:
     if kind_name == "set":
         return plain_set_structure(arrangement)
     name, arity = _KIND_RELATION[kind_name]
-    kind = BUILTIN_KINDS[kind_name]
     arrangement = tuple(arrangement)
-    n = len(arrangement)
-    pos = {x: i + 1 for i, x in enumerate(arrangement)}
-    tuples = frozenset(
-        t
-        for t in permutations(arrangement, arity)
-        if in_relation(kind, n, tuple(pos[x] for x in t))
-    )
+    relation = canonical_relation(BUILTIN_KINDS[kind_name], len(arrangement))
+    tuples = frozenset(tuple(arrangement[i - 1] for i in t) for t in relation)
     return make_structure(sorted(arrangement), ((name, arity),), {name: tuples})
 
 
@@ -519,7 +513,7 @@ def parse_structure(text: str) -> FiniteStructure:
             if not (tok.startswith("(") and tok.endswith(")")):
                 raise MalformedInputError(f"bad tuple token: {tok!r}")
             tuples.add(tuple(t.strip() for t in tok[1:-1].split(",") if t.strip()))
-        signature.append((name.strip(), int(arity)))
+        signature.append((name.strip(), parse_int(arity, "relation arity")))
         relations[name.strip()] = tuples
     return make_structure(universe, signature, relations)
 

@@ -34,7 +34,7 @@ from orbitlab.categories import (
     hom_size_formula,
 )
 from orbitlab.modlab import chain_experiment, groebner_basis, presheaf_element
-from orbitlab.orbitcat import orbit_hom, phi_iso_report
+from orbitlab.orbitcat import OrbitCategory, phi_iso_report
 from orbitlab.polynomials import GREVLEX, CoefficientField, QQ, parse_polynomial
 from orbitlab.structures import age_has_sap
 
@@ -203,7 +203,7 @@ def test_criterion_6_sap():
 
 
 def test_criterion_7_orbit_category():
-    with _report(7, "phi iso report on S7/S3; orbit_hom vs brute force"):
+    with _report(7, "phi iso report on S7/S3; orbit-category hom vs brute force"):
         assert phi_iso_report(symmetric_action(7), 2).passed
         s3 = phi_iso_report(symmetric_action(3), 2)
         assert not s3.passed
@@ -217,15 +217,15 @@ def test_criterion_7_orbit_category():
             FiniteAction(5, ((2, 3, 4, 5, 1),)),
         ]
         for G in groups:
+            cat = OrbitCategory(G)
             N = G.domain_size
             subsets = [
                 frozenset(c) for k in (1, 2) for c in combinations(range(1, N + 1), k)
             ]
             for src in subsets:
                 for tgt in subsets:
-                    assert len(orbit_hom(G, src, tgt)) == oracle_equivariant_map_count(
-                        G, src, tgt
-                    )
+                    homs = cat.hom(cat.object(src), cat.object(tgt))
+                    assert len(homs) == oracle_equivariant_map_count(G, src, tgt)
 
 
 def test_criterion_8_module_lab():

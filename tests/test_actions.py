@@ -9,6 +9,7 @@ from math import comb, factorial
 
 import pytest
 
+from orbitlab import actions
 from orbitlab.actions import (
     FiniteAction,
     PermutationModule,
@@ -207,6 +208,21 @@ def test_lemma_consistency_random():
         level = rng.randint(1, min(3, n))
         report = lemma_equivalence_check(G, H, level)
         assert report.consistent, report.witness
+
+
+def test_lemma_check_enumerates_each_level_once(monkeypatch):
+    calls = []
+
+    def counting_orbits(action, n, mode="injective", *rest):
+        calls.append((n, mode))
+        return orbits(action, n, mode, *rest)
+
+    monkeypatch.setattr(actions, "orbits", counting_orbits)
+    S4 = symmetric_action(4)
+    report = lemma_equivalence_check(S4, S4, 3)
+    assert report.consistent and report.cond1
+    # levels 1..3, two modes, two groups
+    assert len(calls) == 12
 
 
 def test_is_t_dense_matches_definition():

@@ -170,11 +170,12 @@ def test_bi_reversal_sign_multiplicative():
 
 
 def test_associativity_random_sample():
-    for kind in (CategoryKind.CI, CategoryKind.SI):
-        for f in hom_set(kind, 3, 4) if kind is CategoryKind.CI else hom_set(kind, 4, 5):
-            m = f.source
-            for g in hom_set(kind, f.target, f.target + 1)[:3]:
-                for h in hom_set(kind, g.target, g.target + 1)[:3]:
+    for kind, m in ((CategoryKind.CI, 3), (CategoryKind.SI, 4)):
+        gs = hom_set(kind, m + 1, m + 2)[:3]
+        hs = hom_set(kind, m + 2, m + 3)[:3]
+        for f in hom_set(kind, m, m + 1):
+            for g in gs:
+                for h in hs:
                     assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
 

@@ -39,7 +39,7 @@ def test_homset(capsys):
     code, data = run_json(capsys, "homset", "--kind", "ci", "--m", "3", "--n", "4")
     assert code == 0
     assert data["count"] == 12
-    assert data["config"]["kind"] == "ci"
+    assert data["config"] == {"kind": "ci", "m": 3, "n": 4, "subcommand": "homset"}
     assert data["version"]
 
 
@@ -199,3 +199,47 @@ def test_missing_file(capsys):
 
 def test_resource_cap_exit(capsys):
     assert main(["homset", "--kind", "fi", "--m", "9", "--n", "11"]) == 3
+
+
+EMBEDDING_WITH_BAD_ARITY = (
+    "[source]\nuniverse = a\nlt/x:\n[target]\nuniverse = a b\nlt/2: (a,b)\n[map]\na -> a\n"
+)
+GROWTH = ("growth", "--group", "g.grp", "--max-n", "2")
+CHAIN = ("noeth-chain", "--kind", "fi", "--chain", "c.chain", "--width", "1", "--degree", "1")
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"g.grp": "N=3\n[1,2,x]\n"}, GROWTH),
+        ({"g.grp": "N=3\n(1 x)\n"}, GROWTH),
+        (
+            {"g.grp": "N=3\n(1 2)\n"},
+            ("same-orbits", "--group", "g.grp", "--subgroup", "g.grp", "--n", "-1"),
+        ),
+        ({"c.chain": "FI 0 1 : [] : 1/7*x1\n"}, CHAIN + ("--field", "fp:7")),
+        ({"c.chain": "FI 0 1 : [] : x1\n"}, CHAIN + ("--field", "fp:abc")),
+        ({"c.chain": "FI 0 x : [] : x1\n"}, CHAIN),
+        (
+            {"e.emb": EMBEDDING_WITH_BAD_ARITY},
+            ("amalgamate", "--embedding1", "e.emb", "--embedding2", "e.emb", "--age", "linear"),
+        ),
+    ],
+    ids=[
+        "one-line-token",
+        "cycle-token",
+        "negative-level",
+        "non-invertible-denominator",
+        "field-modulus",
+        "element-header",
+        "relation-arity",
+    ],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

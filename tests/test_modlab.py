@@ -5,6 +5,7 @@ slice of the free module)."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -15,7 +16,6 @@ from orbitlab.modlab import (
     ModuleVector,
     apply_morphism,
     chain_experiment,
-    component_basis,
     from_vector,
     groebner_basis,
     membership,
@@ -100,18 +100,27 @@ def la_member(v, generators, bound, field):
 # -- Groebner engine -------------------------------------------------------------
 
 
+def vec(width, field, rank, terms):
+    """ModuleVector from a flat map (position, monomial) -> coefficient."""
+    coords = {}
+    for (pos, mono), c in terms.items():
+        coords.setdefault(pos, {})[mono] = c
+    polys = {p: Polynomial(width, field, t) for p, t in coords.items()}
+    return ModuleVector(width, field, rank, polys)
+
+
 def test_groebner_ideal_examples():
     # {x^2 - 1, x - 1} -> {x - 1}
-    f = ModuleVector(1, QQ, 1, {(0, (2,)): 1, (0, (0,)): -1})
-    g = ModuleVector(1, QQ, 1, {(0, (1,)): 1, (0, (0,)): -1})
+    f = vec(1, QQ, 1, {(0, (2,)): 1, (0, (0,)): -1})
+    g = vec(1, QQ, 1, {(0, (1,)): 1, (0, (0,)): -1})
     gb = groebner_basis([f, g], LEX)
     assert [v.terms for v in gb.vectors] == [g.terms]
 
 
 def test_groebner_lex_textbook():
     # {xy - 1, y^2 - 1} lex x>y -> {x - y, y^2 - 1}
-    a = ModuleVector(2, QQ, 1, {(0, (1, 1)): 1, (0, (0, 0)): -1})
-    b = ModuleVector(2, QQ, 1, {(0, (0, 2)): 1, (0, (0, 0)): -1})
+    a = vec(2, QQ, 1, {(0, (1, 1)): 1, (0, (0, 0)): -1})
+    b = vec(2, QQ, 1, {(0, (0, 2)): 1, (0, (0, 0)): -1})
     gb = groebner_basis([a, b], LEX)
     got = {frozenset(v.terms.items()) for v in gb.vectors}
     want = {
@@ -122,7 +131,7 @@ def test_groebner_lex_textbook():
 
 
 def test_groebner_single_module_term():
-    v = ModuleVector(1, QQ, 2, {(0, (1,)): 1})
+    v = vec(1, QQ, 2, {(0, (1,)): 1})
     gb = groebner_basis([v], GREVLEX)
     assert [w.terms for w in gb.vectors] == [v.terms]
 
@@ -145,7 +154,7 @@ def random_vector(rng, width, rank, field, degree=2):
             continue
         pos = rng.randrange(rank)
         terms[(pos, mono)] = field.coerce(rng.randint(-3, 3))
-    return ModuleVector(width, field, rank, terms)
+    return vec(width, field, rank, terms)
 
 
 def test_membership_vs_linear_algebra_oracle():
@@ -306,10 +315,24 @@ def test_chain_fi_power_sums():
         for k in range(1, 5)
     ]
     chain = [ps[:i] for i in range(1, 5)]
-    rep = chain_experiment(FI, chain, 4, 4)
+    rep = chain_experiment(FI, chain, 5, 4)
     assert rep.all_stabilized
     assert rep.width_uniform_index
     assert all(r.first_stable_index == 1 for r in rep.results)
+    # x1 is in every component, so only the constant 1 is missing in degree <= 4
+    for r in rep.results:
+        assert r.rank_profile == (comb(r.width + 4, 4) - 1,) * 4
+
+
+def test_repeated_morphism_images_do_not_flag_degree_cap():
+    # both endomorphisms of [2] map x1^5 + x2^5 to itself; the one S-pair of
+    # the two copies is above the cap but says nothing about the submodule
+    g = ideal_gen(FI, 2, "x1^5 + x2^5")
+    M = width_component(FI, [g], 2, degree_cap=4)
+    assert len(M.groebner.vectors) == 1
+    assert not M.degree_capped
+    rep = chain_experiment(FI, [[g]], 2, 4)
+    assert not any(r.degree_capped for r in rep.results)
 
 
 def test_chain_requires_ascending():

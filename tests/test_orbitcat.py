@@ -17,8 +17,6 @@ from orbitlab.orbitcat import (
     OrbitCategory,
     OrbitMorphism,
     compose_orbit_morphisms,
-    orbit_hom,
-    phi,
     phi_iso_report,
 )
 from orbitlab.structures import StructureEmbedding, canonical_structure, enumerate_embeddings
@@ -61,16 +59,21 @@ def oracle_equivariant_map_count(G, source_gamma, target_gamma):
     return count
 
 
+def hom(G, source_gamma, target_gamma):
+    cat = OrbitCategory(G)
+    return cat.hom(cat.object(source_gamma), cat.object(target_gamma))
+
+
 def test_orbit_hom_known_counts():
     S5 = symmetric_action(5)
-    assert len(orbit_hom(S5, frozenset({1, 2}), frozenset({1}))) == 2
+    assert len(hom(S5, frozenset({1, 2}), frozenset({1}))) == 2
     S3 = symmetric_action(3)
-    assert len(orbit_hom(S3, frozenset({1, 2}), frozenset({1}))) == 3
+    assert len(hom(S3, frozenset({1, 2}), frozenset({1}))) == 3
 
 
 def test_orbit_hom_identity_present():
     S4 = symmetric_action(4)
-    homs = orbit_hom(S4, frozenset({1, 2}), frozenset({1, 2}))
+    homs = hom(S4, frozenset({1, 2}), frozenset({1, 2}))
     ident = OrbitMorphism(frozenset({1, 2}), frozenset({1, 2}), (1, 2, 3, 4))
     assert ident in homs
 
@@ -87,7 +90,7 @@ def test_orbit_hom_matches_oracle():
         subsets = [frozenset(c) for k in (1, 2) for c in combinations(range(1, N + 1), k)]
         for src in subsets[:4]:
             for tgt in subsets[:4]:
-                got = len(orbit_hom(G, src, tgt))
+                got = len(hom(G, src, tgt))
                 want = oracle_equivariant_map_count(G, src, tgt)
                 assert got == want, (G.generators, src, tgt, got, want)
 
@@ -122,8 +125,9 @@ def test_phi_extension_independent():
     M = canonical_structure(S5, 2)
     sub1 = M.induced((1,))
     sub2 = M.induced((1, 2))
+    cat = OrbitCategory(S5)
     for e in enumerate_embeddings(sub1, sub2):
-        m = phi(S5, e)
+        m = cat.phi(e)
         assert m.source_gamma == frozenset({1, 2})
         assert m.target_gamma == frozenset({1})
 
@@ -133,7 +137,7 @@ def test_phi_identity_embedding_is_identity():
     M = canonical_structure(S4, 2)
     sub = M.induced((1, 2))
     e = StructureEmbedding(sub, sub, sub.universe)
-    m = phi(S4, e)
+    m = OrbitCategory(S4).phi(e)
     ident = OrbitMorphism(frozenset({1, 2}), frozenset({1, 2}), (1, 2, 3, 4))
     assert m == ident
 
@@ -142,8 +146,9 @@ def test_phi_bijective_on_stable_homset():
     S5 = symmetric_action(5)
     M = canonical_structure(S5, 2)
     embs = enumerate_embeddings(M.induced((1,)), M.induced((1, 2)))
-    images = {phi(S5, e) for e in embs}
-    homs = orbit_hom(S5, frozenset({1, 2}), frozenset({1}))
+    cat = OrbitCategory(S5)
+    images = {cat.phi(e) for e in embs}
+    homs = cat.hom(cat.object({1, 2}), cat.object({1}))
     assert images == set(homs)
     assert len(images) == len(embs) == 2
 
@@ -153,13 +158,14 @@ def test_phi_functoriality_sample():
     M = canonical_structure(S5, 2)
     A = M.induced((1,))
     B = M.induced((1, 2))
+    cat = OrbitCategory(S5)
     for e1 in enumerate_embeddings(A, B):
         for e2 in enumerate_embeddings(B, B):
             composed = StructureEmbedding(
                 A, B, tuple(e2.apply(y) for y in e1.images)
             )
-            lhs = phi(S5, composed)
-            rhs = compose_orbit_morphisms(phi(S5, e2), phi(S5, e1))
+            lhs = cat.phi(composed)
+            rhs = compose_orbit_morphisms(cat.phi(e2), cat.phi(e1))
             assert lhs == rhs
 
 
@@ -221,4 +227,4 @@ def test_phi_iso_report_carries_hom_counts():
     assert report.objects == tuple(subsets)
     for i, sigma in enumerate(subsets):
         for j, gamma in enumerate(subsets):
-            assert report.hom_counts[i][j] == len(orbit_hom(S4, sigma, gamma))
+            assert report.hom_counts[i][j] == len(hom(S4, sigma, gamma))
