@@ -386,6 +386,8 @@ class GrowthProfile:
 def growth_profile(action: FiniteAction, max_n: int) -> GrowthProfile:
     if max_n > action.domain_size:
         raise MalformedInputError("max_n exceeds domain size")
+    if max_n < 0:
+        raise MalformedInputError("max_n must be a natural number")
     f = tuple(orbit_count(action, n, "subsets") for n in range(1, max_n + 1))
     F = tuple(orbit_count(action, n, "injective") for n in range(1, max_n + 1))
     F_star = tuple(orbit_count(action, n, "power") for n in range(1, max_n + 1))
@@ -461,6 +463,8 @@ def is_t_dense(H: FiniteAction, G: FiniteAction, t: int) -> bool:
     N = G.domain_size
     if t > N:
         raise MalformedInputError("t exceeds domain size")
+    if t < 0:
+        raise MalformedInputError("t must be a natural number")
     order_G, order_H = G.order(), H.order()
     for size in range(1, t + 1):
         for gamma in combinations(range(1, N + 1), size):

@@ -3,9 +3,11 @@
 Morphisms are injections that preserve *and* reflect the canonical relation
 of their kind (no relation for FI, the linear order for OI, betweenness for
 BI, the cyclic order for CI, the separation relation for SI).  Everything is
-materialized explicitly: hom-sets are lists of image arrays, composition is
-array lookup, and the unique factorization of a morphism into an increasing
-injection after an endomorphism is computed directly and then verified.
+materialized explicitly: composition is array lookup, and a hom-set is the
+sorted list of eps' o g over the increasing injections eps' and g in End([m]),
+the unique factorization of a morphism; End([m]) is the only set found by
+filtering.  Validity is checked once, where data enters (`parse_morphism`,
+`InjectionMorphism.checked`), not again on morphisms the library builds.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from .errors import FalsificationError, MalformedInputError, ResourceCapError
 
-# Raw injections enumerated per hom-set before filtering; 10!/0! fits.
+# Bound on n!/(n-m)!, the injections [m] -> [n], per hom-set; 10!/0! fits.
 DEFAULT_ENUMERATION_CAP = 4_000_000
 
 
@@ -121,12 +123,15 @@ class InjectionMorphism:
     target: int
     image: tuple[int, ...]
 
-    def __post_init__(self):
-        if not is_morphism(self.kind, self.source, self.target, self.image):
+    @classmethod
+    def checked(cls, kind, source, target, image) -> "InjectionMorphism":
+        """The morphism with this image, or MalformedInputError if it is none."""
+        image = tuple(image)
+        if not is_morphism(kind, source, target, image):
             raise MalformedInputError(
-                f"{self.image} is not a {self.kind.value} morphism "
-                f"[{self.source}] -> [{self.target}]"
+                f"{image} is not a {kind.value} morphism [{source}] -> [{target}]"
             )
+        return cls(kind, source, target, image)
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
@@ -138,9 +143,6 @@ class InjectionMorphism:
     @property
     def is_increasing(self) -> bool:
         return all(a < b for a, b in zip(self.image, self.image[1:]))
-
-    def then(self, g: "InjectionMorphism") -> "InjectionMorphism":
-        return compose(self, g)
 
     def __str__(self) -> str:
         return format_morphism(self)
@@ -179,11 +181,25 @@ def hom_set(
         raise ResourceCapError(
             f"hom_set({kind.value}, {m}, {n}): {raw} injections exceeds cap {cap}"
         )
-    out = []
-    for image in permutations(range(1, n + 1), m):
-        if is_morphism(kind, m, n, image):
-            out.append(InjectionMorphism(kind, m, n, image))
-    return out
+    ends = _endomorphism_images(kind, m)
+    images = sorted(
+        tuple(eps_prime[i - 1] for i in g)
+        for eps_prime in combinations(range(1, n + 1), m)
+        for g in ends
+    )
+    return [InjectionMorphism(kind, m, n, image) for image in images]
+
+
+@lru_cache(maxsize=None)
+def _endomorphism_images(kind: CategoryKind, m: int) -> tuple[tuple[int, ...], ...]:
+    """End([m]) as image arrays: the permutations of [m] that are morphisms."""
+    return tuple(g for g in permutations(range(1, m + 1)) if is_morphism(kind, m, m, g))
+
+
+# factorize's g is always a permutation of [m], so the same few recur
+@lru_cache(maxsize=None)
+def _is_endomorphism(kind: CategoryKind, m: int, image: tuple[int, ...]) -> bool:
+    return is_morphism(kind, m, m, image)
 
 
 def hom_size_formula(kind: CategoryKind, m: int, n: int) -> int:
@@ -216,15 +232,19 @@ def factorize(f: InjectionMorphism) -> tuple[InjectionMorphism, InjectionMorphis
 
     eps_prime is the unique strictly increasing injection with the same image
     set as f; g is the endomorphism of [m] positioning f's entries inside the
-    sorted image.  Both are morphisms of f's kind; if g fails the embedding
-    check that would falsify the factorization lemma, so it is raised loudly.
+    sorted image.  The factorization lemma says both are morphisms of f's kind
+    and recompose to f; a failure of either claim raises FalsificationError.
     """
     sorted_image = tuple(sorted(f.image))
     position = {v: i + 1 for i, v in enumerate(sorted_image)}
     g_image = tuple(position[v] for v in f.image)
-    if not is_morphism(f.kind, f.source, f.source, g_image):
+    if not _is_endomorphism(f.kind, f.source, g_image):
         raise FalsificationError(
             f"factorization of {f} produced a non-endomorphism g = {g_image}"
+        )
+    if not is_morphism(f.kind, f.source, f.target, sorted_image):
+        raise FalsificationError(
+            f"factorization of {f} produced a non-morphism eps' = {sorted_image}"
         )
     eps_prime = InjectionMorphism(f.kind, f.source, f.target, sorted_image)
     g = InjectionMorphism(f.kind, f.source, f.source, g_image)
@@ -233,23 +253,9 @@ def factorize(f: InjectionMorphism) -> tuple[InjectionMorphism, InjectionMorphis
     return eps_prime, g
 
 
-def endomorphism_group(
-    kind: CategoryKind, n: int, verify: bool = True
-) -> list[InjectionMorphism]:
-    """hom_set(kind, n, n); with verify=True, checked to be a group."""
-    ends = hom_set(kind, n, n)
-    if verify:
-        elems = {e.image for e in ends}
-        for a in ends:
-            inverse_image = tuple(sorted(range(1, n + 1), key=lambda i: a.image[i - 1]))
-            if inverse_image not in elems:
-                raise FalsificationError(f"endomorphism {a} has no inverse in the set")
-            for b in ends:
-                if compose(a, b).image not in elems:
-                    raise FalsificationError(
-                        f"endomorphisms not closed: {a} then {b}"
-                    )
-    return ends
+def endomorphism_group(kind: CategoryKind, n: int) -> list[InjectionMorphism]:
+    """End([n]) = hom_set(kind, n, n), sorted by image array."""
+    return hom_set(kind, n, n)
 
 
 _MORPHISM_RE = re.compile(
@@ -272,4 +278,4 @@ def parse_morphism(text: str) -> InjectionMorphism:
     src, tgt = int(m.group(2)), int(m.group(3))
     body = m.group(4).strip()
     image = tuple(int(tok) for tok in body.split(",")) if body else ()
-    return InjectionMorphism(kind, src, tgt, image)
+    return InjectionMorphism.checked(kind, src, tgt, image)

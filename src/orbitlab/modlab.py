@@ -458,6 +458,10 @@ def chain_experiment(
     component never changes again inside the window, plus a dimension
     profile of the degree-truncated components.
     """
+    if max_width < 1:
+        raise MalformedInputError("max_width must be >= 1")
+    if degree_cap < 0:
+        raise MalformedInputError("degree_cap must be a natural number")
     chain = [tuple(step) for step in chain]
     if not chain:
         raise MalformedInputError("empty chain")
@@ -525,7 +529,7 @@ def restriction_decomposition_check(
     for eps in homs:
         eps_prime, g = factorize(eps)
         classes.setdefault(g.image, []).append((eps, eps_prime))
-    ends = endomorphism_group(kind, gen_width, verify=False)
+    ends = endomorphism_group(kind, gen_width)
     oi_count = len(hom_set(CategoryKind.OI, gen_width, width))
     failures = []
     if len(classes) != len(ends):
@@ -539,7 +543,7 @@ def restriction_decomposition_check(
                 f"class of g={g_image} has {len(members)} members, expected {oi_count}"
             )
     for pi in hom_set(CategoryKind.OI, width, width + 1):
-        pi_kind = InjectionMorphism(kind, width, width + 1, pi.image)
+        pi_kind = InjectionMorphism.checked(kind, width, width + 1, pi.image)
         for g_image, members in classes.items():
             for eps, _ in members:
                 _, g2 = factorize(compose(eps, pi_kind))
@@ -581,7 +585,7 @@ def parse_element_line(
         for tok in image_text[1:-1].split(",")
         if tok.strip()
     )
-    eps = InjectionMorphism(kind, n, s, image)
+    eps = InjectionMorphism.checked(kind, n, s, image)
     poly = parse_polynomial(parts[2], s, field)
     return presheaf_element(kind, n, s, {eps: poly})
 

@@ -182,6 +182,8 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
     """
     if size_cap > action.domain_size:
         raise MalformedInputError("size_cap exceeds domain size")
+    if size_cap < 0:
+        raise MalformedInputError("size_cap must be a natural number")
     cat = OrbitCategory(action)
     N = action.domain_size
     subsets = [

@@ -6,6 +6,10 @@ induced by a linear or circular arrangement of the universe.  A further
 "pair" age models points that are ordered pairs over a base set, carrying
 coordinate-equality relations; it is the stock negative example for the
 strong amalgamation property.
+
+Structures and embeddings trust their constructor arguments; data from outside
+is checked where it is built (`make_structure`) or parsed
+(`parse_embedding_file`).
 """
 
 from __future__ import annotations
@@ -39,18 +43,6 @@ class FiniteStructure:
     signature: tuple  # ((name, arity), ...)
     relations: tuple  # ((name, frozenset of tuples), ...), aligned with signature
 
-    def __post_init__(self):
-        uni = set(self.universe)
-        if len(uni) != len(self.universe):
-            raise MalformedInputError("universe labels must be distinct")
-        rels = dict(self.relations)
-        for name, arity in self.signature:
-            for tup in rels.get(name, frozenset()):
-                if len(tup) != arity or any(x not in uni for x in tup):
-                    raise MalformedInputError(
-                        f"tuple {tup} invalid for relation {name}/{arity}"
-                    )
-
     @property
     def size(self) -> int:
         return len(self.universe)
@@ -83,10 +75,20 @@ class FiniteStructure:
 
 
 def make_structure(universe, signature, relations) -> FiniteStructure:
+    universe = tuple(universe)
+    uni = set(universe)
+    if len(uni) != len(universe):
+        raise MalformedInputError("universe labels must be distinct")
     sig = tuple((str(n), int(a)) for n, a in signature)
     rels = {str(n): frozenset(map(tuple, ts)) for n, ts in dict(relations).items()}
     aligned = tuple((name, rels.get(name, frozenset())) for name, _ in sig)
-    return FiniteStructure(tuple(universe), sig, aligned)
+    for (name, arity), (_, tuples) in zip(sig, aligned):
+        for tup in tuples:
+            if len(tup) != arity or any(x not in uni for x in tup):
+                raise MalformedInputError(
+                    f"tuple {tup} invalid for relation {name}/{arity}"
+                )
+    return FiniteStructure(universe, sig, aligned)
 
 
 def plain_set_structure(labels) -> FiniteStructure:
@@ -95,13 +97,15 @@ def plain_set_structure(labels) -> FiniteStructure:
 
 def arrangement_structure(kind_name: str, arrangement) -> FiniteStructure:
     """Structure on the given labels induced by a linear/circular arrangement."""
-    if kind_name == "set":
-        return plain_set_structure(arrangement)
-    name, arity = _KIND_RELATION[kind_name]
     arrangement = tuple(arrangement)
+    if kind_name == "set":
+        return FiniteStructure(arrangement, (), ())
+    name, arity = _KIND_RELATION[kind_name]
     relation = canonical_relation(BUILTIN_KINDS[kind_name], len(arrangement))
     tuples = frozenset(tuple(arrangement[i - 1] for i in t) for t in relation)
-    return make_structure(sorted(arrangement), ((name, arity),), {name: tuples})
+    return FiniteStructure(
+        tuple(sorted(arrangement)), ((name, arity),), ((name, tuples),)
+    )
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,6 @@ class StructureEmbedding:
     source: FiniteStructure
     target: FiniteStructure
     images: tuple  # aligned with source.universe
-
-    def __post_init__(self):
-        if not _embedding_ok(self.source, self.target, self.images):
-            raise MalformedInputError("not an embedding")
 
     def apply(self, x):
         return self.images[self.source.universe.index(x)]
@@ -150,10 +150,6 @@ def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure) -> list[Structu
         if _embedding_ok(A, B, images):
             out.append(StructureEmbedding(A, B, images))
     return out
-
-
-def identity_embedding(A: FiniteStructure) -> StructureEmbedding:
-    return StructureEmbedding(A, A, A.universe)
 
 
 def automorphisms(A: FiniteStructure) -> list[StructureEmbedding]:
@@ -194,9 +190,17 @@ def fixed_point_condition(action: FiniteAction, gamma) -> bool:
 # -- ages ----------------------------------------------------------------------
 
 
-class BuiltinAge:
-    """Membership by searching for an inducing arrangement; enumeration of all
-    age structures on a fixed label set, deduplicated."""
+class _Age:
+    def contains(self, s: FiniteStructure) -> bool:
+        """Whether some structure of the age on s's universe is s."""
+        return s.signature == self.signature and any(
+            t.relations == s.relations for t in self.structures_on(s.universe)
+        )
+
+
+class BuiltinAge(_Age):
+    """Enumeration of all age structures on a fixed label set, one per
+    inducing arrangement, deduplicated."""
 
     def __init__(self, kind_name: str):
         if kind_name not in BUILTIN_KINDS:
@@ -222,16 +226,6 @@ class BuiltinAge:
                 seen.add(key)
                 yield s
 
-    def contains(self, s: FiniteStructure) -> bool:
-        if s.signature != self.signature:
-            return False
-        if self.kind_name == "set":
-            return True
-        for arr in permutations(s.universe):
-            if arrangement_structure(self.kind_name, arr).relations == s.relations:
-                return True
-        return False
-
 
 def _set_partitions(items):
     items = list(items)
@@ -245,7 +239,7 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-class PairAge:
+class PairAge(_Age):
     """Structures whose points are distinct ordered pairs over a base set.
 
     The signature records which coordinates coincide: a unary relation for
@@ -269,14 +263,8 @@ class PairAge:
         if len(labels) != len(pairs) or len(set(pairs)) != len(pairs):
             raise MalformedInputError("need one distinct pair per label")
         coord = dict(zip(labels, pairs))
-        rels = {
-            "diag": frozenset((x,) for x in labels if coord[x][0] == coord[x][1]),
-            "eq_ff": frozenset(),
-            "eq_fs": frozenset(),
-            "eq_sf": frozenset(),
-            "eq_ss": frozenset(),
-        }
-        rels = {k: set(v) for k, v in rels.items()}
+        rels = {name: set() for name, _ in PairAge.signature}
+        rels["diag"].update((x,) for x in labels if coord[x][0] == coord[x][1])
         for x, y in permutations(labels, 2):
             (a, b), (c, d) = coord[x], coord[y]
             if a == c:
@@ -287,7 +275,8 @@ class PairAge:
                 rels["eq_sf"].add((x, y))
             if b == d:
                 rels["eq_ss"].add((x, y))
-        return make_structure(labels, PairAge.signature, rels)
+        relations = tuple((name, frozenset(ts)) for name, ts in rels.items())
+        return FiniteStructure(labels, PairAge.signature, relations)
 
     def structures_on(self, labels):
         labels = tuple(labels)
@@ -306,11 +295,6 @@ class PairAge:
             if s.relations not in seen:
                 seen.add(s.relations)
                 yield s
-
-    def contains(self, s: FiniteStructure) -> bool:
-        if s.signature != PairAge.signature:
-            return False
-        return any(t.relations == s.relations for t in self.structures_on(s.universe))
 
 
 def age_for(name: str):
@@ -434,7 +418,7 @@ def age_has_sap(age, size_cap: int) -> SapReport:
     """Exhaustive strong-amalgamation check over diagrams with sides <= cap.
 
     Problems are enumerated up to isomorphism of the three structures and up
-    to automorphisms of the sides acting on the embedding pair.
+    to automorphisms of the sides, which act on the two embeddings separately.
     """
     if size_cap < 1:
         raise MalformedInputError("size_cap must be >= 1")
@@ -443,37 +427,30 @@ def age_has_sap(age, size_cap: int) -> SapReport:
     by_size = {k: _iso_classes(age, k) for k in range(0, size_cap + 1)}
     for s_size in range(0, size_cap + 1):
         for sigma in by_size[s_size]:
-            for n1 in range(s_size, size_cap + 1):
-                for gamma1 in by_size[n1]:
-                    embs1 = enumerate_embeddings(sigma, gamma1)
-                    if not embs1:
-                        continue
-                    auts1 = automorphisms(gamma1)
-                    for n2 in range(s_size, size_cap + 1):
-                        for gamma2 in by_size[n2]:
-                            embs2 = enumerate_embeddings(sigma, gamma2)
-                            if not embs2:
+            sides = []  # (gamma, [(embedding, key), ...]) with sigma in gamma
+            for n in range(s_size, size_cap + 1):
+                for gamma in by_size[n]:
+                    embs = enumerate_embeddings(sigma, gamma)
+                    if embs:
+                        auts = [a.mapping for a in automorphisms(gamma)]
+                        keys = [
+                            min(tuple(a[y] for y in f.images) for a in auts)
+                            for f in embs
+                        ]
+                        sides.append((gamma, list(zip(embs, keys))))
+            for gamma1, side1 in sides:
+                for gamma2, side2 in sides:
+                    seen = set()
+                    for f1, key1 in side1:
+                        for f2, key2 in side2:
+                            if (key1, key2) in seen:
                                 continue
-                            auts2 = automorphisms(gamma2)
-                            seen = set()
-                            for f1 in embs1:
-                                for f2 in embs2:
-                                    key = min(
-                                        (
-                                            tuple(a1.apply(y) for y in f1.images),
-                                            tuple(a2.apply(y) for y in f2.images),
-                                        )
-                                        for a1 in auts1
-                                        for a2 in auts2
-                                    )
-                                    if key in seen:
-                                        continue
-                                    seen.add(key)
-                                    problem = AmalgamationProblem(
-                                        sigma, gamma1, gamma2, f1, f2, age
-                                    )
-                                    if solve_amalgamation(problem, strong=True) is None:
-                                        return SapReport(False, problem)
+                            seen.add((key1, key2))
+                            problem = AmalgamationProblem(
+                                sigma, gamma1, gamma2, f1, f2, age
+                            )
+                            if solve_amalgamation(problem, strong=True) is None:
+                                return SapReport(False, problem)
     return SapReport(True, None)
 
 
@@ -545,4 +522,6 @@ def parse_embedding_file(text: str) -> StructureEmbedding:
     images = tuple(mapping.get(x) for x in src.universe)
     if any(v is None for v in images):
         raise MalformedInputError("map section does not cover the source universe")
+    if not _embedding_ok(src, tgt, images):
+        raise MalformedInputError("not an embedding")
     return StructureEmbedding(src, tgt, images)

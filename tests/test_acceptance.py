@@ -76,7 +76,7 @@ def test_criterion_2_factorization_bijection():
     with _report(2, "(eps', g) -> eps' o g is a bijection onto each hom-set"):
         for kind in CategoryKind:
             for m in range(0, 7):
-                ends = endomorphism_group(kind, m, verify=False)
+                ends = endomorphism_group(kind, m)
                 for n in range(m, 7):
                     homs = hom_set(kind, m, n)
                     built = set()
@@ -249,7 +249,7 @@ def test_criterion_8_module_lab():
         # rank identity
         for kind in CategoryKind:
             for n in range(0, 7):
-                e = len(endomorphism_group(kind, n, verify=False))
+                e = len(endomorphism_group(kind, n))
                 for s in range(n, 7):
                     assert len(hom_set(kind, n, s)) == e * len(
                         hom_set(CategoryKind.OI, n, s)

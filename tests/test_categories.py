@@ -18,7 +18,8 @@ from orbitlab.categories import (
     is_morphism,
     parse_morphism,
 )
-from orbitlab.errors import MalformedInputError, ResourceCapError
+from orbitlab import categories
+from orbitlab.errors import FalsificationError, MalformedInputError, ResourceCapError
 
 
 # -- oracle: relations written out independently -------------------------------
@@ -128,10 +129,27 @@ def test_hom_set_examples():
 
 def test_hom_set_matches_oracle_and_is_sorted():
     for kind in CategoryKind:
-        for m in range(0, 4):
-            for n in range(m, 5):
+        for m in range(0, 7):
+            for n in range(m, 7):
                 got = [f.image for f in hom_set(kind, m, n)]
                 assert got == sorted(oracle_hom(kind, m, n))
+
+
+def test_built_morphisms_satisfy_is_morphism():
+    # hom_set, compose and factorize build morphisms unchecked; check them here
+    for kind in CategoryKind:
+        for m in range(0, 6):
+            for n in range(m, 6):
+                homs = hom_set(kind, m, n)
+                for f in homs:
+                    assert is_morphism(kind, m, n, f.image)
+                    eps_prime, g = factorize(f)
+                    assert is_morphism(kind, m, n, eps_prime.image)
+                    assert is_morphism(kind, m, m, g.image)
+                for r in range(n, 6):
+                    for f in homs[:4]:
+                        for g in hom_set(kind, n, r)[-4:]:
+                            assert is_morphism(kind, m, r, compose(f, g).image)
 
 
 def test_hom_set_cap():
@@ -194,6 +212,17 @@ def test_factorize_recomposes_everywhere():
                     assert compose(g, eps_prime) == f
 
 
+def test_factorize_rejects_a_bad_factor(monkeypatch):
+    # an unchecked non-morphism: its g = (2, 1) is not an OI endomorphism
+    with pytest.raises(FalsificationError, match="non-endomorphism"):
+        factorize(InjectionMorphism(CategoryKind.OI, 2, 3, (3, 1)))
+    # the lemma makes every increasing injection a morphism, so a bad eps'
+    # needs a predicate that says otherwise
+    monkeypatch.setattr(categories, "is_morphism", lambda kind, m, n, image: m == n)
+    with pytest.raises(FalsificationError, match="non-morphism eps'"):
+        factorize(InjectionMorphism(CategoryKind.CI, 3, 4, (2, 3, 1)))
+
+
 def test_factorize_uniqueness():
     # the pairing (increasing injection, endomorphism) -> morphism is injective
     kind = CategoryKind.CI
@@ -213,6 +242,19 @@ def test_endomorphism_group_sizes():
     assert len(endomorphism_group(CategoryKind.BI, 3)) == 2
     assert len(endomorphism_group(CategoryKind.CI, 3)) == 3
     assert len(endomorphism_group(CategoryKind.SI, 4)) == 8
+
+
+def test_endomorphism_groups_are_groups():
+    for kind in CategoryKind:
+        for n in range(0, 6):
+            ends = endomorphism_group(kind, n)
+            elems = {e.image for e in ends}
+            assert identity(kind, n).image in elems
+            for a in ends:
+                inverse = tuple(sorted(range(1, n + 1), key=lambda i: a.image[i - 1]))
+                assert inverse in elems
+                for b in ends:
+                    assert compose(a, b).image in elems
 
 
 def test_si_endomorphisms_are_dihedral():

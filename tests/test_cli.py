@@ -50,10 +50,6 @@ def test_factorize(capsys):
     assert data["g"] == "CI 3->3 : [2,3,1]"
 
 
-def test_factorize_malformed(capsys):
-    assert main(["factorize", "--morphism", "OI 2->3 : [3,1]"]) == 2
-
-
 def test_growth_tsv(capsys, grp):
     code, out = run(capsys, "growth", "--group", grp("s8.grp", S8), "--max-n", "4", "--format", "tsv")
     assert code == 0
@@ -204,8 +200,13 @@ def test_resource_cap_exit(capsys):
 EMBEDDING_WITH_BAD_ARITY = (
     "[source]\nuniverse = a\nlt/x:\n[target]\nuniverse = a b\nlt/2: (a,b)\n[map]\na -> a\n"
 )
+EMBEDDING_NOT_AN_EMBEDDING = (
+    "[source]\nuniverse = a b\nlt/2: (a,b)\n[target]\nuniverse = a b\nlt/2: (a,b)\n"
+    "[map]\na -> b\nb -> a\n"
+)
 GROWTH = ("growth", "--group", "g.grp", "--max-n", "2")
-CHAIN = ("noeth-chain", "--kind", "fi", "--chain", "c.chain", "--width", "1", "--degree", "1")
+CHAIN_FILE = ("noeth-chain", "--kind", "fi", "--chain", "c.chain")
+CHAIN = CHAIN_FILE + ("--width", "1", "--degree", "1")
 
 
 @pytest.mark.parametrize(
@@ -224,6 +225,17 @@ CHAIN = ("noeth-chain", "--kind", "fi", "--chain", "c.chain", "--width", "1", "-
             {"e.emb": EMBEDDING_WITH_BAD_ARITY},
             ("amalgamate", "--embedding1", "e.emb", "--embedding2", "e.emb", "--age", "linear"),
         ),
+        ({"g.grp": S3}, ("growth", "--group", "g.grp", "--max-n", "-1")),
+        ({"g.grp": S3}, ("dense", "--group", "g.grp", "--subgroup", "g.grp", "--t", "-1")),
+        ({"g.grp": S3}, ("orbitcat", "--group", "g.grp", "--cap", "-1")),
+        ({"c.chain": "FI 0 1 : [] : x1\n"}, CHAIN_FILE + ("--width", "0", "--degree", "1")),
+        ({"c.chain": "FI 0 1 : [] : x1\n"}, CHAIN_FILE + ("--width", "1", "--degree", "-1")),
+        ({"c.chain": "OI 2 3 : [3,1] : x1\n"}, CHAIN),
+        ({}, ("factorize", "--morphism", "OI 2->3 : [3,1]")),
+        (
+            {"e.emb": EMBEDDING_NOT_AN_EMBEDDING},
+            ("amalgamate", "--embedding1", "e.emb", "--embedding2", "e.emb", "--age", "linear"),
+        ),
     ],
     ids=[
         "one-line-token",
@@ -233,6 +245,14 @@ CHAIN = ("noeth-chain", "--kind", "fi", "--chain", "c.chain", "--width", "1", "-
         "field-modulus",
         "element-header",
         "relation-arity",
+        "negative-max-n",
+        "negative-t",
+        "negative-orbitcat-cap",
+        "zero-width",
+        "negative-degree",
+        "image-not-a-morphism",
+        "factorize-not-a-morphism",
+        "map-not-an-embedding",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, files, argv):

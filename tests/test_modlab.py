@@ -364,9 +364,7 @@ def test_rank_identity():
         for n in range(1, 5):
             for s in range(n, 7):
                 lhs = len(hom_set(kind, n, s))
-                rhs = len(endomorphism_group(kind, n, verify=False)) * len(
-                    hom_set(OI, n, s)
-                )
+                rhs = len(endomorphism_group(kind, n)) * len(hom_set(OI, n, s))
                 assert lhs == rhs
 
 

@@ -19,7 +19,12 @@ from orbitlab.orbitcat import (
     compose_orbit_morphisms,
     phi_iso_report,
 )
-from orbitlab.structures import StructureEmbedding, canonical_structure, enumerate_embeddings
+from orbitlab.structures import (
+    StructureEmbedding,
+    _embedding_ok,
+    canonical_structure,
+    enumerate_embeddings,
+)
 
 
 def oracle_equivariant_map_count(G, source_gamma, target_gamma):
@@ -161,9 +166,9 @@ def test_phi_functoriality_sample():
     cat = OrbitCategory(S5)
     for e1 in enumerate_embeddings(A, B):
         for e2 in enumerate_embeddings(B, B):
-            composed = StructureEmbedding(
-                A, B, tuple(e2.apply(y) for y in e1.images)
-            )
+            images = tuple(e2.apply(y) for y in e1.images)
+            assert _embedding_ok(A, B, images)
+            composed = StructureEmbedding(A, B, images)
             lhs = cat.phi(composed)
             rhs = compose_orbit_morphisms(cat.phi(e2), cat.phi(e1))
             assert lhs == rhs
