@@ -1,15 +1,15 @@
 """Finite permutation actions: orbits, growth functions, density, restriction.
 
-A group is given by generators.  Its order comes from a base and strong
-generating set (deterministic Schreier-Sims), so it needs only the
-generators.  Everything else that works with group elements lists them once
-by breadth-first closure of the generators, in sorted order and against the
-group-order cap, and then answers from write-once indexes over that list:
-pointwise stabilizers are refined from the stabilizer of a shorter prefix of
-points, and the elements sending given points to given images (a coset of a
-pointwise stabilizer) are one dictionary lookup.  Permutations are tuples p
-of length N with p[i-1] the image of the point i; points are 1-based to match
-the rest of the library.
+A group is given by generators.  The orbit of a tuple of points comes with a
+transversal (one element sending the tuple to each image), built from the
+generators alone.  On 1-tuples it drives a base and strong generating set
+(deterministic Schreier-Sims), which gives the group order; on subsets,
+Schreier's lemma turns it into generators of the pointwise stabilizer
+G_Gamma, whose common fixed points are Fix(G_Gamma).  Pointwise stabilizers
+as element lists, subgroup tests and the fullness witness list the group
+once by breadth-first closure of the generators, in sorted order and against
+the group-order cap.  Permutations are tuples p of length N with p[i-1] the
+image of the point i; points are 1-based to match the rest of the library.
 """
 
 from __future__ import annotations
@@ -77,26 +77,29 @@ def _sift(g: Perm, base, transversals, start: int) -> tuple[Perm, int]:
     """Divide g by transversal elements from level `start` on; return the
     residue and the level where it left the chain (len(base) if none)."""
     for i in range(start, len(base)):
-        u = transversals[i].get(g[base[i] - 1])
+        u = transversals[i].get((g[base[i] - 1],))
         if u is None:
             return g, i
         g = pmul(pinv(u), g)
     return g, len(base)
 
 
-def _orbit_transversal(point: int, gens, ident: Perm) -> dict:
-    """Orbit of `point` under <gens>: each orbit point q -> an element
-    sending `point` to q."""
-    transversal = {point: ident}
-    bdy = [point]
+def _orbit_transversal(base: tuple, gens, ident: Perm, cap: int | None = None) -> dict:
+    """Orbit of the point tuple `base` under <gens>: each image tuple -> an
+    element sending `base` to it.  Raises ResourceCapError as soon as the
+    orbit outgrows `cap`."""
+    transversal = {base: ident}
+    bdy = [base]
     while bdy:
         new = []
-        for p in bdy:
+        for k in bdy:
             for s in gens:
-                q = s[p - 1]
-                if q not in transversal:
-                    transversal[q] = pmul(s, transversal[p])
-                    new.append(q)
+                image = act_tuple(s, k)
+                if image not in transversal:
+                    transversal[image] = pmul(s, transversal[k])
+                    new.append(image)
+                    if cap is not None and len(transversal) > cap:
+                        raise ResourceCapError(f"orbit of {base} exceeds cap {cap}")
         bdy = new
     return transversal
 
@@ -118,14 +121,14 @@ def _schreier_sims_order(gens, n: int) -> int:
             base.append(moved(g))
     # strong[i] generates the pointwise stabilizer of base[:i] once done
     strong = [[g for g in gens if all(g[b - 1] == b for b in base[:i])] for i in range(len(base))]
-    transversals = [_orbit_transversal(b, s, ident) for b, s in zip(base, strong)]
+    transversals = [_orbit_transversal((b,), s, ident) for b, s in zip(base, strong)]
 
     def residue(i: int):
         """A Schreier generator of level i that does not sift, or None."""
         t = transversals[i]
-        for p, u in t.items():
+        for (p,), u in t.items():
             for s in strong[i]:
-                h, j = _sift(pmul(pinv(t[s[p - 1]]), pmul(s, u)), base, transversals, i + 1)
+                h, j = _sift(pmul(pinv(t[(s[p - 1],)]), pmul(s, u)), base, transversals, i + 1)
                 if h != ident:
                     return h, j
         return None
@@ -143,7 +146,7 @@ def _schreier_sims_order(gens, n: int) -> int:
             transversals.append(None)
         for level in range(i + 1, j + 1):
             strong[level].append(h)
-            transversals[level] = _orbit_transversal(base[level], strong[level], ident)
+            transversals[level] = _orbit_transversal((base[level],), strong[level], ident)
         i = j
     order = 1
     for t in transversals:
@@ -166,9 +169,10 @@ class FiniteAction:
     generators: tuple[Perm, ...]
     order_cap: int = DEFAULT_GROUP_ORDER_CAP
     _elements: list = field(default=None, compare=False, repr=False)
-    # write-once indexes over elements(), keyed by sorted point tuples
+    # write-once indexes: stabilizers over elements(), keyed by sorted point
+    # tuples, and orbit transversals, keyed by point tuples
     _stabilizers: dict = field(default=None, init=False, compare=False, repr=False)
-    _cosets: dict = field(default=None, init=False, compare=False, repr=False)
+    _orbits: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.domain_size < 1:
@@ -177,7 +181,7 @@ class FiniteAction:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_elements", [])
         object.__setattr__(self, "_stabilizers", {})
-        object.__setattr__(self, "_cosets", {})
+        object.__setattr__(self, "_orbits", {})
 
     def elements(self) -> list[Perm]:
         # write-once memo; the value is deterministic so races are harmless
@@ -224,20 +228,33 @@ class FiniteAction:
             self._stabilizers[pts] = stab
         return stab
 
-    def transporter(self, mapping: dict) -> list[Perm]:
-        """The elements g with g(x) = mapping[x] for every key x, in sorted
-        order: a left coset of the pointwise stabilizer of the keys, or empty.
+    def orbit_transversal(self, points) -> dict:
+        """The orbit of the point tuple under the group: each image tuple ->
+        an element sending `points` to it.  Built from the generators, held
+        to the group-order cap, and cached per tuple; callers must not
+        modify it."""
+        pts = tuple(points)
+        transversal = self._orbits.get(pts)
+        if transversal is None:
+            if not all(1 <= x <= self.domain_size for x in pts):
+                raise MalformedInputError(f"points {pts} are not all in [{self.domain_size}]")
+            ident = identity_perm(self.domain_size)
+            transversal = _orbit_transversal(pts, self.generators, ident, self.order_cap)
+            self._orbits[pts] = transversal
+        return transversal
 
-        The elements are grouped once per key set by their images of it, so
-        each later call is one lookup."""
-        pts = self._points(mapping)
-        index = self._cosets.get(pts)
-        if index is None:
-            index = {}
-            for g in self.elements():
-                index.setdefault(tuple(g[x - 1] for x in pts), []).append(g)
-            self._cosets[pts] = index
-        return list(index.get(tuple(mapping[x] for x in pts), ()))
+    def fixed_points(self, points) -> frozenset:
+        """Fix(G_points), the points fixed by every element fixing the given
+        points.  By Schreier's lemma the u_{s(k)}^-1 * s * u_k, over the orbit
+        transversal u of the sorted points and the generators s, generate
+        G_points, so a point is in Fix(G_points) iff they all fix it."""
+        transversal = self.orbit_transversal(self._points(points))
+        fixed = set(range(1, self.domain_size + 1))
+        for k, u in transversal.items():
+            for s in self.generators:
+                h = pmul(pinv(transversal[act_tuple(s, k)]), pmul(s, u))
+                fixed = {x for x in fixed if h[x - 1] == x}
+        return frozenset(fixed)
 
 
 def symmetric_action(n: int) -> FiniteAction:
@@ -597,6 +614,8 @@ def parse_group_file(text: str) -> FiniteAction:
     if not lines or not re.match(r"^N\s*=\s*\d+$", lines[0]):
         raise MalformedInputError("group file must start with a header like N=5")
     n = int(lines[0].split("=")[1])
+    if n > DEFAULT_SPACE_CAP:  # every permutation is a list of n points
+        raise ResourceCapError(f"domain size {n} exceeds cap {DEFAULT_SPACE_CAP}")
     gens = []
     for ln in lines[1:]:
         if ln.startswith("["):

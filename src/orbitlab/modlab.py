@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .actions import DEFAULT_SPACE_CAP
 from .categories import (
     CategoryKind,
     InjectionMorphism,
@@ -577,6 +578,8 @@ def parse_element_line(
     kind = CategoryKind.from_string(head[0])
     n = parse_int(head[1], "generator width")
     s = parse_int(head[2], "width")
+    if s > DEFAULT_SPACE_CAP:  # the polynomial holds one exponent per variable
+        raise ResourceCapError(f"width {s} exceeds cap {DEFAULT_SPACE_CAP}")
     image_text = parts[1].strip()
     if not (image_text.startswith("[") and image_text.endswith("]")):
         raise MalformedInputError(f"bad image: {image_text!r}")

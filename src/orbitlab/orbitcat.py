@@ -1,27 +1,29 @@
-"""Finite orbit categories: coset objects, hom transversals, and the
-comparison functor from substructure embeddings.
+"""Finite orbit categories: coset objects, hom-sets from tuple orbits, and
+the comparison functor from substructure embeddings.
 
 Objects are coset spaces G/G_Gamma for pointwise stabilizers of subsets.
 A morphism G/G_A -> G/G_B is represented by a group element g with
 g G_A g^{-1} inside G_B, acting by x G_A -> x g^{-1} G_B; two representatives
 give the same morphism exactly when they lie in the same coset G_B g, which
 happens iff their inverses agree on B.  That restriction is used as the
-identity key throughout.
+identity key throughout.  Writing u = g^{-1}, the condition says
+G_A <= G_{u(B)}, that is u(B) inside Fix(G_A): the morphisms are the images
+u(B) of B that lie in Fix(G_A).  They are read off the orbit of B as a point
+tuple, and Fix(G_A) from the Schreier generators of G_A, so no group
+elements are listed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-from .actions import FiniteAction, Perm, act_set, pinv, pmul
+from .actions import FiniteAction, Perm, pinv, pmul
 from .errors import MalformedInputError, OrbitlabError
 from .structures import (
-    FiniteStructure,
     StructureEmbedding,
     canonical_structure,
     enumerate_embeddings,
-    fixed_point_condition,
 )
 
 
@@ -32,8 +34,7 @@ class NoExtensionError(OrbitlabError):
 @dataclass(frozen=True)
 class OrbitObject:
     gamma: frozenset
-    stabilizer: tuple  # sorted elements of G_gamma
-    transversal: tuple = field(compare=False, repr=False)  # one g per coset G_gamma g
+    fixed: frozenset  # Fix(G_gamma), the points fixed by the stabilizer of gamma
 
     @property
     def sorted_points(self) -> tuple:
@@ -73,81 +74,47 @@ def compose_orbit_morphisms(f: OrbitMorphism, g: OrbitMorphism) -> OrbitMorphism
 
 
 class OrbitCategory:
-    """Caches per-subset stabilizers and transversals for one ambient action."""
+    """Caches per-subset objects for one ambient action."""
 
     def __init__(self, action: FiniteAction):
         self.action = action
         self._objects: dict = {}
-        self._stab_sets: dict = {}
-        self._inverses: list = []  # pinv of each element, aligned with elements()
-
-    def stabilizer_set(self, gamma: frozenset) -> frozenset:
-        if gamma not in self._stab_sets:
-            self._stab_sets[gamma] = frozenset(
-                self.action.pointwise_stabilizer(gamma)
-            )
-        return self._stab_sets[gamma]
 
     def object(self, gamma) -> OrbitObject:
         gamma = frozenset(gamma)
         if gamma not in self._objects:
-            stab = self.action.pointwise_stabilizer(gamma)
-            pts = tuple(sorted(gamma))
-            elements = self.action.elements()
-            if not self._inverses:
-                self._inverses.extend(pinv(g) for g in elements)
-            transversal = []
-            seen = set()
-            for g, inv in zip(elements, self._inverses):
-                key = tuple(inv[b - 1] for b in pts)
-                if key not in seen:
-                    seen.add(key)
-                    transversal.append(g)
-            self._objects[gamma] = OrbitObject(gamma, tuple(stab), tuple(transversal))
+            self._objects[gamma] = OrbitObject(gamma, self.action.fixed_points(gamma))
         return self._objects[gamma]
 
     def hom(self, source: OrbitObject, target: OrbitObject) -> list[OrbitMorphism]:
-        """One morphism per coset class, in deterministic transversal order.
-
-        A transversal element g of G_B-cosets represents a morphism iff the
-        stabilizer of g.source_gamma sits inside G_B; membership in the
-        normalizer set is coset-invariant, so testing one representative per
-        class is exhaustive.
-        """
-        tgt_stab = frozenset(target.stabilizer)
-        out = []
-        for g in target.transversal:
-            moved = act_set(g, source.gamma)
-            if self.stabilizer_set(moved) <= tgt_stab:
-                out.append(OrbitMorphism(source.gamma, target.gamma, g))
-        return out
-
-    def extensions(self, embedding: StructureEmbedding) -> list[Perm]:
-        """The group elements that agree with the embedding on its source, in
-        sorted order: one left coset of the source's pointwise stabilizer."""
-        return self.action.transporter(
-            {int(x): int(y) for x, y in embedding.mapping.items()}
-        )
+        """One morphism per image u(B) of the target subset B inside
+        Fix(G_A) of the source subset A, in orbit-transversal order, each
+        represented by pinv(u).  The key of that morphism is u(B) itself, so
+        distinct images are distinct morphisms."""
+        transversal = self.action.orbit_transversal(target.sorted_points)
+        return [
+            OrbitMorphism(source.gamma, target.gamma, pinv(u))
+            for image, u in transversal.items()
+            if source.fixed.issuperset(image)
+        ]
 
     def phi(self, embedding: StructureEmbedding) -> OrbitMorphism:
         """The orbit morphism G/G_Sigma -> G/G_Gamma induced by an embedding
         Gamma -> Sigma between canonical substructures.
 
-        Any extension of the embedding to a group element yields the same
-        morphism: the identity key is exactly the embedding's value table.
+        The group elements extending the embedding are those sending the
+        sorted points of Gamma to the embedding's value table; the orbit
+        transversal of those points holds one of them if any exist.  The
+        morphism's key is the value table itself, so it does not depend on
+        which extension represents it.
         """
-        exts = self.extensions(embedding)
-        if not exts:
-            raise NoExtensionError(
-                f"no group element extends {embedding.mapping}"
-            )
-        gamma = frozenset(int(x) for x in embedding.source.universe)
+        mapping = {int(x): int(y) for x, y in embedding.mapping.items()}
+        points = tuple(sorted(mapping))
+        u = self.action.orbit_transversal(points).get(tuple(mapping[x] for x in points))
+        if u is None:
+            raise NoExtensionError(f"no group element extends {embedding.mapping}")
         sigma = frozenset(int(y) for y in embedding.target.universe)
-        first = OrbitMorphism(sigma, gamma, pinv(exts[0]))
-        for other in exts[1:2]:
-            if OrbitMorphism(sigma, gamma, pinv(other)) != first:
-                raise AssertionError("extension choice changed the morphism")
-        return first
+        return OrbitMorphism(sigma, frozenset(points), pinv(u))
 
 
 @dataclass(frozen=True)
@@ -177,7 +144,7 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
 
     The functor is bijective on objects iff no two subsets share a stabilizer,
     and full/faithful on a hom-set iff the embedding count between induced
-    canonical substructures equals the coset transversal count (faithfulness
+    canonical substructures equals the orbit morphism count (faithfulness
     is structural: the morphism key is the embedding's value table).
     """
     if size_cap > action.domain_size:
@@ -192,10 +159,12 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
         for c in combinations(range(1, N + 1), size)
     ]
 
+    fixed = {s: cat.object(s).fixed for s in subsets}
     collisions = []
     for i, a in enumerate(subsets):
         for b in subsets[i + 1 :]:
-            if cat.stabilizer_set(a) == cat.stabilizer_set(b):
+            # G_a = G_b iff each stabilizer fixes the other subset
+            if b <= fixed[a] and a <= fixed[b]:
                 collisions.append((tuple(sorted(a)), tuple(sorted(b))))
 
     M = canonical_structure(action, max_arity=max(size_cap, 1))
@@ -228,9 +197,8 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
                     (tuple(sorted(gamma)), tuple(sorted(sigma)), len(embs), len(morphisms))
                 )
 
-    violations = [
-        tuple(sorted(s)) for s in subsets if not fixed_point_condition(action, s)
-    ]
+    # the fixed-point condition Fix(G_s) = s, as structures.fixed_point_condition
+    violations = [tuple(sorted(s)) for s in subsets if fixed[s] != s]
     return PhiIsoReport(
         size_cap,
         tuple(tuple(sorted(s)) for s in subsets),

@@ -178,13 +178,7 @@ def fixed_point_condition(action: FiniteAction, gamma) -> bool:
     gamma = set(gamma)
     if not gamma <= set(range(1, action.domain_size + 1)):
         raise MalformedInputError("gamma must be a subset of the domain")
-    stab = action.pointwise_stabilizer(gamma)
-    for x in range(1, action.domain_size + 1):
-        if x in gamma:
-            continue
-        if all(g[x - 1] == x for g in stab):
-            return False
-    return True
+    return action.fixed_points(gamma) == gamma
 
 
 # -- ages ----------------------------------------------------------------------

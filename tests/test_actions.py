@@ -80,9 +80,13 @@ def test_order_above_the_cap_lists_no_elements():
     S8, S10 = symmetric_action(8), symmetric_action(10)
     assert S8.order() == 40320
     assert S10.order() == 3628800
+    assert S10.fixed_points((1, 2)) == {1, 2}
+    assert len(S10.orbit_transversal((1, 2))) == 90
     assert not S8._elements and not S10._elements
     with pytest.raises(ResourceCapError):
         S8.elements()  # listing elements still stops at the cap
+    with pytest.raises(ResourceCapError):
+        S8.orbit_transversal(tuple(range(1, 8)))  # so do tuple orbits
 
 
 def test_order_matches_sympy():
@@ -127,16 +131,34 @@ def test_pointwise_stabilizer_returns_a_fresh_list():
     assert len(S4.pointwise_stabilizer((1, 2))) == 2
 
 
-def test_transporter_matches_filter():
+def test_orbit_transversal_matches_filter():
     for G in small_groups():
         N = G.domain_size
         els = G.elements()
         for size in range(min(N, 3) + 1):
             for pts in permutations(range(1, N + 1), size):
-                for imgs in permutations(range(1, N + 1), size):
-                    mapping = dict(zip(pts, imgs))
-                    want = [g for g in els if all(g[x - 1] == y for x, y in mapping.items())]
-                    assert G.transporter(mapping) == want
+                transversal = G.orbit_transversal(pts)
+                assert set(transversal) == {tuple(g[x - 1] for x in pts) for g in els}
+                for image, u in transversal.items():
+                    assert tuple(u[x - 1] for x in pts) == image
+                    assert u in els
+        with pytest.raises(MalformedInputError):
+            G.orbit_transversal((N + 1,))
+
+
+def test_fixed_points_match_filter():
+    for G in small_groups():
+        N = G.domain_size
+        els = G.elements()
+        for size in range(N + 1):
+            for gamma in combinations(range(1, N + 1), size):
+                stab = [g for g in els if all(g[x - 1] == x for x in gamma)]
+                want = {x for x in range(1, N + 1) if all(g[x - 1] == x for g in stab)}
+                assert G.fixed_points(gamma) == want
+                assert G.fixed_points(tuple(reversed(gamma))) == want
+                assert G.fixed_points(gamma + gamma[:1]) == want
+        with pytest.raises(MalformedInputError):
+            G.fixed_points((1, N + 1))
 
 
 def test_orbit_modes():

@@ -75,7 +75,18 @@ def test_growth_json_above_the_group_order_cap(capsys, grp):
 
 
 def test_listing_elements_above_the_cap_exits_3(capsys, grp):
-    assert main(["orbitcat", "--group", grp("s8.grp", S8), "--cap", "1"]) == 3
+    g = grp("s8.grp", S8)
+    assert main(["fullness-witness", "--group", g, "--subgroup", g, "--k-subgroup", g]) == 3
+
+
+def test_orbitcat_above_the_group_order_cap(capsys, grp):
+    # tuple orbits and Schreier generators list no elements of S8 or S10
+    s10 = "N=10\n(1 2)\n(1 2 3 4 5 6 7 8 9 10)\n"
+    for name, text in (("s8.grp", S8), ("s10.grp", s10)):
+        code, data = run_json(capsys, "orbitcat", "--group", grp(name, text), "--cap", "2")
+        assert code == 0
+        assert data["isomorphism"] is True
+        assert not data["fixed_point_violations"]
 
 
 def test_same_orbits(capsys, grp):
@@ -263,3 +274,22 @@ def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, files, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("g.grp", "N=1000000000000\n(1 2)\n", ("growth", "--group", "g.grp", "--max-n", "1")),
+        ("g.grp", "N=1000000000000\n[2,1]\n", ("orbitcat", "--group", "g.grp", "--cap", "1")),
+        ("g.grp", "N=1000000000000\n", ("orbitcat", "--group", "g.grp", "--cap", "1")),
+        ("c.chain", "FI 0 1000000000000 : [] : x1\n", CHAIN),
+    ],
+    ids=["cycle-generator", "one-line-generator", "no-generator", "chain-width"],
+)
+def test_sizes_read_from_files_are_capped_before_allocation(capsys, tmp_path, monkeypatch, name, text, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap: ")

@@ -8,6 +8,7 @@ import pytest
 from orbitlab.actions import (
     FiniteAction,
     perm_from_cycles,
+    pinv,
     pmul,
     symmetric_action,
     trivial_action,
@@ -64,6 +65,37 @@ def oracle_equivariant_map_count(G, source_gamma, target_gamma):
     return count
 
 
+def oracle_stabilizer(G, gamma):
+    return {g for g in G.elements() if all(g[x - 1] == x for x in gamma)}
+
+
+def oracle_orbit_hom(G, source_gamma, target_gamma):
+    """Orbit morphisms G/G_A -> G/G_B from listed elements: one element g per
+    coset G_B g, kept when G_{g(A)} lies inside G_B."""
+    target_stab = oracle_stabilizer(G, target_gamma)
+    seen = set()
+    out = set()
+    for g in G.elements():
+        coset = frozenset(pmul(s, g) for s in target_stab)
+        if coset in seen:
+            continue
+        seen.add(coset)
+        if oracle_stabilizer(G, {g[x - 1] for x in source_gamma}) <= target_stab:
+            out.add(OrbitMorphism(source_gamma, target_gamma, g))
+    return out
+
+
+def oracle_collisions(G, objects):
+    """Pairs of distinct subsets, in report order, with equal stabilizers."""
+    stabs = [oracle_stabilizer(G, s) for s in objects]
+    return [
+        (a, b)
+        for i, a in enumerate(objects)
+        for j, b in enumerate(objects[i + 1 :], i + 1)
+        if stabs[i] == stabs[j]
+    ]
+
+
 def hom(G, source_gamma, target_gamma):
     cat = OrbitCategory(G)
     return cat.hom(cat.object(source_gamma), cat.object(target_gamma))
@@ -83,14 +115,17 @@ def test_orbit_hom_identity_present():
     assert ident in homs
 
 
-def test_orbit_hom_matches_oracle():
-    groups = [
+def oracle_groups():
+    return [
         symmetric_action(4),
         FiniteAction(4, (perm_from_cycles("(1 2 3 4)", 4),)),
         FiniteAction(5, (perm_from_cycles("(1 2 3 4 5)", 5), perm_from_cycles("(1 2)", 5))),
         FiniteAction(4, (perm_from_cycles("(1 2 3)", 4), perm_from_cycles("(2 3 4)", 4))),
     ]
-    for G in groups:
+
+
+def test_orbit_hom_matches_oracle():
+    for G in oracle_groups():
         N = G.domain_size
         subsets = [frozenset(c) for k in (1, 2) for c in combinations(range(1, N + 1), k)]
         for src in subsets[:4]:
@@ -98,6 +133,17 @@ def test_orbit_hom_matches_oracle():
                 got = len(hom(G, src, tgt))
                 want = oracle_equivariant_map_count(G, src, tgt)
                 assert got == want, (G.generators, src, tgt, got, want)
+
+
+def test_orbit_hom_matches_coset_oracle():
+    for G in oracle_groups():
+        N = G.domain_size
+        subsets = [frozenset(c) for k in range(3) for c in combinations(range(1, N + 1), k)]
+        for src in subsets:
+            for tgt in subsets:
+                got = hom(G, src, tgt)
+                assert len(set(got)) == len(got)
+                assert set(got) == oracle_orbit_hom(G, src, tgt), (G.generators, src, tgt)
 
 
 def test_morphism_identity_by_coset():
@@ -195,7 +241,9 @@ def test_phi_iso_report_trivial_group_collides():
     assert not report.passed
 
 
-def test_extensions_match_filter_on_every_embedding():
+def test_phi_matches_filter_on_every_embedding():
+    # every extension of the embedding gives the morphism phi returns, so
+    # phi is well defined; it raises exactly when no extension exists
     groups = [
         symmetric_action(4),
         FiniteAction(5, (perm_from_cycles("(1 2 3 4 5)", 5),)),
@@ -212,17 +260,33 @@ def test_extensions_match_filter_on_every_embedding():
             subs = [M.induced(c) for k in range(N + 1) for c in combinations(range(1, N + 1), k)]
             for source in subs:
                 for target in subs:
+                    gamma, sigma = frozenset(source.universe), frozenset(target.universe)
                     for e in enumerate_embeddings(source, target):
                         m = e.mapping
-                        want = [
+                        exts = [
                             g
                             for g in G.elements()
                             if all(g[int(x) - 1] == int(y) for x, y in m.items())
                         ]
-                        assert cat.extensions(e) == want, (G.generators, m)
                         checked += 1
-                        missing += not want
+                        if not exts:
+                            missing += 1
+                            with pytest.raises(NoExtensionError):
+                                cat.phi(e)
+                            continue
+                        got = cat.phi(e)
+                        for g in exts:
+                            assert got == OrbitMorphism(sigma, gamma, pinv(g)), (G.generators, m)
     assert checked and missing
+
+
+def test_object_collisions_match_filter():
+    # S3 fixing the point 4: G_{1,2} is trivial but G_{3,4} is not, so
+    # {1,2} lies in Fix(G_{3,4}) while {3,4} does not lie in Fix(G_{1,2})
+    s3_on_4 = FiniteAction(4, (perm_from_cycles("(1 2)", 4), perm_from_cycles("(1 2 3)", 4)))
+    for G in oracle_groups() + [s3_on_4, trivial_action(3)]:
+        report = phi_iso_report(G, 2)
+        assert list(report.object_collisions) == oracle_collisions(G, report.objects)
 
 
 def test_phi_iso_report_carries_hom_counts():
