@@ -11,14 +11,14 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from orbitlab.actions import parse_group_file  # noqa: E402
 from orbitlab.cli import main  # noqa: E402
 
 from test_orbitcat import oracle_collisions, oracle_orbit_hom  # noqa: E402
 
-FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+FUZZ = settings(max_examples=60, deadline=None)
 
 
 def run_orbitcat(text: str, cap: int):
