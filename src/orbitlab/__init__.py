@@ -29,7 +29,6 @@ from .actions import (
     growth_profile,
     is_t_dense,
     lemma_equivalence_check,
-    mulclose,
     orbit_count,
     orbits,
     parse_group_file,

@@ -1,15 +1,15 @@
 """Finite permutation actions: orbits, growth functions, density, restriction.
 
-A group is given by generators.  The orbit of a tuple of points comes with a
-transversal (one element sending the tuple to each image), built from the
-generators alone.  On 1-tuples it drives a base and strong generating set
-(deterministic Schreier-Sims), which gives the group order; on subsets,
-Schreier's lemma turns it into generators of the pointwise stabilizer
-G_Gamma, whose common fixed points are Fix(G_Gamma).  Pointwise stabilizers
-as element lists, subgroup tests and the fullness witness list the group
-once by breadth-first closure of the generators, in sorted order and against
-the group-order cap.  Permutations are tuples p of length N with p[i-1] the
-image of the point i; points are 1-based to match the rest of the library.
+A group is given by generators, and everything else is built from them.  The
+orbit of a tuple of points comes with a transversal (one element sending the
+tuple to each image).  On 1-tuples it drives a base and strong generating set
+(deterministic Schreier-Sims on the sorted support), which gives the group
+order, membership by sifting, and the least element of each coset gK; on
+subsets, Schreier's lemma turns it into generators of the pointwise
+stabilizer G_Gamma, whose common fixed points are Fix(G_Gamma).  Density
+compares orbit counts on injective tuples.  No group is ever listed element
+by element.  Permutations are tuples p of length N with p[i-1] the image of
+the point i; points are 1-based to match the rest of the library.
 """
 
 from __future__ import annotations
@@ -53,26 +53,6 @@ def act_set(g: Perm, s: frozenset[int]) -> frozenset[int]:
     return frozenset(g[x - 1] for x in s)
 
 
-def mulclose(gens, n: int, cap: int = DEFAULT_GROUP_ORDER_CAP) -> list[Perm]:
-    """All products of the generators, in deterministic sorted order."""
-    els = {identity_perm(n)}
-    bdy = list(els)
-    while bdy:
-        new = []
-        for g in gens:
-            for b in bdy:
-                c = pmul(g, b)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        raise ResourceCapError(
-                            f"group order exceeds cap {cap}"
-                        )
-        bdy = new
-    return sorted(els)
-
-
 def _sift(g: Perm, base, transversals, start: int) -> tuple[Perm, int]:
     """Divide g by transversal elements from level `start` on; return the
     residue and the level where it left the chain (len(base) if none)."""
@@ -104,21 +84,16 @@ def _orbit_transversal(base: tuple, gens, ident: Perm, cap: int | None = None) -
     return transversal
 
 
-def _schreier_sims_order(gens, n: int) -> int:
-    """Order of the group generated by `gens`, as the product of the basic
-    orbit lengths of a base and strong generating set built by deterministic
-    Schreier-Sims (Sims 1970; Seress, Permutation Group Algorithms, ch. 4).
-    Lists no group elements."""
+def _schreier_sims(gens, n: int) -> tuple[list, list]:
+    """A base and strong generating set of <gens> by deterministic
+    Schreier-Sims (Sims 1970; Seress, Permutation Group Algorithms, ch. 4-5),
+    as (base, transversals): transversals[i] maps each point (p,) of the
+    orbit of base[i] under G_{base[:i]} to an element of G_{base[:i]} sending
+    base[i] to p.  The base is the support of the generators in ascending
+    order.  Lists no group elements."""
     ident = identity_perm(n)
     gens = [g for g in gens if g != ident]
-
-    def moved(g: Perm) -> int:
-        return next(x for x in range(1, n + 1) if g[x - 1] != x)
-
-    base: list = []
-    for g in gens:
-        if all(g[b - 1] == b for b in base):
-            base.append(moved(g))
+    base = sorted({x for g in gens for x in range(1, n + 1) if g[x - 1] != x})
     # strong[i] generates the pointwise stabilizer of base[:i] once done
     strong = [[g for g in gens if all(g[b - 1] == b for b in base[:i])] for i in range(len(base))]
     transversals = [_orbit_transversal((b,), s, ident) for b, s in zip(base, strong)]
@@ -139,19 +114,23 @@ def _schreier_sims_order(gens, n: int) -> int:
         if found is None:
             i -= 1
             continue
+        # h fixes base[:j]; since the base covers the support, j < len(base)
         h, j = found
-        if j == len(base):
-            base.append(moved(h))
-            strong.append([])
-            transversals.append(None)
         for level in range(i + 1, j + 1):
             strong[level].append(h)
             transversals[level] = _orbit_transversal((base[level],), strong[level], ident)
         i = j
-    order = 1
-    for t in transversals:
-        order *= len(t)
-    return order
+    return base, transversals
+
+
+def _least_in_coset(g: Perm, base, transversals) -> Perm:
+    """The least element of the coset gK, K given by its chain.  Positions
+    outside K's support are the same across gK; at each base point in
+    ascending order, the transversal element minimising g's image there fixes
+    every earlier base point, so the greedy choice is the lexicographic one."""
+    for b, t in zip(base, transversals):
+        g = pmul(g, min(t.values(), key=lambda u: g[u[b - 1] - 1]))
+    return g
 
 
 def _check_perm(p, n: int) -> Perm:
@@ -168,10 +147,9 @@ class FiniteAction:
     domain_size: int
     generators: tuple[Perm, ...]
     order_cap: int = DEFAULT_GROUP_ORDER_CAP
-    _elements: list = field(default=None, compare=False, repr=False)
-    # write-once indexes: stabilizers over elements(), keyed by sorted point
-    # tuples, and orbit transversals, keyed by point tuples
-    _stabilizers: dict = field(default=None, init=False, compare=False, repr=False)
+    # write-once caches: the Schreier-Sims chain (base, transversals), and
+    # orbit transversals keyed by point tuples
+    _chain: tuple = field(default=None, init=False, compare=False, repr=False)
     _orbits: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -179,54 +157,38 @@ class FiniteAction:
             raise MalformedInputError("domain size must be positive")
         gens = tuple(_check_perm(g, self.domain_size) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_elements", [])
-        object.__setattr__(self, "_stabilizers", {})
         object.__setattr__(self, "_orbits", {})
 
-    def elements(self) -> list[Perm]:
+    def chain(self) -> tuple[list, list]:
+        """The base and basic orbit transversals of `_schreier_sims`;
+        callers must not modify them."""
         # write-once memo; the value is deterministic so races are harmless
-        if not self._elements:
-            self._elements.extend(
-                mulclose(self.generators, self.domain_size, self.order_cap)
-            )
-        return self._elements
+        if self._chain is None:
+            object.__setattr__(self, "_chain", _schreier_sims(self.generators, self.domain_size))
+        return self._chain
 
     def order(self) -> int:
         """The group order, from the generators alone (no cap applies)."""
-        return _schreier_sims_order(self.generators, self.domain_size)
-
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements())
+        order = 1
+        for t in self.chain()[1]:
+            order *= len(t)
+        return order
 
     def contains_action(self, other: "FiniteAction") -> bool:
-        """Whether `other` generates a subgroup of this group."""
+        """Whether `other` generates a subgroup of this group: every
+        generator of `other` sifts through this group's chain to the
+        identity."""
         if other.domain_size != self.domain_size:
             return False
-        mine = self.element_set()
-        return all(g in mine for g in other.generators)
+        base, transversals = self.chain()
+        ident = identity_perm(self.domain_size)
+        return all(_sift(g, base, transversals, 0)[0] == ident for g in other.generators)
 
     def _points(self, points) -> tuple[int, ...]:
         pts = tuple(sorted(set(points)))
         if pts and not (1 <= pts[0] and pts[-1] <= self.domain_size):
             raise MalformedInputError(f"points {pts} are not all in [{self.domain_size}]")
         return pts
-
-    def pointwise_stabilizer(self, points) -> list[Perm]:
-        """The elements fixing every given point, in sorted order."""
-        return list(self._stabilizer(self._points(points)))
-
-    def _stabilizer(self, pts: tuple[int, ...]) -> list[Perm]:
-        """G_pts for sorted distinct pts, refined from G_{pts[:-1]}: the
-        elements of the shorter prefix's stabilizer that fix pts[-1]."""
-        stab = self._stabilizers.get(pts)
-        if stab is None:
-            if pts:
-                x = pts[-1]
-                stab = [g for g in self._stabilizer(pts[:-1]) if g[x - 1] == x]
-            else:
-                stab = self.elements()
-            self._stabilizers[pts] = stab
-        return stab
 
     def orbit_transversal(self, points) -> dict:
         """The orbit of the point tuple under the group: each image tuple ->
@@ -471,10 +433,14 @@ def _require_subgroup(H: FiniteAction, G: FiniteAction) -> None:
 
 
 def is_t_dense(H: FiniteAction, G: FiniteAction, t: int) -> bool:
-    """Whether H meets every coset of every stabilizer of a set of size <= t.
+    """Whether H meets every coset of every stabilizer of a set of size <= t,
+    that is H * G_Gamma = G, or |H| * |G_Gamma| = |G| * |H_Gamma|, for every
+    such Gamma.
 
-    Computed as |H| * |G_Gamma| == |G| * |H intersect G_Gamma| for each Gamma,
-    the counting form of the product condition H * G_Gamma = G.
+    As H <= G, each G-orbit on injective t-tuples is a union of H-orbits, so
+    the orbit counts agree iff |Gamma^H| = |Gamma^G| for every t-set Gamma,
+    that is iff |H| * |G_Gamma| = |G| * |H_Gamma|.  Smaller Gamma follow by
+    projecting t-tuples to their prefixes.
     """
     _require_subgroup(H, G)
     N = G.domain_size
@@ -482,48 +448,10 @@ def is_t_dense(H: FiniteAction, G: FiniteAction, t: int) -> bool:
         raise MalformedInputError("t exceeds domain size")
     if t < 0:
         raise MalformedInputError("t must be a natural number")
-    order_G, order_H = G.order(), H.order()
-    for size in range(1, t + 1):
-        for gamma in combinations(range(1, N + 1), size):
-            stab = G.pointwise_stabilizer(gamma)
-            meet = H.pointwise_stabilizer(gamma)
-            if order_H * len(stab) != order_G * len(meet):
-                return False
-    return True
+    return orbit_count(G, t, "injective") == orbit_count(H, t, "injective")
 
 
-# -- the permutation module Q(G/K) and the fullness witness -------------------
-
-
-@dataclass
-class PermutationModule:
-    """The free Q-module on the left cosets of K in G, permuted by G."""
-
-    action: FiniteAction
-    subgroup: FiniteAction
-    cosets: list  # list of frozensets of group elements
-    coset_index: dict
-    reps: list
-
-    @classmethod
-    def build(cls, G: FiniteAction, K: FiniteAction) -> "PermutationModule":
-        _require_subgroup(K, G)
-        k_els = K.elements()
-        cosets = []
-        index = {}
-        reps = []
-        for g in G.elements():
-            if g in index:
-                continue
-            coset = frozenset(pmul(g, k) for k in k_els)
-            for x in coset:
-                index[x] = len(cosets)
-            reps.append(min(coset))
-            cosets.append(coset)
-        return cls(G, K, cosets, index, reps)
-
-    def act_on_index(self, g: Perm, i: int) -> int:
-        return self.coset_index[pmul(g, self.reps[i])]
+# -- the fullness witness on the coset space G/K -------------------------------
 
 
 @dataclass(frozen=True)
@@ -534,51 +462,46 @@ class FullnessWitness:
     rhs: Fraction
 
 
+def _coset_orbit(gens, K: FiniteAction, cap: int) -> set:
+    """The orbit of the coset K under <gens>, each coset gK named by its
+    least element.  Raises ResourceCapError above `cap` cosets."""
+    base, transversals = K.chain()
+    ident = identity_perm(K.domain_size)  # the least element of K
+    names = {ident}
+    bdy = [ident]
+    while bdy:
+        new = []
+        for c in bdy:
+            for s in gens:
+                d = _least_in_coset(pmul(s, c), base, transversals)
+                if d not in names:
+                    names.add(d)
+                    new.append(d)
+                    if len(names) > cap:
+                        raise ResourceCapError(f"coset space exceeds cap {cap}")
+        bdy = new
+    return names
+
+
 def restriction_fullness_witness(
     G: FiniteAction, H: FiniteAction, K: FiniteAction
 ) -> FullnessWitness | None:
     """Probe whether every H-equivariant map out of Q(G/K) is G-equivariant.
 
-    Builds the indicator map f of the H-orbit of the trivial coset, checks it
-    is H-equivariant, and returns None when HK = G (f is then G-equivariant).
-    Otherwise returns a group element and coset on which f and the G-action
-    disagree, assembled from one coset inside HK and one outside.
+    Takes the indicator map f of the H-orbit of the trivial coset K, which is
+    H-equivariant, and returns None when HK = G (f is then G-equivariant).
+    Otherwise returns the least element g of G outside HK: f(gK) = 0 while
+    f(K) = 1, although g sends K to gK.  Cosets are ordered by their least
+    elements, so the trivial coset, named by the identity, has index 0.
     """
     _require_subgroup(H, G)
     _require_subgroup(K, G)
-    module = PermutationModule.build(G, K)
-    base = module.coset_index[identity_perm(G.domain_size)]
-
-    hk = {base}
-    bdy = [base]
-    while bdy:
-        new = []
-        for h in H.generators:
-            for i in bdy:
-                j = module.act_on_index(h, i)
-                if j not in hk:
-                    hk.add(j)
-                    new.append(j)
-        bdy = new
-
-    f = [Fraction(1) if i in hk else Fraction(0) for i in range(len(module.cosets))]
-    for h in H.elements():
-        for i in range(len(module.cosets)):
-            if f[module.act_on_index(h, i)] != f[i]:
-                raise AssertionError("indicator map is not H-equivariant")
-
-    if len(hk) == len(module.cosets):
+    hk = _coset_orbit(H.generators, K, G.order_cap)
+    # the H-orbit of K has |HK|/|K| cosets
+    if len(hk) * K.order() == G.order():
         return None
-
-    outside = min(i for i in range(len(module.cosets)) if i not in hk)
-    g1 = min(module.cosets[outside])
-    # g0 = identity represents the trivial coset, so g = g1 * g0^{-1} = g1
-    g = g1
-    lhs = f[module.act_on_index(g, base)]
-    rhs = f[base]
-    if lhs == rhs:
-        raise AssertionError("constructed witness does not separate")
-    return FullnessWitness(g, base, lhs, rhs)
+    g = min(_coset_orbit(G.generators, K, G.order_cap) - hk)
+    return FullnessWitness(g, 0, Fraction(0), Fraction(1))
 
 
 # -- parsing -------------------------------------------------------------------

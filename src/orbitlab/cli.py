@@ -55,7 +55,7 @@ EXIT_CAP = 3
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}")
 
 

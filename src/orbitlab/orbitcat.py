@@ -171,10 +171,10 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
     mismatches = []
     missing = []
     hom_counts = {}
+    induced = {s: M.induced(sorted(s)) for s in subsets}
     for gamma in subsets:
-        sub_gamma = M.induced(sorted(gamma))
         for sigma in subsets:
-            embs = enumerate_embeddings(sub_gamma, M.induced(sorted(sigma)))
+            embs = enumerate_embeddings(induced[gamma], induced[sigma])
             morphisms = cat.hom(cat.object(sigma), cat.object(gamma))
             hom_counts[sigma, gamma] = len(morphisms)
             images = set()

@@ -16,7 +16,6 @@ from orbitlab.actions import (
     growth_profile,
     is_t_dense,
     lemma_equivalence_check,
-    mulclose,
     orbit_count,
     pmul,
     restriction_fullness_witness,
@@ -38,6 +37,7 @@ from orbitlab.orbitcat import OrbitCategory, phi_iso_report
 from orbitlab.polynomials import GREVLEX, CoefficientField, QQ, parse_polynomial
 from orbitlab.structures import age_has_sap
 
+from test_actions import elements
 from test_categories import oracle_hom
 from test_modlab import ideal_gen, la_member, random_vector
 from test_orbitcat import oracle_equivariant_map_count
@@ -151,7 +151,7 @@ def test_criterion_4_same_orbits_lemma():
             G = _random_action(rng, N)
             n = rng.randint(1, min(4, N))
             # H generated by random elements of G, hence a genuine subgroup
-            els = G.elements()
+            els = elements(G)
             H = FiniteAction(N, tuple(rng.choice(els) for _ in range(2)))
             report = lemma_equivalence_check(G, H, n)
             assert report.consistent, report.witness
@@ -163,12 +163,12 @@ def _all_subgroups(G):
     """Every subgroup generated by at most two elements, deduplicated; for
     S3 and S4 this is exhaustive (both are 2-generated, as are all their
     subgroups)."""
-    els = G.elements()
+    els = elements(G)
     seen = {}
     for a in els:
         for b in els:
             H = FiniteAction(G.domain_size, (a, b))
-            key = frozenset(H.elements())
+            key = frozenset(elements(H))
             seen.setdefault(key, H)
     return list(seen.values())
 
@@ -178,10 +178,10 @@ def test_criterion_5_restriction_fullness():
         for N in (3, 4):
             G = symmetric_action(N)
             subgroups = _all_subgroups(G)
-            g_els = G.element_set()
+            g_els = set(elements(G))
             for H in subgroups:
                 for K in subgroups:
-                    hk = {pmul(h, k) for h in H.elements() for k in K.elements()}
+                    hk = {pmul(h, k) for h in elements(H) for k in elements(K)}
                     witness = restriction_fullness_witness(G, H, K)
                     if hk == g_els:
                         assert witness is None

@@ -1,9 +1,12 @@
 """Unit tests for permutation actions, growth functions, density and the
 restriction-fullness witness.  Group-theoretic facts are cross-checked by
-explicit element enumeration inside the tests."""
+explicit element enumeration inside the tests: the oracles below list a group
+by closing its generators, which the library itself never does.  Other test
+files import them."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -11,13 +14,13 @@ import pytest
 
 from orbitlab import actions
 from orbitlab.actions import (
+    DEFAULT_GROUP_ORDER_CAP,
     FiniteAction,
-    PermutationModule,
+    FullnessWitness,
     growth_profile,
     identity_perm,
     is_t_dense,
     lemma_equivalence_check,
-    mulclose,
     orbit_count,
     orbits,
     parse_group_file,
@@ -31,6 +34,97 @@ from orbitlab.actions import (
     trivial_action,
 )
 from orbitlab.errors import MalformedInputError, ResourceCapError
+
+
+# -- element-listing oracles ----------------------------------------------------
+
+
+def mulclose(gens, n, cap=DEFAULT_GROUP_ORDER_CAP):
+    """All products of the generators, in sorted order."""
+    els = {identity_perm(n)}
+    bdy = list(els)
+    while bdy:
+        new = []
+        for g in gens:
+            for b in bdy:
+                c = pmul(g, b)
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+                    if len(els) > cap:
+                        raise ResourceCapError(f"group order exceeds cap {cap}")
+        bdy = new
+    return sorted(els)
+
+
+@lru_cache(maxsize=None)
+def _listed(gens, n):
+    return tuple(mulclose(gens, n))
+
+
+def elements(G):
+    """The elements of G in sorted order, listed once per generating tuple."""
+    return _listed(G.generators, G.domain_size)
+
+
+def pointwise_stabilizer(G, gamma):
+    """The elements fixing every point of gamma, in sorted order."""
+    return [g for g in elements(G) if all(g[x - 1] == x for x in gamma)]
+
+
+def is_t_dense_by_counting(H, G, t):
+    """|H| * |G_Gamma| == |G| * |H_Gamma| for every Gamma of size <= t, with
+    every order counted from listed elements."""
+    order_G, order_H = len(elements(G)), len(elements(H))
+    return all(
+        order_H * len(pointwise_stabilizer(G, gamma)) == order_G * len(pointwise_stabilizer(H, gamma))
+        for size in range(1, t + 1)
+        for gamma in combinations(range(1, G.domain_size + 1), size)
+    )
+
+
+class PermutationModule:
+    """The free Q-module on the left cosets of K in G, permuted by G; cosets
+    are indexed in the order of their least elements."""
+
+    def __init__(self, G, K):
+        k_els = elements(K)
+        self.cosets, self.coset_index, self.reps = [], {}, []
+        for g in elements(G):
+            if g in self.coset_index:
+                continue
+            coset = frozenset(pmul(g, k) for k in k_els)
+            for x in coset:
+                self.coset_index[x] = len(self.cosets)
+            self.reps.append(min(coset))
+            self.cosets.append(coset)
+
+    def act_on_index(self, g, i):
+        return self.coset_index[pmul(g, self.reps[i])]
+
+
+def oracle_fullness_witness(G, H, K):
+    """The fullness witness from the module Q(G/K): the indicator f of the
+    H-orbit of the trivial coset, and the least element of the first coset
+    outside that orbit, if any."""
+    module = PermutationModule(G, K)
+    base = module.coset_index[identity_perm(G.domain_size)]
+    hk = {base}
+    bdy = [base]
+    while bdy:
+        new = []
+        for h in H.generators:
+            for i in bdy:
+                j = module.act_on_index(h, i)
+                if j not in hk:
+                    hk.add(j)
+                    new.append(j)
+        bdy = new
+    f = [Fraction(1) if i in hk else Fraction(0) for i in range(len(module.cosets))]
+    if len(hk) == len(module.cosets):
+        return None
+    g = min(module.cosets[min(i for i in range(len(module.cosets)) if i not in hk)])
+    return FullnessWitness(g, base, f[module.act_on_index(g, base)], f[base])
 
 
 def cyclic_action(n):
@@ -82,11 +176,8 @@ def test_order_above_the_cap_lists_no_elements():
     assert S10.order() == 3628800
     assert S10.fixed_points((1, 2)) == {1, 2}
     assert len(S10.orbit_transversal((1, 2))) == 90
-    assert not S8._elements and not S10._elements
     with pytest.raises(ResourceCapError):
-        S8.elements()  # listing elements still stops at the cap
-    with pytest.raises(ResourceCapError):
-        S8.orbit_transversal(tuple(range(1, 8)))  # so do tuple orbits
+        S8.orbit_transversal(tuple(range(1, 8)))  # a tuple orbit stops at the cap
 
 
 def test_order_matches_sympy():
@@ -110,31 +201,20 @@ def test_order_matches_sympy():
 
 
 def test_pointwise_stabilizer_matches_filter():
+    # orbit-stabilizer: |G_Gamma| is |G| over the length of Gamma's tuple orbit
     for G in small_groups():
         N = G.domain_size
-        els = G.elements()
         for size in range(N + 1):
             for gamma in combinations(range(1, N + 1), size):
-                want = [g for g in els if all(g[x - 1] == x for x in gamma)]
-                assert G.pointwise_stabilizer(gamma) == want
-                assert G.pointwise_stabilizer(tuple(reversed(gamma))) == want
-                assert G.pointwise_stabilizer(set(gamma)) == want
-                assert G.pointwise_stabilizer(gamma + gamma[:1]) == want
-        with pytest.raises(MalformedInputError):
-            G.pointwise_stabilizer((N + 1,))
-
-
-def test_pointwise_stabilizer_returns_a_fresh_list():
-    S4 = symmetric_action(4)
-    S4.pointwise_stabilizer((1,)).clear()
-    assert len(S4.pointwise_stabilizer((1,))) == 6
-    assert len(S4.pointwise_stabilizer((1, 2))) == 2
+                stab = pointwise_stabilizer(G, gamma)
+                assert len(stab) * len(G.orbit_transversal(gamma)) == G.order()
+                assert G.contains_action(FiniteAction(N, tuple(stab)))
 
 
 def test_orbit_transversal_matches_filter():
     for G in small_groups():
         N = G.domain_size
-        els = G.elements()
+        els = elements(G)
         for size in range(min(N, 3) + 1):
             for pts in permutations(range(1, N + 1), size):
                 transversal = G.orbit_transversal(pts)
@@ -149,10 +229,9 @@ def test_orbit_transversal_matches_filter():
 def test_fixed_points_match_filter():
     for G in small_groups():
         N = G.domain_size
-        els = G.elements()
         for size in range(N + 1):
             for gamma in combinations(range(1, N + 1), size):
-                stab = [g for g in els if all(g[x - 1] == x for x in gamma)]
+                stab = pointwise_stabilizer(G, gamma)
                 want = {x for x in range(1, N + 1) if all(g[x - 1] == x for g in stab)}
                 assert G.fixed_points(gamma) == want
                 assert G.fixed_points(tuple(reversed(gamma))) == want
@@ -255,11 +334,11 @@ def test_is_t_dense_matches_definition():
     for H in (A4, D4, S4, trivial_action(4)):
         for t in (1, 2):
             expect = True
-            h_set = H.element_set()
+            h_set = set(elements(H))
             for size in range(1, t + 1):
                 for gamma in combinations(range(1, 5), size):
-                    stab = S4.pointwise_stabilizer(gamma)
-                    for g in S4.elements():
+                    stab = pointwise_stabilizer(S4, gamma)
+                    for g in elements(S4):
                         if not any(pmul(g, s) in h_set for s in stab):
                             expect = False
             assert is_t_dense(H, S4, t) == expect
@@ -274,19 +353,49 @@ def test_is_t_dense_agrees_with_same_orbits():
         assert is_t_dense(H, S, t) == same_orbits(S, H, t, "injective")
 
 
+def test_is_t_dense_matches_the_counting_oracle():
+    # is_t_dense compares orbit counts; the oracle compares stabilizer orders
+    rng = random.Random(41)
+    answers = set()
+    for _ in range(60):
+        N = rng.randint(2, 7)
+        G = random_subgroup(rng, N)
+        els = elements(G)
+        H = FiniteAction(N, tuple(rng.choice(els) for _ in range(rng.randint(1, 2))))
+        t = rng.randint(0, min(4, N))
+        got = is_t_dense(H, G, t)
+        assert got == is_t_dense_by_counting(H, G, t), (G.generators, H.generators, t)
+        answers.add(got)
+    assert answers == {True, False}
+
+
 def test_is_t_dense_requires_subgroup():
     with pytest.raises(MalformedInputError):
         is_t_dense(symmetric_action(4), cyclic_action(4), 1)
 
 
+def test_subgroup_test_matches_element_lists():
+    rng = random.Random(43)
+    for _ in range(60):
+        N = rng.randint(1, 6)
+        G, H = random_subgroup(rng, N), random_subgroup(rng, N, k=1)
+        els = set(elements(G))
+        assert G.contains_action(H) == all(h in els for h in H.generators), (G.generators, H)
+    assert not symmetric_action(4).contains_action(symmetric_action(5))
+
+
 def test_permutation_module_cosets():
+    # the oracle's cosets, in order, are the names the library gives them
     S4 = symmetric_action(4)
     K = FiniteAction(4, (perm_from_cycles("(1 2)", 4),))
-    mod = PermutationModule.build(S4, K)
+    mod = PermutationModule(S4, K)
     assert len(mod.cosets) == 12
     for g in S4.generators:
         imgs = [mod.act_on_index(g, i) for i in range(12)]
         assert sorted(imgs) == list(range(12))
+    assert sorted(actions._coset_orbit(S4.generators, K, 12)) == mod.reps
+    with pytest.raises(ResourceCapError):
+        actions._coset_orbit(S4.generators, K, 11)
 
 
 def test_fullness_witness_nontrivial():
@@ -295,8 +404,8 @@ def test_fullness_witness_nontrivial():
     w = restriction_fullness_witness(S4, A4, A4)
     assert w is not None
     # the witness genuinely separates the indicator map from equivariance
-    mod = PermutationModule.build(S4, A4)
     assert w.lhs != w.rhs
+    assert w == oracle_fullness_witness(S4, A4, A4)
 
 
 def test_fullness_witness_none_when_product_covers():
@@ -305,6 +414,41 @@ def test_fullness_witness_none_when_product_covers():
     K = FiniteAction(4, (perm_from_cycles("(1 2)", 4),))
     assert restriction_fullness_witness(S4, A4, K) is None  # A4 * K = S4
     assert restriction_fullness_witness(S4, S4, A4) is None
+
+
+def all_subgroups(G):
+    """Every subgroup generated by at most two elements, deduplicated; for
+    S3 and S4 this is exhaustive (both are 2-generated, as are all their
+    subgroups)."""
+    els = elements(G)
+    seen = {}
+    for a in els:
+        for b in els:
+            H = FiniteAction(G.domain_size, (a, b))
+            seen.setdefault(frozenset(elements(H)), H)
+    return list(seen.values())
+
+
+def test_fullness_witness_matches_the_module_oracle():
+    triples = [
+        (G, H, K)
+        for G in (symmetric_action(3), symmetric_action(4))
+        for H in all_subgroups(G)
+        for K in all_subgroups(G)
+    ]
+    rng = random.Random(47)
+    for _ in range(100):
+        N = rng.randint(1, 6)
+        G = random_subgroup(rng, N)
+        els = elements(G)
+        H, K = (FiniteAction(N, tuple(rng.choice(els) for _ in range(rng.randint(1, 2)))) for _ in "HK")
+        triples.append((G, H, K))
+    full = 0
+    for G, H, K in triples:
+        got = restriction_fullness_witness(G, H, K)
+        assert got == oracle_fullness_witness(G, H, K), (G.generators, H.generators, K.generators)
+        full += got is None
+    assert 0 < full < len(triples)
 
 
 def test_parse_group_file():

@@ -75,8 +75,34 @@ def test_growth_json_above_the_group_order_cap(capsys, grp):
 
 
 def test_listing_elements_above_the_cap_exits_3(capsys, grp):
+    # S8 over the trivial group has 40,320 cosets, above the 20,000 cap
     g = grp("s8.grp", S8)
-    assert main(["fullness-witness", "--group", g, "--subgroup", g, "--k-subgroup", g]) == 3
+    k = grp("trivial.grp", "N=8\n")
+    assert main(["fullness-witness", "--group", g, "--subgroup", g, "--k-subgroup", k]) == 3
+    assert capsys.readouterr().err.startswith("resource cap: ")
+
+
+def alternating(n):
+    return f"N={n}\n" + "".join(f"(1 2 {k})\n" for k in range(3, n + 1))
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_dense_and_fullness_on_symmetric_over_alternating(capsys, grp, n):
+    # the chain and coset names list no elements of S_n or A_n
+    s = grp("s.grp", f"N={n}\n(1 2)\n({' '.join(map(str, range(1, n + 1)))})\n")
+    a = grp("a.grp", alternating(n))
+    code, data = run_json(capsys, "dense", "--group", s, "--subgroup", a, "--t", "2")
+    assert code == 0 and data["dense"] is True
+    code, data = run_json(capsys, "fullness-witness", "--group", s, "--subgroup", a, "--k-subgroup", a)
+    assert code == 1 and data["full"] is False
+    assert data["witness"] == {
+        "g": list(range(1, n - 1)) + [n, n - 1],
+        "coset_index": 0,
+        "f_at_g_coset": "0",
+        "f_at_coset": "1",
+    }
+    code, data = run_json(capsys, "fullness-witness", "--group", s, "--subgroup", s, "--k-subgroup", a)
+    assert code == 0 and data["full"] is True
 
 
 def test_orbitcat_above_the_group_order_cap(capsys, grp):
@@ -247,6 +273,8 @@ CHAIN = CHAIN_FILE + ("--width", "1", "--degree", "1")
             {"e.emb": EMBEDDING_NOT_AN_EMBEDDING},
             ("amalgamate", "--embedding1", "e.emb", "--embedding2", "e.emb", "--age", "linear"),
         ),
+        ({"g.grp": b"\xff\xfeN=3\n(1 2)\n"}, ("orbitcat", "--group", "g.grp", "--cap", "1")),
+        ({"c.chain": b"\xff\xfeFI 0 1 : [] : x1\n"}, CHAIN),
     ],
     ids=[
         "one-line-token",
@@ -264,12 +292,17 @@ CHAIN = CHAIN_FILE + ("--width", "1", "--degree", "1")
         "image-not-a-morphism",
         "factorize-not-a-morphism",
         "map-not-an-embedding",
+        "group-file-not-utf8",
+        "chain-file-not-utf8",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -27,15 +27,17 @@ from orbitlab.structures import (
     enumerate_embeddings,
 )
 
+from test_actions import elements, pointwise_stabilizer
+
 
 def oracle_equivariant_map_count(G, source_gamma, target_gamma):
     """Count equivariant maps G/G_src -> G/G_tgt by trying every function on
     coset indices (feasible because the orbit of the base coset determines
     the whole map)."""
-    els = G.elements()
+    els = elements(G)
 
     def cosets(gamma):
-        stab = [g for g in els if all(g[x - 1] == x for x in gamma)]
+        stab = pointwise_stabilizer(G, gamma)
         index = {}
         reps = []
         for g in els:
@@ -66,7 +68,7 @@ def oracle_equivariant_map_count(G, source_gamma, target_gamma):
 
 
 def oracle_stabilizer(G, gamma):
-    return {g for g in G.elements() if all(g[x - 1] == x for x in gamma)}
+    return set(pointwise_stabilizer(G, gamma))
 
 
 def oracle_orbit_hom(G, source_gamma, target_gamma):
@@ -75,7 +77,7 @@ def oracle_orbit_hom(G, source_gamma, target_gamma):
     target_stab = oracle_stabilizer(G, target_gamma)
     seen = set()
     out = set()
-    for g in G.elements():
+    for g in elements(G):
         coset = frozenset(pmul(s, g) for s in target_stab)
         if coset in seen:
             continue
@@ -265,7 +267,7 @@ def test_phi_matches_filter_on_every_embedding():
                         m = e.mapping
                         exts = [
                             g
-                            for g in G.elements()
+                            for g in elements(G)
                             if all(g[int(x) - 1] == int(y) for x, y in m.items())
                         ]
                         checked += 1

@@ -1,5 +1,6 @@
-"""Property-based tests of the `orbitcat` subcommand: the exit-code contract
-on arbitrary group files, witnesses for every failure, and hom counts
+"""Property-based tests of the subcommands that read a group file: the
+exit-code contract on arbitrary group files for `orbitcat`, `dense` and
+`fullness-witness`, witnesses for every failure, and `orbitcat` hom counts
 against the coset oracle of test_orbitcat."""
 
 import contextlib
@@ -21,15 +22,23 @@ from test_orbitcat import oracle_collisions, oracle_orbit_hom  # noqa: E402
 FUZZ = settings(max_examples=60, deadline=None)
 
 
-def run_orbitcat(text: str, cap: int):
-    """(exit code, stdout) of `orbitcat --cap cap` on a group file with this text."""
+def run_cli(files: dict, *argv):
+    """(exit code, stdout) of the CLI on `argv`, where each name in `files`
+    stands for a file with that text."""
     with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "g.grp"
-        path.write_text(text, encoding="utf-8")
+        paths = {}
+        for name, text in files.items():
+            paths[name] = Path(d) / name
+            paths[name].write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["orbitcat", "--group", str(path), "--cap", str(cap)])
+            code = main([str(paths.get(a, a)) for a in argv])
     return code, out.getvalue()
+
+
+def run_orbitcat(text: str, cap: int):
+    """(exit code, stdout) of `orbitcat --cap cap` on a group file with this text."""
+    return run_cli({"g.grp": text}, "orbitcat", "--group", "g.grp", "--cap", str(cap))
 
 
 def cycle_notation(perm) -> str:
@@ -80,6 +89,29 @@ def test_orbitcat_exit_code_contract_on_arbitrary_text(text, cap):
     if code == 1:
         data = json.loads(out)
         assert data["object_collisions"] or data["hom_mismatches"] or data["missing_extensions"]
+
+
+@FUZZ
+@given(
+    text=st.one_of(ARBITRARY_TEXT, group_files().map(lambda group: group[0])),
+    sub=st.one_of(st.none(), ARBITRARY_TEXT),
+    t=st.integers(-1, 3),
+)
+def test_dense_and_fullness_exit_code_contract_on_arbitrary_text(text, sub, t):
+    if sub is None:  # the first line alone; a header gives the trivial subgroup
+        sub = text.split("\n", 1)[0] + "\n"
+    files = {"g.grp": text, "h.grp": sub}
+    code, out = run_cli(files, "dense", "--group", "g.grp", "--subgroup", "h.grp", "--t", str(t))
+    assert code in (0, 2, 3)  # dense reports a verdict, never a failed check
+    if code == 0:
+        assert json.loads(out)["dense"] in (True, False)
+    argv = ("fullness-witness", "--group", "g.grp", "--subgroup", "h.grp", "--k-subgroup", "h.grp")
+    code, out = run_cli(files, *argv)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        data = json.loads(out)
+        assert data["full"] is (code == 0)
+        assert (data["witness"] is None) is (code == 0)
 
 
 @FUZZ
