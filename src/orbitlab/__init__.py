@@ -79,7 +79,6 @@ from .modlab import (
     ChainReport,
     GroebnerBasis,
     ModuleVector,
-    PresheafElement,
     TruncatedSubmodule,
     apply_morphism,
     chain_experiment,
@@ -87,7 +86,6 @@ from .modlab import (
     membership,
     parse_chain_file,
     parse_element_line,
-    presheaf_element,
     restriction_decomposition_check,
     width_component,
 )

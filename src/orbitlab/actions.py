@@ -236,9 +236,6 @@ def trivial_action(n: int) -> FiniteAction:
 
 # -- orbit enumeration -------------------------------------------------------
 
-MODES = ("power", "injective", "subsets")
-
-
 @dataclass(frozen=True)
 class Orbit:
     representative: tuple
@@ -267,13 +264,11 @@ def _key(x, mode: str):
     return tuple(sorted(x)) if mode == "subsets" else x
 
 
-def orbits(
-    action: FiniteAction,
-    n: int,
-    mode: str = "injective",
-    space_cap: int = DEFAULT_SPACE_CAP,
-) -> list[Orbit]:
-    """Orbits on n-tuples (power/injective) or n-subsets, reps lex-minimal."""
+def _orbit_point_sets(
+    action: FiniteAction, n: int, mode: str, space_cap: int = DEFAULT_SPACE_CAP
+):
+    """Yield the point set of each orbit on n-tuples (power/injective) or
+    n-subsets once, in the order of each orbit's first point in the space."""
     N = action.domain_size
     if mode in ("injective", "subsets") and n > N:
         raise MalformedInputError(f"n={n} exceeds domain size {N} for mode {mode}")
@@ -283,10 +278,8 @@ def orbits(
     act = _act(mode)
     gens = action.generators
     seen = set()
-    out = []
     for x in points:
-        kx = _key(x, mode)
-        if kx in seen:
+        if x in seen:
             continue
         orbit = {x}
         bdy = [x]
@@ -299,9 +292,21 @@ def orbits(
                         orbit.add(z)
                         new.append(z)
             bdy = new
-        seen.update(_key(y, mode) for y in orbit)
-        rep = min(_key(y, mode) for y in orbit)
-        out.append(Orbit(rep, frozenset(orbit)))
+        seen |= orbit
+        yield orbit
+
+
+def orbits(
+    action: FiniteAction,
+    n: int,
+    mode: str = "injective",
+    space_cap: int = DEFAULT_SPACE_CAP,
+) -> list[Orbit]:
+    """Orbits on n-tuples (power/injective) or n-subsets, reps lex-minimal."""
+    out = [
+        Orbit(min(_key(y, mode) for y in orbit), frozenset(orbit))
+        for orbit in _orbit_point_sets(action, n, mode, space_cap)
+    ]
     out.sort(key=lambda o: o.representative)
     return out
 
@@ -309,7 +314,7 @@ def orbits(
 def orbit_count(action: FiniteAction, n: int, mode: str) -> int:
     if n == 0:
         return 1
-    return len(orbits(action, n, mode))
+    return sum(1 for _ in _orbit_point_sets(action, n, mode))
 
 
 # -- growth functions --------------------------------------------------------
@@ -379,9 +384,7 @@ def growth_profile(action: FiniteAction, max_n: int) -> GrowthProfile:
 
 
 def _orbit_partition(action: FiniteAction, n: int, mode: str) -> frozenset:
-    return frozenset(
-        frozenset(_key(y, mode) for y in o.elements) for o in orbits(action, n, mode)
-    )
+    return frozenset(map(frozenset, _orbit_point_sets(action, n, mode)))
 
 
 def same_orbits(G: FiniteAction, H: FiniteAction, n: int, mode: str = "injective") -> bool:

@@ -196,10 +196,11 @@ def _endomorphism_images(kind: CategoryKind, m: int) -> tuple[tuple[int, ...], .
     return tuple(g for g in permutations(range(1, m + 1)) if is_morphism(kind, m, m, g))
 
 
-# factorize's g is always a permutation of [m], so the same few recur
+# factorize checks its g (a permutation of [m]) and its eps' (an increasing
+# injection) against the lemma; across a hom-set the same few recur
 @lru_cache(maxsize=None)
-def _is_endomorphism(kind: CategoryKind, m: int, image: tuple[int, ...]) -> bool:
-    return is_morphism(kind, m, m, image)
+def _is_morphism(kind: CategoryKind, m: int, n: int, image: tuple[int, ...]) -> bool:
+    return is_morphism(kind, m, n, image)
 
 
 def hom_size_formula(kind: CategoryKind, m: int, n: int) -> int:
@@ -238,11 +239,11 @@ def factorize(f: InjectionMorphism) -> tuple[InjectionMorphism, InjectionMorphis
     sorted_image = tuple(sorted(f.image))
     position = {v: i + 1 for i, v in enumerate(sorted_image)}
     g_image = tuple(position[v] for v in f.image)
-    if not _is_endomorphism(f.kind, f.source, g_image):
+    if not _is_morphism(f.kind, f.source, f.source, g_image):
         raise FalsificationError(
             f"factorization of {f} produced a non-endomorphism g = {g_image}"
         )
-    if not is_morphism(f.kind, f.source, f.target, sorted_image):
+    if not _is_morphism(f.kind, f.source, f.target, sorted_image):
         raise FalsificationError(
             f"factorization of {f} produced a non-morphism eps' = {sorted_image}"
         )

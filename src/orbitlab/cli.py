@@ -177,8 +177,7 @@ def cmd_fullness_witness(args) -> int:
 def cmd_amalgamate(args) -> int:
     e1 = parse_embedding_file(_read(args.embedding1))
     e2 = parse_embedding_file(_read(args.embedding2))
-    age = age_for(args.age)
-    problem = AmalgamationProblem(e1.source, e1.target, e2.target, e1, e2, age)
+    problem = AmalgamationProblem.checked(e1, e2, age_for(args.age))
     amalgam = solve_amalgamation(problem, strong=not args.weak)
     if amalgam is None:
         _emit(args, {"amalgam": "NONE"})
@@ -242,9 +241,10 @@ def cmd_orbitcat(args) -> int:
 
 def cmd_noeth_chain(args) -> int:
     field = CoefficientField.from_string(args.field)
-    chain = parse_chain_file(_read(args.chain), field)
+    kind = _kind(args)
+    chain = parse_chain_file(_read(args.chain), kind, field)
     report = chain_experiment(
-        _kind(args), chain, args.width, args.degree, MonomialOrder(args.order)
+        kind, chain, args.width, args.degree, MonomialOrder(args.order)
     )
     _emit(
         args,

@@ -1,15 +1,16 @@
 """Equivariant-module laboratory.
 
 Free presheaves with generator width n have, at evaluation width s, one free
-polynomial-module summand per category morphism [n] -> [s]; a category
-morphism out of [s] acts by substituting variables in coefficients and
-post-composing the basis morphisms.  Width components of finitely generated
-subpresheaves are handled as submodules of a free module over the width-s
-polynomial ring, with a straightforward Buchberger engine (position-over-term
-extension of the chosen monomial order, basis positions ordered by the
-lexicographic hom-set order).  A vector of that free module maps each
-position with a nonzero coordinate to a Polynomial, so all coefficient
-arithmetic goes through Polynomial.
+polynomial-module summand per category morphism [n] -> [s].  An element is
+a ModuleVector of that free module over the width-s polynomial ring, keyed
+by the images of the morphisms: `{(2,): x2}` is x2 on the summand of the
+morphism [1] -> [s] with image (2,).  A category morphism out of [s] acts by
+substituting variables in the coefficients and post-composing the keys.
+Width components of finitely generated subpresheaves are submodules of that
+free module, handled by a straightforward Buchberger engine
+(position-over-term extension of the chosen monomial order).  Keys of one
+generator width order like the hom-set, lexicographically by image, and all
+coefficient arithmetic goes through Polynomial.
 
 Everything is truncated: statements are certified only up to a width W and,
 when Buchberger pairs are discarded, up to a degree bound D.  Both appear in
@@ -19,7 +20,6 @@ every report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .actions import DEFAULT_SPACE_CAP
 from .categories import (
@@ -51,19 +51,18 @@ DEFAULT_PAIR_CAP = 20_000
 
 
 class ModuleVector:
-    """Element of R^rank with R the width-variable polynomial ring: `coords`
-    maps each position with a nonzero coordinate to its Polynomial."""
+    """Element of a free module over R, the width-variable polynomial ring:
+    `coords` maps each position with a nonzero coordinate to its Polynomial.
+    Positions are any mutually comparable keys; presheaf elements use the
+    images of their basis morphisms."""
 
-    __slots__ = ("width", "field", "rank", "coords")
+    __slots__ = ("width", "field", "coords")
 
-    def __init__(self, width, field, rank, entries=None):
+    def __init__(self, width, field, entries=None):
         self.width = width
         self.field = field
-        self.rank = rank
         coords = {}
         for pos, poly in (entries or {}).items():
-            if not 0 <= pos < rank:
-                raise MalformedInputError(f"position {pos} outside rank {rank}")
             if poly.width != width or poly.field != field:
                 raise MalformedInputError("coordinate lives in the wrong ring")
             if not poly.is_zero():
@@ -83,7 +82,7 @@ class ModuleVector:
         return not self.coords
 
     def _check(self, other):
-        if (self.width, self.field, self.rank) != (other.width, other.field, other.rank):
+        if (self.width, self.field) != (other.width, other.field):
             raise MalformedInputError("module vector shape mismatch")
 
     def __add__(self, other):
@@ -91,13 +90,12 @@ class ModuleVector:
         coords = dict(self.coords)
         for pos, poly in other.coords.items():
             coords[pos] = coords[pos] + poly if pos in coords else poly
-        return ModuleVector(self.width, self.field, self.rank, coords)
+        return ModuleVector(self.width, self.field, coords)
 
     def term_mul(self, mono, c):
         return ModuleVector(
             self.width,
             self.field,
-            self.rank,
             {pos: poly.term_mul(mono, c) for pos, poly in self.coords.items()},
         )
 
@@ -112,12 +110,11 @@ class ModuleVector:
             isinstance(other, ModuleVector)
             and self.width == other.width
             and self.field == other.field
-            and self.rank == other.rank
             and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.width, self.rank, frozenset(self.coords.items())))
+        return hash((self.width, frozenset(self.coords.items())))
 
     def __repr__(self):
         return f"ModuleVector({self.coords})"
@@ -140,9 +137,9 @@ def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
             lead = Polynomial.monomial(v.width, mono, c, f)
             remainder[pos] = remainder[pos] + lead if pos in remainder else lead
             work = ModuleVector(
-                v.width, f, v.rank, {**work.coords, pos: work.coords[pos] - lead}
+                v.width, f, {**work.coords, pos: work.coords[pos] - lead}
             )
-    return ModuleVector(v.width, f, v.rank, remainder)
+    return ModuleVector(v.width, f, remainder)
 
 
 @dataclass(frozen=True)
@@ -235,19 +232,20 @@ def _reduce_basis(basis, order: MonomialOrder) -> tuple:
     return tuple(reduced)
 
 
-def submodule_dimension_upto(
-    gb: GroebnerBasis, width: int, rank: int, degree: int
-) -> int:
+def submodule_dimension_upto(gb: GroebnerBasis, width: int, degree: int) -> int:
     """k-dimension of the degree <= `degree` slice of the submodule, counted
     via leading terms (exact for degree-compatible orders, a profile metric
-    for lex)."""
-    leads = [g.leading(gb.order)[0] for g in gb.vectors]
-    count = 0
-    for pos in range(rank):
-        for mono in _monomials_upto(width, degree):
-            if any(p == pos and monomial_divides(m, mono) for p, m in leads):
-                count += 1
-    return count
+    for lex).  Only positions holding a leading term contribute."""
+    leads: dict = {}
+    for g in gb.vectors:
+        (pos, mono), _ = g.leading(gb.order)
+        leads.setdefault(pos, []).append(mono)
+    return sum(
+        1
+        for monos in leads.values()
+        for mono in _monomials_upto(width, degree)
+        if any(monomial_divides(m, mono) for m in monos)
+    )
 
 
 def _monomials_upto(width: int, degree: int):
@@ -264,80 +262,22 @@ def _monomials_upto(width: int, degree: int):
 # -- presheaf elements ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PresheafElement:
-    """Width-s value of an element of the free presheaf with generator width n:
-    a coefficient polynomial in the width-s ring for each morphism [n] -> [s]."""
-
-    kind: CategoryKind
-    gen_width: int
-    width: int
-    coeffs: tuple  # ((InjectionMorphism, Polynomial), ...) sorted by image
-
-    def __post_init__(self):
-        for eps, poly in self.coeffs:
-            if eps.kind is not self.kind or eps.source != self.gen_width:
-                raise MalformedInputError(f"basis morphism {eps} has wrong shape")
-            if eps.target != self.width or poly.width != self.width:
-                raise MalformedInputError("coefficient lives in the wrong ring")
-
-    @property
-    def coeff_map(self) -> dict:
-        return dict(self.coeffs)
-
-    @property
-    def field(self) -> CoefficientField:
-        for _, poly in self.coeffs:
-            return poly.field
-        return QQ
-
-    def is_zero(self):
-        return all(p.is_zero() for _, p in self.coeffs)
-
-
-def presheaf_element(kind, gen_width, width, coeff_map) -> PresheafElement:
-    items = [
-        (eps, poly)
-        for eps, poly in coeff_map.items()
-        if not poly.is_zero()
-    ]
-    items.sort(key=lambda it: it[0].image)
-    return PresheafElement(kind, gen_width, width, tuple(items))
-
-
-def apply_morphism(v: PresheafElement, pi: InjectionMorphism) -> PresheafElement:
+def apply_morphism(v: ModuleVector, pi: InjectionMorphism) -> ModuleVector:
     """Push v along pi: [s] -> [r]; coefficients get pi's substitution and
-    basis morphisms are post-composed."""
-    if pi.kind is not v.kind:
-        raise MalformedInputError("kind mismatch")
+    each key (a basis morphism's image) is post-composed with pi."""
     if pi.source != v.width:
         raise MalformedInputError(
             f"morphism starts at [{pi.source}], element has width {v.width}"
         )
-    out = {}
-    for eps, poly in v.coeffs:
-        key = compose(eps, pi)
-        moved = poly.substitute(pi.image, pi.target)
-        out[key] = out[key] + moved if key in out else moved
-    return presheaf_element(v.kind, v.gen_width, pi.target, out)
-
-
-def to_vector(v: PresheafElement, basis=None) -> ModuleVector:
-    """Coordinates of v in the free module whose positions are the basis
-    morphisms (by default the hom-set in its lexicographic order)."""
-    basis = basis if basis is not None else hom_set(v.kind, v.gen_width, v.width)
-    index = {eps: i for i, eps in enumerate(basis)}
+    # pi is injective, so distinct keys stay distinct
     return ModuleVector(
-        v.width, v.field, len(basis), {index[eps]: poly for eps, poly in v.coeffs}
+        pi.target,
+        v.field,
+        {
+            tuple(pi.image[i - 1] for i in image): poly.substitute(pi.image, pi.target)
+            for image, poly in v.coords.items()
+        },
     )
-
-
-def from_vector(
-    kind, gen_width, vec: ModuleVector, basis=None
-) -> PresheafElement:
-    basis = basis if basis is not None else hom_set(kind, gen_width, vec.width)
-    coeffs = {basis[pos]: poly for pos, poly in vec.coords.items()}
-    return presheaf_element(kind, gen_width, vec.width, coeffs)
 
 
 @dataclass(frozen=True)
@@ -345,10 +285,8 @@ class TruncatedSubmodule:
     """Width component of the subpresheaf generated by the given elements."""
 
     kind: CategoryKind
-    gen_width: int
     generators: tuple
     width: int
-    basis: tuple  # morphisms indexing free-module positions
     groebner: GroebnerBasis
 
     @property
@@ -363,36 +301,28 @@ def width_component(
     order: MonomialOrder = GREVLEX,
     degree_cap: int | None = None,
 ) -> TruncatedSubmodule:
-    """Span at the given width of all morphism-images of the generators."""
+    """Span at the given width of all morphism-images of the generators, which
+    share one generator width (one key length)."""
     generators = tuple(generators)
-    gen_widths = {g.gen_width for g in generators}
-    if len(gen_widths) > 1:
-        raise MalformedInputError("generators must share one generator width")
-    gen_width = gen_widths.pop() if gen_widths else 0
-    for g in generators:
-        if g.kind is not kind:
-            raise MalformedInputError("generator kind mismatch")
     # a generator at width > `width` has no morphisms into [width] and
     # contributes nothing; the hom-set loop below handles that uniformly
-    basis = tuple(hom_set(kind, gen_width, width))
-    vectors = []
-    for g in generators:
-        for pi in hom_set(kind, g.width, width):
-            vectors.append(to_vector(apply_morphism(g, pi), basis))
+    vectors = [
+        apply_morphism(g, pi)
+        for g in generators
+        for pi in hom_set(kind, g.width, width)
+    ]
     # images of one generator under different morphisms often coincide (a
     # symmetric polynomial under FI); each repeat only adds S-pairs
     gb = groebner_basis(list(dict.fromkeys(vectors)), order, degree_cap)
-    return TruncatedSubmodule(kind, gen_width, generators, width, basis, gb)
+    return TruncatedSubmodule(kind, generators, width, gb)
 
 
-def membership(v: PresheafElement, M: TruncatedSubmodule) -> bool:
-    if v.kind is not M.kind or v.gen_width != M.gen_width:
-        raise MalformedInputError("element and submodule have different shapes")
+def membership(v: ModuleVector, M: TruncatedSubmodule) -> bool:
     if v.width != M.width:
         raise MalformedInputError(
             f"element width {v.width} != component width {M.width}"
         )
-    return M.groebner.contains(to_vector(v, M.basis))
+    return M.groebner.contains(v)
 
 
 # -- chain experiments ------------------------------------------------------------
@@ -481,9 +411,8 @@ def chain_experiment(
                 first_stable = i + 1
             else:
                 break
-        rank = len(components[0].basis)
         profile = tuple(
-            submodule_dimension_upto(gb, width, rank, degree_cap) for gb in gbs
+            submodule_dimension_upto(gb, width, degree_cap) for gb in gbs
         )
         monotone = all(
             all(later.contains(v) for v in earlier.vectors)
@@ -565,10 +494,9 @@ def restriction_decomposition_check(
 # -- element files ---------------------------------------------------------------
 
 
-def parse_element_line(
-    line: str, field: CoefficientField = QQ
-) -> PresheafElement:
-    """One line `KIND n s : [image] : polynomial` describing a single term."""
+def parse_element_line(line: str, field: CoefficientField = QQ) -> tuple:
+    """One line `KIND n s : [image] : polynomial` describing a single term:
+    (kind, generator width n, the width-s vector `{image: polynomial}`)."""
     parts = line.split(":", 2)
     if len(parts) != 3:
         raise MalformedInputError(f"bad element line: {line!r}")
@@ -590,12 +518,16 @@ def parse_element_line(
     )
     eps = InjectionMorphism.checked(kind, n, s, image)
     poly = parse_polynomial(parts[2], s, field)
-    return presheaf_element(kind, n, s, {eps: poly})
+    return kind, n, ModuleVector(s, field, {eps.image: poly})
 
 
-def parse_chain_file(text: str, field: CoefficientField = QQ) -> list:
+def parse_chain_file(
+    text: str, kind: CategoryKind, field: CoefficientField = QQ
+) -> list:
     """Chain file: element lines, with `--` lines separating chain steps.
-    Steps accumulate: each step's generators are added to the previous set."""
+    Steps accumulate: each step's generators are added to the previous set.
+    Each step's generators must be of `kind` and share one generator width;
+    the steps are checked in order, width first."""
     steps = [[]]
     for ln in text.splitlines():
         ln = ln.strip()
@@ -609,5 +541,9 @@ def parse_chain_file(text: str, field: CoefficientField = QQ) -> list:
     acc = []
     for step in steps:
         acc = acc + step
-        chain.append(tuple(acc))
+        if len({n for _, n, _ in acc}) > 1:
+            raise MalformedInputError("generators must share one generator width")
+        if any(k is not kind for k, _, _ in acc):
+            raise MalformedInputError("generator kind mismatch")
+        chain.append(tuple(v for _, _, v in acc))
     return chain

@@ -172,9 +172,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((monomial_degree(m) for m in self.terms), default=0)
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

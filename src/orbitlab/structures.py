@@ -309,14 +309,16 @@ class AmalgamationProblem:
     f2: StructureEmbedding
     age: object
 
-    def __post_init__(self):
-        if self.f1.source != self.sigma or self.f1.target != self.gamma1:
-            raise MalformedInputError("f1 must embed sigma into gamma1")
-        if self.f2.source != self.sigma or self.f2.target != self.gamma2:
+    @classmethod
+    def checked(cls, f1, f2, age) -> "AmalgamationProblem":
+        """The problem posed by two embeddings read from outside, or
+        MalformedInputError if they do not share a source inside the age."""
+        if f2.source != f1.source:
             raise MalformedInputError("f2 must embed sigma into gamma2")
-        for s in (self.sigma, self.gamma1, self.gamma2):
-            if not self.age.contains(s):
+        for s in (f1.source, f1.target, f2.target):
+            if not age.contains(s):
                 raise MalformedInputError("structure outside the age")
+        return cls(f1.source, f1.target, f2.target, f1, f2, age)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from orbitlab.categories import (
     hom_set,
     hom_size_formula,
 )
-from orbitlab.modlab import chain_experiment, groebner_basis, presheaf_element
+from orbitlab.modlab import chain_experiment, groebner_basis
 from orbitlab.orbitcat import OrbitCategory, phi_iso_report
 from orbitlab.polynomials import GREVLEX, CoefficientField, QQ, parse_polynomial
 from orbitlab.structures import age_has_sap

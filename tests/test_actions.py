@@ -313,12 +313,13 @@ def test_lemma_consistency_random():
 
 def test_lemma_check_enumerates_each_level_once(monkeypatch):
     calls = []
+    enumerate_orbits = actions._orbit_point_sets
 
-    def counting_orbits(action, n, mode="injective", *rest):
+    def counting_orbits(action, n, mode, *rest):
         calls.append((n, mode))
-        return orbits(action, n, mode, *rest)
+        return enumerate_orbits(action, n, mode, *rest)
 
-    monkeypatch.setattr(actions, "orbits", counting_orbits)
+    monkeypatch.setattr(actions, "_orbit_point_sets", counting_orbits)
     S4 = symmetric_action(4)
     report = lemma_equivalence_check(S4, S4, 3)
     assert report.consistent and report.cond1

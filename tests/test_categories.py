@@ -218,7 +218,7 @@ def test_factorize_rejects_a_bad_factor(monkeypatch):
         factorize(InjectionMorphism(CategoryKind.OI, 2, 3, (3, 1)))
     # the lemma makes every increasing injection a morphism, so a bad eps'
     # needs a predicate that says otherwise
-    monkeypatch.setattr(categories, "is_morphism", lambda kind, m, n, image: m == n)
+    monkeypatch.setattr(categories, "_is_morphism", lambda kind, m, n, image: m == n)
     with pytest.raises(FalsificationError, match="non-morphism eps'"):
         factorize(InjectionMorphism(CategoryKind.CI, 3, 4, (2, 3, 1)))
 

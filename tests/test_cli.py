@@ -2,9 +2,14 @@
 contract: 0 success, 1 property violation, 2 malformed input, 3 resource cap."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbitlab
 from orbitlab.cli import main
 
 S3 = "N=3\n(1 2)\n(1 2 3)\n"
@@ -160,13 +165,9 @@ def test_sap(capsys):
 
 def test_amalgamate(capsys, tmp_path):
     e1 = tmp_path / "e1.emb"
-    e1.write_text(
-        "[source]\nuniverse = a\nlt/2:\n[target]\nuniverse = a b\nlt/2: (a,b)\n[map]\na -> a\n"
-    )
+    e1.write_text(EMBEDDING_A_BELOW_B)
     e2 = tmp_path / "e2.emb"
-    e2.write_text(
-        "[source]\nuniverse = a\nlt/2:\n[target]\nuniverse = a c\nlt/2: (c,a)\n[map]\na -> a\n"
-    )
+    e2.write_text(EMBEDDING_C_BELOW_A)
     code, data = run_json(
         capsys, "amalgamate", "--embedding1", str(e1), "--embedding2", str(e2), "--age", "linear"
     )
@@ -194,9 +195,12 @@ def test_orbitcat_deterministic(capsys, grp):
     assert data["hom_counts"][0] == [1] + [0] * 15
 
 
+OI_CHAIN = "OI 0 1 : [] : x1^2\n--\nOI 0 2 : [] : x1*x2\n--\nOI 0 1 : [] : x1\n"
+
+
 def test_noeth_chain(capsys, tmp_path):
     chain = tmp_path / "oi.chain"
-    chain.write_text("OI 0 1 : [] : x1^2\n--\nOI 0 2 : [] : x1*x2\n--\nOI 0 1 : [] : x1\n")
+    chain.write_text(OI_CHAIN)
     code, data = run_json(
         capsys,
         "noeth-chain",
@@ -213,6 +217,36 @@ def test_noeth_chain(capsys, tmp_path):
     assert data["all_stabilized"] and data["width_uniform_index"]
     assert data["results"][0]["chain_index"] == 3
     assert data["config"]["width"] == 3 and data["config"]["degree"] == 3
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # str and frozenset iteration order follows PYTHONHASHSEED; reports must not
+    files = {"oi.chain": OI_CHAIN, "e1.emb": EMBEDDING_A_BELOW_B, "e2.emb": EMBEDDING_C_BELOW_A}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    commands = (
+        ("noeth-chain", "--kind", "oi", "--chain", "oi.chain", "--width", "4", "--degree", "3"),
+        ("sap", "--kind", "pair", "--cap", "2"),
+        ("amalgamate", "--embedding1", "e1.emb", "--embedding2", "e2.emb", "--age", "linear"),
+    )
+    script = f"from orbitlab.cli import main\nfor argv in {commands!r}:\n    main(list(argv))\n"
+    src = str(Path(orbitlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    (out0, err0), (out1, err1) = (run.communicate(timeout=300) for run in runs)
+    assert err0 == err1 == ""
+    assert out0.count('"tool": "orbitlab"') == len(commands)
+    assert out0 == out1
 
 
 def test_restrict_check(capsys):
@@ -240,6 +274,18 @@ EMBEDDING_WITH_BAD_ARITY = (
 EMBEDDING_NOT_AN_EMBEDDING = (
     "[source]\nuniverse = a b\nlt/2: (a,b)\n[target]\nuniverse = a b\nlt/2: (a,b)\n"
     "[map]\na -> b\nb -> a\n"
+)
+EMBEDDING_INTO_UNORDERED_PAIR = (
+    "[source]\nuniverse = a\nlt/2:\n[target]\nuniverse = a b\nlt/2:\n[map]\na -> a\n"
+)
+EMBEDDING_FROM_B = (
+    "[source]\nuniverse = b\nlt/2:\n[target]\nuniverse = b c\nlt/2: (b,c)\n[map]\nb -> b\n"
+)
+EMBEDDING_A_BELOW_B = (
+    "[source]\nuniverse = a\nlt/2:\n[target]\nuniverse = a b\nlt/2: (a,b)\n[map]\na -> a\n"
+)
+EMBEDDING_C_BELOW_A = (
+    "[source]\nuniverse = a\nlt/2:\n[target]\nuniverse = a c\nlt/2: (c,a)\n[map]\na -> a\n"
 )
 GROWTH = ("growth", "--group", "g.grp", "--max-n", "2")
 CHAIN_FILE = ("noeth-chain", "--kind", "fi", "--chain", "c.chain")
@@ -275,6 +321,18 @@ CHAIN = CHAIN_FILE + ("--width", "1", "--degree", "1")
         ),
         ({"g.grp": b"\xff\xfeN=3\n(1 2)\n"}, ("orbitcat", "--group", "g.grp", "--cap", "1")),
         ({"c.chain": b"\xff\xfeFI 0 1 : [] : x1\n"}, CHAIN),
+        (
+            {"e.emb": EMBEDDING_INTO_UNORDERED_PAIR},
+            ("amalgamate", "--embedding1", "e.emb", "--embedding2", "e.emb", "--age", "linear"),
+        ),
+        (
+            {"a.emb": EMBEDDING_A_BELOW_B, "b.emb": EMBEDDING_FROM_B},
+            ("amalgamate", "--embedding1", "a.emb", "--embedding2", "b.emb", "--age", "linear"),
+        ),
+        (
+            {"c.chain": "FI 0 1 : [] : x1\n"},
+            ("noeth-chain", "--kind", "oi", "--chain", "c.chain", "--width", "1", "--degree", "1"),
+        ),
     ],
     ids=[
         "one-line-token",
@@ -294,6 +352,9 @@ CHAIN = CHAIN_FILE + ("--width", "1", "--degree", "1")
         "map-not-an-embedding",
         "group-file-not-utf8",
         "chain-file-not-utf8",
+        "structure-outside-the-age",
+        "embeddings-with-different-sources",
+        "chain-kind-mismatch",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, files, argv):

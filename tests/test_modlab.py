@@ -9,22 +9,19 @@ from math import comb
 
 import pytest
 
-from orbitlab.categories import CategoryKind, InjectionMorphism, hom_set
+from orbitlab.categories import CategoryKind, InjectionMorphism, compose, hom_set
 from orbitlab.errors import MalformedInputError
 from orbitlab.modlab import (
     GroebnerBasis,
     ModuleVector,
     apply_morphism,
     chain_experiment,
-    from_vector,
     groebner_basis,
     membership,
     normal_form,
     parse_chain_file,
     parse_element_line,
-    presheaf_element,
     restriction_decomposition_check,
-    to_vector,
     width_component,
 )
 from orbitlab.polynomials import (
@@ -100,27 +97,27 @@ def la_member(v, generators, bound, field):
 # -- Groebner engine -------------------------------------------------------------
 
 
-def vec(width, field, rank, terms):
+def vec(width, field, terms):
     """ModuleVector from a flat map (position, monomial) -> coefficient."""
     coords = {}
     for (pos, mono), c in terms.items():
         coords.setdefault(pos, {})[mono] = c
     polys = {p: Polynomial(width, field, t) for p, t in coords.items()}
-    return ModuleVector(width, field, rank, polys)
+    return ModuleVector(width, field, polys)
 
 
 def test_groebner_ideal_examples():
     # {x^2 - 1, x - 1} -> {x - 1}
-    f = vec(1, QQ, 1, {(0, (2,)): 1, (0, (0,)): -1})
-    g = vec(1, QQ, 1, {(0, (1,)): 1, (0, (0,)): -1})
+    f = vec(1, QQ, {(0, (2,)): 1, (0, (0,)): -1})
+    g = vec(1, QQ, {(0, (1,)): 1, (0, (0,)): -1})
     gb = groebner_basis([f, g], LEX)
     assert [v.terms for v in gb.vectors] == [g.terms]
 
 
 def test_groebner_lex_textbook():
     # {xy - 1, y^2 - 1} lex x>y -> {x - y, y^2 - 1}
-    a = vec(2, QQ, 1, {(0, (1, 1)): 1, (0, (0, 0)): -1})
-    b = vec(2, QQ, 1, {(0, (0, 2)): 1, (0, (0, 0)): -1})
+    a = vec(2, QQ, {(0, (1, 1)): 1, (0, (0, 0)): -1})
+    b = vec(2, QQ, {(0, (0, 2)): 1, (0, (0, 0)): -1})
     gb = groebner_basis([a, b], LEX)
     got = {frozenset(v.terms.items()) for v in gb.vectors}
     want = {
@@ -131,7 +128,7 @@ def test_groebner_lex_textbook():
 
 
 def test_groebner_single_module_term():
-    v = vec(1, QQ, 2, {(0, (1,)): 1})
+    v = vec(1, QQ, {(0, (1,)): 1})
     gb = groebner_basis([v], GREVLEX)
     assert [w.terms for w in gb.vectors] == [v.terms]
 
@@ -154,7 +151,7 @@ def random_vector(rng, width, rank, field, degree=2):
             continue
         pos = rng.randrange(rank)
         terms[(pos, mono)] = field.coerce(rng.randint(-3, 3))
-    return vec(width, field, rank, terms)
+    return vec(width, field, terms)
 
 
 def test_membership_vs_linear_algebra_oracle():
@@ -174,7 +171,7 @@ def test_membership_vs_linear_algebra_oracle():
         gb = groebner_basis(gens, GREVLEX)
         if trial % 3 == 0:
             # guaranteed member: a random combination of the generators
-            v = ModuleVector(width, field, rank, {})
+            v = ModuleVector(width, field)
             for g in gens:
                 mono = tuple(rng.randint(0, 1) for _ in range(width))
                 v = v + g.term_mul(mono, field.coerce(rng.randint(1, 2)))
@@ -197,30 +194,26 @@ def eps(kind, n, s, image):
     return InjectionMorphism(kind, n, s, tuple(image))
 
 
+def element(width, coeffs):
+    """Presheaf element at this width: {basis morphism image: polynomial text}."""
+    return ModuleVector(
+        width, QQ, {image: parse_polynomial(text, width) for image, text in coeffs.items()}
+    )
+
+
 def test_apply_morphism_known_example():
-    v = presheaf_element(OI, 1, 1, {eps(OI, 1, 1, (1,)): parse_polynomial("x1", 1)})
+    v = element(1, {(1,): "x1"})
     pi = eps(OI, 1, 2, (2,))
     w = apply_morphism(v, pi)
-    assert dict(w.coeffs) == {eps(OI, 1, 2, (2,)): parse_polynomial("x2", 2)}
+    assert w.coords == {(2,): parse_polynomial("x2", 2)}
 
 
 def test_apply_morphism_identity_and_functoriality():
-    rng = random.Random(5)
-    v = presheaf_element(
-        OI,
-        1,
-        2,
-        {
-            eps(OI, 1, 2, (1,)): parse_polynomial("x1*x2", 2),
-            eps(OI, 1, 2, (2,)): parse_polynomial("x2 - 3", 2),
-        },
-    )
+    v = element(2, {(1,): "x1*x2", (2,): "x2 - 3"})
     ident = eps(OI, 2, 2, (1, 2))
     assert apply_morphism(v, ident) == v
     for pi in hom_set(OI, 2, 3):
         for rho in hom_set(OI, 3, 4):
-            from orbitlab.categories import compose
-
             assert apply_morphism(apply_morphism(v, pi), rho) == apply_morphism(
                 v, compose(pi, rho)
             )
@@ -228,23 +221,21 @@ def test_apply_morphism_identity_and_functoriality():
 
 def test_apply_morphism_semilinear():
     a = parse_polynomial("x1 + 2", 2)
-    v = presheaf_element(OI, 1, 2, {eps(OI, 1, 2, (1,)): parse_polynomial("x2", 2)})
-    scaled = presheaf_element(
-        OI, 1, 2, {m: a * p for m, p in v.coeffs}
-    )
+    v = element(2, {(1,): "x2"})
+    scaled = ModuleVector(2, QQ, {m: a * p for m, p in v.coords.items()})
     for pi in hom_set(OI, 2, 3):
         lhs = apply_morphism(scaled, pi)
         moved_a = a.substitute(pi.image, 3)
-        rhs_map = {m: moved_a * p for m, p in apply_morphism(v, pi).coeffs}
-        assert dict(lhs.coeffs) == rhs_map
+        rhs_map = {m: moved_a * p for m, p in apply_morphism(v, pi).coords.items()}
+        assert lhs.coords == rhs_map
 
 
 def test_width_component_known_example():
-    gen = presheaf_element(OI, 1, 1, {eps(OI, 1, 1, (1,)): parse_polynomial("x1^2", 1)})
+    gen = element(1, {(1,): "x1^2"})
     M = width_component(OI, [gen], 3)
-    x3sq = presheaf_element(OI, 1, 3, {eps(OI, 1, 3, (3,)): parse_polynomial("x3^2", 3)})
-    x1x2 = presheaf_element(OI, 1, 3, {eps(OI, 1, 3, (1,)): parse_polynomial("x1*x2", 3)})
-    zero = presheaf_element(OI, 1, 3, {})
+    x3sq = element(3, {(3,): "x3^2"})
+    x1x2 = element(3, {(1,): "x1*x2"})
+    zero = element(3, {})
     assert membership(x3sq, M)
     assert not membership(x1x2, M)
     assert membership(zero, M)
@@ -253,29 +244,26 @@ def test_width_component_known_example():
 def test_width_component_empty_and_unit():
     M0 = width_component(OI, [], 2)
     assert not M0.groebner.vectors
-    unit = presheaf_element(FI, 0, 1, {eps(FI, 0, 1, ()): Polynomial.constant(1, 1)})
+    unit = element(1, {(): "1"})
     M = width_component(FI, [unit], 3)
-    anything = presheaf_element(
-        FI, 0, 3, {eps(FI, 0, 3, ()): parse_polynomial("x1*x2*x3 - 7", 3)}
-    )
+    anything = element(3, {(): "x1*x2*x3 - 7"})
     assert membership(anything, M)
 
 
 def test_width_closure():
     # pushing the width-2 component along any OI map lands in the width-3 one
-    gen = presheaf_element(OI, 1, 1, {eps(OI, 1, 1, (1,)): parse_polynomial("x1^2", 1)})
+    gen = element(1, {(1,): "x1^2"})
     M2 = width_component(OI, [gen], 2)
     M3 = width_component(OI, [gen], 3)
-    for vec in M2.groebner.vectors:
-        v = from_vector(OI, 1, vec, M2.basis)
+    for v in M2.groebner.vectors:
         for pi in hom_set(OI, 2, 3):
             assert membership(apply_morphism(v, pi), M3)
 
 
 def test_membership_shape_checks():
-    gen = presheaf_element(OI, 1, 1, {eps(OI, 1, 1, (1,)): parse_polynomial("x1", 1)})
+    gen = element(1, {(1,): "x1"})
     M = width_component(OI, [gen], 2)
-    wrong_width = presheaf_element(OI, 1, 3, {eps(OI, 1, 3, (1,)): parse_polynomial("x1", 3)})
+    wrong_width = element(3, {(1,): "x1"})
     with pytest.raises(MalformedInputError):
         membership(wrong_width, M)
 
@@ -284,9 +272,9 @@ def test_membership_shape_checks():
 
 
 def ideal_gen(kind, width, text, field=QQ):
-    return presheaf_element(
-        kind, 0, width, {eps(kind, 0, width, ()): parse_polynomial(text, width, field)}
-    )
+    """The generator-width-0 element `text` at this width, read as an element line."""
+    _, _, v = parse_element_line(f"{kind.value} 0 {width} : [] : {text}", field)
+    return v
 
 
 def test_chain_constant_stabilizes_at_one():
@@ -372,10 +360,10 @@ def test_rank_identity():
 
 
 def test_parse_element_line():
-    v = parse_element_line("OI 1 2 : [2] : 3/2*x1^2 - x2")
-    assert v.kind is OI and v.gen_width == 1 and v.width == 2
-    ((m, p),) = v.coeffs
-    assert m.image == (2,)
+    kind, gen_width, v = parse_element_line("OI 1 2 : [2] : 3/2*x1^2 - x2")
+    assert kind is OI and gen_width == 1 and v.width == 2
+    ((image, p),) = v.coords.items()
+    assert image == (2,)
     assert p == parse_polynomial("3/2*x1^2 - x2", 2)
     with pytest.raises(MalformedInputError):
         parse_element_line("OI 1 : [1] : x1")
@@ -383,6 +371,22 @@ def test_parse_element_line():
 
 def test_parse_chain_file_accumulates():
     text = "OI 0 1 : [] : x1^2\n--\nOI 0 2 : [] : x1*x2\n"
-    chain = parse_chain_file(text)
+    chain = parse_chain_file(text, OI)
     assert len(chain) == 2
     assert len(chain[0]) == 1 and len(chain[1]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        ("OI 0 1 : [] : x1\n", FI, "kind mismatch"),
+        ("FI 1 1 : [1] : x1\n--\nFI 0 1 : [] : x1\n", FI, "one generator width"),
+        # a zero element keeps the generator width of its header
+        ("FI 1 1 : [1] : x1\nFI 0 1 : [] : 0\n", FI, "one generator width"),
+        # steps are checked in order: the first step's kind fails first
+        ("OI 0 1 : [] : x1\n--\nFI 1 1 : [1] : x1\n", FI, "kind mismatch"),
+    ],
+)
+def test_parse_chain_file_checks_kind_and_generator_width(text, kind, message):
+    with pytest.raises(MalformedInputError, match=message):
+        parse_chain_file(text, kind)
