@@ -5,8 +5,8 @@ of their kind (no relation for FI, the linear order for OI, betweenness for
 BI, the cyclic order for CI, the separation relation for SI).  Everything is
 materialized explicitly: composition is array lookup, and a hom-set is the
 sorted list of eps' o g over the increasing injections eps' and g in End([m]),
-the unique factorization of a morphism; End([m]) is the only set found by
-filtering.  Validity is checked once, where data enters (`parse_morphism`,
+the unique factorization of a morphism; End([m]) has a closed form per
+kind.  Validity is checked once, where data enters (`parse_morphism`,
 `InjectionMorphism.checked`), not again on morphisms the library builds.
 """
 
@@ -192,8 +192,20 @@ def hom_set(
 
 @lru_cache(maxsize=None)
 def _endomorphism_images(kind: CategoryKind, m: int) -> tuple[tuple[int, ...], ...]:
-    """End([m]) as image arrays: the permutations of [m] that are morphisms."""
-    return tuple(g for g in permutations(range(1, m + 1)) if is_morphism(kind, m, m, g))
+    """End([m]) as sorted image arrays: all of S_m (FI), the identity (OI),
+    the identity and the reversal (BI), the m rotations (CI), or the
+    rotations and reflections (SI).  For small m these repeat (the reversal
+    of [2] is a rotation); the set keeps each once."""
+    ident = tuple(range(1, m + 1))
+    if kind is CategoryKind.FI:
+        return tuple(permutations(ident))
+    images = {ident}
+    if kind in (CategoryKind.BI, CategoryKind.SI):
+        images.add(ident[::-1])
+    if kind in (CategoryKind.CI, CategoryKind.SI):
+        for g in tuple(images):
+            images.update(g[r:] + g[:r] for r in range(m))
+    return tuple(sorted(images))
 
 
 # factorize checks its g (a permutation of [m]) and its eps' (an increasing

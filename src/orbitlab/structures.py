@@ -188,7 +188,8 @@ class _Age:
     def contains(self, s: FiniteStructure) -> bool:
         """Whether some structure of the age on s's universe is s."""
         return s.signature == self.signature and any(
-            t.relations == s.relations for t in self.structures_on(s.universe)
+            t.relations == s.relations
+            for t in self.structures_on(s.universe, ((s.universe, s),))
         )
 
 
@@ -200,6 +201,7 @@ class BuiltinAge(_Age):
         if kind_name not in BUILTIN_KINDS:
             raise MalformedInputError(f"unknown built-in age {kind_name!r}")
         self.kind_name = kind_name
+        self._inducing = {}  # side structure -> arrangements that induce it
 
     @property
     def signature(self):
@@ -207,30 +209,91 @@ class BuiltinAge(_Age):
             return ()
         return (_KIND_RELATION[self.kind_name],)
 
-    def structures_on(self, labels):
+    def structures_on(self, labels, restrictions=()):
+        """The age structures on the labels, each at its first inducing
+        arrangement in `permutations(labels)` order.
+
+        `restrictions` is `((images, gamma), ...)` with `images` among the
+        labels: only structures whose restriction to `images` is `gamma`
+        (its universe mapped onto `images` in order) are built.  A partial
+        arrangement is dropped as soon as its subsequence on some `images` is
+        no prefix of an arrangement that induces that `gamma`.
+        """
         labels = tuple(labels)
         if self.kind_name == "set":
-            yield plain_set_structure(labels)
+            if all(gamma.signature == () for _, gamma in restrictions):
+                yield plain_set_structure(labels)
             return
+        prefixes = []
+        member = {x: [] for x in labels}  # label -> restrictions it is in
+        for r, (images, gamma) in enumerate(restrictions):
+            relabel = dict(zip(gamma.universe, images))
+            prefixes.append(
+                {
+                    tuple(relabel[x] for x in arr[:j])
+                    for arr in self._inducing_arrangements(gamma)
+                    for j in range(len(arr) + 1)
+                }
+            )
+            for x in images:
+                member[x].append(r)
+
+        def extend(arr, subs):
+            if len(arr) == len(labels):
+                yield arr
+                return
+            for x in labels:
+                if x in arr:
+                    continue
+                grown = list(subs)
+                for r in member[x]:
+                    grown[r] = subs[r] + (x,)
+                    if grown[r] not in prefixes[r]:
+                        break
+                else:
+                    yield from extend(arr + (x,), grown)
+
         seen = set()
-        for arr in permutations(labels):
+        for arr in extend((), [()] * len(prefixes)):
             s = arrangement_structure(self.kind_name, arr)
-            key = s.relations
-            if key not in seen:
-                seen.add(key)
+            if s.relations not in seen:
+                seen.add(s.relations)
                 yield s
 
+    def _inducing_arrangements(self, gamma: FiniteStructure) -> tuple:
+        """The arrangements of gamma's universe whose structure is gamma,
+        found once per gamma: a SAP check meets each side in many problems."""
+        if gamma not in self._inducing:
+            fits = gamma.signature == self.signature
+            self._inducing[gamma] = tuple(
+                arr
+                for arr in (permutations(gamma.universe) if fits else ())
+                if arrangement_structure(self.kind_name, arr).relations
+                == gamma.relations
+            )
+        return self._inducing[gamma]
 
-def _set_partitions(items):
+
+def _set_partitions(items, want):
+    """Set partitions of the items, recursing on the tail first.
+
+    `want` maps pairs `(a, b)`, `a` before `b` in items, to whether a and b
+    share a block; partitions that break it are skipped, the rest keep their
+    order.
+    """
     items = list(items)
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
+    ties = [(b, want[first, b]) for b in rest if (first, b) in want]
+    for part in _set_partitions(rest, want):
+        block = {x: i for i, blk in enumerate(part) for x in blk}
         for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
+            if all(equal == (block[b] == i) for b, equal in ties):
+                yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        if not any(equal for _, equal in ties):
+            yield [[first]] + part
 
 
 class PairAge(_Age):
@@ -272,12 +335,21 @@ class PairAge(_Age):
         relations = tuple((name, frozenset(ts)) for name, ts in rels.items())
         return FiniteStructure(labels, PairAge.signature, relations)
 
-    def structures_on(self, labels):
+    def structures_on(self, labels, restrictions=()):
+        """The age structures on the labels, each at its first slot partition
+        in `_set_partitions` order; label i owns slots 2i and 2i + 1.
+
+        `restrictions` is as for `BuiltinAge.structures_on`.  Each one fixes,
+        for every pair of slots of its points, whether the two coordinates are
+        equal, and only partitions that keep all of these are built.
+        """
         labels = tuple(labels)
         k = len(labels)
-        slots = list(range(2 * k))
+        want = _slot_constraints(labels, restrictions)
+        if want is None:
+            return
         seen = set()
-        for part in _set_partitions(slots):
+        for part in _set_partitions(range(2 * k), want):
             cls = {}
             for i, block in enumerate(part):
                 for s in block:
@@ -289,6 +361,33 @@ class PairAge(_Age):
             if s.relations not in seen:
                 seen.add(s.relations)
                 yield s
+
+
+# slot offsets (first coordinate 0, second 1) compared by each binary relation
+_PAIR_SLOTS = {"eq_ff": (0, 0), "eq_fs": (0, 1), "eq_sf": (1, 0), "eq_ss": (1, 1)}
+
+
+def _slot_constraints(labels, restrictions):
+    """`{(a, b): equal}` over slots `a < b` for the pair age's restrictions,
+    or None if they contradict each other or no structure can meet them."""
+    slot_of = {x: 2 * i for i, x in enumerate(labels)}
+    want = {}
+    for images, gamma in restrictions:
+        if gamma.signature != PairAge.signature:
+            return None
+        slot = {x: slot_of[y] for x, y in zip(gamma.universe, images)}
+        rels = dict(gamma.relations)
+        facts = [((slot[x], slot[x] + 1), (x,) in rels["diag"]) for x in gamma.universe]
+        for name, (i, j) in _PAIR_SLOTS.items():
+            for x, y in product(gamma.universe, repeat=2):
+                if x != y:
+                    facts.append(((slot[x] + i, slot[y] + j), (x, y) in rels[name]))
+                elif (x, x) in rels[name]:
+                    return None  # no structure of the age relates a point to itself
+        for pair, equal in facts:
+            if want.setdefault(tuple(sorted(pair)), equal) != equal:
+                return None
+    return want
 
 
 def age_for(name: str):
@@ -348,38 +447,12 @@ def _pushout_labels(p: AmalgamationProblem):
     return labels, m1, m2
 
 
-def solve_amalgamation(
-    p: AmalgamationProblem, strong: bool = True, label_cap: int = 10
-) -> Amalgam | None:
-    """Search for a (strong) amalgam of the problem within the age.
-
-    For strong the universe is fixed to the set pushout; for weak, every way
-    of additionally identifying points of the two sides is tried as well.
-    Returns the first amalgam in a deterministic search order, or None.
-    """
-    labels, m1, m2 = _pushout_labels(p)
-    if len(labels) > label_cap:
-        raise ResourceCapError(f"pushout universe of size {len(labels)} exceeds cap")
-
-    def try_universe(univ, map1, map2):
-        img1 = tuple(map1[x] for x in p.gamma1.universe)
-        img2 = tuple(map2[x] for x in p.gamma2.universe)
-        for delta in p.age.structures_on(univ):
-            if _embedding_ok(p.gamma1, delta, img1) and _embedding_ok(
-                p.gamma2, delta, img2
-            ):
-                return Amalgam(
-                    delta,
-                    StructureEmbedding(p.gamma1, delta, img1),
-                    StructureEmbedding(p.gamma2, delta, img2),
-                )
-        return None
-
-    found = try_universe(tuple(labels), m1, m2)
-    if found is not None or strong:
-        return found
-
-    # weak search: merge some of the private points of the two sides
+def _candidate_universes(labels, m1, m2, strong: bool):
+    """`(universe, map1, map2)` in search order: the set pushout, then, unless
+    strong, every way of merging private points of the two sides."""
+    yield tuple(labels), m1, m2
+    if strong:
+        return
     left = [x for x in labels if x[0] == "L"]
     right = [x for x in labels if x[0] == "R"]
     for k in range(1, min(len(left), len(right)) + 1):
@@ -387,11 +460,33 @@ def solve_amalgamation(
             for rsel in permutations(right, k):
                 merge = dict(zip(lsel, rsel))
                 univ = tuple(x for x in labels if x not in merge)
-                map1 = {x: merge.get(y, y) for x, y in m1.items()}
-                map2 = dict(m2)
-                found = try_universe(univ, map1, map2)
-                if found is not None:
-                    return found
+                yield univ, {x: merge.get(y, y) for x, y in m1.items()}, m2
+
+
+def solve_amalgamation(
+    p: AmalgamationProblem, strong: bool = True, label_cap: int = 10
+) -> Amalgam | None:
+    """Search for a (strong) amalgam of the problem within the age.
+
+    For strong the universe is fixed to the set pushout; for weak, every way
+    of additionally identifying points of the two sides is tried as well.
+    On each universe the age builds only structures that restrict to both
+    sides.  Returns the first amalgam in a deterministic search order, or None.
+    """
+    labels, m1, m2 = _pushout_labels(p)
+    if len(labels) > label_cap:
+        raise ResourceCapError(f"pushout universe of size {len(labels)} exceeds cap")
+    for univ, map1, map2 in _candidate_universes(labels, m1, m2, strong):
+        img1 = tuple(map1[x] for x in p.gamma1.universe)
+        img2 = tuple(map2[x] for x in p.gamma2.universe)
+        restrictions = ((img1, p.gamma1), (img2, p.gamma2))
+        delta = next(p.age.structures_on(univ, restrictions), None)
+        if delta is not None:
+            return Amalgam(
+                delta,
+                StructureEmbedding(p.gamma1, delta, img1),
+                StructureEmbedding(p.gamma2, delta, img2),
+            )
     return None
 
 
@@ -410,16 +505,12 @@ class SapReport:
     certificate: AmalgamationProblem | None
 
 
-def age_has_sap(age, size_cap: int) -> SapReport:
-    """Exhaustive strong-amalgamation check over diagrams with sides <= cap.
+def _sap_problems(age, size_cap: int):
+    """The diagrams with sides <= cap that `age_has_sap` checks, in order.
 
     Problems are enumerated up to isomorphism of the three structures and up
     to automorphisms of the sides, which act on the two embeddings separately.
     """
-    if size_cap < 1:
-        raise MalformedInputError("size_cap must be >= 1")
-    if isinstance(age, str):
-        age = age_for(age)
     by_size = {k: _iso_classes(age, k) for k in range(0, size_cap + 1)}
     for s_size in range(0, size_cap + 1):
         for sigma in by_size[s_size]:
@@ -442,11 +533,20 @@ def age_has_sap(age, size_cap: int) -> SapReport:
                             if (key1, key2) in seen:
                                 continue
                             seen.add((key1, key2))
-                            problem = AmalgamationProblem(
+                            yield AmalgamationProblem(
                                 sigma, gamma1, gamma2, f1, f2, age
                             )
-                            if solve_amalgamation(problem, strong=True) is None:
-                                return SapReport(False, problem)
+
+
+def age_has_sap(age, size_cap: int) -> SapReport:
+    """Exhaustive strong-amalgamation check over `_sap_problems`."""
+    if size_cap < 1:
+        raise MalformedInputError("size_cap must be >= 1")
+    if isinstance(age, str):
+        age = age_for(age)
+    for problem in _sap_problems(age, size_cap):
+        if solve_amalgamation(problem, strong=True) is None:
+            return SapReport(False, problem)
     return SapReport(True, None)
 
 

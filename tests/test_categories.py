@@ -244,6 +244,14 @@ def test_endomorphism_group_sizes():
     assert len(endomorphism_group(CategoryKind.SI, 4)) == 8
 
 
+@pytest.mark.parametrize("kind", list(CategoryKind))
+def test_endomorphism_closed_forms_match_the_permutation_filter(kind):
+    for m in range(8):
+        expected = tuple(g for g in permutations(range(1, m + 1)) if is_morphism(kind, m, m, g))
+        assert categories._endomorphism_images(kind, m) == expected, (kind, m)
+        assert len(expected) == hom_size_formula(kind, m, m)
+
+
 def test_endomorphism_groups_are_groups():
     for kind in CategoryKind:
         for n in range(0, 6):

@@ -11,6 +11,14 @@ import pytest
 
 import orbitlab
 from orbitlab.cli import main
+from orbitlab.structures import (
+    AmalgamationProblem,
+    PairAge,
+    StructureEmbedding,
+    _embedding_ok,
+    parse_structure,
+)
+from test_structures import generate_and_test
 
 S3 = "N=3\n(1 2)\n(1 2 3)\n"
 S4 = "N=4\n(1 2)\n(1 2 3 4)\n"
@@ -161,6 +169,20 @@ def test_sap(capsys):
     code, data = run_json(capsys, "sap", "--kind", "pair", "--cap", "2")
     assert code == 1 and data["sap"] is False
     assert "certificate" in data
+
+
+def test_sap_at_the_pushed_out_caps(capsys):
+    code, data = run_json(capsys, "sap", "--kind", "linear", "--cap", "5")
+    assert code == 0 and data["sap"] is True
+    code, data = run_json(capsys, "sap", "--kind", "pair", "--cap", "3")
+    assert code == 1 and data["sap"] is False
+    cert = data["certificate"]
+    sigma, gamma1, gamma2 = (parse_structure(cert[k]) for k in ("sigma", "gamma1", "gamma2"))
+    f1 = StructureEmbedding(sigma, gamma1, tuple(cert["f1_images"]))
+    f2 = StructureEmbedding(sigma, gamma2, tuple(cert["f2_images"]))
+    assert _embedding_ok(sigma, gamma1, f1.images) and _embedding_ok(sigma, gamma2, f2.images)
+    problem = AmalgamationProblem.checked(f1, f2, PairAge())
+    assert generate_and_test(problem, strong=True) is None
 
 
 def test_amalgamate(capsys, tmp_path):

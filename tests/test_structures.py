@@ -11,6 +11,10 @@ from orbitlab.structures import (
     BuiltinAge,
     PairAge,
     StructureEmbedding,
+    _candidate_universes,
+    _embedding_ok,
+    _pushout_labels,
+    _sap_problems,
     age_for,
     age_has_sap,
     arrangement_structure,
@@ -29,6 +33,20 @@ from orbitlab.structures import (
 
 def linear(labels):
     return arrangement_structure("linear", labels)
+
+
+def generate_and_test(p, strong=True):
+    """Oracle for `solve_amalgamation`: on each candidate universe, build every
+    structure of the age and keep the first that restricts to both sides.
+    Returns `(delta, g1 images, g2 images)` or None."""
+    labels, m1, m2 = _pushout_labels(p)
+    for univ, map1, map2 in _candidate_universes(labels, m1, m2, strong):
+        img1 = tuple(map1[x] for x in p.gamma1.universe)
+        img2 = tuple(map2[x] for x in p.gamma2.universe)
+        for delta in p.age.structures_on(univ):
+            if _embedding_ok(p.gamma1, delta, img1) and _embedding_ok(p.gamma2, delta, img2):
+                return delta, img1, img2
+    return None
 
 
 def test_structure_validation():
@@ -94,6 +112,16 @@ def test_builtin_age_membership():
     assert not age.contains(bad)  # a lone cyclic triple is not a cyclic order
 
 
+def test_restriction_to_a_structure_of_another_signature_allows_nothing():
+    labels = ("a", "b", "c")
+    sides = [next(age_for(name).structures_on(labels)) for name in ("set", "linear", "separation", "pair")]
+    for name in ("set", "linear", "cyclic", "separation", "pair"):
+        age = age_for(name)
+        for side in sides:
+            found = list(age.structures_on(labels, ((labels, side),)))
+            assert (found == []) == (side.signature != age.signature), (name, side.signature)
+
+
 def test_pair_age_membership():
     s = PairAge.from_pairs(("a", "b"), ((1, 2), (2, 1)))
     age = PairAge()
@@ -107,6 +135,19 @@ def test_pair_age_membership():
     )
     # (a,a) tuples never appear for distinct-pair relations in realizable ones
     assert not age.contains(bad)
+
+
+def test_pair_age_rejects_reflexive_tuples():
+    # slot constraints come from pairs of distinct points; a tuple (a,a)
+    # constrains nothing, yet no structure of the age has one
+    good = PairAge.from_pairs(("a", "b"), ((0, 1), (2, 3)))
+    rels = {name: set(good.relation(name)) for name, _ in PairAge.signature}
+    rels["eq_ff"].add(("a", "a"))
+    bad = make_structure(("a", "b"), PairAge.signature, rels)
+    age = PairAge()
+    assert age.contains(good)
+    assert not age.contains(bad)
+    assert list(age.structures_on(("a", "b"), ((("a", "b"), bad),))) == []
 
 
 def test_pair_age_structures_on_counts():
@@ -159,8 +200,75 @@ def test_age_has_sap_small_caps():
 
 
 def test_amalgam_embeddings_verified():
-    report = age_has_sap("betweenness", 2)
-    assert report.holds
+    age = age_for("betweenness")
+    assert age_has_sap(age, 3).holds
+    for p in _sap_problems(age, 3):
+        am = solve_amalgamation(p)
+        assert age.contains(am.delta)
+        assert _embedding_ok(p.gamma1, am.delta, am.g1.images)
+        assert _embedding_ok(p.gamma2, am.delta, am.g2.images)
+        # the square commutes, and the sides meet only in the image of sigma
+        over_sigma = {am.g1.apply(p.f1.apply(a)) for a in p.sigma.universe}
+        assert over_sigma == {am.g2.apply(p.f2.apply(a)) for a in p.sigma.universe}
+        assert set(am.g1.images) & set(am.g2.images) == over_sigma
+        assert len(am.delta.universe) == len(set(am.g1.images) | set(am.g2.images))
+
+
+@pytest.mark.parametrize("name", ["linear", "betweenness", "cyclic", "separation"])
+def test_unrestricted_enumeration_is_permutation_order(name):
+    age = BuiltinAge(name)
+    for n in range(6):
+        labels = tuple("abcdef"[:n])
+        expected = {}
+        for arr in permutations(labels):
+            s = arrangement_structure(name, arr)
+            expected.setdefault(s.relations, s)
+        assert list(age.structures_on(labels)) == list(expected.values())
+
+
+@pytest.mark.parametrize(
+    "name, cap",
+    [("set", 2), ("linear", 2), ("betweenness", 2), ("cyclic", 2), ("separation", 2), ("pair", 1)],
+)
+def test_restricted_enumeration_is_the_filtered_one(name, cap):
+    # every structure, not only the first; all weak universes too
+    age = age_for(name)
+    for p in _sap_problems(age, cap):
+        labels, m1, m2 = _pushout_labels(p)
+        for univ, map1, map2 in _candidate_universes(labels, m1, m2, strong=False):
+            restrictions = tuple(
+                (tuple(m[x] for x in g.universe), g) for m, g in ((map1, p.gamma1), (map2, p.gamma2))
+            )
+            expected = [
+                s for s in age.structures_on(univ) if all(_embedding_ok(g, s, img) for img, g in restrictions)
+            ]
+            assert list(age.structures_on(univ, restrictions)) == expected
+
+
+@pytest.mark.parametrize(
+    "name, cap, weak_side_cap",
+    [
+        ("set", 3, 3),
+        ("linear", 3, 3),
+        ("betweenness", 3, 3),
+        ("cyclic", 3, 3),
+        ("separation", 3, 3),
+        ("pair", 2, 1),  # weak brute force on two-point sides takes seconds
+    ],
+)
+def test_search_matches_generate_and_test(name, cap, weak_side_cap):
+    age = age_for(name)
+    for p in _sap_problems(age, cap):
+        weak = max(p.gamma1.size, p.gamma2.size) <= weak_side_cap
+        for strong in (True, False) if weak else (True,):
+            am = solve_amalgamation(p, strong=strong)
+            expected = generate_and_test(p, strong=strong)
+            if expected is None:
+                assert am is None, (p, strong)
+                continue
+            assert (am.delta, am.g1.images, am.g2.images) == expected, (p, strong)
+            assert _embedding_ok(p.gamma1, am.delta, am.g1.images)
+            assert _embedding_ok(p.gamma2, am.delta, am.g2.images)
 
 
 def test_structure_text_round_trip():
