@@ -6,10 +6,12 @@ tuple to each image).  On 1-tuples it drives a base and strong generating set
 (deterministic Schreier-Sims on the sorted support), which gives the group
 order, membership by sifting, and the least element of each coset gK; on
 subsets, Schreier's lemma turns it into generators of the pointwise
-stabilizer G_Gamma, whose common fixed points are Fix(G_Gamma).  Density
-compares orbit counts on injective tuples.  No group is ever listed element
-by element.  Permutations are tuples p of length N with p[i-1] the image of
-the point i; points are 1-based to match the rest of the library.
+stabilizer G_Gamma, whose common fixed points are Fix(G_Gamma).  Orbit
+counts on tuples descend the orbit tree through such stabilizers; they give
+the growth functions F and F*, the same-orbit conditions and density.  No
+group is ever listed element by element.  Permutations are tuples p of
+length N with p[i-1] the image of the point i; points are 1-based to match
+the rest of the library.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .errors import MalformedInputError, ResourceCapError, parse_int
 
@@ -311,9 +313,125 @@ def orbits(
     return out
 
 
+def _sims_filter(gens, ident: Perm) -> list:
+    """A generating set of <gens> with at most one element per pair (i, g(i)),
+    i the first point g moves (Sims' filter; Seress, Permutation Group
+    Algorithms, 4.1): an element whose pair is taken is divided by the
+    holder, which leaves it fixing i too, until it takes a free pair or
+    becomes the identity."""
+    inverses = {}  # (i, g(i)) -> the inverse of its holder
+    holders = []
+    for g in gens:
+        while g != ident:
+            i = next(x for x, y in enumerate(g, 1) if x != y)
+            inverse = inverses.get((i, g[i - 1]))
+            if inverse is None:
+                inverses[(i, g[i - 1])] = pinv(g)
+                holders.append(g)
+                break
+            g = pmul(inverse, g)
+    return holders
+
+
+def _descent_counts(
+    action: FiniteAction, n: int, mode: str, space_cap: int = DEFAULT_SPACE_CAP
+) -> list[int]:
+    """The orbit counts on k-tuples (power) or injective k-tuples for
+    k = 0..n, as the node counts of the orbit tree (Cameron, Oligomorphic
+    Permutation Groups, 2-3).  The children of a tuple t are the orbits of
+    its pointwise stabilizer G_t on the points outside t (injective), or on
+    all points, those of t being fixed singletons (power).  G_t depends only
+    on t's point set, so each set is expanded once, from the Schreier
+    generators of the orbit transversal (as in `fixed_points`) thinned by
+    Sims' filter; below a trivial G_t the counts are N^j or the falling
+    factorial of the free points.  A node at depth k that scans the point y
+    stands for the tuple (t, y), so the points scanned at each depth, held
+    to `space_cap`, never outnumber the tuples of that length."""
+    N = action.domain_size
+    power = mode == "power"
+    if not power and n > N:
+        raise MalformedInputError(f"n={n} exceeds domain size {N} for mode {mode}")
+    if n < 0:
+        raise MalformedInputError("n must be a natural number")
+    ident = identity_perm(N)
+    scanned = [0] * (n + 1)
+    memo = {}
+    stack = []
+
+    def orbit_reps(chosen, gens) -> list:
+        """The least point of each orbit of <gens> outside `chosen`."""
+        depth = len(chosen) + 1
+        scanned[depth] += N if power else N - len(chosen)
+        if scanned[depth] > space_cap:
+            raise ResourceCapError(f"orbit tree scans over {space_cap} points at depth {depth}")
+        seen = set(chosen)
+        reps = []
+        for y in range(1, N + 1):
+            if y not in seen:
+                reps.append(y)
+                seen.add(y)
+                orbit = [y]
+                for x in orbit:
+                    for s in gens:
+                        if s[x - 1] not in seen:
+                            seen.add(s[x - 1])
+                            orbit.append(s[x - 1])
+        return reps
+
+    def counts(chosen, gens):
+        """The counts below `chosen`, whose stabilizer <gens> has been
+        filtered, or None after pushing its frame on the stack."""
+        r = n - len(chosen)
+        if not gens or r == 0:
+            free = N - len(chosen)
+            return [N**j if power else perm(free, j) for j in range(r + 1)]
+        reps = orbit_reps(chosen, gens)
+        if r > 1:
+            stack.append((chosen, gens, [1] + [0] * r, iter(reps)))
+            return None
+        memo[chosen] = [1, len(reps) + (len(chosen) if power else 0)]
+        return memo[chosen]
+
+    # depth first on an explicit stack: a tree may be deeper than Python's
+    # recursion limit
+    total = counts(frozenset(), _sims_filter(action.generators, ident))
+    while stack:
+        chosen, gens, out, reps = stack[-1]
+        for y in reps:
+            child = chosen | {y}
+            sub = memo.get(child)
+            if sub is None:
+                transversal = _orbit_transversal((y,), gens, ident)
+                inverse = {p: pinv(u) for (p,), u in transversal.items()}
+                schreier = (
+                    pmul(inverse[s[p - 1]], pmul(s, u))
+                    for (p,), u in transversal.items()
+                    for s in gens
+                )
+                sub = counts(child, _sims_filter(schreier, ident))
+                if sub is None:  # resume here once the child's frame is done
+                    break
+            for j, c in enumerate(sub, 1):
+                out[j] += c
+        else:
+            stack.pop()
+            if power:
+                for j in range(1, len(out)):
+                    out[j] += len(chosen) * out[j - 1]
+            memo[chosen] = out
+            if stack:
+                for j, c in enumerate(out, 1):
+                    stack[-1][2][j] += c
+            else:
+                total = out
+    return total
+
+
 def orbit_count(action: FiniteAction, n: int, mode: str) -> int:
     if n == 0:
         return 1
+    if mode in ("power", "injective"):
+        return _descent_counts(action, n, mode)[n]
     return sum(1 for _ in _orbit_point_sets(action, n, mode))
 
 
@@ -373,8 +491,8 @@ def growth_profile(action: FiniteAction, max_n: int) -> GrowthProfile:
     if max_n < 0:
         raise MalformedInputError("max_n must be a natural number")
     f = tuple(orbit_count(action, n, "subsets") for n in range(1, max_n + 1))
-    F = tuple(orbit_count(action, n, "injective") for n in range(1, max_n + 1))
-    F_star = tuple(orbit_count(action, n, "power") for n in range(1, max_n + 1))
+    F = tuple(_descent_counts(action, max_n, "injective")[1:])
+    F_star = tuple(_descent_counts(action, max_n, "power")[1:])
     profile = GrowthProfile(f, F, F_star, max_n)
     profile.validate(action.domain_size)
     return profile
@@ -383,17 +501,20 @@ def growth_profile(action: FiniteAction, max_n: int) -> GrowthProfile:
 # -- shared orbits and density -----------------------------------------------
 
 
-def _orbit_partition(action: FiniteAction, n: int, mode: str) -> frozenset:
-    return frozenset(map(frozenset, _orbit_point_sets(action, n, mode)))
+def _join(G: FiniteAction, H: FiniteAction) -> FiniteAction:
+    """<G u H>, whose orbits on any G- and H-set are the joins of theirs:
+    G and H have the same orbits there iff all three orbit counts agree."""
+    if G.domain_size != H.domain_size:
+        raise MalformedInputError("actions live on different domains")
+    return FiniteAction(G.domain_size, G.generators + H.generators)
 
 
 def same_orbits(G: FiniteAction, H: FiniteAction, n: int, mode: str = "injective") -> bool:
     """Whether G and H induce the same orbit partition on the given space."""
-    if G.domain_size != H.domain_size:
-        raise MalformedInputError("actions live on different domains")
+    J = _join(G, H)
     if n == 0:
         return True
-    return _orbit_partition(G, n, mode) == _orbit_partition(H, n, mode)
+    return len({orbit_count(X, n, mode) for X in (G, J, H)}) == 1
 
 
 @dataclass(frozen=True)
@@ -419,11 +540,14 @@ def lemma_equivalence_check(G: FiniteAction, H: FiniteAction, n: int) -> LemmaRe
         raise MalformedInputError("n exceeds domain size")
     if n < 0:
         raise MalformedInputError("n must be a natural number")
-    c1 = same_orbits(G, H, n, "power")
-    c2 = same_orbits(G, H, n, "injective")
-    # (3) and (4) include level n itself, which (1) and (2) already settled
-    c3 = c1 and all(same_orbits(G, H, s, "power") for s in range(1, n))
-    c4 = c2 and all(same_orbits(G, H, s, "injective") for s in range(1, n))
+    J = _join(G, H)
+    # agree[mode][s]: whether G and H have the same orbits on s-tuples
+    agree = {
+        mode: [len(set(c)) == 1 for c in zip(*(_descent_counts(X, n, mode) for X in (G, J, H)))]
+        for mode in ("power", "injective")
+    }
+    c1, c2 = agree["power"][n], agree["injective"][n]
+    c3, c4 = all(agree["power"][1:]), all(agree["injective"][1:])
     witness = None
     if len({c1, c2, c3, c4}) != 1:
         witness = f"conditions disagree: ({c1}, {c2}, {c3}, {c4})"

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 
@@ -129,6 +129,15 @@ def oracle_fullness_witness(G, H, K):
 
 def cyclic_action(n):
     return FiniteAction(n, (tuple(list(range(2, n + 1)) + [1]),))
+
+
+def dihedral_action(n):
+    reflection = tuple([1] + list(range(n, 1, -1)))
+    return FiniteAction(n, cyclic_action(n).generators + (reflection,))
+
+
+def alternating_action(n):
+    return FiniteAction(n, tuple(perm_from_cycles(f"(1 2 {k})", n) for k in range(3, n + 1)))
 
 
 def test_pmul_convention():
@@ -311,20 +320,99 @@ def test_lemma_consistency_random():
         assert report.consistent, report.witness
 
 
-def test_lemma_check_enumerates_each_level_once(monkeypatch):
-    calls = []
+def test_lemma_check_descends_once_per_group_and_mode(monkeypatch):
+    descents, enumerations = [], []
+    descend = actions._descent_counts
     enumerate_orbits = actions._orbit_point_sets
 
+    def counting_descent(action, n, mode, *rest):
+        descents.append((action.generators, n, mode))
+        return descend(action, n, mode, *rest)
+
     def counting_orbits(action, n, mode, *rest):
-        calls.append((n, mode))
+        enumerations.append((n, mode))
         return enumerate_orbits(action, n, mode, *rest)
 
+    monkeypatch.setattr(actions, "_descent_counts", counting_descent)
     monkeypatch.setattr(actions, "_orbit_point_sets", counting_orbits)
     S4 = symmetric_action(4)
     report = lemma_equivalence_check(S4, S4, 3)
     assert report.consistent and report.cond1
-    # levels 1..3, two modes, two groups
-    assert len(calls) == 12
+    # G, H and <G u H>, each to depth 3 once per mode; no tuple is enumerated
+    assert len(descents) == 6 and {n for _, n, _ in descents} == {3}
+    assert enumerations == []
+
+
+def enumerated_count(G, n, mode):
+    return sum(1 for _ in actions._orbit_point_sets(G, n, mode))
+
+
+def enumerated_partition(G, n, mode):
+    return frozenset(map(frozenset, actions._orbit_point_sets(G, n, mode)))
+
+
+DESCENT_GROUPS = (
+    [symmetric_action(n) for n in range(1, 8)]
+    + [cyclic_action(n) for n in range(3, 9)]
+    + [dihedral_action(n) for n in range(3, 9)]
+    + [alternating_action(5)]
+    + [trivial_action(n) for n in (1, 4, 8)]
+)
+
+
+@pytest.mark.parametrize("G", DESCENT_GROUPS, ids=lambda G: f"N{G.domain_size}-{len(G.generators)}gens")
+def test_descent_counts_match_enumeration(G):
+    # every level n <= N whose space the enumeration oracle accepts; the
+    # descent also gives the level-n count as the last of its levels
+    N = G.domain_size
+    for mode, size in (("power", lambda n: N**n), ("injective", lambda n: perm(N, n))):
+        levels = [n for n in range(N + 1) if size(n) <= actions.DEFAULT_SPACE_CAP]
+        want = [1] + [enumerated_count(G, n, mode) for n in levels[1:]]
+        assert [orbit_count(G, n, mode) for n in levels] == want
+        assert actions._descent_counts(G, levels[-1], mode) == want
+
+
+def test_descent_of_the_trivial_group_is_the_closed_form():
+    for N in (1, 5, 20):
+        G = trivial_action(N)
+        assert actions._descent_counts(G, min(N, 6), "power") == [N**n for n in range(min(N, 6) + 1)]
+        assert actions._descent_counts(G, N, "injective") == [perm(N, n) for n in range(N + 1)]
+
+
+def test_descent_counts_match_enumeration_on_random_groups():
+    rng = random.Random(23)
+    for _ in range(40):
+        N = rng.randint(1, 6)
+        G = random_subgroup(rng, N, rng.randint(1, 3))
+        for mode in ("power", "injective"):
+            want = [1] + [enumerated_count(G, n, mode) for n in range(1, N + 1)]
+            assert actions._descent_counts(G, N, mode) == want, (G.generators, mode)
+
+
+def test_same_orbits_by_counts_matches_partitions():
+    rng = random.Random(29)
+    answers, outside = set(), 0
+    for _ in range(60):
+        N = rng.randint(2, 6)
+        G = random_subgroup(rng, N, rng.randint(1, 2))
+        H = random_subgroup(rng, N, rng.randint(1, 2))
+        outside += not G.contains_action(H)
+        for mode in ("power", "injective", "subsets"):
+            n = rng.randint(1, min(N, 4))
+            got = same_orbits(G, H, n, mode)
+            assert got == (enumerated_partition(G, n, mode) == enumerated_partition(H, n, mode))
+            answers.add(got)
+    assert answers == {True, False} and outside > 0
+
+
+def test_descent_cap_bounds_the_points_scanned_per_depth():
+    # <(1 2)> on 12 points: depth 1 scans the 12 points; at depth 2 the ten
+    # points 3..12, whose stabilizer is still <(1 2)>, scan 11 points each
+    G = FiniteAction(12, (perm_from_cycles("(1 2)", 12),))
+    counts = actions._descent_counts(G, 2, "injective", space_cap=110)
+    assert counts[2] == enumerated_count(G, 2, "injective")
+    with pytest.raises(ResourceCapError, match="depth 2"):
+        actions._descent_counts(G, 2, "injective", space_cap=109)
 
 
 def test_is_t_dense_matches_definition():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,35 @@ def test_dense_and_fullness_on_symmetric_over_alternating(capsys, grp, n):
     }
     code, data = run_json(capsys, "fullness-witness", "--group", s, "--subgroup", s, "--k-subgroup", a)
     assert code == 0 and data["full"] is True
+
+
+def symmetric(n):
+    return f"N={n}\n(1 2)\n({' '.join(map(str, range(1, n + 1)))})\n"
+
+
+def test_orbit_counts_past_the_tuple_space_cap(capsys, grp):
+    # each space below has more than 1,000,000 tuples; the orbit tree does not
+    trivial = grp("trivial.grp", "N=20\n")
+    code, data = run_json(capsys, "dense", "--group", trivial, "--subgroup", trivial, "--t", "5")
+    assert code == 0 and data["dense"] is True
+    s12 = grp("s12.grp", symmetric(12))
+    code, data = run_json(capsys, "growth", "--group", s12, "--max-n", "8")
+    assert code == 0
+    assert data["f"] == data["F"] == [1] * 8
+    assert data["F_star"] == [1, 2, 5, 15, 52, 203, 877, 4140]
+    a12 = grp("a12.grp", alternating(12))
+    code, data = run_json(capsys, "same-orbits", "--group", s12, "--subgroup", a12, "--n", "8")
+    assert code == 0 and data["consistent"]
+
+
+def test_orbit_tree_cap_fires_on_work(capsys, grp):
+    # <(1 2)> fixes 98 of 100 points, so the stabilizers stay nontrivial
+    # while the tree fans out; the per-depth scan cap stops it early
+    g = grp("t.grp", "N=100\n(1 2)\n")
+    start = time.monotonic()
+    assert main(["dense", "--group", g, "--subgroup", g, "--t", "6"]) == 3
+    assert time.monotonic() - start < 15
+    assert capsys.readouterr().err.startswith("resource cap: ")
 
 
 def test_orbitcat_above_the_group_order_cap(capsys, grp):

@@ -1,7 +1,8 @@
 """Property-based tests of the subcommands that read a group file: the
-exit-code contract on arbitrary group files for `orbitcat`, `dense` and
-`fullness-witness`, witnesses for every failure, and `orbitcat` hom counts
-against the coset oracle of test_orbitcat."""
+exit-code contract on arbitrary group files for `orbitcat`, `growth`,
+`same-orbits`, `dense` and `fullness-witness`, witnesses for every failure,
+`orbitcat` hom counts against the coset oracle of test_orbitcat, and the
+orbit counts of `growth` and `same-orbits` against tuple enumeration."""
 
 import contextlib
 import io
@@ -14,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from orbitlab.actions import parse_group_file  # noqa: E402
+from orbitlab.actions import _orbit_point_sets, parse_group_file  # noqa: E402
 from orbitlab.cli import main  # noqa: E402
 
 from test_orbitcat import oracle_collisions, oracle_orbit_hom  # noqa: E402
@@ -58,9 +59,11 @@ def cycle_notation(perm) -> str:
 
 
 @st.composite
-def group_files(draw):
-    """(text of a group file with random generators on N <= 5 points, cap)."""
-    n = draw(st.integers(1, 5))
+def group_files(draw, n=None):
+    """(text of a group file with random generators on N <= 5 points, or on
+    n points if given, cap)."""
+    if n is None:
+        n = draw(st.integers(1, 5))
     perms = draw(st.lists(st.permutations(range(1, n + 1)), max_size=3))
     lines = [
         cycle_notation(p) if draw(st.booleans()) else "[" + ",".join(map(str, p)) + "]"
@@ -131,3 +134,61 @@ def test_orbitcat_on_random_groups_matches_the_coset_oracle(group):
     subsets = [frozenset(s) for s in objects]
     want = [[len(oracle_orbit_hom(G, s, g)) for g in subsets] for s in subsets]
     assert data["hom_counts"] == want
+
+
+@FUZZ
+@given(
+    text=st.one_of(ARBITRARY_TEXT, group_files().map(lambda group: group[0])),
+    sub=st.one_of(st.none(), ARBITRARY_TEXT, group_files().map(lambda group: group[0])),
+    n=st.integers(-1, 4),
+)
+def test_growth_and_same_orbits_exit_code_contract_on_arbitrary_text(text, sub, n):
+    if sub is None:  # the first line alone; a header gives the trivial group
+        sub = text.split("\n", 1)[0] + "\n"
+    files = {"g.grp": text, "h.grp": sub}
+    code, out = run_cli(files, "growth", "--group", "g.grp", "--max-n", str(n))
+    assert code in (0, 2, 3)  # growth reports counts, never a failed check
+    code, out = run_cli(files, "same-orbits", "--group", "g.grp", "--subgroup", "h.grp", "--n", str(n))
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        data = json.loads(out)
+        assert data["consistent"] is (code == 0)
+        assert (data["witness"] is None) is (code == 0)
+
+
+def enumerated_counts(G, levels, mode):
+    return [sum(1 for _ in _orbit_point_sets(G, n, mode)) for n in levels]
+
+
+def enumerated_partition(G, n, mode):
+    return frozenset(map(frozenset, _orbit_point_sets(G, n, mode)))
+
+
+@FUZZ
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(group_files(n), group_files(n))))
+def test_growth_and_same_orbits_on_random_groups_match_enumeration(groups):
+    (text, _), (sub, _) = groups
+    G, H = parse_group_file(text), parse_group_file(sub)
+    N = G.domain_size
+    levels = range(1, N + 1)
+    code, out = run_cli({"g.grp": text}, "growth", "--group", "g.grp", "--max-n", str(N))
+    assert code == 0
+    data = json.loads(out)
+    assert data["f"] == enumerated_counts(G, levels, "subsets")
+    assert data["F"] == enumerated_counts(G, levels, "injective")
+    assert data["F_star"] == enumerated_counts(G, levels, "power")
+    files = {"g.grp": text, "h.grp": sub}
+    code, out = run_cli(files, "same-orbits", "--group", "g.grp", "--subgroup", "h.grp", "--n", str(N))
+    assert code == 0
+    data = json.loads(out)
+    assert data["consistent"] is True
+    same = {
+        mode: [enumerated_partition(G, n, mode) == enumerated_partition(H, n, mode) for n in levels]
+        for mode in ("power", "injective")
+    }
+    assert data["conditions"] == {
+        "all_tuples": same["power"][-1],
+        "injective_tuples": same["injective"][-1],
+        "all_tuples_all_levels": all(same["power"]),
+        "injective_tuples_all_levels": all(same["injective"]),
+    }
