@@ -20,8 +20,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from math import comb, factorial, perm
+from itertools import accumulate, combinations, permutations, product
+from math import comb, factorial
+from operator import mul
 
 from .errors import MalformedInputError, ResourceCapError, parse_int
 
@@ -86,6 +87,20 @@ def _orbit_transversal(base: tuple, gens, ident: Perm, cap: int | None = None) -
     return transversal
 
 
+def _schreier_generators(transversal: dict, gens):
+    """Yield u_{s(k)}^-1 * s * u_k over the orbit transversal u of a point
+    tuple and the generators s: by Schreier's lemma they generate the
+    stabilizer of that tuple (Seress, Permutation Group Algorithms, 4.1)."""
+    inverses = {}
+    for k, u in transversal.items():
+        for s in gens:
+            image = act_tuple(s, k)
+            inverse = inverses.get(image)
+            if inverse is None:
+                inverse = inverses[image] = pinv(transversal[image])
+            yield pmul(inverse, pmul(s, u))
+
+
 def _schreier_sims(gens, n: int) -> tuple[list, list]:
     """A base and strong generating set of <gens> by deterministic
     Schreier-Sims (Sims 1970; Seress, Permutation Group Algorithms, ch. 4-5),
@@ -102,12 +117,10 @@ def _schreier_sims(gens, n: int) -> tuple[list, list]:
 
     def residue(i: int):
         """A Schreier generator of level i that does not sift, or None."""
-        t = transversals[i]
-        for (p,), u in t.items():
-            for s in strong[i]:
-                h, j = _sift(pmul(pinv(t[(s[p - 1],)]), pmul(s, u)), base, transversals, i + 1)
-                if h != ident:
-                    return h, j
+        for g in _schreier_generators(transversals[i], strong[i]):
+            h, j = _sift(g, base, transversals, i + 1)
+            if h != ident:
+                return h, j
         return None
 
     i = len(base) - 1
@@ -209,15 +222,13 @@ class FiniteAction:
 
     def fixed_points(self, points) -> frozenset:
         """Fix(G_points), the points fixed by every element fixing the given
-        points.  By Schreier's lemma the u_{s(k)}^-1 * s * u_k, over the orbit
-        transversal u of the sorted points and the generators s, generate
-        G_points, so a point is in Fix(G_points) iff they all fix it."""
+        points.  The Schreier generators of the orbit transversal of the
+        sorted points generate G_points, so a point is in Fix(G_points) iff
+        they all fix it."""
         transversal = self.orbit_transversal(self._points(points))
         fixed = set(range(1, self.domain_size + 1))
-        for k, u in transversal.items():
-            for s in self.generators:
-                h = pmul(pinv(transversal[act_tuple(s, k)]), pmul(s, u))
-                fixed = {x for x in fixed if h[x - 1] == x}
+        for h in _schreier_generators(transversal, self.generators):
+            fixed = {x for x in fixed if h[x - 1] == x}
         return frozenset(fixed)
 
 
@@ -342,11 +353,19 @@ def _descent_counts(
     its pointwise stabilizer G_t on the points outside t (injective), or on
     all points, those of t being fixed singletons (power).  G_t depends only
     on t's point set, so each set is expanded once, from the Schreier
-    generators of the orbit transversal (as in `fixed_points`) thinned by
-    Sims' filter; below a trivial G_t the counts are N^j or the falling
-    factorial of the free points.  A node at depth k that scans the point y
-    stands for the tuple (t, y), so the points scanned at each depth, held
-    to `space_cap`, never outnumber the tuples of that length."""
+    generators of the orbit transversal thinned by Sims' filter; below a
+    trivial G_t the counts are N^j or the falling factorial of the free
+    points.
+
+    The whole descent may do at most 3 * space_cap units of work: a point
+    scanned, or a count of at most w words built or added, where every
+    count is at most N^n < 2^(64 w).  An expansion of a set of j < n points
+    scans N points, builds a list of n - j + 1 counts and adds at most N
+    lists of n - j counts, so the descent costs at most
+    sum_{j<n} C(N, j) * (N + (n - j + 1) w + N (n - j) w).  For the default
+    cap that is at most 2,005,003 (at N = 1000, n = 2) wherever the n-tuples
+    number at most 1,000,000, so every space the enumeration answers stays
+    answered, and the scans and counts stay bounded at any n."""
     N = action.domain_size
     power = mode == "power"
     if not power and n > N:
@@ -354,16 +373,20 @@ def _descent_counts(
     if n < 0:
         raise MalformedInputError("n must be a natural number")
     ident = identity_perm(N)
-    scanned = [0] * (n + 1)
+    words = n * (N - 1).bit_length() // 64 + 1
+    budget = 3 * space_cap
     memo = {}
     stack = []
 
+    def charge(units: int) -> None:
+        nonlocal budget
+        budget -= units
+        if budget < 0:
+            raise ResourceCapError(f"orbit tree exceeds {3 * space_cap} units of work")
+
     def orbit_reps(chosen, gens) -> list:
         """The least point of each orbit of <gens> outside `chosen`."""
-        depth = len(chosen) + 1
-        scanned[depth] += N if power else N - len(chosen)
-        if scanned[depth] > space_cap:
-            raise ResourceCapError(f"orbit tree scans over {space_cap} points at depth {depth}")
+        charge(N)
         seen = set(chosen)
         reps = []
         for y in range(1, N + 1):
@@ -383,9 +406,11 @@ def _descent_counts(
         filtered, or None after pushing its frame on the stack."""
         r = n - len(chosen)
         if not gens or r == 0:
+            charge((r + 1) * words)
             free = N - len(chosen)
-            return [N**j if power else perm(free, j) for j in range(r + 1)]
+            return list(accumulate((N if power else free - j for j in range(r)), mul, initial=1))
         reps = orbit_reps(chosen, gens)
+        charge((r + 1) * words)
         if r > 1:
             stack.append((chosen, gens, [1] + [0] * r, iter(reps)))
             return None
@@ -400,15 +425,11 @@ def _descent_counts(
         for y in reps:
             child = chosen | {y}
             sub = memo.get(child)
-            if sub is None:
+            if sub is not None:
+                charge(len(sub) * words)
+            else:
                 transversal = _orbit_transversal((y,), gens, ident)
-                inverse = {p: pinv(u) for (p,), u in transversal.items()}
-                schreier = (
-                    pmul(inverse[s[p - 1]], pmul(s, u))
-                    for (p,), u in transversal.items()
-                    for s in gens
-                )
-                sub = counts(child, _sims_filter(schreier, ident))
+                sub = counts(child, _sims_filter(_schreier_generators(transversal, gens), ident))
                 if sub is None:  # resume here once the child's frame is done
                     break
             for j, c in enumerate(sub, 1):
@@ -501,20 +522,20 @@ def growth_profile(action: FiniteAction, max_n: int) -> GrowthProfile:
 # -- shared orbits and density -----------------------------------------------
 
 
-def _join(G: FiniteAction, H: FiniteAction) -> FiniteAction:
-    """<G u H>, whose orbits on any G- and H-set are the joins of theirs:
-    G and H have the same orbits there iff all three orbit counts agree."""
+def _levels_agree(G: FiniteAction, H: FiniteAction, counts) -> list[bool]:
+    """Whether G and H have the same orbits, level by level, where
+    counts(X) lists X's orbit counts per level.  The orbits of <G u H> are
+    the joins of theirs, so G and H agree at a level iff the counts of G,
+    <G u H> and H are equal there, whether or not H <= G."""
     if G.domain_size != H.domain_size:
         raise MalformedInputError("actions live on different domains")
-    return FiniteAction(G.domain_size, G.generators + H.generators)
+    J = FiniteAction(G.domain_size, G.generators + H.generators)
+    return [len(set(c)) == 1 for c in zip(*(counts(X) for X in (G, J, H)))]
 
 
 def same_orbits(G: FiniteAction, H: FiniteAction, n: int, mode: str = "injective") -> bool:
     """Whether G and H induce the same orbit partition on the given space."""
-    J = _join(G, H)
-    if n == 0:
-        return True
-    return len({orbit_count(X, n, mode) for X in (G, J, H)}) == 1
+    return _levels_agree(G, H, lambda X: [orbit_count(X, n, mode)])[0]
 
 
 @dataclass(frozen=True)
@@ -540,10 +561,9 @@ def lemma_equivalence_check(G: FiniteAction, H: FiniteAction, n: int) -> LemmaRe
         raise MalformedInputError("n exceeds domain size")
     if n < 0:
         raise MalformedInputError("n must be a natural number")
-    J = _join(G, H)
     # agree[mode][s]: whether G and H have the same orbits on s-tuples
     agree = {
-        mode: [len(set(c)) == 1 for c in zip(*(_descent_counts(X, n, mode) for X in (G, J, H)))]
+        mode: _levels_agree(G, H, lambda X: _descent_counts(X, n, mode))
         for mode in ("power", "injective")
     }
     c1, c2 = agree["power"][n], agree["injective"][n]

@@ -405,14 +405,20 @@ def test_same_orbits_by_counts_matches_partitions():
     assert answers == {True, False} and outside > 0
 
 
-def test_descent_cap_bounds_the_points_scanned_per_depth():
-    # <(1 2)> on 12 points: depth 1 scans the 12 points; at depth 2 the ten
-    # points 3..12, whose stabilizer is still <(1 2)>, scan 11 points each
+def test_descent_cap_bounds_the_work_of_the_whole_descent():
+    # <(1 2)> on 12 points, injective pairs: the root scans 12 points and
+    # builds 3 counts; below it the point 1 has a closed form of 2 counts,
+    # and each of the points 3..12 scans 12 points and builds 2 counts
     G = FiniteAction(12, (perm_from_cycles("(1 2)", 12),))
-    counts = actions._descent_counts(G, 2, "injective", space_cap=110)
+    assert 12 + 3 + 2 + 10 * (12 + 2) == 157 <= 3 * 53
+    counts = actions._descent_counts(G, 2, "injective", space_cap=53)
     assert counts[2] == enumerated_count(G, 2, "injective")
-    with pytest.raises(ResourceCapError, match="depth 2"):
-        actions._descent_counts(G, 2, "injective", space_cap=109)
+    with pytest.raises(ResourceCapError, match="156 units"):
+        actions._descent_counts(G, 2, "injective", space_cap=52)
+    # a closed form is charged before it is built: 2^j for j <= 10^6 would
+    # fill gigabytes
+    with pytest.raises(ResourceCapError):
+        orbit_count(trivial_action(2), 10**6, "power")
 
 
 def test_is_t_dense_matches_definition():

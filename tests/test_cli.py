@@ -140,12 +140,24 @@ def test_orbit_counts_past_the_tuple_space_cap(capsys, grp):
 
 def test_orbit_tree_cap_fires_on_work(capsys, grp):
     # <(1 2)> fixes 98 of 100 points, so the stabilizers stay nontrivial
-    # while the tree fans out; the per-depth scan cap stops it early
-    g = grp("t.grp", "N=100\n(1 2)\n")
-    start = time.monotonic()
-    assert main(["dense", "--group", g, "--subgroup", g, "--t", "6"]) == 3
-    assert time.monotonic() - start < 15
-    assert capsys.readouterr().err.startswith("resource cap: ")
+    # while the tree fans out.  On 100,000 points a path to depth 50,000
+    # scans 5e9 points, and the closed forms below trivial stabilizers hold
+    # 50,000 counts of up to 850,000 bits each.  The cap covers the work of
+    # the whole descent, so each run stops early
+    small = grp("small.grp", "N=100\n(1 2)\n")
+    pair = grp("pair.grp", "N=100000\n(1 2)\n")
+    trivial = grp("trivial.grp", "N=100000\n")
+    for sub, group, level in (
+        ("dense", small, "6"),
+        ("dense", pair, "50000"),
+        ("dense", trivial, "50000"),
+        ("same-orbits", trivial, "50000"),
+    ):
+        flag = "--t" if sub == "dense" else "--n"
+        start = time.monotonic()
+        assert main([sub, "--group", group, "--subgroup", group, flag, level]) == 3
+        assert time.monotonic() - start < 15
+        assert capsys.readouterr().err.startswith("resource cap: ")
 
 
 def test_orbitcat_above_the_group_order_cap(capsys, grp):
