@@ -161,7 +161,6 @@ class FiniteAction:
 
     domain_size: int
     generators: tuple[Perm, ...]
-    order_cap: int = DEFAULT_GROUP_ORDER_CAP
     # write-once caches: the Schreier-Sims chain (base, transversals), and
     # orbit transversals keyed by point tuples
     _chain: tuple = field(default=None, init=False, compare=False, repr=False)
@@ -216,7 +215,7 @@ class FiniteAction:
             if not all(1 <= x <= self.domain_size for x in pts):
                 raise MalformedInputError(f"points {pts} are not all in [{self.domain_size}]")
             ident = identity_perm(self.domain_size)
-            transversal = _orbit_transversal(pts, self.generators, ident, self.order_cap)
+            transversal = _orbit_transversal(pts, self.generators, ident, DEFAULT_GROUP_ORDER_CAP)
             self._orbits[pts] = transversal
         return transversal
 
@@ -643,11 +642,11 @@ def restriction_fullness_witness(
     """
     _require_subgroup(H, G)
     _require_subgroup(K, G)
-    hk = _coset_orbit(H.generators, K, G.order_cap)
+    hk = _coset_orbit(H.generators, K, DEFAULT_GROUP_ORDER_CAP)
     # the H-orbit of K has |HK|/|K| cosets
     if len(hk) * K.order() == G.order():
         return None
-    g = min(_coset_orbit(G.generators, K, G.order_cap) - hk)
+    g = min(_coset_orbit(G.generators, K, DEFAULT_GROUP_ORDER_CAP) - hk)
     return FullnessWitness(g, 0, Fraction(0), Fraction(1))
 
 

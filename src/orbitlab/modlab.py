@@ -54,20 +54,16 @@ class ModuleVector:
     """Element of a free module over R, the width-variable polynomial ring:
     `coords` maps each position with a nonzero coordinate to its Polynomial.
     Positions are any mutually comparable keys; presheaf elements use the
-    images of their basis morphisms."""
+    images of their basis morphisms.  The constructor trusts its coordinates
+    to share its width and field, and only drops zeros; outside data enters
+    through `parse_element_line`."""
 
     __slots__ = ("width", "field", "coords")
 
     def __init__(self, width, field, entries=None):
         self.width = width
         self.field = field
-        coords = {}
-        for pos, poly in (entries or {}).items():
-            if poly.width != width or poly.field != field:
-                raise MalformedInputError("coordinate lives in the wrong ring")
-            if not poly.is_zero():
-                coords[pos] = poly
-        self.coords = coords
+        self.coords = {pos: poly for pos, poly in (entries or {}).items() if poly.terms}
 
     @property
     def terms(self) -> dict:
@@ -81,12 +77,7 @@ class ModuleVector:
     def is_zero(self):
         return not self.coords
 
-    def _check(self, other):
-        if (self.width, self.field) != (other.width, other.field):
-            raise MalformedInputError("module vector shape mismatch")
-
     def __add__(self, other):
-        self._check(other)
         coords = dict(self.coords)
         for pos, poly in other.coords.items():
             coords[pos] = coords[pos] + poly if pos in coords else poly
@@ -134,7 +125,7 @@ def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
                 work = work + g.term_mul(factor, f.neg(f.mul(c, f.inv(gc))))
                 break
         else:
-            lead = Polynomial.monomial(v.width, mono, c, f)
+            lead = Polynomial(v.width, f, {mono: c})
             remainder[pos] = remainder[pos] + lead if pos in remainder else lead
             work = ModuleVector(
                 v.width, f, {**work.coords, pos: work.coords[pos] - lead}

@@ -128,22 +128,18 @@ QQ = CoefficientField(None)
 
 
 class Polynomial:
-    """Sparse polynomial in x1..x_width; zero coefficients are never stored."""
+    """Sparse polynomial in x1..x_width; zero coefficients are never stored.
+
+    The constructor trusts its terms (exponent tuples of length `width`,
+    values of `field`) and only drops zeros.  Outside data enters through
+    `parse_polynomial`, `monomial`, `constant`, `variable` and `scale`."""
 
     __slots__ = ("width", "field", "terms")
 
     def __init__(self, width: int, field: CoefficientField, terms=None):
         self.width = width
         self.field = field
-        clean = {}
-        for m, c in (terms or {}).items():
-            m = tuple(m)
-            if len(m) != width:
-                raise MalformedInputError(f"monomial {m} has wrong width")
-            c = field.coerce(c)
-            if c != field.zero:
-                clean[m] = c
-        self.terms = clean
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -153,7 +149,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, width: int, c, field: CoefficientField = QQ) -> "Polynomial":
-        return cls(width, field, {(0,) * width: c})
+        return cls.monomial(width, (0,) * width, c, field)
 
     @classmethod
     def variable(cls, width: int, i: int, field: CoefficientField = QQ) -> "Polynomial":
@@ -161,11 +157,14 @@ class Polynomial:
             raise MalformedInputError(f"x{i} not in width-{width} ring")
         exps = [0] * width
         exps[i - 1] = 1
-        return cls(width, field, {tuple(exps): 1})
+        return cls(width, field, {tuple(exps): field.one})
 
     @classmethod
     def monomial(cls, width: int, exps, c=1, field: CoefficientField = QQ) -> "Polynomial":
-        return cls(width, field, {tuple(exps): c})
+        exps = tuple(exps)
+        if len(exps) != width:
+            raise MalformedInputError(f"monomial {exps} has wrong width")
+        return cls(width, field, {exps: field.coerce(c)})
 
     # -- predicates ----------------------------------------------------------
 
@@ -185,12 +184,7 @@ class Polynomial:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _check(self, other: "Polynomial"):
-        if self.width != other.width or self.field != other.field:
-            raise MalformedInputError("polynomial width/field mismatch")
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
         terms = dict(self.terms)
         f = self.field
         for m, c in other.terms.items():
@@ -205,7 +199,6 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
         f = self.field
         terms = {}
         for m1, c1 in self.terms.items():
@@ -221,7 +214,6 @@ class Polynomial:
 
     def term_mul(self, mono: Monomial, c) -> "Polynomial":
         f = self.field
-        c = f.coerce(c)
         return Polynomial(
             self.width,
             f,
@@ -230,8 +222,6 @@ class Polynomial:
 
     def substitute(self, image, new_width: int) -> "Polynomial":
         """Apply x_i -> x_{image[i-1]} (an injection into a width-new_width ring)."""
-        if len(image) != self.width:
-            raise MalformedInputError("substitution image has wrong length")
         terms = {}
         f = self.field
         for m, c in self.terms.items():

@@ -29,6 +29,8 @@ BUILTIN_KINDS = {
     "separation": CategoryKind.SI,
 }
 
+PUSHOUT_LABEL_CAP = 10
+
 _KIND_RELATION = {
     "linear": ("lt", 2),
     "betweenness": ("btw", 3),
@@ -414,10 +416,12 @@ class AmalgamationProblem:
         MalformedInputError if they do not share a source inside the age."""
         if f2.source != f1.source:
             raise MalformedInputError("f2 must embed sigma into gamma2")
+        problem = cls(f1.source, f1.target, f2.target, f1, f2, age)
+        _pushout_labels(problem)  # the cap fires before the membership checks
         for s in (f1.source, f1.target, f2.target):
             if not age.contains(s):
                 raise MalformedInputError("structure outside the age")
-        return cls(f1.source, f1.target, f2.target, f1, f2, age)
+        return problem
 
 
 @dataclass(frozen=True)
@@ -428,7 +432,8 @@ class Amalgam:
 
 
 def _pushout_labels(p: AmalgamationProblem):
-    """Labels for the set pushout, plus the two canonical injections."""
+    """Labels for the set pushout, plus the two canonical injections.
+    Raises ResourceCapError above `PUSHOUT_LABEL_CAP` labels."""
     f1 = p.f1.mapping
     f2 = p.f2.mapping
     inv1 = {v: k for k, v in f1.items()}
@@ -444,6 +449,8 @@ def _pushout_labels(p: AmalgamationProblem):
         if x not in inv2:
             m2[x] = ("R", x)
             labels.append(("R", x))
+    if len(labels) > PUSHOUT_LABEL_CAP:
+        raise ResourceCapError(f"pushout universe of size {len(labels)} exceeds cap")
     return labels, m1, m2
 
 
@@ -463,9 +470,7 @@ def _candidate_universes(labels, m1, m2, strong: bool):
                 yield univ, {x: merge.get(y, y) for x, y in m1.items()}, m2
 
 
-def solve_amalgamation(
-    p: AmalgamationProblem, strong: bool = True, label_cap: int = 10
-) -> Amalgam | None:
+def solve_amalgamation(p: AmalgamationProblem, strong: bool = True) -> Amalgam | None:
     """Search for a (strong) amalgam of the problem within the age.
 
     For strong the universe is fixed to the set pushout; for weak, every way
@@ -474,8 +479,6 @@ def solve_amalgamation(
     sides.  Returns the first amalgam in a deterministic search order, or None.
     """
     labels, m1, m2 = _pushout_labels(p)
-    if len(labels) > label_cap:
-        raise ResourceCapError(f"pushout universe of size {len(labels)} exceeds cap")
     for univ, map1, map2 in _candidate_universes(labels, m1, m2, strong):
         img1 = tuple(map1[x] for x in p.gamma1.universe)
         img2 = tuple(map2[x] for x in p.gamma2.universe)
@@ -491,12 +494,22 @@ def solve_amalgamation(
 
 
 def _iso_classes(age, size: int):
-    classes = {}
-    for s in age.structures_on(tuple(range(1, size + 1))):
-        key = s.canonical_form()
-        if key not in classes:
-            classes[key] = s
-    return [classes[k] for k in sorted(classes)]
+    """The first structure the age builds in each isomorphism class on
+    [size], sorted by `canonical_form`.  A kept structure covers all its
+    relabelings, so later members of its class cost one set lookup."""
+    labels = tuple(range(1, size + 1))
+    reps, covered = [], set()
+    for s in age.structures_on(labels):
+        if s.relations not in covered:
+            reps.append(s)
+            covered.update(
+                tuple(
+                    (name, frozenset(tuple(p[x - 1] for x in t) for t in ts))
+                    for name, ts in s.relations
+                )
+                for p in permutations(labels)
+            )
+    return sorted(reps, key=FiniteStructure.canonical_form)
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,31 @@ def test_sap_at_the_pushed_out_caps(capsys):
     assert generate_and_test(problem, strong=True) is None
 
 
+def test_sap_at_cap_6_hits_the_pushout_cap_at_once(capsys):
+    # iso classes cost n! relabelings per class, not per structure, so the
+    # 11-point pushout of two 6-point sides is reached in well under a second
+    start = time.monotonic()
+    assert main(["sap", "--kind", "linear", "--cap", "6"]) == 3
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == "resource cap: pushout universe of size 11 exceeds cap\n"
+
+
+def test_amalgamate_hits_the_pushout_cap_before_the_age_check(capsys, tmp_path):
+    # the membership check of an 11-point linear order walks 11! arrangements
+    points = [f"p{i}" for i in range(11)]
+    order = " ".join(f"({a},{b})" for i, a in enumerate(points) for b in points[i + 1 :])
+    empty = "[source]\nuniverse =\nlt/2:\n[target]\n"
+    big = tmp_path / "big.emb"
+    big.write_text(f"{empty}universe = {' '.join(points)}\nlt/2: {order}\n[map]\n")
+    one = tmp_path / "one.emb"
+    one.write_text(f"{empty}universe = q\nlt/2:\n[map]\n")
+    argv = ["amalgamate", "--embedding1", str(big), "--embedding2", str(one), "--age", "linear"]
+    start = time.monotonic()
+    assert main(argv) == 3
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err == "resource cap: pushout universe of size 12 exceeds cap\n"
+
+
 def test_amalgamate(capsys, tmp_path):
     e1 = tmp_path / "e1.emb"
     e1.write_text(EMBEDDING_A_BELOW_B)
@@ -260,6 +285,7 @@ def test_orbitcat_deterministic(capsys, grp):
 
 
 OI_CHAIN = "OI 0 1 : [] : x1^2\n--\nOI 0 2 : [] : x1*x2\n--\nOI 0 1 : [] : x1\n"
+FI_CHAIN = "FI 0 2 : [] : x1^2 - 3/2*x2\n--\nFI 0 2 : [] : x1*x2\n--\nFI 0 1 : [] : 2*x1^3\n"
 
 
 def test_noeth_chain(capsys, tmp_path):
@@ -285,12 +311,20 @@ def test_noeth_chain(capsys, tmp_path):
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     # str and frozenset iteration order follows PYTHONHASHSEED; reports must not
-    files = {"oi.chain": OI_CHAIN, "e1.emb": EMBEDDING_A_BELOW_B, "e2.emb": EMBEDDING_C_BELOW_A}
+    files = {
+        "oi.chain": OI_CHAIN,
+        "fi.chain": FI_CHAIN,
+        "e1.emb": EMBEDDING_A_BELOW_B,
+        "e2.emb": EMBEDDING_C_BELOW_A,
+    }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     commands = (
         ("noeth-chain", "--kind", "oi", "--chain", "oi.chain", "--width", "4", "--degree", "3"),
+        ("noeth-chain", "--kind", "fi", "--chain", "fi.chain", "--width", "3", "--degree", "3")
+        + ("--field", "fp:7"),
         ("sap", "--kind", "pair", "--cap", "2"),
+        ("sap", "--kind", "linear", "--cap", "5"),
         ("amalgamate", "--embedding1", "e1.emb", "--embedding2", "e2.emb", "--age", "linear"),
     )
     script = f"from orbitlab.cli import main\nfor argv in {commands!r}:\n    main(list(argv))\n"

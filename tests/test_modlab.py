@@ -187,6 +187,74 @@ def test_membership_vs_linear_algebra_oracle():
     assert agree >= 100
 
 
+def test_arithmetic_builds_canonical_values():
+    # the constructors trust their input, so every result of arithmetic on
+    # checked values must already be canonical: monomials of the ring's
+    # width, nonzero coefficients that are field values
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    F7 = CoefficientField(7)
+
+    def assert_canonical(p, width, field):
+        assert (p.width, p.field) == (width, field)
+        for mono, c in p.terms.items():
+            assert type(mono) is tuple and len(mono) == width
+            if field is QQ:
+                assert type(c) is Fraction and c != 0
+            else:
+                assert type(c) is int and 1 <= c <= 6
+
+    def assert_canonical_vector(v, width, field):
+        assert (v.width, v.field) == (width, field)
+        for poly in v.coords.values():
+            assert not poly.is_zero()
+            assert_canonical(poly, width, field)
+
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from([QQ, F7]))
+        width = draw(st.integers(min_value=1, max_value=3))
+        monos = st.tuples(*[st.integers(min_value=0, max_value=2)] * width)
+        # denominators below 7 have a value in F7
+        coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+        def poly():
+            total = Polynomial.zero(width, field)
+            for mono, c in draw(st.dictionaries(monos, coeffs, max_size=3)).items():
+                total = total + Polynomial.monomial(width, mono, c, field)
+            return total
+
+        def vector():
+            return ModuleVector(width, field, {pos: poly() for pos in range(draw(st.integers(1, 2)))})
+
+        a, b = poly(), poly()
+        mono = draw(monos)
+        scalar = field.coerce(draw(coeffs))
+        new_width = draw(st.integers(min_value=width, max_value=width + 2))
+        image = tuple(draw(st.permutations(range(1, new_width + 1)))[:width])
+        gens = [vector() for _ in range(draw(st.integers(1, 3)))]
+        return field, width, a, b, mono, scalar, new_width, image, gens, vector()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases(), st.sampled_from([LEX, GREVLEX]))
+    def run(case, order):
+        field, width, a, b, mono, scalar, new_width, image, gens, v = case
+        for p in (a, b, a + b, a - b, -a, a * b, a.term_mul(mono, scalar), b.scale(3)):
+            assert_canonical(p, width, field)
+        assert_canonical(a.substitute(image, new_width), new_width, field)
+        gb = groebner_basis(gens, order, degree_cap=4)
+        for g in gens + [v] + [g.term_mul(mono, scalar) for g in gens]:
+            assert_canonical_vector(g, width, field)
+        for g in gb.vectors:
+            assert_canonical_vector(g, width, field)
+        assert_canonical_vector(normal_form(v, gb.vectors, order), width, field)
+        nonzero = [g for g in gens if not g.is_zero()]
+        assert_canonical_vector(normal_form(v, nonzero, order), width, field)
+
+    run()
+
+
 # -- presheaf elements ------------------------------------------------------------
 
 

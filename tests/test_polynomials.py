@@ -40,6 +40,18 @@ def test_zero_terms_dropped():
     assert (p - p).is_zero()
 
 
+def test_monomial_checks_and_coerces_outside_data():
+    F7 = CoefficientField(7)
+    with pytest.raises(MalformedInputError):
+        Polynomial.monomial(2, (1,))
+    with pytest.raises(MalformedInputError):
+        Polynomial.monomial(1, (1, 0), 3, F7)
+    assert Polynomial.monomial(1, (1,), 8, F7).terms == {(1,): 1}
+    assert Polynomial.constant(1, 14, F7).is_zero()
+    (c,) = Polynomial.monomial(2, [0, 1], 2).terms.values()
+    assert type(c) is Fraction
+
+
 def test_arithmetic_ring_axioms_sample():
     x = Polynomial.variable(2, 1)
     y = Polynomial.variable(2, 2)

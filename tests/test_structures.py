@@ -13,6 +13,7 @@ from orbitlab.structures import (
     StructureEmbedding,
     _candidate_universes,
     _embedding_ok,
+    _iso_classes,
     _pushout_labels,
     _sap_problems,
     age_for,
@@ -224,6 +225,28 @@ def test_unrestricted_enumeration_is_permutation_order(name):
             s = arrangement_structure(name, arr)
             expected.setdefault(s.relations, s)
         assert list(age.structures_on(labels)) == list(expected.values())
+
+
+def iso_classes_by_canonical_form(age, size):
+    """Oracle for `_iso_classes`: the first structure of each
+    `canonical_form`, sorted by it, with one `canonical_form` per structure."""
+    classes = {}
+    for s in age.structures_on(tuple(range(1, size + 1))):
+        classes.setdefault(s.canonical_form(), s)
+    return [classes[k] for k in sorted(classes)]
+
+
+@pytest.mark.parametrize(
+    "name, max_size",
+    [("set", 5), ("linear", 5), ("betweenness", 5), ("cyclic", 5), ("separation", 5), ("pair", 4)],
+)
+def test_iso_classes_match_the_canonical_form_grouping(name, max_size):
+    age = age_for(name)
+    for size in range(max_size + 1):
+        classes = _iso_classes(age, size)
+        assert classes == iso_classes_by_canonical_form(age, size)
+        if name != "pair":  # a built-in age has one class per size
+            assert len(classes) == 1
 
 
 @pytest.mark.parametrize(
