@@ -25,12 +25,10 @@ from .actions import (
     FullnessWitness,
     GrowthProfile,
     LemmaReport,
-    Orbit,
     growth_profile,
     is_t_dense,
     lemma_equivalence_check,
     orbit_count,
-    orbits,
     parse_group_file,
     perm_from_cycles,
     restriction_fullness_witness,
@@ -51,7 +49,6 @@ from .structures import (
     arrangement_structure,
     canonical_structure,
     enumerate_embeddings,
-    fixed_point_condition,
     format_structure,
     make_structure,
     parse_embedding_file,

@@ -2,16 +2,16 @@
 
 A group is given by generators, and everything else is built from them.  The
 orbit of a tuple of points comes with a transversal (one element sending the
-tuple to each image).  On 1-tuples it drives a base and strong generating set
-(deterministic Schreier-Sims on the sorted support), which gives the group
-order, membership by sifting, and the least element of each coset gK; on
-subsets, Schreier's lemma turns it into generators of the pointwise
-stabilizer G_Gamma, whose common fixed points are Fix(G_Gamma).  Orbit
-counts on tuples descend the orbit tree through such stabilizers; they give
-the growth functions F and F*, the same-orbit conditions and density.  No
-group is ever listed element by element.  Permutations are tuples p of
-length N with p[i-1] the image of the point i; points are 1-based to match
-the rest of the library.
+tuple to each image), and Schreier's lemma turns it into generators of the
+pointwise stabilizer G_Gamma, whose common fixed points are Fix(G_Gamma).
+Such stabilizers, one point at a time, are the nodes of the orbit tree, the
+one orbit engine: along the sorted support they form a base and strong
+generating set (the group order, membership by sifting, the least element
+of each coset gK); its node counts give the growth functions F and F*, the
+same-orbit conditions and density; its least sets give f; and its nodes
+name the relations of the canonical structure.  No group is ever listed
+element by element.  Permutations are tuples p of length N with p[i-1] the
+image of the point i; points are 1-based to match the rest of the library.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations, product
-from math import comb, factorial
+from itertools import accumulate
+from math import factorial
 from operator import mul
 
 from .errors import MalformedInputError, ResourceCapError, parse_int
@@ -52,19 +52,9 @@ def act_tuple(g: Perm, tup: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g[x - 1] for x in tup)
 
 
-def act_set(g: Perm, s: frozenset[int]) -> frozenset[int]:
-    return frozenset(g[x - 1] for x in s)
-
-
-def _sift(g: Perm, base, transversals, start: int) -> tuple[Perm, int]:
-    """Divide g by transversal elements from level `start` on; return the
-    residue and the level where it left the chain (len(base) if none)."""
-    for i in range(start, len(base)):
-        u = transversals[i].get((g[base[i] - 1],))
-        if u is None:
-            return g, i
-        g = pmul(pinv(u), g)
-    return g, len(base)
+def _inverses(transversal: dict) -> dict:
+    """Each point p of a point transversal -> the inverse of its element."""
+    return {image: pinv(u) for (image,), u in transversal.items()}
 
 
 def _orbit_transversal(base: tuple, gens, ident: Perm, cap: int | None = None) -> dict:
@@ -87,55 +77,29 @@ def _orbit_transversal(base: tuple, gens, ident: Perm, cap: int | None = None) -
     return transversal
 
 
+def _orbit(x, gens, act, cap: int | None = None, name: str = "orbit") -> set:
+    """The orbit of x under <gens>, act(s, y) being the image of y under s.
+    Raises ResourceCapError as soon as it outgrows `cap`."""
+    orbit, bdy = {x}, [x]
+    for y in bdy:
+        for s in gens:
+            z = act(s, y)
+            if z not in orbit:
+                orbit.add(z)
+                bdy.append(z)
+                if cap is not None and len(orbit) > cap:
+                    raise ResourceCapError(f"{name} exceeds cap {cap}")
+    return orbit
+
+
 def _schreier_generators(transversal: dict, gens):
     """Yield u_{s(k)}^-1 * s * u_k over the orbit transversal u of a point
     tuple and the generators s: by Schreier's lemma they generate the
     stabilizer of that tuple (Seress, Permutation Group Algorithms, 4.1)."""
-    inverses = {}
+    inverses = {image: pinv(u) for image, u in transversal.items()}
     for k, u in transversal.items():
         for s in gens:
-            image = act_tuple(s, k)
-            inverse = inverses.get(image)
-            if inverse is None:
-                inverse = inverses[image] = pinv(transversal[image])
-            yield pmul(inverse, pmul(s, u))
-
-
-def _schreier_sims(gens, n: int) -> tuple[list, list]:
-    """A base and strong generating set of <gens> by deterministic
-    Schreier-Sims (Sims 1970; Seress, Permutation Group Algorithms, ch. 4-5),
-    as (base, transversals): transversals[i] maps each point (p,) of the
-    orbit of base[i] under G_{base[:i]} to an element of G_{base[:i]} sending
-    base[i] to p.  The base is the support of the generators in ascending
-    order.  Lists no group elements."""
-    ident = identity_perm(n)
-    gens = [g for g in gens if g != ident]
-    base = sorted({x for g in gens for x in range(1, n + 1) if g[x - 1] != x})
-    # strong[i] generates the pointwise stabilizer of base[:i] once done
-    strong = [[g for g in gens if all(g[b - 1] == b for b in base[:i])] for i in range(len(base))]
-    transversals = [_orbit_transversal((b,), s, ident) for b, s in zip(base, strong)]
-
-    def residue(i: int):
-        """A Schreier generator of level i that does not sift, or None."""
-        for g in _schreier_generators(transversals[i], strong[i]):
-            h, j = _sift(g, base, transversals, i + 1)
-            if h != ident:
-                return h, j
-        return None
-
-    i = len(base) - 1
-    while i >= 0:
-        found = residue(i)
-        if found is None:
-            i -= 1
-            continue
-        # h fixes base[:j]; since the base covers the support, j < len(base)
-        h, j = found
-        for level in range(i + 1, j + 1):
-            strong[level].append(h)
-            transversals[level] = _orbit_transversal((base[level],), strong[level], ident)
-        i = j
-    return base, transversals
+            yield pmul(inverses[act_tuple(s, k)], pmul(s, u))
 
 
 def _least_in_coset(g: Perm, base, transversals) -> Perm:
@@ -161,10 +125,12 @@ class FiniteAction:
 
     domain_size: int
     generators: tuple[Perm, ...]
-    # write-once caches: the Schreier-Sims chain (base, transversals), and
-    # orbit transversals keyed by point tuples
+    # write-once caches: the base and strong generating set, orbit
+    # transversals keyed by point tuples, and orbit-tree nodes keyed by
+    # point sets
     _chain: tuple = field(default=None, init=False, compare=False, repr=False)
     _orbits: dict = field(default=None, init=False, compare=False, repr=False)
+    _nodes: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.domain_size < 1:
@@ -172,13 +138,23 @@ class FiniteAction:
         gens = tuple(_check_perm(g, self.domain_size) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_orbits", {})
+        object.__setattr__(self, "_nodes", {})
 
-    def chain(self) -> tuple[list, list]:
-        """The base and basic orbit transversals of `_schreier_sims`;
-        callers must not modify them."""
+    def chain(self) -> tuple[list, list, list]:
+        """A base and strong generating set (base, transversals, inverses),
+        read-only: base is the sorted support; transversals[i] maps each point
+        (p,) of the orbit of base[i] under the orbit-tree node G_{base[:i]} to
+        an element of it sending base[i] to p; inverses[i] maps p to its inverse."""
         # write-once memo; the value is deterministic so races are harmless
         if self._chain is None:
-            object.__setattr__(self, "_chain", _schreier_sims(self.generators, self.domain_size))
+            N = self.domain_size
+            base = sorted({x for g in self.generators for x in range(1, N + 1) if g[x - 1] != x})
+            transversals = [
+                _orbit_transversal((b,), self._node(tuple(base[:i]))[0], identity_perm(N))
+                for i, b in enumerate(base)
+            ]
+            inverses = [_inverses(t) for t in transversals]
+            object.__setattr__(self, "_chain", (base, transversals, inverses))
         return self._chain
 
     def order(self) -> int:
@@ -194,9 +170,15 @@ class FiniteAction:
         identity."""
         if other.domain_size != self.domain_size:
             return False
-        base, transversals = self.chain()
-        ident = identity_perm(self.domain_size)
-        return all(_sift(g, base, transversals, 0)[0] == ident for g in other.generators)
+        base, _, inverses = self.chain()
+        for g in other.generators:
+            for b, inverse in zip(base, inverses):
+                if g[b - 1] not in inverse:
+                    return False
+                g = pmul(inverse[g[b - 1]], g)
+            if g != identity_perm(self.domain_size):
+                return False
+        return True
 
     def _points(self, points) -> tuple[int, ...]:
         pts = tuple(sorted(set(points)))
@@ -218,6 +200,34 @@ class FiniteAction:
             transversal = _orbit_transversal(pts, self.generators, ident, DEFAULT_GROUP_ORDER_CAP)
             self._orbits[pts] = transversal
         return transversal
+
+    def _node(self, points: tuple) -> tuple:
+        """The orbit-tree node (gens, least) of a point tuple: Sims-filtered
+        Schreier generators of its pointwise stabilizer K, built from the
+        node of points[:-1] (expanded first by every caller), and least[x - 1]
+        the least point of x's K-orbit, or None for a trivial K.  Cached per
+        point set; callers must not modify it."""
+        key = frozenset(points)
+        node = self._nodes.get(key)
+        if node is not None:
+            return node
+        N, ident = self.domain_size, identity_perm(self.domain_size)
+        if not points:
+            gens = _sims_filter(self.generators, ident)
+        else:
+            parent = self._node(points[:-1])
+            transversal = _orbit_transversal(points[-1:], parent[0], ident)
+            if len(transversal) == 1:  # a fixed point: K is the parent's stabilizer
+                self._nodes[key] = parent
+                return parent
+            gens = _sims_filter(_schreier_generators(transversal, parent[0]), ident)
+        least = [0] * N if gens else None
+        for y in range(1, N + 1 if gens else 1):
+            if not least[y - 1]:
+                for z in _orbit(y, gens, lambda s, x: s[x - 1]):
+                    least[z - 1] = y
+        self._nodes[key] = gens, least
+        return gens, least
 
     def fixed_points(self, points) -> frozenset:
         """Fix(G_points), the points fixed by every element fixing the given
@@ -246,81 +256,7 @@ def trivial_action(n: int) -> FiniteAction:
     return FiniteAction(n, (identity_perm(n),))
 
 
-# -- orbit enumeration -------------------------------------------------------
-
-@dataclass(frozen=True)
-class Orbit:
-    representative: tuple
-    elements: frozenset
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-def _space(N: int, n: int, mode: str):
-    if mode == "power":
-        return product(range(1, N + 1), repeat=n), N**n
-    if mode == "injective":
-        return permutations(range(1, N + 1), n), factorial(N) // factorial(N - n)
-    if mode == "subsets":
-        return (frozenset(c) for c in combinations(range(1, N + 1), n)), comb(N, n)
-    raise MalformedInputError(f"unknown mode {mode!r}")
-
-
-def _act(mode: str):
-    return act_set if mode == "subsets" else act_tuple
-
-
-def _key(x, mode: str):
-    return tuple(sorted(x)) if mode == "subsets" else x
-
-
-def _orbit_point_sets(
-    action: FiniteAction, n: int, mode: str, space_cap: int = DEFAULT_SPACE_CAP
-):
-    """Yield the point set of each orbit on n-tuples (power/injective) or
-    n-subsets once, in the order of each orbit's first point in the space."""
-    N = action.domain_size
-    if mode in ("injective", "subsets") and n > N:
-        raise MalformedInputError(f"n={n} exceeds domain size {N} for mode {mode}")
-    points, total = _space(N, n, mode)
-    if total > space_cap:
-        raise ResourceCapError(f"space of size {total} exceeds cap {space_cap}")
-    act = _act(mode)
-    gens = action.generators
-    seen = set()
-    for x in points:
-        if x in seen:
-            continue
-        orbit = {x}
-        bdy = [x]
-        while bdy:
-            new = []
-            for g in gens:
-                for y in bdy:
-                    z = act(g, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            bdy = new
-        seen |= orbit
-        yield orbit
-
-
-def orbits(
-    action: FiniteAction,
-    n: int,
-    mode: str = "injective",
-    space_cap: int = DEFAULT_SPACE_CAP,
-) -> list[Orbit]:
-    """Orbits on n-tuples (power/injective) or n-subsets, reps lex-minimal."""
-    out = [
-        Orbit(min(_key(y, mode) for y in orbit), frozenset(orbit))
-        for orbit in _orbit_point_sets(action, n, mode, space_cap)
-    ]
-    out.sort(key=lambda o: o.representative)
-    return out
+# -- the orbit tree -------------------------------------------------------------
 
 
 def _sims_filter(gens, ident: Perm) -> list:
@@ -343,6 +279,20 @@ def _sims_filter(gens, ident: Perm) -> list:
     return holders
 
 
+def _work_budget(space_cap: int):
+    """A charge(units) function for one walk of the orbit tree, which raises
+    ResourceCapError once the walk has done more than 3 * space_cap units."""
+    left = 3 * space_cap
+
+    def charge(units: int) -> None:
+        nonlocal left
+        left -= units
+        if left < 0:
+            raise ResourceCapError(f"orbit tree exceeds {3 * space_cap} units of work")
+
+    return charge
+
+
 def _descent_counts(
     action: FiniteAction, n: int, mode: str, space_cap: int = DEFAULT_SPACE_CAP
 ) -> list[int]:
@@ -351,10 +301,9 @@ def _descent_counts(
     Permutation Groups, 2-3).  The children of a tuple t are the orbits of
     its pointwise stabilizer G_t on the points outside t (injective), or on
     all points, those of t being fixed singletons (power).  G_t depends only
-    on t's point set, so each set is expanded once, from the Schreier
-    generators of the orbit transversal thinned by Sims' filter; below a
-    trivial G_t the counts are N^j or the falling factorial of the free
-    points.
+    on t's point set, so each set is expanded once (`FiniteAction._node`);
+    below a trivial G_t the counts are N^j or the falling factorial of the
+    free points.
 
     The whole descent may do at most 3 * space_cap units of work: a point
     scanned, or a count of at most w words built or added, where every
@@ -371,64 +320,42 @@ def _descent_counts(
         raise MalformedInputError(f"n={n} exceeds domain size {N} for mode {mode}")
     if n < 0:
         raise MalformedInputError("n must be a natural number")
-    ident = identity_perm(N)
     words = n * (N - 1).bit_length() // 64 + 1
-    budget = 3 * space_cap
+    charge = _work_budget(space_cap)
     memo = {}
     stack = []
 
-    def charge(units: int) -> None:
-        nonlocal budget
-        budget -= units
-        if budget < 0:
-            raise ResourceCapError(f"orbit tree exceeds {3 * space_cap} units of work")
-
-    def orbit_reps(chosen, gens) -> list:
-        """The least point of each orbit of <gens> outside `chosen`."""
-        charge(N)
-        seen = set(chosen)
-        reps = []
-        for y in range(1, N + 1):
-            if y not in seen:
-                reps.append(y)
-                seen.add(y)
-                orbit = [y]
-                for x in orbit:
-                    for s in gens:
-                        if s[x - 1] not in seen:
-                            seen.add(s[x - 1])
-                            orbit.append(s[x - 1])
-        return reps
-
-    def counts(chosen, gens):
-        """The counts below `chosen`, whose stabilizer <gens> has been
-        filtered, or None after pushing its frame on the stack."""
+    def counts(chosen: tuple):
+        """The counts below the tuple `chosen`, or None after pushing its
+        frame on the stack."""
         r = n - len(chosen)
-        if not gens or r == 0:
+        least = action._node(chosen)[1] if r else None
+        if least is None:
             charge((r + 1) * words)
             free = N - len(chosen)
             return list(accumulate((N if power else free - j for j in range(r)), mul, initial=1))
-        reps = orbit_reps(chosen, gens)
+        charge(N)
+        outside = set(chosen)
+        reps = [y for y in range(1, N + 1) if least[y - 1] == y and y not in outside]
         charge((r + 1) * words)
         if r > 1:
-            stack.append((chosen, gens, [1] + [0] * r, iter(reps)))
+            stack.append((chosen, [1] + [0] * r, iter(reps)))
             return None
-        memo[chosen] = [1, len(reps) + (len(chosen) if power else 0)]
-        return memo[chosen]
+        memo[frozenset(chosen)] = out = [1, len(reps) + (len(chosen) if power else 0)]
+        return out
 
     # depth first on an explicit stack: a tree may be deeper than Python's
     # recursion limit
-    total = counts(frozenset(), _sims_filter(action.generators, ident))
+    total = counts(())
     while stack:
-        chosen, gens, out, reps = stack[-1]
+        chosen, out, reps = stack[-1]
         for y in reps:
-            child = chosen | {y}
-            sub = memo.get(child)
+            child = chosen + (y,)
+            sub = memo.get(frozenset(child))
             if sub is not None:
                 charge(len(sub) * words)
             else:
-                transversal = _orbit_transversal((y,), gens, ident)
-                sub = counts(child, _sims_filter(_schreier_generators(transversal, gens), ident))
+                sub = counts(child)
                 if sub is None:  # resume here once the child's frame is done
                     break
             for j, c in enumerate(sub, 1):
@@ -438,21 +365,118 @@ def _descent_counts(
             if power:
                 for j in range(1, len(out)):
                     out[j] += len(chosen) * out[j - 1]
-            memo[chosen] = out
+            memo[frozenset(chosen)] = out
             if stack:
                 for j, c in enumerate(out, 1):
-                    stack[-1][2][j] += c
+                    stack[-1][1][j] += c
             else:
                 total = out
     return total
 
 
+def _is_least(C: tuple, path: list, charge) -> bool:
+    """Whether the set of the increasing tuple C is least in its G-orbit as a
+    sorted tuple: a smallest-image search (Linton, ISSAC 2004) down K_k =
+    G_{C[:k]}, path[k] the frame of C[:k] in `_least_set_counts`.  Level-k
+    states are images of C with least points C[:k]; any such image is a state
+    moved by K_k.  A state point outside C[:k] whose K_k-orbit goes below C[k]
+    gives a smaller image; else moving each point of C[k]'s orbit to C[k]
+    gives the next states.  One unit of work per state."""
+    charge(1)
+    if path[0][1][1] is None:  # G is trivial
+        return True
+    states = {frozenset(C)}
+    for k, c in enumerate(C):
+        least = path[k][1][1]
+        if least is None:
+            return all(tuple(sorted(T)) >= C for T in states)
+        prefix, inverse, images = frozenset(C[:k]), path[k][2], []
+        for T in states:
+            for t in T - prefix:
+                if least[t - 1] < c:
+                    return False
+                if least[t - 1] == c and k < len(C) - 1:
+                    # the transversal element of c itself is the identity
+                    images.append(T if t == c else frozenset(inverse[t][x - 1] for x in T))
+        charge(len(images))
+        states = set(images)
+    return True
+
+
+def _least_set_counts(
+    action: FiniteAction, n: int, space_cap: int = DEFAULT_SPACE_CAP
+) -> list[int]:
+    """The orbit counts on k-subsets for k = 0..n: the k-sets least in their
+    orbit as sorted tuples, by orderly generation (Read, "Every one a winner",
+    1978).  A least set less its largest point y is a least S, with y > max S
+    the least of its G_S-orbit outside S: a child of S in the orbit tree.  So
+    each least S is extended by those children that pass `_is_least`.  Work:
+    N per nontrivial node scanned, 1 per least-test state."""
+    N = action.domain_size
+    if n > N:
+        raise MalformedInputError(f"n={n} exceeds domain size {N} for mode subsets")
+    if n < 0:
+        raise MalformedInputError("n must be a natural number")
+    ident = identity_perm(N)
+    charge = _work_budget(space_cap)
+    out = [1] + [0] * n
+
+    def frame(S: tuple, node: tuple) -> list:
+        """[S, its node, the next extension's inverted transversal, extensions]"""
+        start = S[-1] + 1 if S else 1
+        if node[1] is None:
+            return [S, node, None, iter(range(start, N + 1))]
+        charge(N)
+        return [S, node, None, iter([y for y in range(start, N + 1) if node[1][y - 1] == y])]
+
+    # depth first on an explicit stack, as the tree may be deeper than
+    # Python's recursion limit; the stack is the path to the top frame
+    stack = [frame((), action._node(()))] if n else []
+    while stack:
+        top = stack[-1]
+        S, (gens, least), _, points = top
+        for y in points:
+            C = S + (y,)
+            if _is_least(C, stack, charge):
+                out[len(C)] += 1
+                if len(C) < n:
+                    top[2] = least and _inverses(_orbit_transversal((y,), gens, ident))
+                    stack.append(frame(C, action._node(C) if least else top[1]))
+                    break
+        else:
+            stack.pop()
+    return out
+
+
 def orbit_count(action: FiniteAction, n: int, mode: str) -> int:
+    """The number of orbits on n-tuples (power), injective n-tuples or n-subsets."""
     if n == 0:
         return 1
+    if mode == "subsets":
+        return _least_set_counts(action, n)[n]
     if mode in ("power", "injective"):
         return _descent_counts(action, n, mode)[n]
-    return sum(1 for _ in _orbit_point_sets(action, n, mode))
+    raise MalformedInputError(f"unknown mode {mode!r}")
+
+
+def tuple_orbits(action: FiniteAction, max_n: int) -> list:
+    """The orbits on k-tuples, k = 1..max_n, as frozensets per level in the
+    order of their least tuples: extending t by the least point of each
+    G_t-orbit (t's points are fixed) reaches each orbit once, at its least
+    tuple, in ascending order.  A level above DEFAULT_SPACE_CAP tuples raises."""
+    N = action.domain_size
+    for k in range(1, max_n + 1):
+        if N**k > DEFAULT_SPACE_CAP:
+            raise ResourceCapError(f"space of size {N**k} exceeds cap {DEFAULT_SPACE_CAP}")
+    out, level = [], [()]
+    for _ in range(max_n):
+        children = []
+        for t in level:
+            least = action._node(t)[1]
+            children += [t + (y,) for y in range(1, N + 1) if least is None or least[y - 1] == y]
+        level = children
+        out.append([frozenset(_orbit(t, action.generators, act_tuple)) for t in level])
+    return out
 
 
 # -- growth functions --------------------------------------------------------
@@ -510,7 +534,7 @@ def growth_profile(action: FiniteAction, max_n: int) -> GrowthProfile:
         raise MalformedInputError("max_n exceeds domain size")
     if max_n < 0:
         raise MalformedInputError("max_n must be a natural number")
-    f = tuple(orbit_count(action, n, "subsets") for n in range(1, max_n + 1))
+    f = tuple(_least_set_counts(action, max_n)[1:])
     F = tuple(_descent_counts(action, max_n, "injective")[1:])
     F_star = tuple(_descent_counts(action, max_n, "power")[1:])
     profile = GrowthProfile(f, F, F_star, max_n)
@@ -610,23 +634,14 @@ class FullnessWitness:
 
 def _coset_orbit(gens, K: FiniteAction, cap: int) -> set:
     """The orbit of the coset K under <gens>, each coset gK named by its
-    least element.  Raises ResourceCapError above `cap` cosets."""
-    base, transversals = K.chain()
-    ident = identity_perm(K.domain_size)  # the least element of K
-    names = {ident}
-    bdy = [ident]
-    while bdy:
-        new = []
-        for c in bdy:
-            for s in gens:
-                d = _least_in_coset(pmul(s, c), base, transversals)
-                if d not in names:
-                    names.add(d)
-                    new.append(d)
-                    if len(names) > cap:
-                        raise ResourceCapError(f"coset space exceeds cap {cap}")
-        bdy = new
-    return names
+    least element (K by the identity).  Raises ResourceCapError above `cap`
+    cosets."""
+    base, transversals, _ = K.chain()
+
+    def act(s: Perm, c: Perm) -> Perm:
+        return _least_in_coset(pmul(s, c), base, transversals)
+
+    return _orbit(identity_perm(K.domain_size), gens, act, cap, "coset space")
 
 
 def restriction_fullness_witness(

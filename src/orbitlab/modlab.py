@@ -324,7 +324,7 @@ class WidthChainResult:
     width: int
     first_stable_index: int  # 1-based; earliest index whose component persists
     rank_profile: tuple  # leading-term dimension count per chain index
-    monotone: bool  # consecutive components verified nested
+    monotone: bool  # consecutive components nested (unchecked past a degree-capped one)
     degree_capped: bool
 
     @property
@@ -405,8 +405,11 @@ def chain_experiment(
         profile = tuple(
             submodule_dimension_upto(gb, width, degree_cap) for gb in gbs
         )
+        # a reduction to zero proves membership, but a nonzero normal form
+        # disproves it only modulo a Groebner basis, which a degree-capped
+        # basis need not be: there the nesting is left unverified
         monotone = all(
-            all(later.contains(v) for v in earlier.vectors)
+            later.degree_capped or all(later.contains(v) for v in earlier.vectors)
             for earlier, later in zip(gbs, gbs[1:])
         )
         results.append(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .actions import FiniteAction, Perm, pinv, pmul
+from .actions import FiniteAction, Perm, pinv
 from .errors import MalformedInputError, OrbitlabError
 from .structures import (
     StructureEmbedding,
@@ -64,13 +64,6 @@ class OrbitMorphism:
 
     def __hash__(self):
         return hash((self.source_gamma, self.target_gamma, self.key))
-
-
-def compose_orbit_morphisms(f: OrbitMorphism, g: OrbitMorphism) -> OrbitMorphism:
-    """f: G/G_A -> G/G_B followed by g: G/G_B -> G/G_C."""
-    if f.target_gamma != g.source_gamma:
-        raise MalformedInputError("orbit morphisms do not compose")
-    return OrbitMorphism(f.source_gamma, g.target_gamma, pmul(g.representative, f.representative))
 
 
 class OrbitCategory:
@@ -197,7 +190,7 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
                     (tuple(sorted(gamma)), tuple(sorted(sigma)), len(embs), len(morphisms))
                 )
 
-    # the fixed-point condition Fix(G_s) = s, as structures.fixed_point_condition
+    # the fixed-point condition Fix(G_s) = s
     violations = [tuple(sorted(s)) for s in subsets if fixed[s] != s]
     return PhiIsoReport(
         size_cap,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .actions import FiniteAction, orbits
+from .actions import FiniteAction, tuple_orbits
 from .categories import CategoryKind, canonical_relation
 from .errors import MalformedInputError, ResourceCapError, parse_int
 
@@ -162,25 +162,16 @@ def automorphisms(A: FiniteStructure) -> list[StructureEmbedding]:
 
 
 def canonical_structure(action: FiniteAction, max_arity: int) -> FiniteStructure:
-    """Universe [N] with one relation per orbit on each tuple power <= max_arity."""
+    """Universe [N] with one relation per orbit on each tuple power <= max_arity,
+    numbered per arity in the order of the orbits' least tuples."""
     if max_arity > action.domain_size:
         raise MalformedInputError("max_arity exceeds domain size")
-    signature = []
-    relations = {}
-    for n in range(1, max_arity + 1):
-        for i, orb in enumerate(orbits(action, n, "power")):
-            name = f"orbit{n}_{i}"
-            signature.append((name, n))
-            relations[name] = frozenset(orb.elements)
+    signature, relations = [], {}
+    for n, orbits in enumerate(tuple_orbits(action, max_arity), 1):
+        for i, orbit in enumerate(orbits):
+            signature.append((f"orbit{n}_{i}", n))
+            relations[f"orbit{n}_{i}"] = orbit
     return make_structure(range(1, action.domain_size + 1), signature, relations)
-
-
-def fixed_point_condition(action: FiniteAction, gamma) -> bool:
-    """True iff the pointwise stabilizer of gamma fixes nothing outside it."""
-    gamma = set(gamma)
-    if not gamma <= set(range(1, action.domain_size + 1)):
-        raise MalformedInputError("gamma must be a subset of the domain")
-    return action.fixed_points(gamma) == gamma
 
 
 # -- ages ----------------------------------------------------------------------

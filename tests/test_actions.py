@@ -1,10 +1,11 @@
 """Unit tests for permutation actions, growth functions, density and the
 restriction-fullness witness.  Group-theoretic facts are cross-checked by
-explicit element enumeration inside the tests: the oracles below list a group
-by closing its generators, which the library itself never does.  Other test
-files import them."""
+explicit enumeration inside the tests: the oracles below list a group by
+closing its generators, and walk the whole space of tuples or subsets for its
+orbits, which the library itself never does.  Other test files import them."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -15,14 +16,15 @@ import pytest
 from orbitlab import actions
 from orbitlab.actions import (
     DEFAULT_GROUP_ORDER_CAP,
+    DEFAULT_SPACE_CAP,
     FiniteAction,
     FullnessWitness,
+    act_tuple,
     growth_profile,
     identity_perm,
     is_t_dense,
     lemma_equivalence_check,
     orbit_count,
-    orbits,
     parse_group_file,
     perm_from_cycles,
     pinv,
@@ -34,9 +36,10 @@ from orbitlab.actions import (
     trivial_action,
 )
 from orbitlab.errors import MalformedInputError, ResourceCapError
+from orbitlab.structures import canonical_structure
 
 
-# -- element-listing oracles ----------------------------------------------------
+# -- element-listing and orbit-enumeration oracles --------------------------------
 
 
 def mulclose(gens, n, cap=DEFAULT_GROUP_ORDER_CAP):
@@ -125,6 +128,68 @@ def oracle_fullness_witness(G, H, K):
         return None
     g = min(module.cosets[min(i for i in range(len(module.cosets)) if i not in hk)])
     return FullnessWitness(g, base, f[module.act_on_index(g, base)], f[base])
+
+
+def _space(N, n, mode):
+    if mode == "power":
+        return product(range(1, N + 1), repeat=n), N**n
+    if mode == "injective":
+        return permutations(range(1, N + 1), n), factorial(N) // factorial(N - n)
+    if mode == "subsets":
+        return (frozenset(c) for c in combinations(range(1, N + 1), n)), comb(N, n)
+    raise MalformedInputError(f"unknown mode {mode!r}")
+
+
+def orbit_point_sets(action, n, mode, space_cap=DEFAULT_SPACE_CAP):
+    """Yield the point set of each orbit on n-tuples (power/injective) or
+    n-subsets once, in the order of each orbit's first point in the space."""
+    N = action.domain_size
+    if mode in ("injective", "subsets") and n > N:
+        raise MalformedInputError(f"n={n} exceeds domain size {N} for mode {mode}")
+    points, total = _space(N, n, mode)
+    if total > space_cap:
+        raise ResourceCapError(f"space of size {total} exceeds cap {space_cap}")
+    act = (lambda g, s: frozenset(g[x - 1] for x in s)) if mode == "subsets" else act_tuple
+    gens = action.generators
+    seen = set()
+    for x in points:
+        if x in seen:
+            continue
+        orbit = {x}
+        bdy = [x]
+        while bdy:
+            new = []
+            for g in gens:
+                for y in bdy:
+                    z = act(g, y)
+                    if z not in orbit:
+                        orbit.add(z)
+                        new.append(z)
+            bdy = new
+        seen |= orbit
+        yield orbit
+
+
+@dataclass(frozen=True)
+class Orbit:
+    representative: tuple
+    elements: frozenset
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+
+def orbits(action, n, mode="injective", space_cap=DEFAULT_SPACE_CAP):
+    """Orbits on n-tuples (power/injective) or n-subsets, reps lex-minimal,
+    sorted by representative."""
+    key = (lambda x: tuple(sorted(x))) if mode == "subsets" else (lambda x: x)
+    out = [
+        Orbit(min(key(y) for y in orbit), frozenset(orbit))
+        for orbit in orbit_point_sets(action, n, mode, space_cap)
+    ]
+    out.sort(key=lambda o: o.representative)
+    return out
 
 
 def cyclic_action(n):
@@ -321,34 +386,40 @@ def test_lemma_consistency_random():
 
 
 def test_lemma_check_descends_once_per_group_and_mode(monkeypatch):
-    descents, enumerations = [], []
+    descents, orbit_bases = [], []
     descend = actions._descent_counts
-    enumerate_orbits = actions._orbit_point_sets
+    transversal = actions._orbit_transversal
 
     def counting_descent(action, n, mode, *rest):
         descents.append((action.generators, n, mode))
         return descend(action, n, mode, *rest)
 
-    def counting_orbits(action, n, mode, *rest):
-        enumerations.append((n, mode))
-        return enumerate_orbits(action, n, mode, *rest)
+    def recording_transversal(base, *rest):
+        orbit_bases.append(base)
+        return transversal(base, *rest)
+
+    def no_tuple_orbits(*args):
+        raise AssertionError("a tuple orbit was enumerated")
 
     monkeypatch.setattr(actions, "_descent_counts", counting_descent)
-    monkeypatch.setattr(actions, "_orbit_point_sets", counting_orbits)
+    monkeypatch.setattr(actions, "_orbit_transversal", recording_transversal)
+    monkeypatch.setattr(actions, "tuple_orbits", no_tuple_orbits)
+    monkeypatch.setattr(actions, "_least_set_counts", no_tuple_orbits)
     S4 = symmetric_action(4)
     report = lemma_equivalence_check(S4, S4, 3)
     assert report.consistent and report.cond1
-    # G, H and <G u H>, each to depth 3 once per mode; no tuple is enumerated
+    # G, H and <G u H>, each to depth 3 once per mode; no tuple is
+    # enumerated: the only orbits walked are those of single points
     assert len(descents) == 6 and {n for _, n, _ in descents} == {3}
-    assert enumerations == []
+    assert orbit_bases and {len(base) for base in orbit_bases} == {1}
 
 
 def enumerated_count(G, n, mode):
-    return sum(1 for _ in actions._orbit_point_sets(G, n, mode))
+    return sum(1 for _ in orbit_point_sets(G, n, mode))
 
 
 def enumerated_partition(G, n, mode):
-    return frozenset(map(frozenset, actions._orbit_point_sets(G, n, mode)))
+    return frozenset(map(frozenset, orbit_point_sets(G, n, mode)))
 
 
 DESCENT_GROUPS = (
@@ -363,13 +434,18 @@ DESCENT_GROUPS = (
 @pytest.mark.parametrize("G", DESCENT_GROUPS, ids=lambda G: f"N{G.domain_size}-{len(G.generators)}gens")
 def test_descent_counts_match_enumeration(G):
     # every level n <= N whose space the enumeration oracle accepts; the
-    # descent also gives the level-n count as the last of its levels
+    # descent and the least-set walk also give the level-n count as the last
+    # of their levels
     N = G.domain_size
-    for mode, size in (("power", lambda n: N**n), ("injective", lambda n: perm(N, n))):
-        levels = [n for n in range(N + 1) if size(n) <= actions.DEFAULT_SPACE_CAP]
+    for mode, size, walk in (
+        ("power", lambda n: N**n, lambda n: actions._descent_counts(G, n, "power")),
+        ("injective", lambda n: perm(N, n), lambda n: actions._descent_counts(G, n, "injective")),
+        ("subsets", lambda n: comb(N, n), lambda n: actions._least_set_counts(G, n)),
+    ):
+        levels = [n for n in range(N + 1) if size(n) <= DEFAULT_SPACE_CAP]
         want = [1] + [enumerated_count(G, n, mode) for n in levels[1:]]
         assert [orbit_count(G, n, mode) for n in levels] == want
-        assert actions._descent_counts(G, levels[-1], mode) == want
+        assert walk(levels[-1]) == want
 
 
 def test_descent_of_the_trivial_group_is_the_closed_form():
@@ -387,6 +463,56 @@ def test_descent_counts_match_enumeration_on_random_groups():
         for mode in ("power", "injective"):
             want = [1] + [enumerated_count(G, n, mode) for n in range(1, N + 1)]
             assert actions._descent_counts(G, N, mode) == want, (G.generators, mode)
+
+
+def random_cycles(rng, N, k):
+    """k random permutations of [N], each either a shuffle or one cycle."""
+    gens = []
+    for _ in range(k):
+        pts = list(range(1, N + 1))
+        rng.shuffle(pts)
+        if rng.random() < 0.5:
+            pts = list(perm_from_cycles(f"({' '.join(map(str, pts[: rng.randint(1, N)]))})", N))
+        gens.append(tuple(pts))
+    return FiniteAction(N, tuple(gens))
+
+
+def test_least_sets_match_enumeration_on_random_groups():
+    # f at every level, on groups of degree <= 8 with large and small orbits
+    rng = random.Random(31)
+    for _ in range(60):
+        N = rng.randint(1, 8)
+        G = random_cycles(rng, N, rng.randint(1, 3))
+        want = [1] + [enumerated_count(G, n, "subsets") for n in range(1, N + 1)]
+        assert actions._least_set_counts(G, N) == want, G.generators
+        assert growth_profile(G, N).f == tuple(want[1:])
+
+
+def test_least_set_walk_charges_every_state():
+    # the trivial group on 12 points: one state per candidate, no scans
+    G = trivial_action(12)
+    assert sum(comb(12, n) for n in range(1, 4)) == 298
+    assert actions._least_set_counts(G, 3, space_cap=100) == [1, 12, 66, 220]
+    with pytest.raises(ResourceCapError, match="297 units"):
+        actions._least_set_counts(G, 3, space_cap=99)
+    with pytest.raises(MalformedInputError):
+        actions._least_set_counts(G, 13)
+
+
+def test_canonical_structure_matches_the_sorted_orbits():
+    # one relation per orbit on k-tuples, k <= 4, numbered per arity in the
+    # order of the orbits' least tuples
+    rng = random.Random(37)
+    groups = DESCENT_GROUPS + [random_cycles(rng, rng.randint(1, 7), rng.randint(1, 3)) for _ in range(30)]
+    for G in groups:
+        arity = min(G.domain_size, 4)
+        M = canonical_structure(G, arity)
+        want = [
+            (f"orbit{n}_{i}", n, o.elements)
+            for n in range(1, arity + 1)
+            for i, o in enumerate(orbits(G, n, "power"))
+        ]
+        assert [(name, n, rel) for (name, n), (_, rel) in zip(M.signature, M.relations)] == want
 
 
 def test_same_orbits_by_counts_matches_partitions():

@@ -138,6 +138,29 @@ def test_orbit_counts_past_the_tuple_space_cap(capsys, grp):
     assert code == 0 and data["consistent"]
 
 
+def test_least_sets_past_the_subset_space_cap(capsys, grp):
+    # f of S_N and A_N has one least set per level, however many subsets
+    a20 = grp("a20.grp", alternating(20))
+    start = time.monotonic()
+    code, data = run_json(capsys, "growth", "--group", a20, "--max-n", "8")
+    assert time.monotonic() - start < 15
+    assert code == 0
+    assert data["f"] == data["F"] == [1] * 8
+    s30 = grp("s30.grp", symmetric(30))
+    start = time.monotonic()
+    code, data = run_json(capsys, "growth", "--group", s30, "--max-n", "10")
+    assert time.monotonic() - start < 15
+    assert code == 0
+    assert data["f"] == data["F"] == [1] * 10
+    # the trivial group on 40 points: every set is least, so the walk
+    # reaches its work cap
+    trivial = grp("trivial.grp", "N=40\n")
+    start = time.monotonic()
+    assert main(["growth", "--group", trivial, "--max-n", "20"]) == 3
+    assert time.monotonic() - start < 15
+    assert capsys.readouterr().err.startswith("resource cap: ")
+
+
 def test_orbit_tree_cap_fires_on_work(capsys, grp):
     # <(1 2)> fixes 98 of 100 points, so the stabilizers stay nontrivial
     # while the tree fans out.  On 100,000 points a path to depth 50,000
@@ -309,6 +332,23 @@ def test_noeth_chain(capsys, tmp_path):
     assert data["config"]["width"] == 3 and data["config"]["degree"] == 3
 
 
+def test_noeth_chain_under_the_degree_cap_is_no_failed_check(capsys, tmp_path):
+    # at degree 2 the width-2 basis drops S-pairs, so the earlier basis need
+    # not reduce to zero modulo it: the nesting is unverified, not refuted
+    chain = tmp_path / "c.chain"
+    chain.write_text("FI 0 1 : [] : x1^3\n--\nFI 0 2 : [] : 1 + x1\n")
+    for degree in ("2", "4"):
+        argv = ("noeth-chain", "--kind", "fi", "--chain", str(chain), "--width", "2", "--degree", degree)
+        code, data = run_json(capsys, *argv)
+        assert code == 0
+        assert data["all_stabilized"] is True
+        assert data["results"][1]["degree_capped"] is True
+
+
+def dihedral(n):
+    return f"N={n}\n({' '.join(map(str, range(1, n + 1)))})\n[1,{','.join(map(str, range(n, 1, -1)))}]\n"
+
+
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     # str and frozenset iteration order follows PYTHONHASHSEED; reports must not
     files = {
@@ -316,6 +356,8 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         "fi.chain": FI_CHAIN,
         "e1.emb": EMBEDDING_A_BELOW_B,
         "e2.emb": EMBEDDING_C_BELOW_A,
+        "d12.grp": dihedral(12),
+        "d6.grp": dihedral(6),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -326,6 +368,8 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         ("sap", "--kind", "pair", "--cap", "2"),
         ("sap", "--kind", "linear", "--cap", "5"),
         ("amalgamate", "--embedding1", "e1.emb", "--embedding2", "e2.emb", "--age", "linear"),
+        ("growth", "--group", "d12.grp", "--max-n", "12"),
+        ("orbitcat", "--group", "d6.grp", "--cap", "2"),
     )
     script = f"from orbitlab.cli import main\nfor argv in {commands!r}:\n    main(list(argv))\n"
     src = str(Path(orbitlab.__file__).resolve().parents[1])

