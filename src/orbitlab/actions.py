@@ -229,16 +229,31 @@ class FiniteAction:
         self._nodes[key] = gens, least
         return gens, least
 
+    def orbit_size(self, points) -> int:
+        """The length of the orbit of the sorted points as a tuple: the
+        product over its points of the orbit length of each under the
+        orbit-tree node of the points before it, read off that node's least
+        points, so no orbit is listed."""
+        pts = self._points(points)
+        size = 1
+        for k, p in enumerate(pts):
+            least = self._node(pts[:k])[1]
+            if least is not None:
+                size *= least.count(least[p - 1])
+        return size
+
     def fixed_points(self, points) -> frozenset:
         """Fix(G_points), the points fixed by every element fixing the given
-        points.  The Schreier generators of the orbit transversal of the
-        sorted points generate G_points, so a point is in Fix(G_points) iff
-        they all fix it."""
-        transversal = self.orbit_transversal(self._points(points))
-        fixed = set(range(1, self.domain_size + 1))
-        for h in _schreier_generators(transversal, self.generators):
-            fixed = {x for x in fixed if h[x - 1] == x}
-        return frozenset(fixed)
+        points.  The generators of the orbit-tree node of the sorted points
+        generate G_points, so a point is in Fix(G_points) iff they all fix
+        it.  The prefixes are expanded in order, so no node expansion
+        recurses."""
+        pts = self._points(points)
+        for k in range(len(pts) + 1):
+            gens = self._node(pts[:k])[0]
+        return frozenset(
+            x for x in range(1, self.domain_size + 1) if all(h[x - 1] == x for h in gens)
+        )
 
 
 def symmetric_action(n: int) -> FiniteAction:
@@ -459,15 +474,21 @@ def orbit_count(action: FiniteAction, n: int, mode: str) -> int:
     raise MalformedInputError(f"unknown mode {mode!r}")
 
 
+def check_tuple_spaces(N: int, max_n: int) -> None:
+    """Raise ResourceCapError if the k-tuples of N points, for some
+    k <= max_n, number more than DEFAULT_SPACE_CAP."""
+    for k in range(1, max_n + 1):
+        if N**k > DEFAULT_SPACE_CAP:
+            raise ResourceCapError(f"space of size {N**k} exceeds cap {DEFAULT_SPACE_CAP}")
+
+
 def tuple_orbits(action: FiniteAction, max_n: int) -> list:
     """The orbits on k-tuples, k = 1..max_n, as frozensets per level in the
     order of their least tuples: extending t by the least point of each
     G_t-orbit (t's points are fixed) reaches each orbit once, at its least
     tuple, in ascending order.  A level above DEFAULT_SPACE_CAP tuples raises."""
     N = action.domain_size
-    for k in range(1, max_n + 1):
-        if N**k > DEFAULT_SPACE_CAP:
-            raise ResourceCapError(f"space of size {N**k} exceeds cap {DEFAULT_SPACE_CAP}")
+    check_tuple_spaces(N, max_n)
     out, level = [], [()]
     for _ in range(max_n):
         children = []

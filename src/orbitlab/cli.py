@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -277,7 +278,10 @@ def cmd_restrict_check(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared:
+    callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="orbitlab", description="finite orbit/category experiments"
     )

@@ -19,6 +19,7 @@ every report.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .actions import DEFAULT_SPACE_CAP
@@ -41,6 +42,7 @@ from .polynomials import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
     parse_polynomial,
 )
 
@@ -111,26 +113,76 @@ class ModuleVector:
         return f"ModuleVector({self.coords})"
 
 
-def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
-    """Remainder of multivariate division of v by the basis."""
-    f = v.field
+def _head(g: ModuleVector, order: MonomialOrder) -> tuple:
+    """(position, leading monomial, 1 / leading coefficient) of g."""
+    (pos, mono), c = g.leading(order)
+    return pos, mono, g.field.inv(c)
+
+
+def _add_multiple(coords: dict, g: ModuleVector, mono, c) -> None:
+    """coords += c * mono * g in place, coords being {position: {monomial:
+    coefficient}} without zero coefficients or empty positions."""
+    f = g.field
+    for pos, poly in g.coords.items():
+        terms = coords.setdefault(pos, {})
+        for m, gc in poly.terms.items():
+            m = monomial_mul(m, mono)
+            s = f.add(terms.get(m, f.zero), f.mul(gc, c))
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        if not terms:
+            del coords[pos]
+
+
+def _reduce(coords: dict, leads: dict, order: MonomialOrder, field, skip=None) -> dict:
+    """Multivariate division of the vector `coords` (as in `_add_multiple`,
+    consumed) by the basis `leads`, which maps each position to the (leading
+    monomial, 1 / leading coefficient, vector) of the basis vectors leading
+    there, in basis order; `skip` is left out.  The leading term is
+    cancelled by the first vector whose leading monomial divides it, or else
+    moved to the remainder, which is returned in the same form."""
+    f = field
     remainder = {}
-    work = v
-    while not work.is_zero():
-        (pos, mono), c = work.leading(order)
-        for g in basis:
-            (gpos, gmono), gc = g.leading(order)
-            if gpos == pos and monomial_divides(gmono, mono):
-                factor = monomial_div(mono, gmono)
-                work = work + g.term_mul(factor, f.neg(f.mul(c, f.inv(gc))))
+    while coords:
+        pos = min(coords)
+        terms = coords[pos]
+        mono = max(terms, key=order.key)
+        c = terms[mono]
+        for gmono, ginv, g in leads.get(pos, ()):
+            if g is not skip and monomial_divides(gmono, mono):
+                _add_multiple(coords, g, monomial_div(mono, gmono), f.neg(f.mul(c, ginv)))
                 break
         else:
-            lead = Polynomial(v.width, f, {mono: c})
-            remainder[pos] = remainder[pos] + lead if pos in remainder else lead
-            work = ModuleVector(
-                v.width, f, {**work.coords, pos: work.coords[pos] - lead}
-            )
-    return ModuleVector(v.width, f, remainder)
+            remainder.setdefault(pos, {})[mono] = c
+            del terms[mono]
+            if not terms:
+                del coords[pos]
+    return remainder
+
+
+def _leads(basis, heads) -> dict:
+    """The `leads` of `_reduce` for the basis vectors and their `_head`s."""
+    leads = {}
+    for g, (pos, mono, inv) in zip(basis, heads):
+        leads.setdefault(pos, []).append((mono, inv, g))
+    return leads
+
+
+def _vector(width, field, coords: dict) -> ModuleVector:
+    return ModuleVector(
+        width, field, {pos: Polynomial(width, field, terms) for pos, terms in coords.items()}
+    )
+
+
+def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
+    """Remainder of multivariate division of v by the nonzero vectors of the
+    basis."""
+    basis = [g for g in basis if not g.is_zero()]
+    leads = _leads(basis, [_head(g, order) for g in basis])
+    coords = {pos: dict(poly.terms) for pos, poly in v.coords.items()}
+    return _vector(v.width, v.field, _reduce(coords, leads, order, v.field))
 
 
 @dataclass(frozen=True)
@@ -161,64 +213,70 @@ def groebner_basis(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by the vectors.
 
-    S-pairs are only formed between elements with the same leading position.
-    With a degree cap, pairs whose lcm degree exceeds the cap are dropped and
-    the result is flagged as degree-truncated.
+    S-pairs are only formed between elements with the same leading position,
+    and taken first in, first out.  With a degree cap, pairs whose lcm
+    degree exceeds the cap are dropped and the result is flagged as
+    degree-truncated.  Each basis vector's `_head` is computed once.
     """
     basis = [g for g in generators if not g.is_zero()]
+    heads = [_head(g, order) for g in basis]
+    leads = _leads(basis, heads)
     capped = False
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     processed = 0
     while pairs:
         processed += 1
         if processed > pair_cap:
             raise ResourceCapError(f"S-pair queue exceeded cap {pair_cap}")
-        i, j = pairs.pop(0)
-        gi, gj = basis[i], basis[j]
-        (pi_, mi), ci = gi.leading(order)
-        (pj_, mj), cj = gj.leading(order)
+        i, j = pairs.popleft()
+        (pi_, mi, inv_i), (pj_, mj, inv_j) = heads[i], heads[j]
         if pi_ != pj_:
             continue
         lcm = monomial_lcm(mi, mj)
         if degree_cap is not None and monomial_degree(lcm) > degree_cap:
             capped = True
             continue
+        gi, gj = basis[i], basis[j]
         f = gi.field
-        s = gi.term_mul(monomial_div(lcm, mi), f.inv(ci)) + gj.term_mul(
-            monomial_div(lcm, mj), f.neg(f.inv(cj))
-        )
-        r = normal_form(s, basis, order)
-        if not r.is_zero():
+        s = {}
+        _add_multiple(s, gi, monomial_div(lcm, mi), inv_i)
+        _add_multiple(s, gj, monomial_div(lcm, mj), f.neg(inv_j))
+        r = _reduce(s, leads, order, f)
+        if r:
+            r = _vector(gi.width, f, r)
+            head = _head(r, order)
             basis.append(r)
+            heads.append(head)
+            leads.setdefault(head[0], []).append((head[1], head[2], r))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     return GroebnerBasis(_reduce_basis(basis, order), order, capped)
 
 
 def _reduce_basis(basis, order: MonomialOrder) -> tuple:
     basis = [g for g in basis if not g.is_zero()]
-    # drop elements whose leading term another leading term divides
-    kept = []
-    for i, g in enumerate(basis):
-        (pos, mono), _ = g.leading(order)
-        redundant = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            (hpos, hmono), _ = h.leading(order)
-            if hpos == pos and monomial_divides(hmono, mono):
-                if hmono != mono or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            kept.append(g)
+    heads = [_head(g, order) for g in basis]
+    # drop elements whose leading term another leading term divides; of
+    # equal leading terms the first is kept
+    kept = [
+        i
+        for i, (pos, mono, _) in enumerate(heads)
+        if not any(
+            j != i and hpos == pos and monomial_divides(hmono, mono) and (hmono != mono or j < i)
+            for j, (hpos, hmono, _) in enumerate(heads)
+        )
+    ]
     # tail-reduce each survivor against the others and normalize
+    leads = _leads([basis[i] for i in kept], [heads[i] for i in kept])
     reduced = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        r = normal_form(g, others, order)
-        if not r.is_zero():
+    for i in kept:
+        g = basis[i]
+        f = g.field
+        coords = {pos: dict(poly.terms) for pos, poly in g.coords.items()}
+        r = _reduce(coords, leads, order, f, skip=g)
+        if r:
+            r = _vector(g.width, f, r)
             _, lc = r.leading(order)
-            reduced.append(r.term_mul((0,) * r.width, r.field.inv(lc)))
+            reduced.append(r.term_mul((0,) * r.width, f.inv(lc)))
     reduced.sort(key=lambda v: sorted(v.terms))
     return tuple(reduced)
 

@@ -9,17 +9,26 @@ happens iff their inverses agree on B.  That restriction is used as the
 identity key throughout.  Writing u = g^{-1}, the condition says
 G_A <= G_{u(B)}, that is u(B) inside Fix(G_A): the morphisms are the images
 u(B) of B that lie in Fix(G_A).  They are read off the orbit of B as a point
-tuple, and Fix(G_A) from the Schreier generators of G_A, so no group
-elements are listed.
+tuple, and Fix(G_A) from the orbit-tree node of A, so no group elements are
+listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .actions import FiniteAction, Perm, pinv
-from .errors import MalformedInputError, OrbitlabError
+from .actions import (
+    DEFAULT_GROUP_ORDER_CAP,
+    DEFAULT_SPACE_CAP,
+    FiniteAction,
+    Perm,
+    _orbit,
+    check_tuple_spaces,
+    pinv,
+)
+from .errors import MalformedInputError, OrbitlabError, ResourceCapError
 from .structures import (
     StructureEmbedding,
     canonical_structure,
@@ -74,8 +83,14 @@ class OrbitCategory:
         self._objects: dict = {}
 
     def object(self, gamma) -> OrbitObject:
+        """The object G/G_gamma.  Its hom-sets and `phi` list the orbit of
+        its sorted points, so that orbit is held to the group-order cap
+        here, before any of it is listed."""
         gamma = frozenset(gamma)
         if gamma not in self._objects:
+            points = tuple(sorted(gamma))
+            if self.action.orbit_size(points) > DEFAULT_GROUP_ORDER_CAP:
+                raise ResourceCapError(f"orbit of {points} exceeds cap {DEFAULT_GROUP_ORDER_CAP}")
             self._objects[gamma] = OrbitObject(gamma, self.action.fixed_points(gamma))
         return self._objects[gamma]
 
@@ -139,13 +154,30 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
     and full/faithful on a hom-set iff the embedding count between induced
     canonical substructures equals the orbit morphism count (faithfulness
     is structural: the morphism key is the embedding's value table).
+
+    Every g in G is an automorphism of the canonical structure and maps G_A
+    to G_{g(A)}, so the embedding count, the orbit morphism count and the
+    verdict of a pair of subsets depend only on its G-orbit.  The first pair
+    of each orbit is checked; if it passes, its orbit shares its hom count
+    and is skipped, and otherwise every pair of the orbit is checked, so the
+    mismatches and missing extensions are listed in full.
     """
     if size_cap > action.domain_size:
         raise MalformedInputError("size_cap exceeds domain size")
     if size_cap < 0:
         raise MalformedInputError("size_cap must be a natural number")
-    cat = OrbitCategory(action)
     N = action.domain_size
+    # the canonical structure's tuple spaces and the subset pairs, before
+    # anything is built
+    check_tuple_spaces(N, max(size_cap, 1))
+    n = 0
+    for size in range(size_cap + 1):
+        n += comb(N, size)
+        if n * n > DEFAULT_SPACE_CAP:
+            raise ResourceCapError(
+                f"ordered pairs of subsets of size <= {size_cap} exceed cap {DEFAULT_SPACE_CAP}"
+            )
+    cat = OrbitCategory(action)
     subsets = [
         frozenset(c)
         for size in range(0, size_cap + 1)
@@ -161,41 +193,52 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
                 collisions.append((tuple(sorted(a)), tuple(sorted(b))))
 
     M = canonical_structure(action, max_arity=max(size_cap, 1))
+    induced = {}
     mismatches = []
     missing = []
-    hom_counts = {}
-    induced = {s: M.induced(sorted(s)) for s in subsets}
-    for gamma in subsets:
-        for sigma in subsets:
-            embs = enumerate_embeddings(induced[gamma], induced[sigma])
-            morphisms = cat.hom(cat.object(sigma), cat.object(gamma))
-            hom_counts[sigma, gamma] = len(morphisms)
-            images = set()
-            extension_failed = False
-            for e in embs:
-                try:
-                    images.add(cat.phi(e))
-                except NoExtensionError:
-                    extension_failed = True
-                    missing.append(
-                        (tuple(sorted(gamma)), tuple(sorted(sigma)), tuple(e.images))
-                    )
-            full_and_faithful = (
-                not extension_failed
-                and len(images) == len(embs)
-                and images == set(morphisms)
+    # the pair (gamma, sigma) is p = n * index[gamma] + index[sigma], and
+    # counts[p] = |hom(G/G_sigma, G/G_gamma)|, known in advance for the
+    # pairs in the orbit of a passing pair
+    index = {s: i for i, s in enumerate(subsets)}
+    images = [
+        [index[frozenset(g[x - 1] for x in s)] for s in subsets] for g in action.generators
+    ]
+    counts = [None] * (n * n)
+    for p in range(n * n):
+        if counts[p] is not None:
+            continue
+        gamma, sigma = subsets[p // n], subsets[p % n]
+        for s in (gamma, sigma):
+            if s not in induced:
+                induced[s] = M.induced(sorted(s))
+        embs = enumerate_embeddings(induced[gamma], induced[sigma])
+        morphisms = cat.hom(cat.object(sigma), cat.object(gamma))
+        phis = set()
+        extension_failed = False
+        for e in embs:
+            try:
+                phis.add(cat.phi(e))
+            except NoExtensionError:
+                extension_failed = True
+                missing.append((tuple(sorted(gamma)), tuple(sorted(sigma)), tuple(e.images)))
+        full_and_faithful = (
+            not extension_failed and len(phis) == len(embs) and phis == set(morphisms)
+        )
+        if full_and_faithful:
+            for q in _orbit(p, images, lambda g, q: n * g[q // n] + g[q % n]):
+                counts[q] = len(morphisms)
+        else:
+            counts[p] = len(morphisms)
+            mismatches.append(
+                (tuple(sorted(gamma)), tuple(sorted(sigma)), len(embs), len(morphisms))
             )
-            if not full_and_faithful:
-                mismatches.append(
-                    (tuple(sorted(gamma)), tuple(sorted(sigma)), len(embs), len(morphisms))
-                )
 
     # the fixed-point condition Fix(G_s) = s
     violations = [tuple(sorted(s)) for s in subsets if fixed[s] != s]
     return PhiIsoReport(
         size_cap,
         tuple(tuple(sorted(s)) for s in subsets),
-        tuple(tuple(hom_counts[s, g] for g in subsets) for s in subsets),
+        tuple(tuple(counts[n * g + s] for g in range(n)) for s in range(n)),
         tuple(collisions),
         tuple(mismatches),
         tuple(missing),

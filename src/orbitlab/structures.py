@@ -134,13 +134,12 @@ def _embedding_ok(A: FiniteStructure, B: FiniteStructure, images) -> bool:
         return False
     if A.signature != B.signature:
         return False
-    m = dict(zip(A.universe, images))
-    b_rels = dict(B.relations)
+    m = dict(zip(A.universe, images)).__getitem__
+    a_rels, b_rels = dict(A.relations), dict(B.relations)
     for name, arity in A.signature:
-        ra = A.relation(name)
-        rb = b_rels[name]
+        ra, rb = a_rels[name], b_rels[name]
         for tup in product(A.universe, repeat=arity):
-            if (tup in ra) != (tuple(m[x] for x in tup) in rb):
+            if (tup in ra) != (tuple(map(m, tup)) in rb):
                 return False
     return True
 

@@ -300,6 +300,18 @@ def test_orbit_transversal_matches_filter():
             G.orbit_transversal((N + 1,))
 
 
+def test_orbit_size_matches_filter():
+    for G in small_groups():
+        N = G.domain_size
+        els = elements(G)
+        for size in range(N + 1):
+            for pts in combinations(range(1, N + 1), size):
+                want = len({tuple(g[x - 1] for x in pts) for g in els})
+                assert G.orbit_size(pts) == G.orbit_size(tuple(reversed(pts))) == want
+        with pytest.raises(MalformedInputError):
+            G.orbit_size((1, N + 1))
+
+
 def test_fixed_points_match_filter():
     for G in small_groups():
         N = G.domain_size

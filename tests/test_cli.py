@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import time
+from math import perm
 from pathlib import Path
 
 import pytest
 
 import orbitlab
-from orbitlab.cli import main
+from orbitlab.cli import build_parser, main
 from orbitlab.structures import (
     AmalgamationProblem,
     PairAge,
@@ -193,6 +194,35 @@ def test_orbitcat_above_the_group_order_cap(capsys, grp):
         assert not data["fixed_point_violations"]
 
 
+def test_orbitcat_up_to_symmetry_at_larger_caps(capsys, grp):
+    for n, cap in ((10, 3), (8, 4)):
+        path = grp(f"s{n}.grp", symmetric(n))
+        start = time.monotonic()
+        code, data = run_json(capsys, "orbitcat", "--group", path, "--cap", str(cap))
+        assert time.monotonic() - start < 15
+        assert code == 0
+        assert data["isomorphism"] is True
+        # hom(G/G_S, G/G_T) has one morphism per injection of T into S
+        objects = data["objects"]
+        assert data["hom_counts"] == [[perm(len(s), len(t)) for t in objects] for s in objects]
+
+
+def test_orbitcat_caps_fire_before_the_pairs_are_checked(capsys, grp):
+    # S20 has 1,351 subsets of size <= 3, so 1,825,201 ordered pairs, and at
+    # cap 5 the 5-tuples outnumber the cap too; the 5-tuples of S10 have
+    # 30,240 images, which hom and phi would list
+    s20, s10 = grp("s20.grp", symmetric(20)), grp("s10.grp", symmetric(10))
+    for group, cap, message in (
+        (s20, "3", "ordered pairs of subsets of size <= 3 exceed cap 1000000"),
+        (s20, "5", "space of size 3200000 exceeds cap 1000000"),
+        (s10, "5", "orbit of (1, 2, 3, 4, 5) exceeds cap 20000"),
+    ):
+        start = time.monotonic()
+        assert main(["orbitcat", "--group", group, "--cap", cap]) == 3
+        assert time.monotonic() - start < 5
+        assert capsys.readouterr().err == f"resource cap: {message}\n"
+
+
 def test_same_orbits(capsys, grp):
     code, data = run_json(
         capsys,
@@ -358,6 +388,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         "e2.emb": EMBEDDING_C_BELOW_A,
         "d12.grp": dihedral(12),
         "d6.grp": dihedral(6),
+        "c6.grp": "N=6\n(1 2 3 4 5 6)\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -370,6 +401,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         ("amalgamate", "--embedding1", "e1.emb", "--embedding2", "e2.emb", "--age", "linear"),
         ("growth", "--group", "d12.grp", "--max-n", "12"),
         ("orbitcat", "--group", "d6.grp", "--cap", "2"),
+        ("orbitcat", "--group", "c6.grp", "--cap", "2"),  # exits 1 with hom mismatches
     )
     script = f"from orbitlab.cli import main\nfor argv in {commands!r}:\n    main(list(argv))\n"
     src = str(Path(orbitlab.__file__).resolve().parents[1])
@@ -395,6 +427,15 @@ def test_restrict_check(capsys):
     code, data = run_json(capsys, "restrict-check", "--kind", "ci", "--n", "3", "--s", "5")
     assert code == 0
     assert data["ok"] and data["class_count"] == 3
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["orbitcat", "--cap", "1"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --group" in capsys.readouterr().err
 
 
 def test_malformed_group_file(capsys, grp):

@@ -27,7 +27,13 @@ from orbitlab.structures import (
     enumerate_embeddings,
 )
 
-from test_actions import elements, pointwise_stabilizer
+from test_actions import (
+    alternating_action,
+    cyclic_action,
+    dihedral_action,
+    elements,
+    pointwise_stabilizer,
+)
 
 
 def compose_orbit_morphisms(f, g):
@@ -103,6 +109,76 @@ def oracle_collisions(G, objects):
         for j, b in enumerate(objects[i + 1 :], i + 1)
         if stabs[i] == stabs[j]
     ]
+
+
+def oracle_phi_iso_report(G, cap):
+    """(hom counts, mismatches, missing extensions) of the comparison functor
+    with every ordered pair of subsets checked directly, in the report's
+    order: hom_counts[i][j] = |hom(G/G_{subsets[i]}, G/G_{subsets[j]})|."""
+    N = G.domain_size
+    cat = OrbitCategory(G)
+    subsets = [frozenset(c) for k in range(cap + 1) for c in combinations(range(1, N + 1), k)]
+    M = canonical_structure(G, max(cap, 1))
+    induced = {s: M.induced(sorted(s)) for s in subsets}
+    counts, mismatches, missing = {}, [], []
+    for gamma in subsets:
+        for sigma in subsets:
+            embs = enumerate_embeddings(induced[gamma], induced[sigma])
+            morphisms = cat.hom(cat.object(sigma), cat.object(gamma))
+            counts[sigma, gamma] = len(morphisms)
+            images, extension_failed = set(), False
+            for e in embs:
+                try:
+                    images.add(cat.phi(e))
+                except NoExtensionError:
+                    extension_failed = True
+                    missing.append((tuple(sorted(gamma)), tuple(sorted(sigma)), tuple(e.images)))
+            if extension_failed or len(images) != len(embs) or images != set(morphisms):
+                mismatches.append(
+                    (tuple(sorted(gamma)), tuple(sorted(sigma)), len(embs), len(morphisms))
+                )
+    hom_counts = tuple(tuple(counts[s, g] for g in subsets) for s in subsets)
+    return hom_counts, tuple(mismatches), tuple(missing)
+
+
+def assert_report_matches_oracles(G, cap):
+    report = phi_iso_report(G, cap)
+    N = G.domain_size
+    objects = tuple(c for k in range(cap + 1) for c in combinations(range(1, N + 1), k))
+    assert report.size_cap == cap
+    assert report.objects == objects
+    hom_counts, mismatches, missing = oracle_phi_iso_report(G, cap)
+    assert report.hom_counts == hom_counts, (G.generators, cap)
+    assert report.hom_mismatches == mismatches, (G.generators, cap)
+    assert report.missing_extensions == missing, (G.generators, cap)
+    assert list(report.object_collisions) == oracle_collisions(G, objects)
+    fixed = {
+        s: {x for x in range(1, N + 1) if all(g[x - 1] == x for g in pointwise_stabilizer(G, s))}
+        for s in objects
+    }
+    assert report.fixed_point_violations == tuple(s for s in objects if fixed[s] != set(s))
+    return report
+
+
+REPORT_GROUPS = (
+    [symmetric_action(n) for n in range(1, 8)]
+    + [cyclic_action(n) for n in range(3, 9)]
+    + [dihedral_action(n) for n in range(3, 9)]
+    + [alternating_action(5)]
+)
+
+
+@pytest.mark.parametrize(
+    "G", REPORT_GROUPS, ids=lambda G: f"N{G.domain_size}-order{G.order()}"
+)
+def test_report_up_to_symmetry_matches_all_pairs(G):
+    # one subset pair per G-orbit is checked, and the orbits of failing
+    # pairs in full; the report is the one checking every pair
+    failed = False
+    for cap in range(min(G.domain_size, 3) + 1):
+        failed |= bool(assert_report_matches_oracles(G, cap).hom_mismatches)
+    if G.domain_size >= 4 and G.order() == G.domain_size:  # the cyclic groups
+        assert failed
 
 
 def hom(G, source_gamma, target_gamma):

@@ -1,7 +1,8 @@
 """Property-based tests of the subcommands that read a group file: the
 exit-code contract on arbitrary group files for `orbitcat`, `growth`,
 `same-orbits`, `dense` and `fullness-witness`, witnesses for every failure,
-`orbitcat` hom counts against the coset oracle of test_orbitcat, and the
+`orbitcat` hom counts against the coset oracle of test_orbitcat, its whole
+report against the all-pairs oracle of test_orbitcat, and the
 orbit counts of `growth` and `same-orbits` against the enumeration oracle of
 test_actions."""
 
@@ -20,7 +21,11 @@ from orbitlab.actions import parse_group_file  # noqa: E402
 from orbitlab.cli import main  # noqa: E402
 
 from test_actions import orbit_point_sets  # noqa: E402
-from test_orbitcat import oracle_collisions, oracle_orbit_hom  # noqa: E402
+from test_orbitcat import (  # noqa: E402
+    assert_report_matches_oracles,
+    oracle_collisions,
+    oracle_orbit_hom,
+)
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -136,6 +141,13 @@ def test_orbitcat_on_random_groups_matches_the_coset_oracle(group):
     subsets = [frozenset(s) for s in objects]
     want = [[len(oracle_orbit_hom(G, s, g)) for g in subsets] for s in subsets]
     assert data["hom_counts"] == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(group_files(), st.integers(0, 3))
+def test_report_up_to_symmetry_on_random_groups_matches_all_pairs(group, cap):
+    G = parse_group_file(group[0])
+    assert_report_matches_oracles(G, min(cap, G.domain_size))
 
 
 @FUZZ
