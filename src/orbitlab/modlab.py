@@ -7,10 +7,10 @@ by the images of the morphisms: `{(2,): x2}` is x2 on the summand of the
 morphism [1] -> [s] with image (2,).  A category morphism out of [s] acts by
 substituting variables in the coefficients and post-composing the keys.
 Width components of finitely generated subpresheaves are submodules of that
-free module, handled by a straightforward Buchberger engine
-(position-over-term extension of the chosen monomial order).  Keys of one
-generator width order like the hom-set, lexicographically by image, and all
-coefficient arithmetic goes through Polynomial.
+free module, handled by a Buchberger engine with the Gebauer-Moller pair
+criteria (position-over-term extension of the chosen monomial order).  Keys
+of one generator width order like the hom-set, lexicographically by image,
+and all coefficient arithmetic goes through Polynomial.
 
 Everything is truncated: statements are certified only up to a width W and,
 when Buchberger pairs are discarded, up to a degree bound D.  Both appear in
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 
 from .actions import DEFAULT_SPACE_CAP
 from .categories import (
@@ -176,13 +178,17 @@ def _vector(width, field, coords: dict) -> ModuleVector:
     )
 
 
+def _coords(v: ModuleVector) -> dict:
+    """v in the mutable form of `_add_multiple` and `_reduce`."""
+    return {pos: dict(poly.terms) for pos, poly in v.coords.items()}
+
+
 def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
     """Remainder of multivariate division of v by the nonzero vectors of the
     basis."""
     basis = [g for g in basis if not g.is_zero()]
     leads = _leads(basis, [_head(g, order) for g in basis])
-    coords = {pos: dict(poly.terms) for pos, poly in v.coords.items()}
-    return _vector(v.width, v.field, _reduce(coords, leads, order, v.field))
+    return _vector(v.width, v.field, _reduce(_coords(v), leads, order, v.field))
 
 
 @dataclass(frozen=True)
@@ -191,8 +197,13 @@ class GroebnerBasis:
     order: MonomialOrder
     degree_capped: bool  # True when S-pairs above the degree cap were skipped
 
+    @cached_property
+    def leads(self) -> dict:
+        """The `leads` of `_reduce` for the vectors, computed once."""
+        return _leads(self.vectors, [_head(g, self.order) for g in self.vectors])
+
     def contains(self, v: ModuleVector) -> bool:
-        return normal_form(v, self.vectors, self.order).is_zero()
+        return not _reduce(_coords(v), self.leads, self.order, v.field)
 
     def __eq__(self, other):
         return (
@@ -205,6 +216,56 @@ class GroebnerBasis:
         return hash((self.order, frozenset(self.vectors)))
 
 
+def _update(basis, heads, k: int, pairs: deque, degree_cap, prune: bool) -> tuple:
+    """Queue the S-pairs of basis vector k with the vectors before it:
+    (the new queue, whether a pair was dropped on the degree cap).
+
+    A pair (i, k, lcm of the leading monomials) joins only vectors leading
+    at one position, and one above the degree cap is dropped first.  Without
+    `prune` every other pair is queued.  With it, the Gebauer-Moller
+    criteria (JSC 6, 1988; valid for submodules of free modules,
+    Kreuzer-Robbiano, CCA 1, 2.5) see only the pairs within the cap:
+    - B_k drops an old pair (i, j) when lm(k) divides its lcm and neither
+      lcm(i, k) nor lcm(j, k) equals it;
+    - M and F keep, of the new pairs, the first one of each minimal lcm;
+    - the product criterion drops a new pair whose leading monomials are
+      coprime, with every other new pair of that lcm, when both vectors have
+      one coordinate (a pair of polynomials at one position).
+    Old pairs keep their order, and the new ones follow by i."""
+    pos, mk, _ = heads[k]
+    capped = False
+    new = {}  # lcm -> [first i, coprime]
+    for i in range(k):
+        ipos, mi, _ = heads[i]
+        if ipos != pos:
+            continue
+        lcm = monomial_lcm(mi, mk)
+        if degree_cap is not None and monomial_degree(lcm) > degree_cap:
+            capped = True
+        elif not prune:
+            pairs.append((i, k, lcm))
+        else:
+            coprime = (
+                len(basis[i].coords) == len(basis[k].coords) == 1
+                and monomial_mul(mi, mk) == lcm
+            )
+            entry = new.setdefault(lcm, [i, False])
+            entry[1] = entry[1] or coprime
+    if not prune:
+        return pairs, capped
+    kept = deque(
+        (i, j, lcm)
+        for i, j, lcm in pairs
+        if heads[i][0] != pos
+        or not monomial_divides(mk, lcm)
+        or monomial_lcm(heads[i][1], mk) == lcm
+        or monomial_lcm(heads[j][1], mk) == lcm
+    )
+    minimal = _minimal(new)
+    kept.extend((i, k, lcm) for lcm, (i, coprime) in new.items() if not coprime and lcm in minimal)
+    return kept, capped
+
+
 def groebner_basis(
     generators,
     order: MonomialOrder = GREVLEX,
@@ -213,29 +274,40 @@ def groebner_basis(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by the vectors.
 
-    S-pairs are only formed between elements with the same leading position,
-    and taken first in, first out.  With a degree cap, pairs whose lcm
-    degree exceeds the cap are dropped and the result is flagged as
-    degree-truncated.  Each basis vector's `_head` is computed once.
+    Each vector, given or found, queues its S-pairs through `_update`, which
+    forms them only between vectors with the same leading position and, on
+    homogeneous vectors or without a degree cap, leaves out those the
+    Gebauer-Moller criteria show to reduce to zero.  With a degree cap,
+    pairs whose lcm degree exceeds the cap are dropped, before any
+    criterion, and the result is flagged as degree-truncated.  Pairs are
+    taken first in, first out, and at most `pair_cap` of them are reduced.
+    Each basis vector's `_head` is computed once.
     """
     basis = [g for g in generators if not g.is_zero()]
     heads = [_head(g, order) for g in basis]
     leads = _leads(basis, heads)
-    capped = False
-    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
+    # Under a degree cap, which vectors a run finds depends on the order it
+    # reduces pairs in, unless the vectors are homogeneous: an S-pair of lcm
+    # degree d then reduces within degree d, and every order finds the part
+    # of degree <= D of one reduced basis.  Elsewhere a skipped pair could
+    # change a capped report, so the criteria are left out there.
+    prune = degree_cap is None or all(
+        len({monomial_degree(m) for _, m in g.terms}) == 1 for g in basis
+    )
+    pairs, capped = deque(), False
+    for k in range(len(basis)):
+        pairs, dropped = _update(basis, heads, k, pairs, degree_cap, prune)
+        capped = capped or dropped
+    # the generators' pairs in (i, j) order: without the criteria, the order
+    # decides which vectors a capped run finds
+    pairs = deque(sorted(pairs))
     processed = 0
     while pairs:
         processed += 1
         if processed > pair_cap:
             raise ResourceCapError(f"S-pair queue exceeded cap {pair_cap}")
-        i, j = pairs.popleft()
-        (pi_, mi, inv_i), (pj_, mj, inv_j) = heads[i], heads[j]
-        if pi_ != pj_:
-            continue
-        lcm = monomial_lcm(mi, mj)
-        if degree_cap is not None and monomial_degree(lcm) > degree_cap:
-            capped = True
-            continue
+        i, j, lcm = pairs.popleft()
+        (_, mi, inv_i), (_, mj, inv_j) = heads[i], heads[j]
         gi, gj = basis[i], basis[j]
         f = gi.field
         s = {}
@@ -248,7 +320,8 @@ def groebner_basis(
             basis.append(r)
             heads.append(head)
             leads.setdefault(head[0], []).append((head[1], head[2], r))
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            pairs, dropped = _update(basis, heads, len(basis) - 1, pairs, degree_cap, prune)
+            capped = capped or dropped
     return GroebnerBasis(_reduce_basis(basis, order), order, capped)
 
 
@@ -271,8 +344,7 @@ def _reduce_basis(basis, order: MonomialOrder) -> tuple:
     for i in kept:
         g = basis[i]
         f = g.field
-        coords = {pos: dict(poly.terms) for pos, poly in g.coords.items()}
-        r = _reduce(coords, leads, order, f, skip=g)
+        r = _reduce(_coords(g), leads, order, f, skip=g)
         if r:
             r = _vector(g.width, f, r)
             _, lc = r.leading(order)
@@ -284,28 +356,53 @@ def _reduce_basis(basis, order: MonomialOrder) -> tuple:
 def submodule_dimension_upto(gb: GroebnerBasis, width: int, degree: int) -> int:
     """k-dimension of the degree <= `degree` slice of the submodule, counted
     via leading terms (exact for degree-compatible orders, a profile metric
-    for lex).  Only positions holding a leading term contribute."""
-    leads: dict = {}
-    for g in gb.vectors:
-        (pos, mono), _ = g.leading(gb.order)
-        leads.setdefault(pos, []).append(mono)
+    for lex).  Only positions holding a leading term contribute: each
+    contributes the monomials of degree <= `degree` less those outside its
+    leading-term ideal, which `_outside_count` counts without listing them."""
+    memo: dict = {}
+    everything = _outside_count(frozenset(), width, degree, memo)
     return sum(
-        1
-        for monos in leads.values()
-        for mono in _monomials_upto(width, degree)
-        if any(monomial_divides(m, mono) for m in monos)
+        everything - _outside_count(_minimal(mono for mono, _, _ in entries), width, degree, memo)
+        for entries in gb.leads.values()
     )
 
 
-def _monomials_upto(width: int, degree: int):
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        for e in range(remaining + 1):
-            yield from rec(prefix + [e], remaining - e, slots - 1)
+def _minimal(monos) -> frozenset:
+    """The monomials that no other one divides.  One that another divides
+    properly has a larger degree, so a scan by degree meets its minimal
+    divisors first."""
+    kept = []
+    for m in sorted(set(monos), key=monomial_degree):
+        if not any(monomial_divides(o, m) for o in kept):
+            kept.append(m)
+    return frozenset(kept)
 
-    yield from rec([], degree, width)
+
+def _outside_count(monos: frozenset, width: int, degree: int, memo: dict) -> int:
+    """Number of monomials in `width` variables of degree <= `degree` that no
+    monomial of `monos` (minimal, each of length `width`) divides.  The
+    recursion is on the exponent e of the last variable: such a monomial is
+    one in the first width - 1 variables, of degree <= degree - e, that no
+    m[:-1] with m[-1] <= e divides.  Memoized on (monos, degree) in `memo`."""
+    if degree < 0:
+        return 0
+    if not monos:
+        return comb(width + degree, degree)
+    if (0,) * width in monos:
+        return 0
+    key = (monos, degree)
+    if key not in memo:
+        by_last: dict = {}
+        for m in monos:
+            by_last.setdefault(m[-1], []).append(m[:-1])
+        below = frozenset()
+        total = 0
+        for e in range(degree + 1):
+            if e in by_last:
+                below = _minimal(below | set(by_last[e]))
+            total += _outside_count(below, width - 1, degree - e, memo)
+        memo[key] = total
+    return memo[key]
 
 
 # -- presheaf elements ---------------------------------------------------------

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import time
-from math import perm
+from math import comb, perm
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from orbitlab.structures import (
     _embedding_ok,
     parse_structure,
 )
+from test_modlab import RANK2_CHAIN
 from test_structures import generate_and_test
 
 S3 = "N=3\n(1 2)\n(1 2 3)\n"
@@ -375,6 +376,36 @@ def test_noeth_chain_under_the_degree_cap_is_no_failed_check(capsys, tmp_path):
         assert data["results"][1]["degree_capped"] is True
 
 
+def test_noeth_chain_rank_profile_at_a_high_degree(capsys, tmp_path):
+    # the leading-term ideals of the documented chain are generated by the
+    # squares, then also the products x_i x_j, then the variables: their
+    # complements are the squarefree monomials, then 1 and the variables,
+    # then 1
+    chain = tmp_path / "oi.chain"
+    chain.write_text(OI_CHAIN)
+    start = time.perf_counter()
+    argv = ("noeth-chain", "--kind", "oi", "--chain", str(chain), "--width", "4", "--degree", "120")
+    code, data = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    for r in data["results"]:
+        w, total = r["width"], comb(r["width"] + 120, 120)
+        squarefree = sum(comb(w, k) for k in range(121))
+        assert r["component_rank_profile"] == [total - squarefree, total - 1 - w, total - 1]
+
+
+def test_noeth_chain_rank_two_chain_at_width_8(capsys, tmp_path):
+    chain = tmp_path / "rank2.chain"
+    chain.write_text(RANK2_CHAIN)
+    start = time.perf_counter()
+    argv = ("noeth-chain", "--kind", "fi", "--chain", str(chain), "--width", "8", "--degree", "4")
+    code, data = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 15
+    assert code == 0
+    assert data["all_stabilized"]
+    assert not any(r["degree_capped"] for r in data["results"])
+
+
 def dihedral(n):
     return f"N={n}\n({' '.join(map(str, range(1, n + 1)))})\n[1,{','.join(map(str, range(n, 1, -1)))}]\n"
 
@@ -384,6 +415,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     files = {
         "oi.chain": OI_CHAIN,
         "fi.chain": FI_CHAIN,
+        "rank2.chain": RANK2_CHAIN,
         "e1.emb": EMBEDDING_A_BELOW_B,
         "e2.emb": EMBEDDING_C_BELOW_A,
         "d12.grp": dihedral(12),
@@ -396,6 +428,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         ("noeth-chain", "--kind", "oi", "--chain", "oi.chain", "--width", "4", "--degree", "3"),
         ("noeth-chain", "--kind", "fi", "--chain", "fi.chain", "--width", "3", "--degree", "3")
         + ("--field", "fp:7"),
+        ("noeth-chain", "--kind", "fi", "--chain", "rank2.chain", "--width", "8", "--degree", "4"),
         ("sap", "--kind", "pair", "--cap", "2"),
         ("sap", "--kind", "linear", "--cap", "5"),
         ("amalgamate", "--embedding1", "e1.emb", "--embedding2", "e2.emb", "--age", "linear"),

@@ -3,6 +3,7 @@ membership oracle (Gaussian elimination over the exact field on a bounded
 slice of the free module)."""
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -10,8 +11,9 @@ from math import comb
 import pytest
 
 from orbitlab.categories import CategoryKind, InjectionMorphism, compose, hom_set
-from orbitlab.errors import MalformedInputError
+from orbitlab.errors import MalformedInputError, ResourceCapError
 from orbitlab.modlab import (
+    DEFAULT_PAIR_CAP,
     GroebnerBasis,
     ModuleVector,
     apply_morphism,
@@ -22,7 +24,14 @@ from orbitlab.modlab import (
     parse_chain_file,
     parse_element_line,
     restriction_decomposition_check,
+    submodule_dimension_upto,
     width_component,
+    _add_multiple,
+    _head,
+    _leads,
+    _reduce,
+    _reduce_basis,
+    _vector,
 )
 from orbitlab.polynomials import (
     GREVLEX,
@@ -31,6 +40,9 @@ from orbitlab.polynomials import (
     Polynomial,
     QQ,
     monomial_degree,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
     parse_polynomial,
 )
 
@@ -56,21 +68,14 @@ def monomials_upto(width, degree):
     return out
 
 
-def la_member(v, generators, bound, field):
-    """Is v in the span of all monomial multiples of the generators staying
-    within the degree bound?  Gaussian elimination, no Groebner machinery."""
+def la_span(generators, bound, field):
+    """Membership test for the span of all monomial multiples of the
+    generators staying within the degree bound: Gaussian elimination, no
+    Groebner machinery.  The elimination is done once, here."""
     coords = {}
 
     def coord(key):
         return coords.setdefault(key, len(coords))
-
-    rows = []
-    for g in generators:
-        gdeg = max((monomial_degree(m) for _, m in g.terms), default=0)
-        for m in monomials_upto(g.width, max(0, bound - gdeg)):
-            shifted = g.term_mul(m, field.one)
-            rows.append({coord(k): c for k, c in shifted.terms.items()})
-    target = {coord(k): c for k, c in v.terms.items()}
 
     def reduce(row, pivots):
         row = {c: x for c, x in row.items() if x != field.zero}
@@ -85,13 +90,80 @@ def la_member(v, generators, bound, field):
         return row
 
     pivots = {}
-    for row in rows:
-        row = reduce(row, pivots)
-        if row:
-            lead = min(row)
-            inv = field.inv(row[lead])
-            pivots[lead] = {c: field.mul(x, inv) for c, x in row.items()}
-    return not reduce(dict(target), pivots)
+    for g in generators:
+        gdeg = max((monomial_degree(m) for _, m in g.terms), default=0)
+        for m in monomials_upto(g.width, max(0, bound - gdeg)):
+            shifted = g.term_mul(m, field.one)
+            row = reduce({coord(k): c for k, c in shifted.terms.items()}, pivots)
+            if row:
+                lead = min(row)
+                inv = field.inv(row[lead])
+                pivots[lead] = {c: field.mul(x, inv) for c, x in row.items()}
+
+    def member(v):
+        return not reduce({coord(k): c for k, c in v.terms.items()}, pivots)
+
+    return member
+
+
+def la_member(v, generators, bound, field):
+    """Is v in the span of all monomial multiples of the generators staying
+    within the degree bound?"""
+    return la_span(generators, bound, field)(v)
+
+
+def oracle_groebner_basis(generators, order, degree_cap=None, pair_cap=DEFAULT_PAIR_CAP):
+    """The engine without pair criteria: every pair of vectors, first in,
+    first out, counted against `pair_cap` as it leaves the queue; pairs of
+    different leading positions are skipped, and pairs above the degree cap
+    dropped with the result flagged."""
+    basis = [g for g in generators if not g.is_zero()]
+    heads = [_head(g, order) for g in basis]
+    leads = _leads(basis, heads)
+    capped = False
+    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
+    processed = 0
+    while pairs:
+        processed += 1
+        if processed > pair_cap:
+            raise ResourceCapError(f"S-pair queue exceeded cap {pair_cap}")
+        i, j = pairs.popleft()
+        (pi_, mi, inv_i), (pj_, mj, inv_j) = heads[i], heads[j]
+        if pi_ != pj_:
+            continue
+        lcm = monomial_lcm(mi, mj)
+        if degree_cap is not None and monomial_degree(lcm) > degree_cap:
+            capped = True
+            continue
+        gi, gj = basis[i], basis[j]
+        f = gi.field
+        s = {}
+        _add_multiple(s, gi, monomial_div(lcm, mi), inv_i)
+        _add_multiple(s, gj, monomial_div(lcm, mj), f.neg(inv_j))
+        r = _reduce(s, leads, order, f)
+        if r:
+            r = _vector(gi.width, f, r)
+            head = _head(r, order)
+            basis.append(r)
+            heads.append(head)
+            leads.setdefault(head[0], []).append((head[1], head[2], r))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    return GroebnerBasis(_reduce_basis(basis, order), order, capped)
+
+
+def oracle_dimension_upto(gb, width, degree):
+    """`submodule_dimension_upto` by listing the monomials of degree <=
+    `degree` at each position holding a leading term."""
+    leads = {}
+    for g in gb.vectors:
+        (pos, mono), _ = g.leading(gb.order)
+        leads.setdefault(pos, []).append(mono)
+    return sum(
+        1
+        for monos in leads.values()
+        for mono in monomials_upto(width, degree)
+        if any(monomial_divides(m, mono) for m in monos)
+    )
 
 
 # -- Groebner engine -------------------------------------------------------------
@@ -185,6 +257,46 @@ def test_membership_vs_linear_algebra_oracle():
         assert gb.contains(v) == la_member(v, gens, bound, field), (trial, v.terms)
         agree += 1
     assert agree >= 100
+
+
+def test_pair_criteria_against_the_criteria_free_engine():
+    # widths 1-3, one to three positions, vectors of one coordinate (where
+    # the product criterion applies) or of several, homogeneous (where the
+    # criteria also run under a degree cap) or not, Q and F7, lex and grevlex
+    rng = random.Random(5)
+    F7 = CoefficientField(7)
+    capped = 0
+    for trial in range(400):
+        field = (QQ, F7)[trial % 2]
+        order = (GREVLEX, LEX)[trial // 2 % 2]
+        homogeneous = trial // 4 % 2
+        width, rank = rng.randint(1, 3), rng.randint(1, 3)
+        single = rng.random() < 0.5
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            terms = {}
+            pos = rng.randrange(rank)
+            degree = rng.randint(0, 4)
+            for _ in range(rng.randint(1, 4)):
+                mono = tuple(rng.randint(0, 3) for _ in range(width))
+                if homogeneous and monomial_degree(mono) != degree:
+                    continue
+                if monomial_degree(mono) <= 4:
+                    key = (pos if single else rng.randrange(rank), mono)
+                    terms[key] = field.coerce(rng.randint(-3, 3))
+            gens.append(vec(width, field, terms))
+        cap = rng.choice((None, 2, 3, 4))
+        gb = groebner_basis(gens, order, cap)
+        oracle = oracle_groebner_basis(gens, order, cap)
+        # without a cap the reduced basis is unique; with one, the criteria
+        # run only on homogeneous vectors, whose truncated basis is unique
+        assert gb.vectors == oracle.vectors, trial
+        assert oracle.degree_capped or not gb.degree_capped, trial
+        capped += oracle.degree_capped
+        degree = max((monomial_degree(m) for v in gens + list(gb.vectors) for _, m in v.terms), default=0)
+        member = la_span(gens, degree + 8, field)
+        assert all(member(v) for v in gb.vectors), trial
+    assert capped >= 50
 
 
 def test_arithmetic_builds_canonical_values():
@@ -378,6 +490,42 @@ def test_chain_fi_power_sums():
     # x1 is in every component, so only the constant 1 is missing in degree <= 4
     for r in rep.results:
         assert r.rank_profile == (comb(r.width + 4, 4) - 1,) * 4
+
+
+def test_dimension_count_matches_enumeration():
+    # random leading-monomial sets, with repeats, non-minimal monomials and
+    # the monomial 1, over up to three positions
+    rng = random.Random(11)
+    for trial in range(200):
+        width, degree = rng.randint(1, 4), rng.randint(0, 7)
+        keys = [
+            (rng.randrange(3), tuple(rng.randint(0, 4) for _ in range(width)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        gb = GroebnerBasis(tuple(vec(width, QQ, {key: 1}) for key in keys), (GREVLEX, LEX)[trial % 2], False)
+        assert submodule_dimension_upto(gb, width, degree) == oracle_dimension_upto(gb, width, degree), trial
+
+
+# the ROADMAP's rank-2 chain: two positions from the first step on
+RANK2_CHAIN = (
+    "FI 2 2 : [1,2] : x1 - x2\n--\nFI 2 3 : [1,2] : x3*x1 - x3*x2\nFI 2 2 : [2,1] : x1^2\n"
+)
+
+
+def test_rank_two_chain_components_against_linear_algebra():
+    # each component is the span of the morphism images of its generators:
+    # its basis lies in that span, and the images in the span of its basis
+    # (the chain is homogeneous, so degree 4 bounds both certificates)
+    chain = parse_chain_file(RANK2_CHAIN, FI)
+    for width in range(1, 5):
+        for step in chain:
+            M = width_component(FI, step, width, GREVLEX, 4)
+            assert not M.degree_capped
+            images = [apply_morphism(g, pi) for g in step for pi in hom_set(FI, g.width, width)]
+            in_images = la_span(images, 4, QQ)
+            in_basis = la_span(M.groebner.vectors, 4, QQ)
+            assert all(in_images(v) for v in M.groebner.vectors)
+            assert all(in_basis(v) for v in images)
 
 
 def test_repeated_morphism_images_do_not_flag_degree_cap():
