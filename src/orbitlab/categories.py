@@ -2,12 +2,15 @@
 
 Morphisms are injections that preserve *and* reflect the canonical relation
 of their kind (no relation for FI, the linear order for OI, betweenness for
-BI, the cyclic order for CI, the separation relation for SI).  Everything is
-materialized explicitly: composition is array lookup, and a hom-set is the
-sorted list of eps' o g over the increasing injections eps' and g in End([m]),
-the unique factorization of a morphism; End([m]) has a closed form per
-kind.  Validity is checked once, where data enters (`parse_morphism`,
-`InjectionMorphism.checked`), not again on morphisms the library builds.
+BI, the cyclic order for CI, the separation relation for SI).  Each relation
+holds on a tuple exactly when it holds on the tuple's order pattern, so
+validity is decided by one pattern lookup per a-subset of [m], a the
+relation's arity.  Everything is materialized explicitly: composition is
+array lookup, and a hom-set is the sorted list of eps' o g over the
+increasing injections eps' and g in End([m]), the unique factorization of a
+morphism; End([m]) has a closed form per kind.  Validity is checked once,
+where data enters (`parse_morphism`, `InjectionMorphism.checked`), not again
+on morphisms the library builds.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 from .errors import FalsificationError, MalformedInputError, ResourceCapError
 
-# Bound on n!/(n-m)!, the injections [m] -> [n], per hom-set; 10!/0! fits.
+# Bound on the morphisms built per hom-set (all 10! of FI [10] -> [10] fit),
+# and on the factorizations of one restriction check.
 DEFAULT_ENUMERATION_CAP = 4_000_000
 
 
@@ -31,6 +35,10 @@ class CategoryKind(Enum):
     BI = "BI"
     CI = "CI"
     SI = "SI"
+
+    # members are singletons: hash by identity, since Enum.__hash__ runs in
+    # Python on every cache lookup keyed by a kind
+    __hash__ = object.__hash__
 
     @classmethod
     def from_string(cls, s: str) -> "CategoryKind":
@@ -75,13 +83,36 @@ def in_relation(kind: CategoryKind, n: int, tup: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _relation_patterns(kind: CategoryKind, a: int) -> frozenset[tuple[int, ...]]:
+    """R_a: the order patterns p in S_a with in_relation(kind, a, p).  The
+    relations are the reducts of (Q,<) (Cameron 1976): each holds on a tuple
+    exactly when it holds on the tuple's pattern."""
+    return frozenset(p for p in permutations(range(1, a + 1)) if in_relation(kind, a, p))
+
+
+@lru_cache(maxsize=None)
+def _pattern_ok(kind: CategoryKind, a: int, sigma: tuple[int, ...]) -> bool:
+    """Whether an injection whose a points take the order pattern sigma
+    preserves and reflects the relation: p in R_a iff sigma o p in R_a."""
+    relation = _relation_patterns(kind, a)
+    return all(
+        (p in relation) == (tuple(sigma[i - 1] for i in p) in relation)
+        for p in permutations(range(1, a + 1))
+    )
+
+
+@lru_cache(maxsize=None)
 def canonical_relation(kind: CategoryKind, n: int) -> frozenset[tuple[int, ...]]:
-    """All tuples of distinct points of [n] in the canonical relation of `kind`."""
+    """All tuples of distinct points of [n] in the canonical relation of `kind`:
+    S o p over the a-subsets S of [n] and the patterns p in R_a."""
     a = RELATION_ARITY[kind]
     if a == 0:
         return frozenset()
+    patterns = _relation_patterns(kind, a)
     return frozenset(
-        t for t in permutations(range(1, n + 1), a) if in_relation(kind, n, t)
+        tuple(S[i - 1] for i in p)
+        for S in combinations(range(1, n + 1), a)
+        for p in patterns
     )
 
 
@@ -107,9 +138,9 @@ def is_morphism(kind: CategoryKind, m: int, n: int, image) -> bool:
     a = RELATION_ARITY[kind]
     if a == 0 or m < a:
         return True
-    for tup in permutations(range(1, m + 1), a):
-        mapped = tuple(image[i - 1] for i in tup)
-        if in_relation(kind, m, tup) != in_relation(kind, n, mapped):
+    for values in combinations(image, a):
+        ordered = sorted(values)
+        if not _pattern_ok(kind, a, tuple(ordered.index(v) + 1 for v in values)):
             return False
     return True
 
@@ -161,7 +192,7 @@ def compose(f: InjectionMorphism, g: InjectionMorphism) -> InjectionMorphism:
             f"object mismatch: f lands in [{f.target}], g starts at [{g.source}]"
         )
     return InjectionMorphism(
-        f.kind, f.source, g.target, tuple(g.image[v - 1] for v in f.image)
+        f.kind, f.source, g.target, tuple([g.image[v - 1] for v in f.image])
     )
 
 
@@ -171,16 +202,15 @@ def hom_set(
     n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[InjectionMorphism]:
-    """All morphisms [m] -> [n], sorted lexicographically by image array."""
-    if m < 0 or n < 0:
-        raise MalformedInputError("objects must be natural numbers")
-    if m > n:
-        return []
-    raw = factorial(n) // factorial(n - m)
-    if raw > cap:
+    """All morphisms [m] -> [n], sorted lexicographically by image array;
+    ResourceCapError, before any is built, when there are more than `cap`."""
+    size = hom_size_formula(kind, m, n)
+    if size > cap:
         raise ResourceCapError(
-            f"hom_set({kind.value}, {m}, {n}): {raw} injections exceeds cap {cap}"
+            f"hom_set({kind.value}, {m}, {n}): {size} injections exceeds cap {cap}"
         )
+    if size == 0:
+        return []
     ends = _endomorphism_images(kind, m)
     images = sorted(
         tuple(eps_prime[i - 1] for i in g)
@@ -217,12 +247,12 @@ def _is_morphism(kind: CategoryKind, m: int, n: int, image: tuple[int, ...]) -> 
 
 def hom_size_formula(kind: CategoryKind, m: int, n: int) -> int:
     """Closed-form hom-set sizes, validated against enumeration in the tests."""
+    if m < 0 or n < 0:
+        raise MalformedInputError("objects must be natural numbers")
     if m > n:
         return 0
     if m == 0:
         return 1
-    from math import comb
-
     if kind is CategoryKind.FI:
         return factorial(n) // factorial(n - m)
     if kind is CategoryKind.OI:
@@ -248,22 +278,24 @@ def factorize(f: InjectionMorphism) -> tuple[InjectionMorphism, InjectionMorphis
     sorted image.  The factorization lemma says both are morphisms of f's kind
     and recompose to f; a failure of either claim raises FalsificationError.
     """
-    sorted_image = tuple(sorted(f.image))
-    position = {v: i + 1 for i, v in enumerate(sorted_image)}
-    g_image = tuple(position[v] for v in f.image)
-    if not _is_morphism(f.kind, f.source, f.source, g_image):
+    kind, m, image = f.kind, f.source, f.image
+    sorted_image = tuple(sorted(image))
+    # m is small: a scan of the sorted image beats building a dict
+    g_image = tuple([sorted_image.index(v) + 1 for v in image])
+    if not _is_morphism(kind, m, m, g_image):
         raise FalsificationError(
             f"factorization of {f} produced a non-endomorphism g = {g_image}"
         )
-    if not _is_morphism(f.kind, f.source, f.target, sorted_image):
+    if not _is_morphism(kind, m, f.target, sorted_image):
         raise FalsificationError(
             f"factorization of {f} produced a non-morphism eps' = {sorted_image}"
         )
-    eps_prime = InjectionMorphism(f.kind, f.source, f.target, sorted_image)
-    g = InjectionMorphism(f.kind, f.source, f.source, g_image)
-    if compose(g, eps_prime) != f:
+    if tuple([sorted_image[i - 1] for i in g_image]) != image:
         raise FalsificationError(f"factorization of {f} does not recompose")
-    return eps_prime, g
+    return (
+        InjectionMorphism(kind, m, f.target, sorted_image),
+        InjectionMorphism(kind, m, m, g_image),
+    )
 
 
 def endomorphism_group(kind: CategoryKind, n: int) -> list[InjectionMorphism]:
@@ -278,8 +310,12 @@ _MORPHISM_RE = re.compile(
 
 
 def format_morphism(f: InjectionMorphism) -> str:
-    body = ",".join(str(v) for v in f.image)
-    return f"{f.kind.value} {f.source}->{f.target} : [{body}]"
+    return _format_head(f.kind, f.source, f.target) + ",".join(map(str, f.image)) + "]"
+
+
+@lru_cache(maxsize=None)  # fixed per hom-set
+def _format_head(kind: CategoryKind, source: int, target: int) -> str:
+    return f"{kind.value} {source}->{target} : ["
 
 
 def parse_morphism(text: str) -> InjectionMorphism:

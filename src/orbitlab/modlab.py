@@ -26,12 +26,14 @@ from math import comb
 
 from .actions import DEFAULT_SPACE_CAP
 from .categories import (
+    DEFAULT_ENUMERATION_CAP,
     CategoryKind,
     InjectionMorphism,
     compose,
     endomorphism_group,
     factorize,
     hom_set,
+    hom_size_formula,
 )
 from .errors import MalformedInputError, ResourceCapError, parse_int
 from .polynomials import (
@@ -603,6 +605,14 @@ def restriction_decomposition_check(
     """
     if gen_width > width:
         raise MalformedInputError("need gen_width <= width")
+    # one factorization per morphism and per post-composition by one of the
+    # width + 1 increasing injections [width] -> [width + 1]
+    work = hom_size_formula(kind, gen_width, width) * (width + 2)
+    if work > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"restriction_decomposition_check({kind.value}, {gen_width}, {width}): "
+            f"{work} factorizations exceeds cap {DEFAULT_ENUMERATION_CAP}"
+        )
     homs = hom_set(kind, gen_width, width)
     classes: dict = {}
     for eps in homs:

@@ -253,17 +253,50 @@ class BuiltinAge(_Age):
                 yield s
 
     def _inducing_arrangements(self, gamma: FiniteStructure) -> tuple:
-        """The arrangements of gamma's universe whose structure is gamma,
-        found once per gamma: a SAP check meets each side in many problems."""
-        if gamma not in self._inducing:
-            fits = gamma.signature == self.signature
-            self._inducing[gamma] = tuple(
-                arr
-                for arr in (permutations(gamma.universe) if fits else ())
-                if arrangement_structure(self.kind_name, arr).relations
-                == gamma.relations
+        """The arrangements of gamma's universe whose structure is gamma, in
+        `permutations(gamma.universe)` order, found once per gamma: a SAP
+        check meets each side in many problems.  As the relation depends
+        only on order patterns, they are grown one label at a time, each
+        prefix checked on the a-subsets through its newest label."""
+        if gamma in self._inducing:
+            return self._inducing[gamma]
+        universe = gamma.universe
+        if gamma.signature != self.signature:
+            found = ()
+        elif self.kind_name == "set":
+            found = tuple(permutations(universe))
+        else:
+            ((_, a),) = gamma.signature
+            ((_, relation),) = gamma.relations
+            # R_a, the relation on [a], as positions into a's labels
+            patterns = tuple(
+                tuple(i - 1 for i in p)
+                for p in canonical_relation(BUILTIN_KINDS[self.kind_name], a)
             )
-        return self._inducing[gamma]
+            on = {}  # label set -> the tuples of the relation on it
+            for t in relation:
+                on.setdefault(frozenset(t), set()).add(t)
+
+            def fits(labels):  # labels in arrangement order
+                return on.get(frozenset(labels), set()) == {
+                    tuple(map(labels.__getitem__, p)) for p in patterns
+                }
+
+            def extend(arr):
+                if len(arr) == len(universe):
+                    yield arr
+                    return
+                for x in universe:
+                    if x not in arr and all(
+                        fits(rest + (x,)) for rest in combinations(arr, a - 1)
+                    ):
+                        yield from extend(arr + (x,))
+
+            # an arrangement induces only tuples of distinct labels
+            distinct = all(len(set(t)) == a for t in relation)
+            found = tuple(extend(())) if distinct else ()
+        self._inducing[gamma] = found
+        return found
 
 
 def _set_partitions(items, want):

@@ -94,13 +94,23 @@ def test_is_morphism_examples():
 
 
 def test_is_morphism_against_oracle():
+    # up to [6], so SI's 4-point condition meets the oracle on 5 and 6 points
     for kind in CategoryKind:
-        for m in range(0, 4):
-            for n in range(m, 5):
+        for n in range(0, 7):
+            for m in range(0, n + 1):
                 for img in permutations(range(1, n + 1), m):
                     assert is_morphism(kind, m, n, img) == oracle_is_embedding(
                         kind, m, n, img
                     )
+
+
+def test_canonical_relation_against_oracle():
+    for kind in CategoryKind:
+        for n in range(0, 9):
+            expected = {
+                t for t in permutations(range(1, n + 1), ARITY[kind]) if oracle_relation(kind, n, t)
+            }
+            assert categories.canonical_relation(kind, n) == expected, (kind, n)
 
 
 def test_is_morphism_malformed_input():
@@ -155,6 +165,23 @@ def test_built_morphisms_satisfy_is_morphism():
 def test_hom_set_cap():
     with pytest.raises(ResourceCapError):
         hom_set(CategoryKind.FI, 5, 9, cap=10)
+    # the cap is on the morphisms built, C(9,5) = 126 here, not on the
+    # 9!/4! = 15,120 injections [5] -> [9]
+    assert len(hom_set(CategoryKind.OI, 5, 9, cap=126)) == 126
+    with pytest.raises(ResourceCapError, match=r"hom_set\(OI, 5, 9\): 126 "):
+        hom_set(CategoryKind.OI, 5, 9, cap=125)
+    assert len(hom_set(CategoryKind.SI, 5, 9, cap=1260)) == 1260
+    with pytest.raises(ResourceCapError):
+        hom_set(CategoryKind.SI, 5, 9, cap=1259)
+
+
+def test_negative_objects_are_malformed():
+    for kind in CategoryKind:
+        for m, n in ((-1, 3), (0, -1), (-2, -1)):
+            with pytest.raises(MalformedInputError, match="natural numbers"):
+                hom_size_formula(kind, m, n)
+            with pytest.raises(MalformedInputError, match="natural numbers"):
+                hom_set(kind, m, n)
 
 
 # -- composition ---------------------------------------------------------------------

@@ -18,6 +18,8 @@ from orbitlab.structures import (
     PairAge,
     StructureEmbedding,
     _embedding_ok,
+    arrangement_structure,
+    format_structure,
     parse_structure,
 )
 from test_modlab import RANK2_CHAIN
@@ -306,6 +308,29 @@ def test_amalgamate_hits_the_pushout_cap_before_the_age_check(capsys, tmp_path):
     assert capsys.readouterr().err == "resource cap: pushout universe of size 12 exceeds cap\n"
 
 
+@pytest.mark.parametrize("age", ["linear", "separation"])
+def test_amalgamate_nine_point_sides(capsys, tmp_path, age):
+    # each side's inducing arrangements are grown one label at a time, not
+    # filtered from the 9! arrangements of its universe
+    base = [f"p{i}" for i in range(8)]
+
+    def side(name, arrangement):
+        source = format_structure(arrangement_structure(age, base))
+        target = format_structure(arrangement_structure(age, arrangement))
+        mapping = "".join(f"{x} -> {x}\n" for x in base)
+        path = tmp_path / name
+        path.write_text(f"[source]\n{source}\n[target]\n{target}\n[map]\n{mapping}")
+        return str(path)
+
+    e1 = side("e1.emb", base[:3] + ["x"] + base[3:])
+    e2 = side("e2.emb", base[:5] + ["y"] + base[5:])
+    start = time.monotonic()
+    code, data = run_json(capsys, "amalgamate", "--embedding1", e1, "--embedding2", e2, "--age", age)
+    assert time.monotonic() - start < 30
+    assert code == 0
+    assert len(set(data["g1_images"]) | set(data["g2_images"])) == 10
+
+
 def test_amalgamate(capsys, tmp_path):
     e1 = tmp_path / "e1.emb"
     e1.write_text(EMBEDDING_A_BELOW_B)
@@ -460,6 +485,26 @@ def test_restrict_check(capsys):
     code, data = run_json(capsys, "restrict-check", "--kind", "ci", "--n", "3", "--s", "5")
     assert code == 0
     assert data["ok"] and data["class_count"] == 3
+
+
+def test_restrict_check_caps_its_factorizations_before_building(capsys):
+    # 11!/5! morphisms times 13 factorizations each: refused at once, where
+    # it used to build 332,640 morphisms before a hom-set cap fired
+    start = time.monotonic()
+    assert main(["restrict-check", "--kind", "fi", "--n", "6", "--s", "11"]) == 3
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == (
+        "resource cap: restriction_decomposition_check(FI, 6, 11): "
+        "4324320 factorizations exceeds cap 4000000\n"
+    )
+
+
+def test_restrict_check_past_the_old_injection_cap(capsys):
+    # 2,520 morphisms; the 11!/1! injections [10] -> [11] are never scanned
+    code, data = run_json(capsys, "restrict-check", "--kind", "si", "--n", "5", "--s", "10")
+    assert code == 0
+    assert data["ok"] and data["class_count"] == 10
+    assert sum(len(c["members"]) for c in data["classes"]) == 2520
 
 
 def test_parser_is_built_once_and_reused(capsys):

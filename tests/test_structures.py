@@ -234,6 +234,41 @@ def test_unrestricted_enumeration_is_permutation_order(name):
         assert list(age.structures_on(labels)) == list(expected.values())
 
 
+def inducing_by_filter(age, gamma):
+    """Oracle for `BuiltinAge._inducing_arrangements`: every arrangement of
+    gamma's universe, filtered by the structure it induces."""
+    fits = gamma.signature == age.signature
+    return tuple(
+        arr
+        for arr in (permutations(gamma.universe) if fits else ())
+        if arrangement_structure(age.kind_name, arr).relations == gamma.relations
+    )
+
+
+@pytest.mark.parametrize("name", ["set", "linear", "betweenness", "cyclic", "separation"])
+def test_inducing_arrangements_by_extension_match_the_filter(name):
+    age = BuiltinAge(name)
+    for n in range(7):
+        labels = tuple(range(1, n + 1))
+        by_relations = {}  # one pass of the filter over all n! arrangements
+        for arr in permutations(labels):
+            by_relations.setdefault(arrangement_structure(name, arr).relations, []).append(arr)
+        structures = list(age.structures_on(labels))
+        assert len(structures) == len(by_relations)
+        for s in structures:
+            assert age._inducing_arrangements(s) == tuple(by_relations[s.relations]), (name, n)
+    # structures outside the age: an arrangement's relation with one tuple of
+    # a repeated label added, a lone tuple, another signature
+    if name != "set":
+        (rel, arity), = age.signature
+        induced = arrangement_structure(name, (1, 2, 3, 4)).relation(rel)
+        for tuples in (induced | {(1,) * arity}, {tuple(range(1, arity + 1))}):
+            gamma = make_structure(range(1, 5), ((rel, arity),), {rel: tuples})
+            assert age._inducing_arrangements(gamma) == inducing_by_filter(age, gamma) == ()
+    other = arrangement_structure("cyclic" if name == "linear" else "linear", (1, 2, 3))
+    assert age._inducing_arrangements(other) == inducing_by_filter(age, other) == ()
+
+
 def iso_classes_by_canonical_form(age, size):
     """Oracle for `_iso_classes`: the first structure of each
     `canonical_form`, sorted by it, with one `canonical_form` per structure."""
