@@ -38,7 +38,7 @@ def identity_perm(n: int) -> Perm:
 
 def pmul(a: Perm, b: Perm) -> Perm:
     """The permutation 'a after b': x -> a(b(x))."""
-    return tuple(a[v - 1] for v in b)
+    return tuple([a[v - 1] for v in b])
 
 
 def pinv(a: Perm) -> Perm:
@@ -49,7 +49,7 @@ def pinv(a: Perm) -> Perm:
 
 
 def act_tuple(g: Perm, tup: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(g[x - 1] for x in tup)
+    return tuple([g[x - 1] for x in tup])
 
 
 def _inverses(transversal: dict) -> dict:
@@ -94,12 +94,17 @@ def _orbit(x, gens, act, cap: int | None = None, name: str = "orbit") -> set:
 
 def _schreier_generators(transversal: dict, gens):
     """Yield u_{s(k)}^-1 * s * u_k over the orbit transversal u of a point
-    tuple and the generators s: by Schreier's lemma they generate the
-    stabilizer of that tuple (Seress, Permutation Group Algorithms, 4.1)."""
-    inverses = {image: pinv(u) for image, u in transversal.items()}
+    tuple and the generators s, skipping the identities (s * u_k = u_{s(k)}):
+    by Schreier's lemma they generate the stabilizer of that tuple (Seress,
+    Permutation Group Algorithms, 4.1)."""
+    inverses = {}
     for k, u in transversal.items():
         for s in gens:
-            yield pmul(inverses[act_tuple(s, k)], pmul(s, u))
+            image, su = act_tuple(s, k), pmul(s, u)
+            if su != transversal[image]:
+                if image not in inverses:
+                    inverses[image] = pinv(transversal[image])
+                yield pmul(inverses[image], su)
 
 
 def _least_in_coset(g: Perm, base, transversals) -> Perm:

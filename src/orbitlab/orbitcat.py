@@ -26,7 +26,9 @@ from .actions import (
     Perm,
     _orbit,
     check_tuple_spaces,
+    identity_perm,
     pinv,
+    pmul,
 )
 from .errors import MalformedInputError, OrbitlabError, ResourceCapError
 from .structures import StructureEmbedding
@@ -160,11 +162,11 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
     embedding to the morphism keyed by its image, so phi is injective, and
     bijective iff the two counts agree.
 
-    Every g in G maps G_A to G_{g(A)}, so both counts and the verdict of a
-    pair of subsets depend only on its G-orbit.  The first pair of each
-    orbit is checked; if it passes, its orbit shares its hom count and is
-    skipped, and otherwise every pair of the orbit is checked, so the
-    mismatches are listed in full.
+    Every g in G maps G_A to G_{g(A)}, so Fix(G_{g(A)}) = g(Fix(G_A)) and
+    the counts and verdict of a pair of subsets depend only on its G-orbit.
+    So Fix(G_A) is read off the orbit tree for the first subset of each
+    G-orbit only, and the first pair of each G-orbit of pairs is checked
+    and shares its counts, and any mismatch, with its orbit.
     """
     if size_cap > action.domain_size:
         raise MalformedInputError("size_cap exceeds domain size")
@@ -188,44 +190,52 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
         for size in range(0, size_cap + 1)
         for c in combinations(range(1, N + 1), size)
     ]
+    index = {s: i for i, s in enumerate(subsets)}
+    gens = action.generators
+    moves = [[index[frozenset(g[x - 1] for x in s)] for s in subsets] for g in gens]
 
-    fixed = {s: cat.object(s).fixed for s in subsets}
+    # fixed[i] = Fix(G_{subsets[i]}), expanded on the first subset of each
+    # orbit and carried along it by an element u sending that subset to s
+    fixed = [None] * n
+    for i, rep in enumerate(subsets):
+        if fixed[i] is None:
+            fixed[i] = cat.object(rep).fixed
+            walk = [(i, identity_perm(N))]
+            for j, u in walk:
+                for g, move in zip(gens, moves):
+                    if fixed[move[j]] is None:
+                        v = pmul(g, u)
+                        fixed[move[j]] = frozenset([v[x - 1] for x in fixed[i]])
+                        walk.append((move[j], v))
+
     collisions = []
-    for i, a in enumerate(subsets):
-        for b in subsets[i + 1 :]:
+    for i, (a, fa) in enumerate(zip(subsets, fixed)):
+        for b, fb in zip(subsets[i + 1 :], fixed[i + 1 :]):
             # G_a = G_b iff each stabilizer fixes the other subset
-            if b <= fixed[a] and a <= fixed[b]:
+            if b <= fa and a <= fb:
                 collisions.append((tuple(sorted(a)), tuple(sorted(b))))
 
     mismatches = []
     # the pair (gamma, sigma) is p = n * index[gamma] + index[sigma], and
-    # counts[p] = |hom(G/G_sigma, G/G_gamma)|, known in advance for the
-    # pairs in the orbit of a passing pair
-    index = {s: i for i, s in enumerate(subsets)}
-    moves = [
-        [index[frozenset(g[x - 1] for x in s)] for s in subsets] for g in action.generators
-    ]
+    # counts[p] = (embeddings, |hom(G/G_sigma, G/G_gamma)|), shared by p's orbit
     counts = [None] * (n * n)
     for p in range(n * n):
-        if counts[p] is not None:
-            continue
-        gamma, sigma = subsets[p // n], subsets[p % n]
-        target = cat.object(gamma)
-        embeddings = len(cat.images(target, sigma))
-        morphisms = len(cat.images(target, fixed[sigma]))
-        if embeddings == morphisms:
+        pair = counts[p]
+        if pair is None:
+            target = cat.object(subsets[p // n])
+            pair = len(cat.images(target, subsets[p % n])), len(cat.images(target, fixed[p % n]))
             for q in _orbit(p, moves, lambda g, q: n * g[q // n] + g[q % n]):
-                counts[q] = morphisms
-        else:
-            counts[p] = morphisms
-            mismatches.append((tuple(sorted(gamma)), tuple(sorted(sigma)), embeddings, morphisms))
+                counts[q] = pair
+        if pair[0] != pair[1]:
+            gamma, sigma = tuple(sorted(subsets[p // n])), tuple(sorted(subsets[p % n]))
+            mismatches.append((gamma, sigma) + pair)
 
     # the fixed-point condition Fix(G_s) = s
-    violations = [tuple(sorted(s)) for s in subsets if fixed[s] != s]
+    violations = [tuple(sorted(s)) for s, f in zip(subsets, fixed) if f != s]
     return PhiIsoReport(
         size_cap,
         tuple(tuple(sorted(s)) for s in subsets),
-        tuple(tuple(counts[n * g + s] for g in range(n)) for s in range(n)),
+        tuple(tuple(counts[n * g + s][1] for g in range(n)) for s in range(n)),
         tuple(collisions),
         tuple(mismatches),
         tuple(violations),

@@ -326,6 +326,29 @@ def test_fixed_points_match_filter():
             G.fixed_points((1, N + 1))
 
 
+def test_schreier_generators_skip_exactly_the_identities():
+    # the skipped u_{s(k)}^-1 * s * u_k are the identities, which Sims'
+    # filter drops, so every orbit-tree node keeps the holders of the full list
+    rng = random.Random(53)
+    for _ in range(40):
+        N = rng.randint(1, 8)
+        G = random_subgroup(rng, N, rng.randint(1, 3))
+        ident = identity_perm(N)
+        points = tuple(rng.sample(range(1, N + 1), rng.randint(1, N)))
+        for k in range(len(points)):
+            parent = G._node(points[:k])[0]
+            transversal = actions._orbit_transversal(points[k : k + 1], parent, ident)
+            full = [
+                pmul(pinv(transversal[act_tuple(s, t)]), pmul(s, u))
+                for t, u in transversal.items()
+                for s in parent
+            ]
+            kept = list(actions._schreier_generators(transversal, parent))
+            assert kept == [h for h in full if h != ident], G.generators
+            want = actions._sims_filter(full, ident) if len(transversal) > 1 else parent
+            assert G._node(points[: k + 1])[0] == want, G.generators
+
+
 def test_orbit_modes():
     c4 = cyclic_action(4)
     assert orbit_count(c4, 1, "subsets") == 1

@@ -460,6 +460,9 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         "d6.grp": dihedral(6),
         "c6.grp": "N=6\n(1 2 3 4 5 6)\n",
         "c8.grp": "N=8\n(1 2 3 4 5 6 7 8)\n",
+        # AGL(1,13): x -> x+1 and x -> 2x (mod 13) on the points x+1
+        "agl13.grp": "N=13\n"
+        + "".join(f"{[(a * x + b) % 13 + 1 for x in range(13)]}\n" for a, b in ((1, 1), (2, 0))),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -475,6 +478,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         ("orbitcat", "--group", "d6.grp", "--cap", "2"),
         ("orbitcat", "--group", "c6.grp", "--cap", "2"),  # exits 1 with hom mismatches
         ("orbitcat", "--group", "c8.grp", "--cap", "3"),  # exits 1, every failing pair listed
+        ("orbitcat", "--group", "agl13.grp", "--cap", "2"),  # exits 1, failing orbits shared
     )
     script = f"from orbitlab.cli import main\nfor argv in {commands!r}:\n    main(list(argv))\n"
     src = str(Path(orbitlab.__file__).resolve().parents[1])

@@ -200,6 +200,23 @@ def test_report_builds_no_canonical_structure(monkeypatch):
     assert s5.passed and not s5.fixed_point_violations
 
 
+def test_report_reads_fixed_points_once_per_orbit_of_subsets(monkeypatch):
+    # Fix(G_{u(A)}) = u(Fix(G_A)), so Fix is read once per G-orbit of
+    # subsets: S7 has 3 orbits on subsets of size <= 2, C8 13 on size <= 3
+    calls = []
+    fixed_points = FiniteAction.fixed_points
+
+    def counted(self, points):
+        calls.append(points)
+        return fixed_points(self, points)
+
+    monkeypatch.setattr(FiniteAction, "fixed_points", counted)
+    for G, cap, orbits in ((symmetric_action(7), 2, 3), (cyclic_action(8), 3, 13)):
+        calls.clear()
+        phi_iso_report(G, cap)
+        assert len(calls) == orbits
+
+
 def hom(G, source_gamma, target_gamma):
     cat = OrbitCategory(G)
     return cat.hom(cat.object(source_gamma), cat.object(target_gamma))
