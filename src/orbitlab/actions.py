@@ -479,21 +479,15 @@ def orbit_count(action: FiniteAction, n: int, mode: str) -> int:
     raise MalformedInputError(f"unknown mode {mode!r}")
 
 
-def check_tuple_spaces(N: int, max_n: int) -> None:
-    """Raise ResourceCapError if the k-tuples of N points, for some
-    k <= max_n, number more than DEFAULT_SPACE_CAP."""
-    for k in range(1, max_n + 1):
-        if N**k > DEFAULT_SPACE_CAP:
-            raise ResourceCapError(f"space of size {N**k} exceeds cap {DEFAULT_SPACE_CAP}")
-
-
 def tuple_orbits(action: FiniteAction, max_n: int) -> list:
     """The orbits on k-tuples, k = 1..max_n, as frozensets per level in the
     order of their least tuples: extending t by the least point of each
     G_t-orbit (t's points are fixed) reaches each orbit once, at its least
     tuple, in ascending order.  A level above DEFAULT_SPACE_CAP tuples raises."""
     N = action.domain_size
-    check_tuple_spaces(N, max_n)
+    for k in range(1, max_n + 1):
+        if N**k > DEFAULT_SPACE_CAP:
+            raise ResourceCapError(f"space of size {N**k} exceeds cap {DEFAULT_SPACE_CAP}")
     out, level = [], [()]
     for _ in range(max_n):
         children = []

@@ -24,8 +24,6 @@ from .actions import (
     DEFAULT_SPACE_CAP,
     FiniteAction,
     Perm,
-    _orbit,
-    check_tuple_spaces,
     identity_perm,
     pinv,
     pmul,
@@ -92,21 +90,16 @@ class OrbitCategory:
             self._objects[gamma] = OrbitObject(gamma, self.action.fixed_points(gamma))
         return self._objects[gamma]
 
-    def images(self, obj: OrbitObject, within) -> list:
-        """The images u(B) of the sorted points of obj's subset B that lie
-        inside `within`, each with an element u producing it, in
-        orbit-transversal order."""
-        transversal = self.action.orbit_transversal(obj.sorted_points)
-        return [(image, u) for image, u in transversal.items() if within.issuperset(image)]
-
     def hom(self, source: OrbitObject, target: OrbitObject) -> list[OrbitMorphism]:
-        """One morphism per image u(B) of the target subset B inside
-        Fix(G_A) of the source subset A, in orbit-transversal order, each
-        represented by pinv(u).  The key of that morphism is u(B) itself, so
-        distinct images are distinct morphisms."""
+        """One morphism per image u(B) of the sorted points of the target
+        subset B inside Fix(G_A) of the source subset A, in orbit-transversal
+        order, each represented by pinv(u).  The key of that morphism is u(B)
+        itself, so distinct images are distinct morphisms."""
+        transversal = self.action.orbit_transversal(target.sorted_points)
         return [
             OrbitMorphism(source.gamma, target.gamma, pinv(u))
-            for _, u in self.images(target, source.fixed)
+            for image, u in transversal.items()
+            if source.fixed.issuperset(image)
         ]
 
     def phi(self, embedding: StructureEmbedding) -> OrbitMorphism:
@@ -153,30 +146,23 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
 
     The functor is bijective on objects iff no two subsets share a stabilizer,
     and full and faithful on a hom-set iff the embedding count between induced
-    substructures of M equals the orbit morphism count.  Both are read off
-    the orbit of gamma's sorted points as a tuple, so M is not built: M's
-    arity is at least |gamma|, so an injection gamma -> sigma is an embedding
-    exactly when some g in G restricts to it, and the embeddings are the
-    images u(gamma) inside sigma.  The morphisms G/G_sigma -> G/G_gamma are
-    the images inside Fix(G_sigma), which contains sigma; phi sends an
-    embedding to the morphism keyed by its image, so phi is injective, and
-    bijective iff the two counts agree.
-
-    Every g in G maps G_A to G_{g(A)}, so Fix(G_{g(A)}) = g(Fix(G_A)) and
-    the counts and verdict of a pair of subsets depend only on its G-orbit.
-    So Fix(G_A) is read off the orbit tree for the first subset of each
-    G-orbit only, and the first pair of each G-orbit of pairs is checked
-    and shares its counts, and any mismatch, with its orbit.
+    substructures of M equals the orbit morphism count.  M's arity is at
+    least |gamma|, so the embeddings gamma -> sigma are the images u(gamma)
+    of gamma's sorted points inside sigma; the morphisms G/G_sigma ->
+    G/G_gamma are the images inside Fix(G_sigma), which contains sigma, and
+    phi sends an embedding to the morphism keyed by its image.  The images
+    map onto gamma's G-orbit of subsets with fibres of one size
+    c = orbit_size(gamma) / |orbit| (Cameron, Oligomorphic Permutation
+    Groups, 2.7), so both counts are c times a count of subsets in that
+    orbit.  As Fix(G_{g(A)}) = g(Fix(G_A)), Fix and c are read once per
+    orbit.  Neither M nor any tuple orbit is built.
     """
     if size_cap > action.domain_size:
         raise MalformedInputError("size_cap exceeds domain size")
     if size_cap < 0:
         raise MalformedInputError("size_cap must be a natural number")
     N = action.domain_size
-    # the tuple spaces holding the orbits the report reads (those M's
-    # relations would be built from), and the subset pairs, before anything
-    # is built
-    check_tuple_spaces(N, max(size_cap, 1))
+    # the subset pairs, before anything is built
     n = 0
     for size in range(size_cap + 1):
         n += comb(N, size)
@@ -184,58 +170,61 @@ def phi_iso_report(action: FiniteAction, size_cap: int) -> PhiIsoReport:
             raise ResourceCapError(
                 f"ordered pairs of subsets of size <= {size_cap} exceed cap {DEFAULT_SPACE_CAP}"
             )
-    cat = OrbitCategory(action)
     subsets = [
         frozenset(c)
         for size in range(0, size_cap + 1)
         for c in combinations(range(1, N + 1), size)
     ]
+    objects = tuple(tuple(sorted(s)) for s in subsets)
     index = {s: i for i, s in enumerate(subsets)}
     gens = action.generators
     moves = [[index[frozenset(g[x - 1] for x in s)] for s in subsets] for g in gens]
 
-    # fixed[i] = Fix(G_{subsets[i]}), expanded on the first subset of each
-    # orbit and carried along it by an element u sending that subset to s
-    fixed = [None] * n
+    # orbit[i] numbers subsets[i]'s G-orbit, fixed[i] = Fix(G_{subsets[i]}),
+    # fibre[o] = c of orbit o; Fix is carried from the orbit's first subset
+    # by an element u sending it to s
+    orbit, fixed, fibre = [None] * n, [None] * n, []
     for i, rep in enumerate(subsets):
-        if fixed[i] is None:
-            fixed[i] = cat.object(rep).fixed
+        if orbit[i] is None:
+            orbit[i], fixed[i] = len(fibre), action.fixed_points(rep)
             walk = [(i, identity_perm(N))]
             for j, u in walk:
                 for g, move in zip(gens, moves):
-                    if fixed[move[j]] is None:
+                    if orbit[move[j]] is None:
                         v = pmul(g, u)
+                        orbit[move[j]] = orbit[i]
                         fixed[move[j]] = frozenset([v[x - 1] for x in fixed[i]])
                         walk.append((move[j], v))
+            fibre.append(action.orbit_size(rep) // len(walk))
 
-    collisions = []
+    # per sigma and orbit, the subsets of that orbit inside Fix(G_sigma) and
+    # inside sigma, which Fix(G_sigma) contains
+    homs, embeddings, collisions = [], [], []
     for i, (a, fa) in enumerate(zip(subsets, fixed)):
-        for b, fb in zip(subsets[i + 1 :], fixed[i + 1 :]):
-            # G_a = G_b iff each stabilizer fixes the other subset
-            if b <= fa and a <= fb:
-                collisions.append((tuple(sorted(a)), tuple(sorted(b))))
+        in_fixed, in_sigma = [0] * len(fibre), [0] * len(fibre)
+        for j, (b, fb) in enumerate(zip(subsets, fixed)):
+            if b <= fa:
+                in_fixed[orbit[j]] += 1
+                if b <= a:
+                    in_sigma[orbit[j]] += 1
+                # G_a = G_b iff each stabilizer fixes the other subset
+                if j > i and a <= fb:
+                    collisions.append((objects[i], objects[j]))
+        homs.append(in_fixed)
+        embeddings.append(in_sigma)
 
-    mismatches = []
-    # the pair (gamma, sigma) is p = n * index[gamma] + index[sigma], and
-    # counts[p] = (embeddings, |hom(G/G_sigma, G/G_gamma)|), shared by p's orbit
-    counts = [None] * (n * n)
-    for p in range(n * n):
-        pair = counts[p]
-        if pair is None:
-            target = cat.object(subsets[p // n])
-            pair = len(cat.images(target, subsets[p % n])), len(cat.images(target, fixed[p % n]))
-            for q in _orbit(p, moves, lambda g, q: n * g[q // n] + g[q % n]):
-                counts[q] = pair
-        if pair[0] != pair[1]:
-            gamma, sigma = tuple(sorted(subsets[p // n])), tuple(sorted(subsets[p % n]))
-            mismatches.append((gamma, sigma) + pair)
-
+    mismatches = [
+        (gamma, sigma, fibre[o] * embeddings[i][o], fibre[o] * homs[i][o])
+        for gamma, o in zip(objects, orbit)
+        for i, sigma in enumerate(objects)
+        if embeddings[i][o] != homs[i][o]
+    ]
     # the fixed-point condition Fix(G_s) = s
-    violations = [tuple(sorted(s)) for s, f in zip(subsets, fixed) if f != s]
+    violations = [t for t, s, f in zip(objects, subsets, fixed) if f != s]
     return PhiIsoReport(
         size_cap,
-        tuple(tuple(sorted(s)) for s in subsets),
-        tuple(tuple(counts[n * g + s][1] for g in range(n)) for s in range(n)),
+        objects,
+        tuple(tuple(fibre[o] * row[o] for o in orbit) for row in homs),
         tuple(collisions),
         tuple(mismatches),
         tuple(violations),

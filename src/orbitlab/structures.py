@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .actions import FiniteAction, tuple_orbits
-from .categories import CategoryKind, canonical_relation
+from .categories import CategoryKind, _endomorphism_images, canonical_relation
 from .errors import MalformedInputError, ResourceCapError, parse_int
 
 BUILTIN_KINDS = {
@@ -252,16 +252,17 @@ class BuiltinAge(_Age):
     def _inducing_arrangements(self, gamma: FiniteStructure) -> tuple:
         """The arrangements of gamma's universe whose structure is gamma, in
         `permutations(gamma.universe)` order, found once per gamma: a SAP
-        check meets each side in many problems.  As the relation depends
-        only on order patterns, they are grown one label at a time, each
-        prefix checked on the a-subsets through its newest label."""
+        check meets each side in many problems.  One arrangement arr is grown
+        one label at a time, each prefix checked on the a-subsets through its
+        newest label; any two differ by a permutation of [n] preserving and
+        reflecting R_n, so the others are arr o g for g in End([n])."""
         if gamma in self._inducing:
             return self._inducing[gamma]
         universe = gamma.universe
         if gamma.signature != self.signature:
-            found = ()
+            arr = None
         elif self.kind_name == "set":
-            found = tuple(permutations(universe))
+            arr = universe
         else:
             ((_, a),) = gamma.signature
             ((_, relation),) = gamma.relations
@@ -291,7 +292,13 @@ class BuiltinAge(_Age):
 
             # an arrangement induces only tuples of distinct labels
             distinct = all(len(set(t)) == a for t in relation)
-            found = tuple(extend(())) if distinct else ()
+            arr = next(extend(()), None) if distinct else None
+        found = ()
+        if arr is not None:
+            ends = _endomorphism_images(BUILTIN_KINDS[self.kind_name], len(arr))
+            position = {x: i for i, x in enumerate(universe)}
+            images = (tuple(arr[i - 1] for i in g) for g in ends)
+            found = tuple(sorted(images, key=lambda t: [position[x] for x in t]))
         self._inducing[gamma] = found
         return found
 

@@ -198,7 +198,7 @@ def test_orbitcat_above_the_group_order_cap(capsys, grp):
 
 
 def test_orbitcat_up_to_symmetry_at_larger_caps(capsys, grp):
-    for n, cap in ((10, 3), (8, 4)):
+    for n, cap in ((10, 3), (8, 4), (10, 5)):
         path = grp(f"s{n}.grp", symmetric(n))
         start = time.monotonic()
         code, data = run_json(capsys, "orbitcat", "--group", path, "--cap", str(cap))
@@ -211,18 +211,14 @@ def test_orbitcat_up_to_symmetry_at_larger_caps(capsys, grp):
 
 
 def test_orbitcat_caps_fire_before_the_pairs_are_checked(capsys, grp):
-    # S20 has 1,351 subsets of size <= 3, so 1,825,201 ordered pairs, and at
-    # cap 5 the 5-tuples outnumber the cap too; the 5-tuples of S10 have
-    # 30,240 images, which hom and phi would list
-    s20, s10 = grp("s20.grp", symmetric(20)), grp("s10.grp", symmetric(10))
-    for group, cap, message in (
-        (s20, "3", "ordered pairs of subsets of size <= 3 exceed cap 1000000"),
-        (s20, "5", "space of size 3200000 exceeds cap 1000000"),
-        (s10, "5", "orbit of (1, 2, 3, 4, 5) exceeds cap 20000"),
-    ):
+    # S20 has 1,351 subsets of size <= 3, so 1,825,201 ordered pairs; the
+    # report lists no tuple orbit, so only the subset pairs are capped
+    s20 = grp("s20.grp", symmetric(20))
+    for cap in ("3", "5"):
         start = time.monotonic()
-        assert main(["orbitcat", "--group", group, "--cap", cap]) == 3
+        assert main(["orbitcat", "--group", s20, "--cap", cap]) == 3
         assert time.monotonic() - start < 5
+        message = f"ordered pairs of subsets of size <= {cap} exceed cap 1000000"
         assert capsys.readouterr().err == f"resource cap: {message}\n"
 
 
@@ -329,6 +325,25 @@ def test_amalgamate_nine_point_sides(capsys, tmp_path, age):
     assert time.monotonic() - start < 30
     assert code == 0
     assert len(set(data["g1_images"]) | set(data["g2_images"])) == 10
+
+
+@pytest.mark.parametrize("age", ["separation", "cyclic"])
+def test_amalgamate_ten_point_side_with_itself(capsys, tmp_path, age):
+    # the arrangements inducing a side are one arrangement composed with
+    # End([10]), not every surviving prefix of the label-by-label search
+    labels = [f"p{i}" for i in range(10)]
+    side = format_structure(arrangement_structure(age, labels))
+    mapping = "".join(f"{x} -> {x}\n" for x in labels)
+    path = tmp_path / "e.emb"
+    path.write_text(f"[source]\n{side}\n[target]\n{side}\n[map]\n{mapping}")
+    argv = ("amalgamate", "--embedding1", str(path), "--embedding2", str(path), "--age", age)
+    start = time.monotonic()
+    code, data = run_json(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 0
+    # both sides map onto the one 10-point pushout, over the source
+    assert data["g1_images"] == data["g2_images"]
+    assert len(set(data["g1_images"])) == 10
 
 
 def test_embedding_check_reads_relation_tuples_not_the_tuple_space(capsys, tmp_path):
@@ -460,6 +475,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         "d6.grp": dihedral(6),
         "c6.grp": "N=6\n(1 2 3 4 5 6)\n",
         "c8.grp": "N=8\n(1 2 3 4 5 6 7 8)\n",
+        "s10.grp": symmetric(10),
         # AGL(1,13): x -> x+1 and x -> 2x (mod 13) on the points x+1
         "agl13.grp": "N=13\n"
         + "".join(f"{[(a * x + b) % 13 + 1 for x in range(13)]}\n" for a, b in ((1, 1), (2, 0))),
@@ -479,6 +495,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         ("orbitcat", "--group", "c6.grp", "--cap", "2"),  # exits 1 with hom mismatches
         ("orbitcat", "--group", "c8.grp", "--cap", "3"),  # exits 1, every failing pair listed
         ("orbitcat", "--group", "agl13.grp", "--cap", "2"),  # exits 1, failing orbits shared
+        ("orbitcat", "--group", "s10.grp", "--cap", "5"),  # 5-tuple orbits of 30,240 images
     )
     script = f"from orbitlab.cli import main\nfor argv in {commands!r}:\n    main(list(argv))\n"
     src = str(Path(orbitlab.__file__).resolve().parents[1])

@@ -2,6 +2,7 @@
 brute-force equivariant-map oracle."""
 
 from itertools import combinations, product
+from math import perm
 
 import pytest
 
@@ -14,7 +15,7 @@ from orbitlab.actions import (
     symmetric_action,
     trivial_action,
 )
-from orbitlab.errors import MalformedInputError
+from orbitlab.errors import MalformedInputError, ResourceCapError
 from orbitlab.orbitcat import (
     NoExtensionError,
     OrbitCategory,
@@ -215,6 +216,77 @@ def test_report_reads_fixed_points_once_per_orbit_of_subsets(monkeypatch):
         calls.clear()
         phi_iso_report(G, cap)
         assert len(calls) == orbits
+
+
+def test_report_lists_no_tuple_orbit(monkeypatch):
+    # both counts of a pair are c times a count of subsets in gamma's orbit,
+    # so no tuple orbit is listed and no orbit-category object is built
+    def listed(*args, **kwargs):
+        raise AssertionError("phi_iso_report listed a tuple orbit or built an object")
+
+    monkeypatch.setattr(FiniteAction, "orbit_transversal", listed)
+    monkeypatch.setattr(OrbitCategory, "object", listed)
+    monkeypatch.setattr(orbitcat, "OrbitCategory", listed)
+    s7 = phi_iso_report(symmetric_action(7), 3)
+    assert s7.passed and not s7.fixed_point_violations
+    assert s7.hom_counts == tuple(
+        tuple(perm(len(s), len(t)) for t in s7.objects) for s in s7.objects
+    )
+    # AGL(1,7): x -> x+1 and x -> 3x (mod 7), sharply 2-transitive
+    agl7 = FiniteAction(
+        7, tuple(tuple((a * x + b) % 7 + 1 for x in range(7)) for a, b in ((1, 1), (3, 0)))
+    )
+    for G, cap in ((cyclic_action(8), 3), (agl7, 2)):
+        report = phi_iso_report(G, cap)
+        assert report.hom_mismatches and report.consistent_with_fixed_points
+
+
+def cyclic_report_by_formula(N, cap):
+    """(hom counts, mismatches, collisions, violations) of the report on
+    C_N, N >= 2, in closed form.  C_N acts regularly, so G_s is trivial and
+    Fix(G_s) = [N] for every nonempty s, while Fix(C_N) is empty: hom(G/G_sigma,
+    G/G_gamma) has one morphism if gamma is empty, N (one per rotation) if
+    sigma and gamma are both nonempty, and none if only sigma is empty.  The
+    embeddings gamma -> sigma are the rotations k with gamma + k inside sigma
+    (or the one empty map)."""
+    objects = tuple(c for k in range(cap + 1) for c in combinations(range(1, N + 1), k))
+    rotations = {
+        g: [frozenset((x + k - 1) % N + 1 for x in g) for k in range(N)] for g in objects
+    }
+
+    def homs(sigma, gamma):
+        return 1 if not gamma else N if sigma else 0
+
+    def embeddings(gamma, sigma):
+        return sum(r <= sigma for r in rotations[gamma]) if gamma else 1
+
+    pairs = [(g, s, embeddings(g, frozenset(s)), homs(s, g)) for g in objects for s in objects]
+    nonempty = objects[1:]
+    return (
+        tuple(tuple(homs(s, g) for g in objects) for s in objects),
+        tuple(p for p in pairs if p[2] != p[3]),
+        tuple((a, b) for i, a in enumerate(nonempty) for b in nonempty[i + 1 :]),
+        tuple(s for s in nonempty if len(s) < N),
+    )
+
+
+@pytest.mark.parametrize("N, cap", [(N, cap) for N in range(2, 9) for cap in range(N + 1)])
+def test_report_on_cyclic_groups_matches_the_closed_form(N, cap):
+    # every cap fits the subset-pair cap; C8 at caps 7 and 8 has 8^7 tuples
+    report = phi_iso_report(cyclic_action(N), cap)
+    assert (
+        report.hom_counts,
+        report.hom_mismatches,
+        report.object_collisions,
+        report.fixed_point_violations,
+    ) == cyclic_report_by_formula(N, cap)
+
+
+def test_objects_keep_the_tuple_orbit_cap():
+    # hom and phi list the orbit of an object's sorted points; the 5-tuples
+    # of S10 have 30,240 images
+    with pytest.raises(ResourceCapError, match=r"^orbit of \(1, 2, 3, 4, 5\) exceeds cap 20000$"):
+        OrbitCategory(symmetric_action(10)).object({1, 2, 3, 4, 5})
 
 
 def hom(G, source_gamma, target_gamma):
