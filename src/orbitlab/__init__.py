@@ -68,7 +68,6 @@ from .polynomials import (
     LEX,
     CoefficientField,
     MonomialOrder,
-    Polynomial,
     QQ,
     parse_polynomial,
 )

@@ -299,16 +299,17 @@ def _sims_filter(gens, ident: Perm) -> list:
     return holders
 
 
-def _work_budget(space_cap: int):
-    """A charge(units) function for one walk of the orbit tree, which raises
-    ResourceCapError once the walk has done more than 3 * space_cap units."""
+def _work_budget(space_cap: int, what: str = "orbit tree"):
+    """A charge(units) function for one walk of the orbit tree (or another
+    capped count, named by `what`), which raises ResourceCapError once the
+    walk has done more than 3 * space_cap units."""
     left = 3 * space_cap
 
     def charge(units: int) -> None:
         nonlocal left
         left -= units
         if left < 0:
-            raise ResourceCapError(f"orbit tree exceeds {3 * space_cap} units of work")
+            raise ResourceCapError(f"{what} exceeds {3 * space_cap} units of work")
 
     return charge
 

@@ -9,8 +9,10 @@ substituting variables in the coefficients and post-composing the keys.
 Width components of finitely generated subpresheaves are submodules of that
 free module, handled by a Buchberger engine with the Gebauer-Moller pair
 criteria (position-over-term extension of the chosen monomial order).  Keys
-of one generator width order like the hom-set, lexicographically by image,
-and all coefficient arithmetic goes through Polynomial.
+of one generator width order like the hom-set, lexicographically by image.
+A coefficient is a term dict {monomial: nonzero coefficient}, the form
+`parse_polynomial` returns, and vectors are added and multiplied only in
+`_add_multiple` and `_reduce`.
 
 Everything is truncated: statements are certified only up to a width W and,
 when Buchberger pairs are discarded, up to a degree bound D.  Both appear in
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .actions import DEFAULT_SPACE_CAP
+from .actions import DEFAULT_SPACE_CAP, _work_budget
 from .categories import (
     DEFAULT_ENUMERATION_CAP,
     CategoryKind,
@@ -40,7 +42,6 @@ from .polynomials import (
     GREVLEX,
     CoefficientField,
     MonomialOrder,
-    Polynomial,
     QQ,
     monomial_degree,
     monomial_div,
@@ -58,49 +59,39 @@ DEFAULT_PAIR_CAP = 20_000
 
 class ModuleVector:
     """Element of a free module over R, the width-variable polynomial ring:
-    `coords` maps each position with a nonzero coordinate to its Polynomial.
-    Positions are any mutually comparable keys; presheaf elements use the
-    images of their basis morphisms.  The constructor trusts its coordinates
-    to share its width and field, and only drops zeros; outside data enters
-    through `parse_element_line`."""
+    `coords` maps each position with a nonzero coordinate to its term dict
+    {exponent tuple: nonzero coefficient}.  Positions are any mutually
+    comparable keys; presheaf elements use the images of their basis
+    morphisms.  The constructor trusts its term dicts to be canonical for
+    its width and field and only drops empty ones; outside data enters
+    through `parse_element_line`.  No term dict is mutated once a vector
+    holds it."""
 
     __slots__ = ("width", "field", "coords")
 
     def __init__(self, width, field, entries=None):
         self.width = width
         self.field = field
-        self.coords = {pos: poly for pos, poly in (entries or {}).items() if poly.terms}
+        self.coords = {pos: terms for pos, terms in (entries or {}).items() if terms}
 
     @property
     def terms(self) -> dict:
         """Flat view: (position, monomial) -> nonzero coefficient."""
         return {
             (pos, mono): c
-            for pos, poly in self.coords.items()
-            for mono, c in poly.terms.items()
+            for pos, terms in self.coords.items()
+            for mono, c in terms.items()
         }
 
     def is_zero(self):
         return not self.coords
 
-    def __add__(self, other):
-        coords = dict(self.coords)
-        for pos, poly in other.coords.items():
-            coords[pos] = coords[pos] + poly if pos in coords else poly
-        return ModuleVector(self.width, self.field, coords)
-
-    def term_mul(self, mono, c):
-        return ModuleVector(
-            self.width,
-            self.field,
-            {pos: poly.term_mul(mono, c) for pos, poly in self.coords.items()},
-        )
-
     def leading(self, order: MonomialOrder):
         """Position-over-term: lower positions dominate."""
         pos = min(self.coords)
-        mono, c = self.coords[pos].leading(order)
-        return (pos, mono), c
+        terms = self.coords[pos]
+        mono = max(terms, key=order.key)
+        return (pos, mono), terms[mono]
 
     def __eq__(self, other):
         return (
@@ -111,7 +102,7 @@ class ModuleVector:
         )
 
     def __hash__(self):
-        return hash((self.width, frozenset(self.coords.items())))
+        return hash((self.width, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"ModuleVector({self.coords})"
@@ -127,9 +118,9 @@ def _add_multiple(coords: dict, g: ModuleVector, mono, c) -> None:
     """coords += c * mono * g in place, coords being {position: {monomial:
     coefficient}} without zero coefficients or empty positions."""
     f = g.field
-    for pos, poly in g.coords.items():
+    for pos, gterms in g.coords.items():
         terms = coords.setdefault(pos, {})
-        for m, gc in poly.terms.items():
+        for m, gc in gterms.items():
             m = monomial_mul(m, mono)
             s = f.add(terms.get(m, f.zero), f.mul(gc, c))
             if s:
@@ -174,15 +165,9 @@ def _leads(basis, heads) -> dict:
     return leads
 
 
-def _vector(width, field, coords: dict) -> ModuleVector:
-    return ModuleVector(
-        width, field, {pos: Polynomial(width, field, terms) for pos, terms in coords.items()}
-    )
-
-
 def _coords(v: ModuleVector) -> dict:
-    """v in the mutable form of `_add_multiple` and `_reduce`."""
-    return {pos: dict(poly.terms) for pos, poly in v.coords.items()}
+    """A copy of v's coordinates for `_reduce` to consume."""
+    return {pos: dict(terms) for pos, terms in v.coords.items()}
 
 
 def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
@@ -190,7 +175,7 @@ def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
     basis."""
     basis = [g for g in basis if not g.is_zero()]
     leads = _leads(basis, [_head(g, order) for g in basis])
-    return _vector(v.width, v.field, _reduce(_coords(v), leads, order, v.field))
+    return ModuleVector(v.width, v.field, _reduce(_coords(v), leads, order, v.field))
 
 
 @dataclass(frozen=True)
@@ -317,7 +302,7 @@ def groebner_basis(
         _add_multiple(s, gj, monomial_div(lcm, mj), f.neg(inv_j))
         r = _reduce(s, leads, order, f)
         if r:
-            r = _vector(gi.width, f, r)
+            r = ModuleVector(gi.width, f, r)
             head = _head(r, order)
             basis.append(r)
             heads.append(head)
@@ -330,17 +315,13 @@ def groebner_basis(
 def _reduce_basis(basis, order: MonomialOrder) -> tuple:
     basis = [g for g in basis if not g.is_zero()]
     heads = [_head(g, order) for g in basis]
-    # drop elements whose leading term another leading term divides; of
-    # equal leading terms the first is kept
-    kept = [
-        i
-        for i, (pos, mono, _) in enumerate(heads)
-        if not any(
-            j != i and hpos == pos and monomial_divides(hmono, mono) and (hmono != mono or j < i)
-            for j, (hpos, hmono, _) in enumerate(heads)
-        )
-    ]
-    # tail-reduce each survivor against the others and normalize
+    # drop elements whose leading term another leading term divides: keep,
+    # per position, the first index of each minimal leading monomial
+    first: dict = {}
+    for i, (pos, mono, _) in enumerate(heads):
+        first.setdefault(pos, {}).setdefault(mono, i)
+    kept = sorted(at[mono] for at in first.values() for mono in _minimal(at))
+    # tail-reduce each survivor against the others and make it monic
     leads = _leads([basis[i] for i in kept], [heads[i] for i in kept])
     reduced = []
     for i in kept:
@@ -348,9 +329,9 @@ def _reduce_basis(basis, order: MonomialOrder) -> tuple:
         f = g.field
         r = _reduce(_coords(g), leads, order, f, skip=g)
         if r:
-            r = _vector(g.width, f, r)
-            _, lc = r.leading(order)
-            reduced.append(r.term_mul((0,) * r.width, f.inv(lc)))
+            _, _, inv = _head(ModuleVector(g.width, f, r), order)
+            monic = {pos: {m: f.mul(c, inv) for m, c in terms.items()} for pos, terms in r.items()}
+            reduced.append(ModuleVector(g.width, f, monic))
     reduced.sort(key=lambda v: sorted(v.terms))
     return tuple(reduced)
 
@@ -360,11 +341,14 @@ def submodule_dimension_upto(gb: GroebnerBasis, width: int, degree: int) -> int:
     via leading terms (exact for degree-compatible orders, a profile metric
     for lex).  Only positions holding a leading term contribute: each
     contributes the monomials of degree <= `degree` less those outside its
-    leading-term ideal, which `_outside_count` counts without listing them."""
+    leading-term ideal, which `_outside_count` counts without listing them.
+    The count may take 3 * DEFAULT_SPACE_CAP steps of `_outside_count`."""
     memo: dict = {}
-    everything = _outside_count(frozenset(), width, degree, memo)
+    charge = _work_budget(DEFAULT_SPACE_CAP, "rank profile")
+    everything = _outside_count(frozenset(), width, degree, memo, charge)
     return sum(
-        everything - _outside_count(_minimal(mono for mono, _, _ in entries), width, degree, memo)
+        everything
+        - _outside_count(_minimal(mono for mono, _, _ in entries), width, degree, memo, charge)
         for entries in gb.leads.values()
     )
 
@@ -380,12 +364,13 @@ def _minimal(monos) -> frozenset:
     return frozenset(kept)
 
 
-def _outside_count(monos: frozenset, width: int, degree: int, memo: dict) -> int:
+def _outside_count(monos: frozenset, width: int, degree: int, memo: dict, charge) -> int:
     """Number of monomials in `width` variables of degree <= `degree` that no
     monomial of `monos` (minimal, each of length `width`) divides.  The
     recursion is on the exponent e of the last variable: such a monomial is
     one in the first width - 1 variables, of degree <= degree - e, that no
-    m[:-1] with m[-1] <= e divides.  Memoized on (monos, degree) in `memo`."""
+    m[:-1] with m[-1] <= e divides.  Memoized on (monos, degree) in `memo`;
+    each miss charges its degree + 1 steps to `charge` before it loops."""
     if degree < 0:
         return 0
     if not monos:
@@ -394,6 +379,7 @@ def _outside_count(monos: frozenset, width: int, degree: int, memo: dict) -> int
         return 0
     key = (monos, degree)
     if key not in memo:
+        charge(degree + 1)
         by_last: dict = {}
         for m in monos:
             by_last.setdefault(m[-1], []).append(m[:-1])
@@ -402,7 +388,7 @@ def _outside_count(monos: frozenset, width: int, degree: int, memo: dict) -> int
         for e in range(degree + 1):
             if e in by_last:
                 below = _minimal(below | set(by_last[e]))
-            total += _outside_count(below, width - 1, degree - e, memo)
+            total += _outside_count(below, width - 1, degree - e, memo, charge)
         memo[key] = total
     return memo[key]
 
@@ -417,13 +403,20 @@ def apply_morphism(v: ModuleVector, pi: InjectionMorphism) -> ModuleVector:
         raise MalformedInputError(
             f"morphism starts at [{pi.source}], element has width {v.width}"
         )
-    # pi is injective, so distinct keys stay distinct
+
+    def moved(mono):
+        exps = [0] * pi.target
+        for i, e in zip(pi.image, mono):
+            exps[i - 1] = e
+        return tuple(exps)
+
+    # pi is injective, so distinct keys and distinct monomials stay distinct
     return ModuleVector(
         pi.target,
         v.field,
         {
-            tuple(pi.image[i - 1] for i in image): poly.substitute(pi.image, pi.target)
-            for image, poly in v.coords.items()
+            tuple(pi.image[i - 1] for i in image): {moved(m): c for m, c in terms.items()}
+            for image, terms in v.coords.items()
         },
     )
 

@@ -447,6 +447,18 @@ def test_noeth_chain_rank_profile_at_a_high_degree(capsys, tmp_path):
         assert r["component_rank_profile"] == [total - squarefree, total - 1 - w, total - 1]
 
 
+def test_noeth_chain_caps_the_rank_profile_work(capsys, tmp_path):
+    # each step of the rank-profile recursion is charged before it loops, so
+    # a degree whose profile would take hours exits 3 at its first step
+    chain = tmp_path / "oi.chain"
+    chain.write_text(OI_CHAIN)
+    start = time.monotonic()
+    argv = ["noeth-chain", "--kind", "oi", "--chain", str(chain), "--width", "4", "--degree", "1000000000"]
+    assert main(argv) == 3
+    assert time.monotonic() - start < 2
+    assert capsys.readouterr().err == "resource cap: rank profile exceeds 3000000 units of work\n"
+
+
 def test_noeth_chain_rank_two_chain_at_width_8(capsys, tmp_path):
     chain = tmp_path / "rank2.chain"
     chain.write_text(RANK2_CHAIN)
@@ -469,6 +481,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         "oi.chain": OI_CHAIN,
         "fi.chain": FI_CHAIN,
         "rank2.chain": RANK2_CHAIN,
+        "inhomogeneous.chain": "FI 0 1 : [] : x1^3\n--\nFI 0 2 : [] : 1 + x1\n",
         "e1.emb": EMBEDDING_A_BELOW_B,
         "e2.emb": EMBEDDING_C_BELOW_A,
         "d12.grp": dihedral(12),
@@ -487,6 +500,9 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         ("noeth-chain", "--kind", "fi", "--chain", "fi.chain", "--width", "3", "--degree", "3")
         + ("--field", "fp:7"),
         ("noeth-chain", "--kind", "fi", "--chain", "rank2.chain", "--width", "8", "--degree", "4"),
+        # under the degree cap, where no pair criterion runs
+        ("noeth-chain", "--kind", "fi", "--chain", "inhomogeneous.chain", "--width", "3", "--degree", "2")
+        + ("--order", "lex", "--field", "fp:7"),
         ("sap", "--kind", "pair", "--cap", "2"),
         ("sap", "--kind", "linear", "--cap", "5"),
         ("amalgamate", "--embedding1", "e1.emb", "--embedding2", "e2.emb", "--age", "linear"),

@@ -31,13 +31,11 @@ from orbitlab.modlab import (
     _leads,
     _reduce,
     _reduce_basis,
-    _vector,
 )
 from orbitlab.polynomials import (
     GREVLEX,
     LEX,
     CoefficientField,
-    Polynomial,
     QQ,
     monomial_degree,
     monomial_div,
@@ -93,8 +91,8 @@ def la_span(generators, bound, field):
     for g in generators:
         gdeg = max((monomial_degree(m) for _, m in g.terms), default=0)
         for m in monomials_upto(g.width, max(0, bound - gdeg)):
-            shifted = g.term_mul(m, field.one)
-            row = reduce({coord(k): c for k, c in shifted.terms.items()}, pivots)
+            shifted = shift(g, m, 1, field)
+            row = reduce({coord(k): c for k, c in shifted.items()}, pivots)
             if row:
                 lead = min(row)
                 inv = field.inv(row[lead])
@@ -142,7 +140,7 @@ def oracle_groebner_basis(generators, order, degree_cap=None, pair_cap=DEFAULT_P
         _add_multiple(s, gj, monomial_div(lcm, mj), f.neg(inv_j))
         r = _reduce(s, leads, order, f)
         if r:
-            r = _vector(gi.width, f, r)
+            r = ModuleVector(gi.width, f, r)
             head = _head(r, order)
             basis.append(r)
             heads.append(head)
@@ -170,12 +168,30 @@ def oracle_dimension_upto(gb, width, degree):
 
 
 def vec(width, field, terms):
-    """ModuleVector from a flat map (position, monomial) -> coefficient."""
+    """ModuleVector from a flat map (position, monomial) -> coefficient, its
+    zero coefficients dropped."""
     coords = {}
     for (pos, mono), c in terms.items():
-        coords.setdefault(pos, {})[mono] = c
-    polys = {p: Polynomial(width, field, t) for p, t in coords.items()}
-    return ModuleVector(width, field, polys)
+        if c:
+            coords.setdefault(pos, {})[mono] = c
+    return ModuleVector(width, field, coords)
+
+
+def shift(g, mono, c, field):
+    """The flat terms of c * mono * g, for a nonzero c."""
+    return {
+        (pos, tuple(a + b for a, b in zip(m, mono))): field.mul(gc, c)
+        for (pos, m), gc in g.terms.items()
+    }
+
+
+def add_terms(field, *summands):
+    """The sum of flat term maps, zero coefficients included."""
+    total = {}
+    for terms in summands:
+        for key, c in terms.items():
+            total[key] = field.add(total.get(key, field.zero), c)
+    return total
 
 
 def test_groebner_ideal_examples():
@@ -243,10 +259,11 @@ def test_membership_vs_linear_algebra_oracle():
         gb = groebner_basis(gens, GREVLEX)
         if trial % 3 == 0:
             # guaranteed member: a random combination of the generators
-            v = ModuleVector(width, field)
+            multiples = []
             for g in gens:
                 mono = tuple(rng.randint(0, 1) for _ in range(width))
-                v = v + g.term_mul(mono, field.coerce(rng.randint(1, 2)))
+                multiples.append(shift(g, mono, field.coerce(rng.randint(1, 2)), field))
+            v = vec(width, field, add_terms(field, *multiples))
         else:
             v = random_vector(rng, width, rank, field, degree=3)
         vdeg = max((monomial_degree(m) for _, m in v.terms), default=0)
@@ -300,69 +317,71 @@ def test_pair_criteria_against_the_criteria_free_engine():
 
 
 def test_arithmetic_builds_canonical_values():
-    # the constructors trust their input, so every result of arithmetic on
-    # checked values must already be canonical: monomials of the ring's
-    # width, nonzero coefficients that are field values
+    # the constructors trust their input, so every vector the engine builds
+    # from parsed data must already be canonical: term dicts of monomials of
+    # the ring's width, nonzero coefficients that are field values; and no
+    # term dict a vector holds is changed afterwards
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
     F7 = CoefficientField(7)
 
-    def assert_canonical(p, width, field):
-        assert (p.width, p.field) == (width, field)
-        for mono, c in p.terms.items():
-            assert type(mono) is tuple and len(mono) == width
-            if field is QQ:
-                assert type(c) is Fraction and c != 0
-            else:
-                assert type(c) is int and 1 <= c <= 6
-
-    def assert_canonical_vector(v, width, field):
+    def assert_canonical(v, width, field):
         assert (v.width, v.field) == (width, field)
-        for poly in v.coords.values():
-            assert not poly.is_zero()
-            assert_canonical(poly, width, field)
+        for terms in v.coords.values():
+            assert type(terms) is dict and terms
+            for mono, c in terms.items():
+                assert type(mono) is tuple and len(mono) == width
+                if field is QQ:
+                    assert type(c) is Fraction and c != 0
+                else:
+                    assert type(c) is int and 1 <= c <= 6
 
     @st.composite
     def cases(draw):
         field = draw(st.sampled_from([QQ, F7]))
         width = draw(st.integers(min_value=1, max_value=3))
+        n = draw(st.integers(min_value=0, max_value=min(width, 2)))
         monos = st.tuples(*[st.integers(min_value=0, max_value=2)] * width)
-        # denominators below 7 have a value in F7
-        coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+        # denominators below 7 have a value in F7; 7 is zero there
+        coeffs = st.sampled_from(("1", "2", "3/2", "1/6", "7", "0"))
 
-        def poly():
-            total = Polynomial.zero(width, field)
-            for mono, c in draw(st.dictionaries(monos, coeffs, max_size=3)).items():
-                total = total + Polynomial.monomial(width, mono, c, field)
-            return total
+        def line():
+            """An FI element line of generator width n at this width."""
+            image = draw(st.permutations(range(1, width + 1)))[:n]
+            text = ""
+            for _ in range(draw(st.integers(0, 3))):
+                factors = [draw(coeffs)] + [f"x{i + 1}^{e}" for i, e in enumerate(draw(monos)) if e]
+                text += draw(st.sampled_from("+-")) + "*".join(factors)
+            return f"FI {n} {width} : [{','.join(map(str, image))}] : {text or '0'}"
 
         def vector():
-            return ModuleVector(width, field, {pos: poly() for pos in range(draw(st.integers(1, 2)))})
+            coords = {}
+            for _ in range(draw(st.integers(1, 2))):
+                _, _, v = parse_element_line(line(), field)
+                coords.update(v.coords)
+            return ModuleVector(width, field, coords)
 
-        a, b = poly(), poly()
-        mono = draw(monos)
-        scalar = field.coerce(draw(coeffs))
         new_width = draw(st.integers(min_value=width, max_value=width + 2))
-        image = tuple(draw(st.permutations(range(1, new_width + 1)))[:width])
+        pi = InjectionMorphism.checked(FI, width, new_width, draw(st.permutations(range(1, new_width + 1)))[:width])
         gens = [vector() for _ in range(draw(st.integers(1, 3)))]
-        return field, width, a, b, mono, scalar, new_width, image, gens, vector()
+        return field, width, pi, gens, vector()
 
     @settings(max_examples=60, deadline=None)
     @given(cases(), st.sampled_from([LEX, GREVLEX]))
     def run(case, order):
-        field, width, a, b, mono, scalar, new_width, image, gens, v = case
-        for p in (a, b, a + b, a - b, -a, a * b, a.term_mul(mono, scalar), b.scale(3)):
-            assert_canonical(p, width, field)
-        assert_canonical(a.substitute(image, new_width), new_width, field)
+        field, width, pi, gens, v = case
+        held = [{pos: dict(terms) for pos, terms in g.coords.items()} for g in gens + [v]]
+        for g in gens + [v]:
+            assert_canonical(g, width, field)
+            assert_canonical(apply_morphism(g, pi), pi.target, field)
         gb = groebner_basis(gens, order, degree_cap=4)
-        for g in gens + [v] + [g.term_mul(mono, scalar) for g in gens]:
-            assert_canonical_vector(g, width, field)
         for g in gb.vectors:
-            assert_canonical_vector(g, width, field)
-        assert_canonical_vector(normal_form(v, gb.vectors, order), width, field)
+            assert_canonical(g, width, field)
+        assert_canonical(normal_form(v, gb.vectors, order), width, field)
         nonzero = [g for g in gens if not g.is_zero()]
-        assert_canonical_vector(normal_form(v, nonzero, order), width, field)
+        assert_canonical(normal_form(v, nonzero, order), width, field)
+        assert [g.coords for g in gens + [v]] == held
 
     run()
 
@@ -399,15 +418,40 @@ def test_apply_morphism_identity_and_functoriality():
             )
 
 
+def product(a, b, field=QQ):
+    """The product of two term dicts, its zero coefficients dropped."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = field.add(out.get(m, field.zero), field.mul(c1, c2))
+    return {m: c for m, c in out.items() if c}
+
+
 def test_apply_morphism_semilinear():
     a = parse_polynomial("x1 + 2", 2)
     v = element(2, {(1,): "x2"})
-    scaled = ModuleVector(2, QQ, {m: a * p for m, p in v.coords.items()})
+    scaled = ModuleVector(2, QQ, {m: product(a, p) for m, p in v.coords.items()})
     for pi in hom_set(OI, 2, 3):
         lhs = apply_morphism(scaled, pi)
-        moved_a = a.substitute(pi.image, 3)
-        rhs_map = {m: moved_a * p for m, p in apply_morphism(v, pi).coords.items()}
+        moved_a = parse_polynomial(f"x{pi.image[0]} + 2", 3)
+        rhs_map = {m: product(moved_a, p) for m, p in apply_morphism(v, pi).coords.items()}
         assert lhs.coords == rhs_map
+
+
+def test_apply_morphism_relabels_exponents():
+    # an FI morphism need not be increasing: x_i goes to x_image[i]
+    v = element(2, {(1, 2): "x1^2*x2 - x2"})
+    w = apply_morphism(v, eps(FI, 2, 3, (3, 1)))
+    assert w.coords == {(3, 1): parse_polynomial("x3^2*x1 - x1", 3)}
+
+
+def test_vector_leading_term():
+    # position over term: the lowest position, then the order's largest
+    # monomial there
+    v = element(2, {(1,): "x1*x2 + x2^3", (2,): "x1^5"})
+    assert v.leading(LEX) == (((1,), (1, 1)), 1)
+    assert v.leading(GREVLEX) == (((1,), (0, 3)), 1)
 
 
 def test_width_component_known_example():

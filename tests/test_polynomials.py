@@ -1,4 +1,4 @@
-"""Unit tests for exact polynomial arithmetic and parsing."""
+"""Unit tests for fields, monomial orders and polynomial parsing."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from orbitlab.polynomials import (
     LEX,
     CoefficientField,
     MonomialOrder,
-    Polynomial,
     QQ,
     parse_polynomial,
 )
@@ -35,36 +34,22 @@ def test_field_arithmetic():
 
 
 def test_zero_terms_dropped():
-    p = Polynomial(2, QQ, {(1, 0): 1, (0, 1): 0})
-    assert list(p.terms) == [(1, 0)]
-    assert (p - p).is_zero()
+    assert parse_polynomial("x1 + 0*x2", 2) == {(1, 0): 1}
+    assert parse_polynomial("x1 - x1", 2) == {}
+    # a cancelled monomial that comes back is a new term
+    assert list(parse_polynomial("x2 + x1 - x2 + 2*x2", 2)) == [(1, 0), (0, 1)]
 
 
 def test_monomial_checks_and_coerces_outside_data():
     F7 = CoefficientField(7)
-    with pytest.raises(MalformedInputError):
-        Polynomial.monomial(2, (1,))
-    with pytest.raises(MalformedInputError):
-        Polynomial.monomial(1, (1, 0), 3, F7)
-    assert Polynomial.monomial(1, (1,), 8, F7).terms == {(1,): 1}
-    assert Polynomial.constant(1, 14, F7).is_zero()
-    (c,) = Polynomial.monomial(2, [0, 1], 2).terms.values()
+    assert parse_polynomial("8*x1", 1, F7) == {(1,): 1}
+    assert parse_polynomial("14", 1, F7) == {}
+    with pytest.raises(MalformedInputError, match="has no value in F7"):
+        parse_polynomial("1/7*x1", 1, F7)
+    with pytest.raises(MalformedInputError, match="outside width-1 ring"):
+        parse_polynomial("x2", 1, F7)
+    (c,) = parse_polynomial("2*x2", 2).values()
     assert type(c) is Fraction
-
-
-def test_arithmetic_ring_axioms_sample():
-    x = Polynomial.variable(2, 1)
-    y = Polynomial.variable(2, 2)
-    one = Polynomial.constant(2, 1)
-    assert (x + y) * (x - y) == x * x - y * y
-    assert (x + one) * (x + one) == x * x + x.scale(2) + one
-    assert x * y == y * x
-
-
-def test_substitution():
-    p = parse_polynomial("x1^2*x2 - x2", 2)
-    q = p.substitute((3, 1), 3)
-    assert q == parse_polynomial("x3^2*x1 - x1", 3)
 
 
 def test_orders():
@@ -80,47 +65,69 @@ def test_orders():
         MonomialOrder("degrevlex")
 
 
-def test_leading_term():
-    p = parse_polynomial("x1*x2 + x2^3", 2)
-    assert p.leading(LEX)[0] == (1, 1)
-    assert p.leading(GREVLEX)[0] == (0, 3)
-
-
-def test_parse_and_str_round_trip():
-    for text in ("3/2*x1^2*x3 - x2", "x1 + 1", "-x1^4 + 2*x2 - 7"):
-        p = parse_polynomial(text, 3)
-        assert parse_polynomial(str(p), 3) == p
-
-
 def test_parse_rejects_garbage():
     for bad in ("", "x0 + 1", "x4", "x1 +", "1..2*x1"):
         with pytest.raises(MalformedInputError):
             parse_polynomial(bad, 3)
 
 
-def test_ring_axioms_hypothesis():
+def test_parse_over_fp():
+    f3 = CoefficientField(3)
+    assert parse_polynomial("4*x1 + 1/2", 1, f3) == {(1,): 1, (0,): 2}
+
+
+def test_parse_returns_canonical_terms():
+    # whatever the text, the terms are exponent tuples of the ring's width
+    # with nonzero coefficients of the field: Fraction over Q, a residue in
+    # 1..p-1 over F_p; and they are the sums of the written terms
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    monos = st.tuples(
-        st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)
-    )
-    coeffs = st.fractions(min_value=-5, max_value=5)
-    polys = st.dictionaries(monos, coeffs, max_size=4).map(
-        lambda d: Polynomial(2, QQ, d)
-    )
+    F7 = CoefficientField(7)
 
-    @settings(max_examples=80, deadline=None)
-    @given(polys, polys, polys)
-    def run(a, b, c):
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
-        assert a + b == b + a
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from([QQ, F7]))
+        width = draw(st.integers(min_value=1, max_value=3))
+        # repeated monomials and opposite coefficients make cancellations
+        # likely; denominators below 7 have a value in F7
+        written = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([(0,) * width, (1,) + (0,) * (width - 1)])
+                    | st.tuples(*[st.integers(min_value=0, max_value=2)] * width),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        return field, width, written
+
+    def text(written):
+        out = ""
+        for mono, c in written:
+            factors = [str(abs(c))] + [f"x{i + 1}^{e}" for i, e in enumerate(mono) if e]
+            out += ("-" if c < 0 else "+") + "*".join(factors)
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases())
+    def run(case):
+        field, width, written = case
+        terms = parse_polynomial(text(written), width, field)
+        for mono, c in terms.items():
+            assert type(mono) is tuple and len(mono) == width
+            assert all(type(e) is int and e >= 0 for e in mono)
+            if field is QQ:
+                assert type(c) is Fraction and c != 0
+            else:
+                assert type(c) is int and 1 <= c <= 6
+        sums = {}
+        for mono, c in written:
+            sums[mono] = sums.get(mono, 0) + c
+        if field is F7:
+            sums = {m: s.numerator * pow(s.denominator, -1, 7) % 7 for m, s in sums.items()}
+        assert terms == {m: s for m, s in sums.items() if s}
 
     run()
-
-
-def test_parse_over_fp():
-    f3 = CoefficientField(3)
-    p = parse_polynomial("4*x1 + 1/2", 1, f3)
-    assert p.terms == {(1,): 1, (0,): 2}
