@@ -16,7 +16,8 @@ A coefficient is a term dict {monomial: nonzero coefficient}, the form
 
 Everything is truncated: statements are certified only up to a width W and,
 when Buchberger pairs are discarded, up to a degree bound D.  Both appear in
-every report.
+every report.  Under the degree cap, inhomogeneous generators are
+homogenized, so that the bound applies to one homogeneous submodule.
 """
 
 from __future__ import annotations
@@ -172,8 +173,11 @@ def _coords(v: ModuleVector) -> dict:
 
 def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
     """Remainder of multivariate division of v by the nonzero vectors of the
-    basis."""
+    basis, which share its width (a capped basis can have the h of
+    `groebner_basis`)."""
     basis = [g for g in basis if not g.is_zero()]
+    if any(g.width != v.width for g in basis):
+        raise MalformedInputError(f"basis widths differ from the element width {v.width}")
     leads = _leads(basis, [_head(g, order) for g in basis])
     return ModuleVector(v.width, v.field, _reduce(_coords(v), leads, order, v.field))
 
@@ -183,6 +187,7 @@ class GroebnerBasis:
     vectors: tuple  # reduced, monic, deterministic order
     order: MonomialOrder
     degree_capped: bool  # True when S-pairs above the degree cap were skipped
+    degree_cap: int | None = None  # the cap of the run, or None
 
     @cached_property
     def leads(self) -> dict:
@@ -190,6 +195,13 @@ class GroebnerBasis:
         return _leads(self.vectors, [_head(g, self.order) for g in self.vectors])
 
     def contains(self, v: ModuleVector) -> bool:
+        """Whether v reduces to zero, in the ring of the basis.  Against a
+        basis with the h of `groebner_basis`, v of degree d <= D is tested as
+        h^(D - d) * v^h, which lies in the degree-D part exactly when v lies
+        in span{m*g : deg m + deg g <= D}; against an h-free basis (then
+        homogeneous), v with h loses it."""
+        if self.vectors and self.vectors[0].width != v.width:
+            v = _in_ring(v, self.vectors[0].width, self.degree_cap or 0)
         return not _reduce(_coords(v), self.leads, self.order, v.field)
 
     def __eq__(self, other):
@@ -203,15 +215,15 @@ class GroebnerBasis:
         return hash((self.order, frozenset(self.vectors)))
 
 
-def _update(basis, heads, k: int, pairs: deque, degree_cap, prune: bool) -> tuple:
+def _update(basis, heads, k: int, pairs: deque, degree_cap) -> tuple:
     """Queue the S-pairs of basis vector k with the vectors before it:
     (the new queue, whether a pair was dropped on the degree cap).
 
     A pair (i, k, lcm of the leading monomials) joins only vectors leading
-    at one position, and one above the degree cap is dropped first.  Without
-    `prune` every other pair is queued.  With it, the Gebauer-Moller
-    criteria (JSC 6, 1988; valid for submodules of free modules,
-    Kreuzer-Robbiano, CCA 1, 2.5) see only the pairs within the cap:
+    at one position, and one above the degree cap is dropped first.  The
+    Gebauer-Moller criteria (JSC 6, 1988; valid for submodules of free
+    modules, Kreuzer-Robbiano, CCA 1, 2.5) see only the pairs within the
+    cap:
     - B_k drops an old pair (i, j) when lm(k) divides its lcm and neither
       lcm(i, k) nor lcm(j, k) equals it;
     - M and F keep, of the new pairs, the first one of each minimal lcm;
@@ -229,17 +241,10 @@ def _update(basis, heads, k: int, pairs: deque, degree_cap, prune: bool) -> tupl
         lcm = monomial_lcm(mi, mk)
         if degree_cap is not None and monomial_degree(lcm) > degree_cap:
             capped = True
-        elif not prune:
-            pairs.append((i, k, lcm))
-        else:
-            coprime = (
-                len(basis[i].coords) == len(basis[k].coords) == 1
-                and monomial_mul(mi, mk) == lcm
-            )
-            entry = new.setdefault(lcm, [i, False])
-            entry[1] = entry[1] or coprime
-    if not prune:
-        return pairs, capped
+            continue
+        coprime = len(basis[i].coords) == len(basis[k].coords) == 1 and monomial_mul(mi, mk) == lcm
+        entry = new.setdefault(lcm, [i, False])
+        entry[1] = entry[1] or coprime
     kept = deque(
         (i, j, lcm)
         for i, j, lcm in pairs
@@ -262,31 +267,31 @@ def groebner_basis(
     """Reduced Groebner basis of the submodule generated by the vectors.
 
     Each vector, given or found, queues its S-pairs through `_update`, which
-    forms them only between vectors with the same leading position and, on
-    homogeneous vectors or without a degree cap, leaves out those the
-    Gebauer-Moller criteria show to reduce to zero.  With a degree cap,
-    pairs whose lcm degree exceeds the cap are dropped, before any
-    criterion, and the result is flagged as degree-truncated.  Pairs are
-    taken first in, first out, and at most `pair_cap` of them are reduced.
-    Each basis vector's `_head` is computed once.
+    forms them only between vectors with the same leading position and
+    leaves out those the Gebauer-Moller criteria show to reduce to zero.
+    With a degree cap, pairs whose lcm degree exceeds the cap are dropped,
+    before any criterion, and the result is flagged as degree-truncated;
+    inhomogeneous generators are then homogenized with a variable h
+    (Kreuzer-Robbiano, CCA 2, 4.3), so the result is the degree <= D part
+    of one homogeneous submodule, whatever the pair order, and keeps h only
+    when one of its vectors uses it.  Pairs are taken first in, first out,
+    and at most `pair_cap` of them are reduced.  Each basis vector's
+    `_head` is computed once.
     """
     basis = [g for g in generators if not g.is_zero()]
+    homogenize = degree_cap is not None and any(
+        len({monomial_degree(m) for _, m in g.terms}) > 1 for g in basis
+    )
+    if homogenize:
+        basis = [_in_ring(g, g.width + 1) for g in basis]
     heads = [_head(g, order) for g in basis]
     leads = _leads(basis, heads)
-    # Under a degree cap, which vectors a run finds depends on the order it
-    # reduces pairs in, unless the vectors are homogeneous: an S-pair of lcm
-    # degree d then reduces within degree d, and every order finds the part
-    # of degree <= D of one reduced basis.  Elsewhere a skipped pair could
-    # change a capped report, so the criteria are left out there.
-    prune = degree_cap is None or all(
-        len({monomial_degree(m) for _, m in g.terms}) == 1 for g in basis
-    )
     pairs, capped = deque(), False
     for k in range(len(basis)):
-        pairs, dropped = _update(basis, heads, k, pairs, degree_cap, prune)
+        pairs, dropped = _update(basis, heads, k, pairs, degree_cap)
         capped = capped or dropped
-    # the generators' pairs in (i, j) order: without the criteria, the order
-    # decides which vectors a capped run finds
+    # the generators' pairs in (i, j) order, which decides the work a run
+    # does and, at times, whether it meets a pair above the cap
     pairs = deque(sorted(pairs))
     processed = 0
     while pairs:
@@ -307,9 +312,25 @@ def groebner_basis(
             basis.append(r)
             heads.append(head)
             leads.setdefault(head[0], []).append((head[1], head[2], r))
-            pairs, dropped = _update(basis, heads, len(basis) - 1, pairs, degree_cap, prune)
+            pairs, dropped = _update(basis, heads, len(basis) - 1, pairs, degree_cap)
             capped = capped or dropped
-    return GroebnerBasis(_reduce_basis(basis, order), order, capped)
+    vectors = _reduce_basis(basis, order)
+    if homogenize and not any(m[-1] for g in vectors for _, m in g.terms):
+        vectors = tuple(_in_ring(g, g.width - 1) for g in vectors)
+    return GroebnerBasis(vectors, order, capped, degree_cap)
+
+
+def _in_ring(v: ModuleVector, width: int, degree: int = 0) -> ModuleVector:
+    """v with `width` exponents per monomial, one more or one fewer than it
+    has.  The last is the h of `groebner_basis`, the smallest variable in
+    lex and grevlex, which raises each term to the larger of `degree` and
+    v's top degree, or is dropped."""
+    top = max([degree, *(monomial_degree(m) for _, m in v.terms)])
+    coords = {
+        pos: {(m + (top - monomial_degree(m),))[:width]: c for m, c in terms.items()}
+        for pos, terms in v.coords.items()
+    }
+    return ModuleVector(width, v.field, coords)
 
 
 def _reduce_basis(basis, order: MonomialOrder) -> tuple:
@@ -338,17 +359,24 @@ def _reduce_basis(basis, order: MonomialOrder) -> tuple:
 
 def submodule_dimension_upto(gb: GroebnerBasis, width: int, degree: int) -> int:
     """k-dimension of the degree <= `degree` slice of the submodule, counted
-    via leading terms (exact for degree-compatible orders, a profile metric
-    for lex).  Only positions holding a leading term contribute: each
-    contributes the monomials of degree <= `degree` less those outside its
-    leading-term ideal, which `_outside_count` counts without listing them.
-    The count may take 3 * DEFAULT_SPACE_CAP steps of `_outside_count`."""
+    via leading terms (exact for degree-compatible orders and homogeneous
+    submodules, a profile metric for lex on uncapped inhomogeneous input);
+    with the h of `groebner_basis`, the slice is the degree-`degree` part.
+    Only positions holding a leading term contribute: each contributes the
+    monomials of the slice less those outside its leading-term ideal, which
+    `_outside_count` counts without listing them.  The count may take
+    3 * DEFAULT_SPACE_CAP steps of `_outside_count`."""
     memo: dict = {}
     charge = _work_budget(DEFAULT_SPACE_CAP, "rank profile")
     everything = _outside_count(frozenset(), width, degree, memo, charge)
+
+    def outside(monos):
+        n = len(next(iter(monos)))  # with h, those of degree `degree` only
+        below = _outside_count(monos, n, degree - 1, memo, charge) if n > width else 0
+        return _outside_count(monos, n, degree, memo, charge) - below
+
     return sum(
-        everything
-        - _outside_count(_minimal(mono for mono, _, _ in entries), width, degree, memo, charge)
+        everything - outside(_minimal(mono for mono, _, _ in entries))
         for entries in gb.leads.values()
     )
 
@@ -546,15 +574,21 @@ def chain_experiment(
             width_component(kind, step, width, order, degree_cap) for step in chain
         ]
         gbs = [c.groebner for c in components]
-        first_stable = len(chain)
-        for i in range(len(chain) - 1, -1, -1):
-            if gbs[i] == gbs[-1]:
-                first_stable = i + 1
-            else:
-                break
         profile = tuple(
             submodule_dimension_upto(gb, width, degree_cap) for gb in gbs
         )
+        # the first step from which the basis is the last one, or, where a
+        # basis has h and so stands for its degree-D part, that part is: the
+        # steps ascend, so equal counts mean equal parts
+        first_stable = len(chain)
+        for i in range(len(chain) - 1, -1, -1):
+            if gbs[i] == gbs[-1] or (
+                profile[i] == profile[-1]
+                and any(v.width > width for v in gbs[i].vectors + gbs[-1].vectors)
+            ):
+                first_stable = i + 1
+            else:
+                break
         # a reduction to zero proves membership, but a nonzero normal form
         # disproves it only modulo a Groebner basis, which a degree-capped
         # basis need not be: there the nesting is left unverified
@@ -612,7 +646,7 @@ def restriction_decomposition_check(
         eps_prime, g = factorize(eps)
         classes.setdefault(g.image, []).append((eps, eps_prime))
     ends = endomorphism_group(kind, gen_width)
-    oi_count = len(hom_set(CategoryKind.OI, gen_width, width))
+    oi_count = hom_size_formula(CategoryKind.OI, gen_width, width)
     failures = []
     if len(classes) != len(ends):
         failures.append(

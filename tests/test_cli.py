@@ -22,7 +22,7 @@ from orbitlab.structures import (
     format_structure,
     parse_structure,
 )
-from test_modlab import RANK2_CHAIN
+from test_modlab import FI_CHAIN, RANK2_CHAIN
 from test_structures import generate_and_test
 
 S3 = "N=3\n(1 2)\n(1 2 3)\n"
@@ -392,7 +392,6 @@ def test_orbitcat_deterministic(capsys, grp):
 
 
 OI_CHAIN = "OI 0 1 : [] : x1^2\n--\nOI 0 2 : [] : x1*x2\n--\nOI 0 1 : [] : x1\n"
-FI_CHAIN = "FI 0 2 : [] : x1^2 - 3/2*x2\n--\nFI 0 2 : [] : x1*x2\n--\nFI 0 1 : [] : 2*x1^3\n"
 
 
 def test_noeth_chain(capsys, tmp_path):
@@ -417,8 +416,12 @@ def test_noeth_chain(capsys, tmp_path):
 
 
 def test_noeth_chain_under_the_degree_cap_is_no_failed_check(capsys, tmp_path):
-    # at degree 2 the width-2 basis drops S-pairs, so the earlier basis need
-    # not reduce to zero modulo it: the nesting is unverified, not refuted
+    # 1 + x1 is inhomogeneous, so the width-2 components are homogenized:
+    # x1 + h and x2 + h beside x1^3 and x2^3.  At degree 2 the pair of x1^3
+    # and x1 + h is above the cap and x1^3 reduces to -h^3, not to zero; a
+    # capped basis need not be a Groebner basis, so the nesting is
+    # unverified, not refuted.  At degree 4 that pair gives h^3, but pairs
+    # of degree 6 are still dropped.
     chain = tmp_path / "c.chain"
     chain.write_text("FI 0 1 : [] : x1^3\n--\nFI 0 2 : [] : 1 + x1\n")
     for degree in ("2", "4"):
@@ -500,7 +503,7 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         ("noeth-chain", "--kind", "fi", "--chain", "fi.chain", "--width", "3", "--degree", "3")
         + ("--field", "fp:7"),
         ("noeth-chain", "--kind", "fi", "--chain", "rank2.chain", "--width", "8", "--degree", "4"),
-        # under the degree cap, where no pair criterion runs
+        # inhomogeneous under the degree cap, so homogenized
         ("noeth-chain", "--kind", "fi", "--chain", "inhomogeneous.chain", "--width", "3", "--degree", "2")
         + ("--order", "lex", "--field", "fp:7"),
         ("sap", "--kind", "pair", "--cap", "2"),

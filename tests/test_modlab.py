@@ -5,7 +5,7 @@ slice of the free module)."""
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -69,7 +69,8 @@ def monomials_upto(width, degree):
 def la_span(generators, bound, field):
     """Membership test for the span of all monomial multiples of the
     generators staying within the degree bound: Gaussian elimination, no
-    Groebner machinery.  The elimination is done once, here."""
+    Groebner machinery.  The elimination is done once, here, and the test
+    carries the span's dimension as `dimension`."""
     coords = {}
 
     def coord(key):
@@ -90,7 +91,9 @@ def la_span(generators, bound, field):
     pivots = {}
     for g in generators:
         gdeg = max((monomial_degree(m) for _, m in g.terms), default=0)
-        for m in monomials_upto(g.width, max(0, bound - gdeg)):
+        if gdeg > bound:
+            continue
+        for m in monomials_upto(g.width, bound - gdeg):
             shifted = shift(g, m, 1, field)
             row = reduce({coord(k): c for k, c in shifted.items()}, pivots)
             if row:
@@ -101,6 +104,7 @@ def la_span(generators, bound, field):
     def member(v):
         return not reduce({coord(k): c for k, c in v.terms.items()}, pivots)
 
+    member.dimension = len(pivots)
     return member
 
 
@@ -147,6 +151,14 @@ def oracle_groebner_basis(generators, order, degree_cap=None, pair_cap=DEFAULT_P
             leads.setdefault(head[0], []).append((head[1], head[2], r))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     return GroebnerBasis(_reduce_basis(basis, order), order, capped)
+
+
+def homogenize(v):
+    """v with one more variable h, last in each monomial, raising every term
+    to the top degree of v."""
+    top = max((monomial_degree(m) for _, m in v.terms), default=0)
+    terms = {(pos, m + (top - monomial_degree(m),)): c for (pos, m), c in v.terms.items()}
+    return vec(v.width + 1, v.field, terms)
 
 
 def oracle_dimension_upto(gb, width, degree):
@@ -304,16 +316,94 @@ def test_pair_criteria_against_the_criteria_free_engine():
             gens.append(vec(width, field, terms))
         cap = rng.choice((None, 2, 3, 4))
         gb = groebner_basis(gens, order, cap)
+        vectors, slack = gb.vectors, 8
+        if cap is not None and any(len({monomial_degree(m) for _, m in g.terms}) > 1 for g in gens):
+            # capped inhomogeneous input is homogenized, and the basis keeps
+            # h only when one of its vectors uses it
+            gens = [homogenize(g) for g in gens]
+            vectors = tuple(v if v.width > width else homogenize(v) for v in vectors)
+            kept = any(m[-1] for v in vectors for _, m in v.terms)
+            assert all(v.width == width + kept for v in gb.vectors), trial
+            # a homogeneous vector of degree d lies in the span of the
+            # multiples of degree d when it lies in the submodule
+            slack = 0
         oracle = oracle_groebner_basis(gens, order, cap)
-        # without a cap the reduced basis is unique; with one, the criteria
-        # run only on homogeneous vectors, whose truncated basis is unique
-        assert gb.vectors == oracle.vectors, trial
+        # without a cap the reduced basis is unique; with one, so is the
+        # truncated basis of homogeneous vectors
+        assert vectors == oracle.vectors, trial
         assert oracle.degree_capped or not gb.degree_capped, trial
         capped += oracle.degree_capped
-        degree = max((monomial_degree(m) for v in gens + list(gb.vectors) for _, m in v.terms), default=0)
-        member = la_span(gens, degree + 8, field)
-        assert all(member(v) for v in gb.vectors), trial
+        degree = max((monomial_degree(m) for v in gens + list(vectors) for _, m in v.terms), default=0)
+        member = la_span(gens, degree + slack, field)
+        assert all(member(v) for v in vectors), trial
     assert capped >= 50
+
+
+def random_inhomogeneous(rng, width):
+    """A polynomial at position 0 of two or three terms, each of a degree
+    from 0 to 3."""
+    terms = {}
+    for _ in range(rng.randint(2, 3)):
+        mono = [0] * width
+        for _ in range(rng.randint(0, 3)):
+            mono[rng.randrange(width)] += 1
+        terms[0, tuple(mono)] = QQ.coerce(rng.choice((1, -1, 2, -3)))
+    return vec(width, QQ, terms)
+
+
+def low_part(gb, width, degree):
+    """The basis vectors of degree <= `degree`, each with the variable h."""
+    return frozenset(
+        v if v.width > width else homogenize(v)
+        for v in gb.vectors
+        if max(monomial_degree(m) for _, m in v.terms) <= degree
+    )
+
+
+def test_capped_basis_does_not_depend_on_the_generator_order():
+    # under a degree cap the rank profile and the basis vectors of degree
+    # <= D belong to the submodule, not to the order of its generators
+    rng = random.Random(2)
+    for trial in range(400):
+        order = (GREVLEX, LEX)[trial % 2]
+        width, cap = rng.randint(1, 3), rng.randint(1, 5)
+        gens = [random_inhomogeneous(rng, width) for _ in range(3)]
+        seen = set()
+        for permuted in permutations(gens):
+            gb = groebner_basis(list(permuted), order, cap)
+            seen.add((low_part(gb, width, cap), submodule_dimension_upto(gb, width, cap)))
+        assert len(seen) == 1, trial
+
+
+# the FI chain of the CLI tests, whose generators are inhomogeneous
+FI_CHAIN = "FI 0 2 : [] : x1^2 - 3/2*x2\n--\nFI 0 2 : [] : x1*x2\n--\nFI 0 1 : [] : 2*x1^3\n"
+
+
+def test_capped_profile_is_the_dimension_of_the_span():
+    # a capped profile counts dim span{m*g : deg m + deg g <= D} of the
+    # generators g, for both orders, on the FI chain and on random sets
+    chain = parse_chain_file(FI_CHAIN, FI)
+    profiles = {}
+    for order in (LEX, GREVLEX):
+        for degree in range(5):
+            for r in chain_experiment(FI, chain, 3, degree, order).results:
+                images = [
+                    [apply_morphism(g, pi) for g in step for pi in hom_set(FI, g.width, r.width)] for step in chain
+                ]
+                assert r.rank_profile == tuple(la_span(step, degree, QQ).dimension for step in images)
+                profiles[order, r.width, degree] = list(r.rank_profile)
+    # rows that a capped run without homogenization reads otherwise
+    assert profiles[LEX, 2, 1] == profiles[LEX, 3, 1] == [0, 0, 0]
+    assert profiles[LEX, 2, 2] == [2, 3, 3]
+    assert profiles[LEX, 3, 2] == profiles[GREVLEX, 3, 2] == [5, 8, 8]
+    assert profiles[LEX, 3, 3] == profiles[GREVLEX, 3, 3] == [17, 19, 19]
+    rng = random.Random(3)
+    for trial in range(200):
+        order = (GREVLEX, LEX)[trial % 2]
+        width, cap = rng.randint(1, 3), rng.randint(1, 5)
+        gens = [random_inhomogeneous(rng, width) for _ in range(3)]
+        gb = groebner_basis(gens, order, cap)
+        assert submodule_dimension_upto(gb, width, cap) == la_span(gens, cap, QQ).dimension, trial
 
 
 def test_arithmetic_builds_canonical_values():
@@ -376,9 +466,13 @@ def test_arithmetic_builds_canonical_values():
             assert_canonical(g, width, field)
             assert_canonical(apply_morphism(g, pi), pi.target, field)
         gb = groebner_basis(gens, order, degree_cap=4)
+        # a capped basis of inhomogeneous vectors may keep the variable h
+        ring = gb.vectors[0].width if gb.vectors else width
+        assert ring in (width, width + 1)
         for g in gb.vectors:
-            assert_canonical(g, width, field)
-        assert_canonical(normal_form(v, gb.vectors, order), width, field)
+            assert_canonical(g, ring, field)
+        query = v if ring == width else homogenize(v)
+        assert_canonical(normal_form(query, gb.vectors, order), ring, field)
         nonzero = [g for g in gens if not g.is_zero()]
         assert_canonical(normal_form(v, nonzero, order), width, field)
         assert [g.coords for g in gens + [v]] == held
@@ -581,6 +675,72 @@ def test_repeated_morphism_images_do_not_flag_degree_cap():
     assert not M.degree_capped
     rep = chain_experiment(FI, [[g]], 2, 4)
     assert not any(r.degree_capped for r in rep.results)
+
+
+def test_capped_membership_in_the_ring_with_h():
+    # under a cap x1 + 1 becomes x1 + h: a query without h is homogenized to
+    # degree D, and a query with h loses it against a basis without h
+    a, one = ideal_gen(OI, 1, "x1 + 1"), ideal_gen(OI, 1, "1")
+    M = width_component(OI, [a], 1, degree_cap=2)
+    (g,) = M.groebner.vectors
+    assert g.width == 2
+    assert membership(element(1, {(): "x1^2 - 1"}), M)
+    assert not membership(element(1, {(): "x1"}), M)
+    assert not membership(one, M)
+    with pytest.raises(MalformedInputError, match="basis widths"):
+        normal_form(one, M.groebner.vectors, GREVLEX)
+    unit = width_component(OI, [a, one], 1, degree_cap=2).groebner
+    assert unit.vectors == (one,)
+    assert unit.contains(g)
+    (r,) = chain_experiment(OI, [[a], [a, one]], 1, 2).results
+    assert r.rank_profile == (2, 3) and r.stabilized and not r.degree_capped
+
+
+def test_capped_membership_is_membership_in_the_span():
+    # under a cap, v of degree <= D is a member exactly when it lies in
+    # span{m*g : deg m + deg g <= D}, also when only an S-pair below the
+    # generators' degree reaches it: x1 + h and x1 give h, so 1 = (x1 + 1) - x1
+    # is a member at degree 2 though the basis {x1, h} never holds 1
+    gens = [ideal_gen(OI, 1, "x1 + 1"), ideal_gen(OI, 1, "x1")]
+    M = width_component(OI, gens, 1, degree_cap=2)
+    assert M.groebner.vectors[0].width == 2 and not M.degree_capped
+    member = la_span(gens, 2, QQ)
+    for text in ("1", "x1 - 2", "x1^2 + 1"):
+        v = ideal_gen(OI, 1, text)
+        assert membership(v, M) and member(v)
+    rng = random.Random(4)
+    members = 0
+    for trial in range(200):
+        order = (GREVLEX, LEX)[trial % 2]
+        width, cap = rng.randint(1, 3), rng.randint(1, 5)
+        gens = [random_inhomogeneous(rng, width) for _ in range(3)]
+        gb = groebner_basis(gens, order, cap)
+        member = la_span(gens, cap, QQ)
+        queries = [random_inhomogeneous(rng, width) for _ in range(2)]
+        low = [g for g in gens if max(monomial_degree(m) for _, m in g.terms) <= cap]
+        for _ in range(2 if low else 0):
+            # a sum of multiples within the cap
+            multiples = []
+            for g in rng.sample(low, rng.randint(1, len(low))):
+                gdeg = max(monomial_degree(m) for _, m in g.terms)
+                mono = rng.choice(monomials_upto(width, cap - gdeg))
+                multiples.append(shift(g, mono, QQ.coerce(rng.choice((1, -2, 3))), QQ))
+            queries.append(vec(width, QQ, add_terms(QQ, *multiples)))
+        for v in queries:
+            if max((monomial_degree(m) for _, m in v.terms), default=0) <= cap:
+                assert gb.contains(v) == member(v), (trial, v.terms)
+                members += member(v)
+    assert members >= 100
+
+
+def test_capped_chain_index_reads_the_degree_d_part():
+    # x1 + 1 and x1 give the basis {x1, h} at degree 2, and adding 1 gives
+    # {1}: both are the whole degree <= 2 part, so the chain is stable at 1
+    chain = parse_chain_file("FI 0 1 : [] : x1 + 1\nFI 0 1 : [] : x1\n--\nFI 0 0 : [] : 1\n", FI)
+    for order in (GREVLEX, LEX):
+        for r in chain_experiment(FI, chain, 3, 2, order).results:
+            assert r.first_stable_index == 1 and r.stabilized and not r.degree_capped
+            assert r.rank_profile == (comb(r.width + 2, 2),) * 2
 
 
 def test_chain_requires_ascending():
