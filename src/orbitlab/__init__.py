@@ -47,7 +47,6 @@ from .structures import (
     age_for,
     age_has_sap,
     arrangement_structure,
-    canonical_structure,
     enumerate_embeddings,
     format_structure,
     make_structure,
@@ -56,7 +55,6 @@ from .structures import (
     solve_amalgamation,
 )
 from .orbitcat import (
-    NoExtensionError,
     OrbitCategory,
     OrbitMorphism,
     OrbitObject,
@@ -75,11 +73,9 @@ from .modlab import (
     ChainReport,
     GroebnerBasis,
     ModuleVector,
-    TruncatedSubmodule,
     apply_morphism,
     chain_experiment,
     groebner_basis,
-    membership,
     parse_chain_file,
     parse_element_line,
     restriction_decomposition_check,

@@ -480,26 +480,6 @@ def orbit_count(action: FiniteAction, n: int, mode: str) -> int:
     raise MalformedInputError(f"unknown mode {mode!r}")
 
 
-def tuple_orbits(action: FiniteAction, max_n: int) -> list:
-    """The orbits on k-tuples, k = 1..max_n, as frozensets per level in the
-    order of their least tuples: extending t by the least point of each
-    G_t-orbit (t's points are fixed) reaches each orbit once, at its least
-    tuple, in ascending order.  A level above DEFAULT_SPACE_CAP tuples raises."""
-    N = action.domain_size
-    for k in range(1, max_n + 1):
-        if N**k > DEFAULT_SPACE_CAP:
-            raise ResourceCapError(f"space of size {N**k} exceeds cap {DEFAULT_SPACE_CAP}")
-    out, level = [], [()]
-    for _ in range(max_n):
-        children = []
-        for t in level:
-            least = action._node(t)[1]
-            children += [t + (y,) for y in range(1, N + 1) if least is None or least[y - 1] == y]
-        level = children
-        out.append([frozenset(_orbit(t, action.generators, act_tuple)) for t in level])
-    return out
-
-
 # -- growth functions --------------------------------------------------------
 
 

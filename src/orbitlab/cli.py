@@ -230,7 +230,8 @@ def cmd_orbitcat(args) -> int:
                 for g, s, e, h in report.hom_mismatches
             ],
             # always empty: the report's canonical structure has arity at
-            # least |gamma|, so a group element extends every embedding
+            # least |gamma|, so every embedding is the restriction of a
+            # group element; the key keeps the report's shape
             "missing_extensions": [],
             "fixed_point_violations": [list(v) for v in report.fixed_point_violations],
             "consistent_with_fixed_points": report.consistent_with_fixed_points,

@@ -7,8 +7,9 @@ by the images of the morphisms: `{(2,): x2}` is x2 on the summand of the
 morphism [1] -> [s] with image (2,).  A category morphism out of [s] acts by
 substituting variables in the coefficients and post-composing the keys.
 Width components of finitely generated subpresheaves are submodules of that
-free module, handled by a Buchberger engine with the Gebauer-Moller pair
-criteria (position-over-term extension of the chosen monomial order).  Keys
+free module: the OI-spans of the End([s])-images of the generators.  They are
+handled by a Buchberger engine with the Gebauer-Moller pair criteria
+(position-over-term extension of the chosen monomial order).  Keys
 of one generator width order like the hom-set, lexicographically by image.
 A coefficient is a term dict {monomial: nonzero coefficient}, the form
 `parse_polynomial` returns, and vectors are added and multiplied only in
@@ -449,49 +450,36 @@ def apply_morphism(v: ModuleVector, pi: InjectionMorphism) -> ModuleVector:
     )
 
 
-@dataclass(frozen=True)
-class TruncatedSubmodule:
-    """Width component of the subpresheaf generated by the given elements."""
-
-    kind: CategoryKind
-    generators: tuple
-    width: int
-    groebner: GroebnerBasis
-
-    @property
-    def degree_capped(self) -> bool:
-        return self.groebner.degree_capped
-
-
 def width_component(
     kind: CategoryKind,
     generators,
     width: int,
     order: MonomialOrder = GREVLEX,
     degree_cap: int | None = None,
-) -> TruncatedSubmodule:
-    """Span at the given width of all morphism-images of the generators, which
-    share one generator width (one key length)."""
-    generators = tuple(generators)
-    # a generator at width > `width` has no morphisms into [width] and
-    # contributes nothing; the hom-set loop below handles that uniformly
-    vectors = [
-        apply_morphism(g, pi)
-        for g in generators
-        for pi in hom_set(kind, g.width, width)
-    ]
-    # images of one generator under different morphisms often coincide (a
-    # symmetric polynomial under FI); each repeat only adds S-pairs
-    gb = groebner_basis(list(dict.fromkeys(vectors)), order, degree_cap)
-    return TruncatedSubmodule(kind, generators, width, gb)
+) -> GroebnerBasis:
+    """Groebner basis of the span at the given width of all morphism-images
+    of the generators, which share one generator width (one key length).
 
-
-def membership(v: ModuleVector, M: TruncatedSubmodule) -> bool:
-    if v.width != M.width:
-        raise MalformedInputError(
-            f"element width {v.width} != component width {M.width}"
-        )
-    return M.groebner.contains(v)
+    A morphism [s] -> [width] factors as eps' o g, with g in End([s]) and eps'
+    increasing (`factorize`), so the span is the OI-span of the images g.v:
+    the kind enters only through End([s]).  A generator's distinct images
+    times C(width, s) are held to the hom-set cap before any is pushed."""
+    vectors = {}
+    for v in generators:
+        if v.width > width:  # no morphism [s] -> [width]
+            continue
+        # images often coincide (a symmetric polynomial under FI), and each
+        # repeat only adds S-pairs
+        images = dict.fromkeys(apply_morphism(v, g) for g in endomorphism_group(kind, v.width))
+        pushes = len(images) * hom_size_formula(CategoryKind.OI, v.width, width)
+        if pushes > DEFAULT_ENUMERATION_CAP:
+            raise ResourceCapError(
+                f"width_component: {pushes} images of a width-{v.width} generator "
+                f"at width {width} exceed cap {DEFAULT_ENUMERATION_CAP}"
+            )
+        oi = hom_set(CategoryKind.OI, v.width, width)
+        vectors.update(dict.fromkeys(apply_morphism(u, eps) for u in images for eps in oi))
+    return groebner_basis(list(vectors), order, degree_cap)
 
 
 # -- chain experiments ------------------------------------------------------------
@@ -570,10 +558,7 @@ def chain_experiment(
             raise MalformedInputError("chain generator sets must be ascending")
     results = []
     for width in range(1, max_width + 1):
-        components = [
-            width_component(kind, step, width, order, degree_cap) for step in chain
-        ]
-        gbs = [c.groebner for c in components]
+        gbs = [width_component(kind, step, width, order, degree_cap) for step in chain]
         profile = tuple(
             submodule_dimension_upto(gb, width, degree_cap) for gb in gbs
         )

@@ -1,5 +1,5 @@
 """Finite orbit categories: coset objects, hom-sets from tuple orbits, and
-the comparison functor from substructure embeddings.
+the report on the comparison functor from substructure embeddings.
 
 Objects are coset spaces G/G_Gamma for pointwise stabilizers of subsets.
 A morphism G/G_A -> G/G_B is represented by a group element g with
@@ -28,12 +28,7 @@ from .actions import (
     pinv,
     pmul,
 )
-from .errors import MalformedInputError, OrbitlabError, ResourceCapError
-from .structures import StructureEmbedding
-
-
-class NoExtensionError(OrbitlabError):
-    """No group element extends the given embedding (possible at finite scale)."""
+from .errors import MalformedInputError, ResourceCapError
 
 
 @dataclass(frozen=True)
@@ -79,9 +74,9 @@ class OrbitCategory:
         self._objects: dict = {}
 
     def object(self, gamma) -> OrbitObject:
-        """The object G/G_gamma.  Its hom-sets and `phi` list the orbit of
-        its sorted points, so that orbit is held to the group-order cap
-        here, before any of it is listed."""
+        """The object G/G_gamma.  Its hom-sets list the orbit of its sorted
+        points, so that orbit is held to the group-order cap here, before
+        any of it is listed."""
         gamma = frozenset(gamma)
         if gamma not in self._objects:
             points = tuple(sorted(gamma))
@@ -101,24 +96,6 @@ class OrbitCategory:
             for image, u in transversal.items()
             if source.fixed.issuperset(image)
         ]
-
-    def phi(self, embedding: StructureEmbedding) -> OrbitMorphism:
-        """The orbit morphism G/G_Sigma -> G/G_Gamma induced by an embedding
-        Gamma -> Sigma between canonical substructures.
-
-        The group elements extending the embedding are those sending the
-        sorted points of Gamma to the embedding's value table; the orbit
-        transversal of those points holds one of them if any exist.  The
-        morphism's key is the value table itself, so it does not depend on
-        which extension represents it.
-        """
-        mapping = {int(x): int(y) for x, y in embedding.mapping.items()}
-        points = tuple(sorted(mapping))
-        u = self.action.orbit_transversal(points).get(tuple(mapping[x] for x in points))
-        if u is None:
-            raise NoExtensionError(f"no group element extends {embedding.mapping}")
-        sigma = frozenset(int(y) for y in embedding.target.universe)
-        return OrbitMorphism(sigma, frozenset(points), pinv(u))
 
 
 @dataclass(frozen=True)

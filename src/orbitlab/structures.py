@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .actions import FiniteAction, tuple_orbits
 from .categories import CategoryKind, _endomorphism_images, canonical_relation
 from .errors import MalformedInputError, ResourceCapError, parse_int
 
@@ -152,22 +151,6 @@ def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure) -> list[Structu
 
 def automorphisms(A: FiniteStructure) -> list[StructureEmbedding]:
     return enumerate_embeddings(A, A)
-
-
-# -- canonical structures from actions ----------------------------------------
-
-
-def canonical_structure(action: FiniteAction, max_arity: int) -> FiniteStructure:
-    """Universe [N] with one relation per orbit on each tuple power <= max_arity,
-    numbered per arity in the order of the orbits' least tuples."""
-    if max_arity > action.domain_size:
-        raise MalformedInputError("max_arity exceeds domain size")
-    signature, relations = [], {}
-    for n, orbits in enumerate(tuple_orbits(action, max_arity), 1):
-        for i, orbit in enumerate(orbits):
-            signature.append((f"orbit{n}_{i}", n))
-            relations[f"orbit{n}_{i}"] = orbit
-    return make_structure(range(1, action.domain_size + 1), signature, relations)
 
 
 # -- ages ----------------------------------------------------------------------

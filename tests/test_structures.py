@@ -20,7 +20,6 @@ from orbitlab.structures import (
     age_has_sap,
     arrangement_structure,
     automorphisms,
-    canonical_structure,
     enumerate_embeddings,
     format_structure,
     make_structure,
@@ -29,6 +28,8 @@ from orbitlab.structures import (
     plain_set_structure,
     solve_amalgamation,
 )
+
+from test_actions import canonical_structure
 
 
 def linear(labels):
