@@ -17,7 +17,7 @@ image of the point i; points are 1-based to match the rest of the library.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -124,26 +124,35 @@ def _check_perm(p, n: int) -> Perm:
     return p
 
 
-@dataclass(frozen=True)
 class FiniteAction:
-    """A permutation group on {1,...,N} given by generators."""
+    """A permutation group on {1,...,N} given by generators; immutable, and
+    equal and hashed by its domain size and generators."""
 
-    domain_size: int
-    generators: tuple[Perm, ...]
-    # write-once caches: the base and strong generating set, orbit
-    # transversals keyed by point tuples, and orbit-tree nodes keyed by
-    # point sets
-    _chain: tuple = field(default=None, init=False, compare=False, repr=False)
-    _orbits: dict = field(default=None, init=False, compare=False, repr=False)
-    _nodes: dict = field(default=None, init=False, compare=False, repr=False)
+    # beside the two fields, write-once caches: the base and strong
+    # generating set, orbit transversals keyed by point tuples, and
+    # orbit-tree nodes keyed by point sets
+    __slots__ = ("domain_size", "generators", "_chain", "_orbits", "_nodes")
 
-    def __post_init__(self):
-        if self.domain_size < 1:
+    def __init__(self, domain_size: int, generators: tuple[Perm, ...]):
+        if domain_size < 1:
             raise MalformedInputError("domain size must be positive")
-        gens = tuple(_check_perm(g, self.domain_size) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_orbits", {})
-        object.__setattr__(self, "_nodes", {})
+        gens = tuple(_check_perm(g, domain_size) for g in generators)
+        for name, value in zip(self.__slots__, (domain_size, gens, None, {}, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteAction):
+            return NotImplemented
+        return (self.domain_size, self.generators) == (other.domain_size, other.generators)
+
+    def __hash__(self):
+        return hash((self.domain_size, self.generators))
+
+    def __repr__(self):
+        return f"FiniteAction(domain_size={self.domain_size!r}, generators={self.generators!r})"
 
     def chain(self) -> tuple[list, list, list]:
         """A base and strong generating set (base, transversals, inverses),
@@ -497,15 +506,11 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Orbit counts for n = 1..max_n: f on subsets, F on injective tuples,
-    F_star on all tuples."""
+class GrowthProfile(namedtuple("GrowthProfile", "f F F_star max_n")):
+    """Orbit counts for n = 1..max_n, as tuples of ints: f on subsets, F on
+    injective tuples, F_star on all tuples."""
 
-    f: tuple[int, ...]
-    F: tuple[int, ...]
-    F_star: tuple[int, ...]
-    max_n: int
+    __slots__ = ()
 
     def validate(self, domain_size: int | None = None) -> None:
         for i in range(self.max_n):
@@ -562,18 +567,13 @@ def same_orbits(G: FiniteAction, H: FiniteAction, n: int, mode: str = "injective
     return _levels_agree(G, H, lambda X: [orbit_count(X, n, mode)])[0]
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(namedtuple("LemmaReport", "n cond1 cond2 cond3 cond4 witness")):
     """Evaluations of the four same-orbit conditions at level n:
     (1) on all n-tuples, (2) on injective n-tuples, (3) on all s-tuples for
-    every s <= n, (4) on injective s-tuples for every s <= n."""
+    every s <= n, (4) on injective s-tuples for every s <= n; the witness is
+    a str when they disagree, else None."""
 
-    n: int
-    cond1: bool
-    cond2: bool
-    cond3: bool
-    cond4: bool
-    witness: str | None
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:
@@ -625,12 +625,8 @@ def is_t_dense(H: FiniteAction, G: FiniteAction, t: int) -> bool:
 # -- the fullness witness on the coset space G/K -------------------------------
 
 
-@dataclass(frozen=True)
-class FullnessWitness:
-    g: Perm
-    coset_index: int
-    lhs: Fraction
-    rhs: Fraction
+# g: Perm, coset_index: int, lhs and rhs: Fraction
+FullnessWitness = namedtuple("FullnessWitness", "g coset_index lhs rhs")
 
 
 def _coset_orbit(gens, K: FiniteAction, cap: int) -> set:

@@ -16,7 +16,7 @@ on morphisms the library builds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -145,14 +145,11 @@ def is_morphism(kind: CategoryKind, m: int, n: int, image) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InjectionMorphism:
-    """An embedding [source] -> [target]; image[i] is the value of i+1."""
+class InjectionMorphism(namedtuple("InjectionMorphism", "kind source target image")):
+    """An embedding [source] -> [target] of a CategoryKind; the tuple
+    image[i] is the value of i+1."""
 
-    kind: CategoryKind
-    source: int
-    target: int
-    image: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def checked(cls, kind, source, target, image) -> "InjectionMorphism":

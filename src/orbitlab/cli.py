@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from pathlib import Path
 
 from . import __version__
 from .actions import (
@@ -55,7 +54,8 @@ EXIT_CAP = 3
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}")
 
@@ -278,6 +278,80 @@ def cmd_restrict_check(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+REQUIRED = {"required": True}
+INT = {"type": int, "required": True}
+KIND = ("--kind", {**REQUIRED, "choices": ("fi", "oi", "bi", "ci", "si")})
+GROUP, SUBGROUP = ("--group", REQUIRED), ("--subgroup", REQUIRED)
+AGES = ("set", "linear", "betweenness", "cyclic", "separation", "pair")
+
+# name -> (handler, help, then (flag, add_argument options) per argument)
+SUBCOMMANDS = {
+    "homset": (cmd_homset, "enumerate a hom-set", KIND, ("--m", INT), ("--n", INT)),
+    "factorize": (
+        cmd_factorize,
+        "factor a morphism as eps' after g",
+        ("--morphism", {**REQUIRED, "help": "e.g. 'CI 3->4 : [2,3,1]'"}),
+    ),
+    "growth": (
+        cmd_growth,
+        "orbit growth profile of a group file",
+        GROUP,
+        ("--max-n", INT),
+        ("--format", {"choices": ("json", "tsv"), "default": "json"}),
+    ),
+    "same-orbits": (cmd_same_orbits, "lemma conditions for two groups", GROUP, SUBGROUP, ("--n", INT)),
+    "dense": (cmd_dense, "t-density of a subgroup", GROUP, SUBGROUP, ("--t", INT)),
+    "fullness-witness": (
+        cmd_fullness_witness,
+        "restriction fullness probe",
+        GROUP,
+        ("--subgroup", {**REQUIRED, "help": "the subgroup H being restricted to"}),
+        ("--k-subgroup", {**REQUIRED, "help": "the subgroup K of the coset module"}),
+    ),
+    "amalgamate": (
+        cmd_amalgamate,
+        "amalgamate two embedding files",
+        ("--embedding1", REQUIRED),
+        ("--embedding2", REQUIRED),
+        ("--age", {**REQUIRED, "choices": AGES}),
+        ("--weak", {"action": "store_true", "help": "allow non-pushout universes"}),
+    ),
+    "sap": (
+        cmd_sap,
+        "strong amalgamation property check",
+        ("--kind", {**REQUIRED, "dest": "age", "choices": AGES}),
+        ("--cap", INT),
+    ),
+    "orbitcat": (cmd_orbitcat, "orbit-category comparison report", GROUP, ("--cap", INT)),
+    "noeth-chain": (
+        cmd_noeth_chain,
+        "ascending chain stabilization experiment",
+        KIND,
+        ("--chain", {**REQUIRED, "help": "chain file of element lines"}),
+        ("--width", {**INT, "help": "max width W"}),
+        ("--degree", {**INT, "help": "degree cap D"}),
+        ("--field", {"default": "q", "help": "q or fp:P"}),
+        ("--order", {"choices": ("lex", "grevlex"), "default": "grevlex"}),
+    ),
+    "restrict-check": (
+        cmd_restrict_check, "restriction decomposition check", KIND, ("--n", INT), ("--s", INT)
+    ),
+}
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it first parses,
+    so that a run builds only those of the subcommand it invokes."""
+
+    arguments = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag, options in self.arguments:
+            self.add_argument(flag, **options)
+        self.arguments = ()
+        return super().parse_known_args(args, namespace)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process and shared:
@@ -286,83 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orbitlab", description="finite orbit/category experiments"
     )
     parser.add_argument("--version", action="version", version=f"orbitlab {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("homset", help="enumerate a hom-set")
-    p.add_argument("--kind", required=True, choices=("fi", "oi", "bi", "ci", "si"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_homset)
-
-    p = sub.add_parser("factorize", help="factor a morphism as eps' after g")
-    p.add_argument("--morphism", required=True, help="e.g. 'CI 3->4 : [2,3,1]'")
-    p.set_defaults(func=cmd_factorize)
-
-    p = sub.add_parser("growth", help="orbit growth profile of a group file")
-    p.add_argument("--group", required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("same-orbits", help="lemma conditions for two groups")
-    p.add_argument("--group", required=True)
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_same_orbits)
-
-    p = sub.add_parser("dense", help="t-density of a subgroup")
-    p.add_argument("--group", required=True)
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=cmd_dense)
-
-    p = sub.add_parser("fullness-witness", help="restriction fullness probe")
-    p.add_argument("--group", required=True)
-    p.add_argument("--subgroup", required=True, help="the subgroup H being restricted to")
-    p.add_argument("--k-subgroup", required=True, help="the subgroup K of the coset module")
-    p.set_defaults(func=cmd_fullness_witness)
-
-    p = sub.add_parser("amalgamate", help="amalgamate two embedding files")
-    p.add_argument("--embedding1", required=True)
-    p.add_argument("--embedding2", required=True)
-    p.add_argument(
-        "--age",
-        required=True,
-        choices=("set", "linear", "betweenness", "cyclic", "separation", "pair"),
-    )
-    p.add_argument("--weak", action="store_true", help="allow non-pushout universes")
-    p.set_defaults(func=cmd_amalgamate)
-
-    p = sub.add_parser("sap", help="strong amalgamation property check")
-    p.add_argument(
-        "--kind",
-        dest="age",
-        required=True,
-        choices=("set", "linear", "betweenness", "cyclic", "separation", "pair"),
-    )
-    p.add_argument("--cap", type=int, required=True)
-    p.set_defaults(func=cmd_sap)
-
-    p = sub.add_parser("orbitcat", help="orbit-category comparison report")
-    p.add_argument("--group", required=True)
-    p.add_argument("--cap", type=int, required=True)
-    p.set_defaults(func=cmd_orbitcat)
-
-    p = sub.add_parser("noeth-chain", help="ascending chain stabilization experiment")
-    p.add_argument("--kind", required=True, choices=("fi", "oi", "bi", "ci", "si"))
-    p.add_argument("--chain", required=True, help="chain file of element lines")
-    p.add_argument("--width", type=int, required=True, help="max width W")
-    p.add_argument("--degree", type=int, required=True, help="degree cap D")
-    p.add_argument("--field", default="q", help="q or fp:P")
-    p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-    p.set_defaults(func=cmd_noeth_chain)
-
-    p = sub.add_parser("restrict-check", help="restriction decomposition check")
-    p.add_argument("--kind", required=True, choices=("fi", "oi", "bi", "ci", "si"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=cmd_restrict_check)
-
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    for name, (handler, help, *arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        p.arguments = arguments
+        p.set_defaults(func=handler)
     return parser
 
 

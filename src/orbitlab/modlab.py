@@ -23,8 +23,7 @@ homogenized, so that the bound applies to one homogeneous submodule.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from math import comb
 
@@ -183,12 +182,14 @@ def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
     return ModuleVector(v.width, v.field, _reduce(_coords(v), leads, order, v.field))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    vectors: tuple  # reduced, monic, deterministic order
-    order: MonomialOrder
-    degree_capped: bool  # True when S-pairs above the degree cap were skipped
-    degree_cap: int | None = None  # the cap of the run, or None
+class GroebnerBasis(
+    namedtuple("GroebnerBasis", "vectors order degree_capped degree_cap", defaults=(None,))
+):
+    """vectors: reduced, monic, in a deterministic order; order: a
+    MonomialOrder; degree_capped: True when S-pairs above the degree cap were
+    skipped; degree_cap: the cap of the run, or None.  Bases are equal when
+    their orders and vector sets are; instances keep a `__dict__` for the
+    `leads` cache."""
 
     @cached_property
     def leads(self) -> dict:
@@ -214,6 +215,8 @@ class GroebnerBasis:
 
     def __hash__(self):
         return hash((self.order, frozenset(self.vectors)))
+
+    __ne__ = object.__ne__  # the negation of __eq__, where tuple's would compare fields
 
 
 def _update(basis, heads, k: int, pairs: deque, degree_cap) -> tuple:
@@ -485,13 +488,17 @@ def width_component(
 # -- chain experiments ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WidthChainResult:
-    width: int
-    first_stable_index: int  # 1-based; earliest index whose component persists
-    rank_profile: tuple  # leading-term dimension count per chain index
-    monotone: bool  # consecutive components nested (unchecked past a degree-capped one)
-    degree_capped: bool
+class WidthChainResult(
+    namedtuple(
+        "WidthChainResult", "width first_stable_index rank_profile monotone degree_capped"
+    )
+):
+    """first_stable_index: 1-based, the earliest chain index whose component
+    persists; rank_profile: the leading-term dimension count per chain index;
+    monotone: consecutive components are nested (unchecked past a
+    degree-capped one)."""
+
+    __slots__ = ()
 
     @property
     def stabilized(self) -> bool:
@@ -503,13 +510,10 @@ class WidthChainResult:
         )
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    kind: CategoryKind
-    max_width: int
-    degree_cap: int
-    order: MonomialOrder
-    results: tuple  # WidthChainResult per width 1..max_width
+class ChainReport(namedtuple("ChainReport", "kind max_width degree_cap order results")):
+    """results: a WidthChainResult per width 1..max_width."""
+
+    __slots__ = ()
 
     @property
     def all_stabilized(self) -> bool:
@@ -596,14 +600,8 @@ def chain_experiment(
 # -- restriction decomposition ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
-    kind: CategoryKind
-    gen_width: int
-    width: int
-    ok: bool
-    classes: tuple  # ((g image, tuple of morphism images), ...)
-    failures: tuple
+# classes: ((g image, tuple of morphism images), ...); failures: a tuple
+RestrictionReport = namedtuple("RestrictionReport", "kind gen_width width ok classes failures")
 
 
 def restriction_decomposition_check(

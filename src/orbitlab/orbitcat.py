@@ -15,7 +15,7 @@ listed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -23,7 +23,6 @@ from .actions import (
     DEFAULT_GROUP_ORDER_CAP,
     DEFAULT_SPACE_CAP,
     FiniteAction,
-    Perm,
     identity_perm,
     pinv,
     pmul,
@@ -31,21 +30,22 @@ from .actions import (
 from .errors import MalformedInputError, ResourceCapError
 
 
-@dataclass(frozen=True)
-class OrbitObject:
-    gamma: frozenset
-    fixed: frozenset  # Fix(G_gamma), the points fixed by the stabilizer of gamma
+class OrbitObject(namedtuple("OrbitObject", "gamma fixed")):
+    """gamma: a frozenset of points; fixed: Fix(G_gamma), the frozenset of
+    points fixed by the stabilizer of gamma."""
+
+    __slots__ = ()
 
     @property
     def sorted_points(self) -> tuple:
         return tuple(sorted(self.gamma))
 
 
-@dataclass(frozen=True)
-class OrbitMorphism:
-    source_gamma: frozenset
-    target_gamma: frozenset
-    representative: Perm
+class OrbitMorphism(namedtuple("OrbitMorphism", "source_gamma target_gamma representative")):
+    """A morphism between the orbit objects of two frozensets of points,
+    given by a representative Perm; equal morphisms have equal keys."""
+
+    __slots__ = ()
 
     @property
     def key(self) -> tuple:
@@ -64,6 +64,8 @@ class OrbitMorphism:
 
     def __hash__(self):
         return hash((self.source_gamma, self.target_gamma, self.key))
+
+    __ne__ = object.__ne__  # the negation of __eq__, where tuple's would compare fields
 
 
 class OrbitCategory:
@@ -98,14 +100,19 @@ class OrbitCategory:
         ]
 
 
-@dataclass(frozen=True)
-class PhiIsoReport:
-    size_cap: int
-    objects: tuple  # the subsets of size <= cap, each as a sorted tuple
-    hom_counts: tuple  # hom_counts[i][j] = |hom(G/G_{objects[i]}, G/G_{objects[j]})|
-    object_collisions: tuple  # pairs of distinct subsets sharing a stabilizer
-    hom_mismatches: tuple  # (gamma, sigma, embedding count, orbit hom count)
-    fixed_point_violations: tuple  # subsets whose stabilizer fixes an outside point
+class PhiIsoReport(
+    namedtuple(
+        "PhiIsoReport",
+        "size_cap objects hom_counts object_collisions hom_mismatches fixed_point_violations",
+    )
+):
+    """Tuples of: the subsets of size <= cap, each as a sorted tuple (objects);
+    hom_counts[i][j] = |hom(G/G_{objects[i]}, G/G_{objects[j]})|; the pairs of
+    distinct subsets sharing a stabilizer; the hom mismatches (gamma, sigma,
+    embedding count, orbit hom count); and the subsets whose stabilizer fixes
+    an outside point."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -11,7 +11,7 @@ parser; the arithmetic on term dicts lives in `modlab`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, le, sub
 
@@ -40,15 +40,15 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(namedtuple("MonomialOrder", "name")):
     """lex or grevlex; exposes a sort key, larger key = larger monomial."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in ("lex", "grevlex"):
-            raise MalformedInputError(f"unknown monomial order {self.name!r}")
+    def __new__(cls, name: str):
+        if name not in ("lex", "grevlex"):
+            raise MalformedInputError(f"unknown monomial order {name!r}")
+        return super().__new__(cls, name)
 
     def key(self, m: Monomial):
         if self.name == "lex":
@@ -71,16 +71,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoefficientField:
+class CoefficientField(namedtuple("CoefficientField", "modulus")):
     """Q when modulus is None, else F_p for a prime p <= 2**31."""
 
-    modulus: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus is not None:
-            if self.modulus > 2**31 or not _is_prime(self.modulus):
-                raise MalformedInputError(f"bad prime modulus {self.modulus}")
+    def __new__(cls, modulus: int | None = None):
+        if modulus is not None:
+            if modulus > 2**31 or not _is_prime(modulus):
+                raise MalformedInputError(f"bad prime modulus {modulus}")
+        return super().__new__(cls, modulus)
 
     def coerce(self, x):
         if self.modulus is None:

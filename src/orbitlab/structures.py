@@ -14,7 +14,7 @@ is checked where it is built (`make_structure`) or parsed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations, product
 
 from .categories import CategoryKind, _endomorphism_images, canonical_relation
@@ -38,11 +38,11 @@ _KIND_RELATION = {
 }
 
 
-@dataclass(frozen=True)
-class FiniteStructure:
-    universe: tuple
-    signature: tuple  # ((name, arity), ...)
-    relations: tuple  # ((name, frozenset of tuples), ...), aligned with signature
+class FiniteStructure(namedtuple("FiniteStructure", "universe signature relations")):
+    """universe: a tuple of labels; signature: ((name, arity), ...);
+    relations: ((name, frozenset of tuples), ...), aligned with signature."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -109,11 +109,10 @@ def arrangement_structure(kind_name: str, arrangement) -> FiniteStructure:
     )
 
 
-@dataclass(frozen=True)
-class StructureEmbedding:
-    source: FiniteStructure
-    target: FiniteStructure
-    images: tuple  # aligned with source.universe
+class StructureEmbedding(namedtuple("StructureEmbedding", "source target images")):
+    """An embedding of FiniteStructures; images is aligned with source.universe."""
+
+    __slots__ = ()
 
     def apply(self, x):
         return self.images[self.source.universe.index(x)]
@@ -411,14 +410,11 @@ def age_for(name: str):
 # -- amalgamation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AmalgamationProblem:
-    sigma: FiniteStructure
-    gamma1: FiniteStructure
-    gamma2: FiniteStructure
-    f1: StructureEmbedding
-    f2: StructureEmbedding
-    age: object
+class AmalgamationProblem(namedtuple("AmalgamationProblem", "sigma gamma1 gamma2 f1 f2 age")):
+    """Embeddings f1: sigma -> gamma1 and f2: sigma -> gamma2 of structures
+    in an age."""
+
+    __slots__ = ()
 
     @classmethod
     def checked(cls, f1, f2, age) -> "AmalgamationProblem":
@@ -434,11 +430,8 @@ class AmalgamationProblem:
         return problem
 
 
-@dataclass(frozen=True)
-class Amalgam:
-    delta: FiniteStructure
-    g1: StructureEmbedding
-    g2: StructureEmbedding
+# embeddings g1: gamma1 -> delta and g2: gamma2 -> delta
+Amalgam = namedtuple("Amalgam", "delta g1 g2")
 
 
 def _pushout_labels(p: AmalgamationProblem):
@@ -522,10 +515,8 @@ def _iso_classes(age, size: int):
     return sorted(reps, key=FiniteStructure.canonical_form)
 
 
-@dataclass(frozen=True)
-class SapReport:
-    holds: bool
-    certificate: AmalgamationProblem | None
+# certificate: an AmalgamationProblem without a strong amalgam, or None
+SapReport = namedtuple("SapReport", "holds certificate")
 
 
 def _sap_problems(age, size_cap: int):
@@ -567,6 +558,10 @@ def age_has_sap(age, size_cap: int) -> SapReport:
         raise MalformedInputError("size_cap must be >= 1")
     if isinstance(age, str):
         age = age_for(age)
+    if size_cap > PUSHOUT_LABEL_CAP:
+        # sigma = {} comes first, and each ({}, {}, Gamma) amalgamates as Gamma
+        # until |Gamma| outgrows the pushout cap: fail now as that search would
+        raise ResourceCapError(f"pushout universe of size {PUSHOUT_LABEL_CAP + 1} exceeds cap")
     for problem in _sap_problems(age, size_cap):
         if solve_amalgamation(problem, strong=True) is None:
             return SapReport(False, problem)

@@ -288,6 +288,15 @@ def test_sap_at_cap_6_hits_the_pushout_cap_at_once(capsys):
     assert capsys.readouterr().err == "resource cap: pushout universe of size 11 exceeds cap\n"
 
 
+def test_sap_above_the_pushout_cap_exits_3_before_enumerating(capsys):
+    # the isomorphism classes of every size up to 11 took minutes to list
+    # before the first problem, which could only hit the pushout cap
+    start = time.monotonic()
+    assert main(["sap", "--kind", "set", "--cap", "11"]) == 3
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == "resource cap: pushout universe of size 11 exceeds cap\n"
+
+
 def test_amalgamate_hits_the_pushout_cap_before_the_age_check(capsys, tmp_path):
     # the membership check of an 11-point linear order walks 11! arrangements
     points = [f"p{i}" for i in range(11)]
@@ -571,6 +580,24 @@ def test_parser_is_built_once_and_reused(capsys):
         assert "the following arguments are required: --group" in capsys.readouterr().err
 
 
+def test_import_loads_no_costly_standard_modules():
+    # a one-shot run pays for every import before it reports; typing is
+    # listed so that typing.NamedTuple is no way round
+    script = (
+        "import sys, orbitlab.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & set(sys.modules)))"
+    )
+    src = str(Path(orbitlab.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 def test_malformed_group_file(capsys, grp):
     code = main(["growth", "--group", grp("bad.grp", "(1 2)\n"), "--max-n", "2"])
     assert code == 2
@@ -703,3 +730,161 @@ def test_sizes_read_from_files_are_capped_before_allocation(capsys, tmp_path, mo
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("resource cap: ")
+
+
+# --help of the program and of each subcommand, and two usage errors, as
+# printed (exit code, stdout, stderr) when every subcommand's arguments were
+# added up front; argparse of Python 3.11 at 80 columns
+PARSER_TEXTS = {
+    "--help": (0, """\
+usage: orbitlab [-h] [--version]
+                {homset,factorize,growth,same-orbits,dense,fullness-witness,amalgamate,sap,orbitcat,noeth-chain,restrict-check}
+                ...
+
+finite orbit/category experiments
+
+positional arguments:
+  {homset,factorize,growth,same-orbits,dense,fullness-witness,amalgamate,sap,orbitcat,noeth-chain,restrict-check}
+    homset              enumerate a hom-set
+    factorize           factor a morphism as eps' after g
+    growth              orbit growth profile of a group file
+    same-orbits         lemma conditions for two groups
+    dense               t-density of a subgroup
+    fullness-witness    restriction fullness probe
+    amalgamate          amalgamate two embedding files
+    sap                 strong amalgamation property check
+    orbitcat            orbit-category comparison report
+    noeth-chain         ascending chain stabilization experiment
+    restrict-check      restriction decomposition check
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""", ""),
+    "homset --help": (0, """\
+usage: orbitlab homset [-h] --kind {fi,oi,bi,ci,si} --m M --n N
+
+options:
+  -h, --help            show this help message and exit
+  --kind {fi,oi,bi,ci,si}
+  --m M
+  --n N
+""", ""),
+    "factorize --help": (0, """\
+usage: orbitlab factorize [-h] --morphism MORPHISM
+
+options:
+  -h, --help           show this help message and exit
+  --morphism MORPHISM  e.g. 'CI 3->4 : [2,3,1]'
+""", ""),
+    "growth --help": (0, """\
+usage: orbitlab growth [-h] --group GROUP --max-n MAX_N [--format {json,tsv}]
+
+options:
+  -h, --help           show this help message and exit
+  --group GROUP
+  --max-n MAX_N
+  --format {json,tsv}
+""", ""),
+    "same-orbits --help": (0, """\
+usage: orbitlab same-orbits [-h] --group GROUP --subgroup SUBGROUP --n N
+
+options:
+  -h, --help           show this help message and exit
+  --group GROUP
+  --subgroup SUBGROUP
+  --n N
+""", ""),
+    "dense --help": (0, """\
+usage: orbitlab dense [-h] --group GROUP --subgroup SUBGROUP --t T
+
+options:
+  -h, --help           show this help message and exit
+  --group GROUP
+  --subgroup SUBGROUP
+  --t T
+""", ""),
+    "fullness-witness --help": (0, """\
+usage: orbitlab fullness-witness [-h] --group GROUP --subgroup SUBGROUP
+                                 --k-subgroup K_SUBGROUP
+
+options:
+  -h, --help            show this help message and exit
+  --group GROUP
+  --subgroup SUBGROUP   the subgroup H being restricted to
+  --k-subgroup K_SUBGROUP
+                        the subgroup K of the coset module
+""", ""),
+    "amalgamate --help": (0, """\
+usage: orbitlab amalgamate [-h] --embedding1 EMBEDDING1 --embedding2
+                           EMBEDDING2 --age
+                           {set,linear,betweenness,cyclic,separation,pair}
+                           [--weak]
+
+options:
+  -h, --help            show this help message and exit
+  --embedding1 EMBEDDING1
+  --embedding2 EMBEDDING2
+  --age {set,linear,betweenness,cyclic,separation,pair}
+  --weak                allow non-pushout universes
+""", ""),
+    "sap --help": (0, """\
+usage: orbitlab sap [-h] --kind
+                    {set,linear,betweenness,cyclic,separation,pair} --cap CAP
+
+options:
+  -h, --help            show this help message and exit
+  --kind {set,linear,betweenness,cyclic,separation,pair}
+  --cap CAP
+""", ""),
+    "orbitcat --help": (0, """\
+usage: orbitlab orbitcat [-h] --group GROUP --cap CAP
+
+options:
+  -h, --help     show this help message and exit
+  --group GROUP
+  --cap CAP
+""", ""),
+    "noeth-chain --help": (0, """\
+usage: orbitlab noeth-chain [-h] --kind {fi,oi,bi,ci,si} --chain CHAIN --width
+                            WIDTH --degree DEGREE [--field FIELD]
+                            [--order {lex,grevlex}]
+
+options:
+  -h, --help            show this help message and exit
+  --kind {fi,oi,bi,ci,si}
+  --chain CHAIN         chain file of element lines
+  --width WIDTH         max width W
+  --degree DEGREE       degree cap D
+  --field FIELD         q or fp:P
+  --order {lex,grevlex}
+""", ""),
+    "restrict-check --help": (0, """\
+usage: orbitlab restrict-check [-h] --kind {fi,oi,bi,ci,si} --n N --s S
+
+options:
+  -h, --help            show this help message and exit
+  --kind {fi,oi,bi,ci,si}
+  --n N
+  --s S
+""", ""),
+    "homset --kind fi": (2, "", """\
+usage: orbitlab homset [-h] --kind {fi,oi,bi,ci,si} --m M --n N
+orbitlab homset: error: the following arguments are required: --m, --n
+"""),
+    "bogus": (2, "", """\
+usage: orbitlab [-h] [--version]
+                {homset,factorize,growth,same-orbits,dense,fullness-witness,amalgamate,sap,orbitcat,noeth-chain,restrict-check}
+                ...
+orbitlab: error: argument subcommand: invalid choice: 'bogus' (choose from 'homset', 'factorize', 'growth', 'same-orbits', 'dense', 'fullness-witness', 'amalgamate', 'sap', 'orbitcat', 'noeth-chain', 'restrict-check')
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_TEXTS))
+def test_help_and_usage_errors_are_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == PARSER_TEXTS[argv]

@@ -5,7 +5,8 @@ from itertools import permutations
 import pytest
 
 from orbitlab.actions import symmetric_action
-from orbitlab.errors import MalformedInputError
+from orbitlab import structures
+from orbitlab.errors import MalformedInputError, ResourceCapError
 from orbitlab.structures import (
     AmalgamationProblem,
     BuiltinAge,
@@ -206,6 +207,21 @@ def test_age_has_sap_small_caps():
     assert not report.holds
     cert = report.certificate
     assert len(cert.gamma1.universe) <= 2 and len(cert.gamma2.universe) <= 2
+
+
+@pytest.mark.parametrize("name", ["set", "linear", "betweenness", "cyclic", "separation", "pair"])
+def test_sap_above_the_pushout_cap_stops_as_its_search_would(monkeypatch, name):
+    # with the cap at c, the search over sides of size c + 1 first fails on
+    # the pushout cap; age_has_sap raises that error before enumerating
+    monkeypatch.setattr(structures, "PUSHOUT_LABEL_CAP", 3)
+    with pytest.raises(ResourceCapError) as searched:
+        for problem in _sap_problems(age_for(name), 4):
+            if solve_amalgamation(problem, strong=True) is None:
+                break
+    monkeypatch.setattr(structures, "_iso_classes", lambda *_: pytest.fail("enumerated"))
+    with pytest.raises(ResourceCapError) as guarded:
+        age_has_sap(name, 4)
+    assert str(guarded.value) == str(searched.value) == "pushout universe of size 4 exceeds cap"
 
 
 def test_amalgam_embeddings_verified():
