@@ -15,7 +15,9 @@ is checked where it is built (`make_structure`) or parsed
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from .categories import CategoryKind, _endomorphism_images, canonical_relation
 from .errors import MalformedInputError, ResourceCapError, parse_int
@@ -96,14 +98,21 @@ def plain_set_structure(labels) -> FiniteStructure:
     return make_structure(labels, (), {})
 
 
+@lru_cache(maxsize=None)
+def _relation_getters(kind_name: str, n: int) -> tuple:
+    """One `itemgetter` per tuple of `canonical_relation(kind, n)`, reading
+    that tuple's positions off an arrangement of n labels."""
+    relation = canonical_relation(BUILTIN_KINDS[kind_name], n)
+    return tuple(itemgetter(*(i - 1 for i in t)) for t in relation)
+
+
 def arrangement_structure(kind_name: str, arrangement) -> FiniteStructure:
     """Structure on the given labels induced by a linear/circular arrangement."""
     arrangement = tuple(arrangement)
     if kind_name == "set":
         return FiniteStructure(arrangement, (), ())
     name, arity = _KIND_RELATION[kind_name]
-    relation = canonical_relation(BUILTIN_KINDS[kind_name], len(arrangement))
-    tuples = frozenset(tuple(arrangement[i - 1] for i in t) for t in relation)
+    tuples = frozenset(g(arrangement) for g in _relation_getters(kind_name, len(arrangement)))
     return FiniteStructure(
         tuple(sorted(arrangement)), ((name, arity),), ((name, tuples),)
     )
@@ -172,7 +181,7 @@ class BuiltinAge(_Age):
         if kind_name not in BUILTIN_KINDS:
             raise MalformedInputError(f"unknown built-in age {kind_name!r}")
         self.kind_name = kind_name
-        self._inducing = {}  # side structure -> arrangements that induce it
+        self._prefixes = {}  # side structure -> `_prefix_set` of it
 
     @property
     def signature(self):
@@ -188,7 +197,9 @@ class BuiltinAge(_Age):
         labels: only structures whose restriction to `images` is `gamma`
         (its universe mapped onto `images` in order) are built.  A partial
         arrangement is dropped as soon as its subsequence on some `images` is
-        no prefix of an arrangement that induces that `gamma`.
+        no prefix of an arrangement that induces that `gamma`.  Each `gamma`'s
+        prefixes are built once, in its own labels, and kept for later calls;
+        the subsequences are read in `gamma`'s labels too.
         """
         labels = tuple(labels)
         if self.kind_name == "set":
@@ -196,18 +207,13 @@ class BuiltinAge(_Age):
                 yield plain_set_structure(labels)
             return
         prefixes = []
-        member = {x: [] for x in labels}  # label -> restrictions it is in
+        member = {x: [] for x in labels}  # label -> (restriction, its gamma label)
         for r, (images, gamma) in enumerate(restrictions):
-            relabel = dict(zip(gamma.universe, images))
-            prefixes.append(
-                {
-                    tuple(relabel[x] for x in arr[:j])
-                    for arr in self._inducing_arrangements(gamma)
-                    for j in range(len(arr) + 1)
-                }
-            )
-            for x in images:
-                member[x].append(r)
+            if gamma not in self._prefixes:
+                self._prefixes[gamma] = self._prefix_set(gamma)
+            prefixes.append(self._prefixes[gamma])
+            for x, y in zip(images, gamma.universe):
+                member[x].append((r, y))
 
         def extend(arr, subs):
             if len(arr) == len(labels):
@@ -217,8 +223,8 @@ class BuiltinAge(_Age):
                 if x in arr:
                     continue
                 grown = list(subs)
-                for r in member[x]:
-                    grown[r] = subs[r] + (x,)
+                for r, y in member[x]:
+                    grown[r] = subs[r] + (y,)
                     if grown[r] not in prefixes[r]:
                         break
                 else:
@@ -231,15 +237,20 @@ class BuiltinAge(_Age):
                 seen.add(s.relations)
                 yield s
 
+    def _prefix_set(self, gamma: FiniteStructure) -> frozenset:
+        """Every prefix of every arrangement that induces gamma, in gamma's
+        labels.  A SAP check meets each side in many problems, so
+        `structures_on` builds this once per side and keeps it."""
+        return frozenset(
+            arr[:j] for arr in self._inducing_arrangements(gamma) for j in range(len(arr) + 1)
+        )
+
     def _inducing_arrangements(self, gamma: FiniteStructure) -> tuple:
         """The arrangements of gamma's universe whose structure is gamma, in
-        `permutations(gamma.universe)` order, found once per gamma: a SAP
-        check meets each side in many problems.  One arrangement arr is grown
+        `permutations(gamma.universe)` order.  One arrangement arr is grown
         one label at a time, each prefix checked on the a-subsets through its
         newest label; any two differ by a permutation of [n] preserving and
         reflecting R_n, so the others are arr o g for g in End([n])."""
-        if gamma in self._inducing:
-            return self._inducing[gamma]
         universe = gamma.universe
         if gamma.signature != self.signature:
             arr = None
@@ -275,14 +286,12 @@ class BuiltinAge(_Age):
             # an arrangement induces only tuples of distinct labels
             distinct = all(len(set(t)) == a for t in relation)
             arr = next(extend(()), None) if distinct else None
-        found = ()
-        if arr is not None:
-            ends = _endomorphism_images(BUILTIN_KINDS[self.kind_name], len(arr))
-            position = {x: i for i, x in enumerate(universe)}
-            images = (tuple(arr[i - 1] for i in g) for g in ends)
-            found = tuple(sorted(images, key=lambda t: [position[x] for x in t]))
-        self._inducing[gamma] = found
-        return found
+        if arr is None:
+            return ()
+        ends = _endomorphism_images(BUILTIN_KINDS[self.kind_name], len(arr))
+        position = {x: i for i, x in enumerate(universe)}
+        images = (tuple(arr[i - 1] for i in g) for g in ends)
+        return tuple(sorted(images, key=lambda t: [position[x] for x in t]))
 
 
 def _set_partitions(items, want):
@@ -298,13 +307,20 @@ def _set_partitions(items, want):
         return
     first, rest = items[0], items[1:]
     ties = [(b, want[first, b]) for b in rest if (first, b) in want]
+    same = [b for b, equal in ties if equal]
+    apart = [b for b, equal in ties if not equal]
     for part in _set_partitions(rest, want):
         block = {x: i for i, blk in enumerate(part) for x in blk}
-        for i in range(len(part)):
-            if all(equal == (block[b] == i) for b, equal in ties):
+        banned = {block[b] for b in apart}
+        if same:  # first joins the block of same[0], if that keeps every tie
+            i = block[same[0]]
+            if i not in banned and all(block[b] == i for b in same):
                 yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        if not any(equal for _, equal in ties):
-            yield [[first]] + part
+            continue
+        for i in range(len(part)):
+            if i not in banned:
+                yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
 
 
 class PairAge(_Age):
@@ -323,6 +339,9 @@ class PairAge(_Age):
         ("eq_sf", 2),
         ("eq_ss", 2),
     )
+
+    def __init__(self):
+        self._facts = {}  # side structure -> `_slot_facts` of it
 
     @staticmethod
     def from_pairs(labels, pairs) -> FiniteStructure:
@@ -356,7 +375,7 @@ class PairAge(_Age):
         """
         labels = tuple(labels)
         k = len(labels)
-        want = _slot_constraints(labels, restrictions)
+        want = self._slot_constraints(labels, restrictions)
         if want is None:
             return
         seen = set()
@@ -373,32 +392,51 @@ class PairAge(_Age):
                 seen.add(s.relations)
                 yield s
 
-
-# slot offsets (first coordinate 0, second 1) compared by each binary relation
-_PAIR_SLOTS = {"eq_ff": (0, 0), "eq_fs": (0, 1), "eq_sf": (1, 0), "eq_ss": (1, 1)}
-
-
-def _slot_constraints(labels, restrictions):
-    """`{(a, b): equal}` over slots `a < b` for the pair age's restrictions,
-    or None if they contradict each other or no structure can meet them."""
-    slot_of = {x: 2 * i for i, x in enumerate(labels)}
-    want = {}
-    for images, gamma in restrictions:
+    @staticmethod
+    def _slot_facts(gamma: FiniteStructure):
+        """`((a, b), equal)` over gamma's own slots `a < b`, label i of its
+        universe owning slots 2i and 2i + 1: whether gamma has the two
+        coordinates equal.  None if gamma is outside the signature, relates a
+        point to itself, or states one pair of slots both ways."""
         if gamma.signature != PairAge.signature:
             return None
-        slot = {x: slot_of[y] for x, y in zip(gamma.universe, images)}
+        slot = {x: 2 * i for i, x in enumerate(gamma.universe)}
         rels = dict(gamma.relations)
-        facts = [((slot[x], slot[x] + 1), (x,) in rels["diag"]) for x in gamma.universe]
+        facts = {(slot[x], slot[x] + 1): (x,) in rels["diag"] for x in gamma.universe}
         for name, (i, j) in _PAIR_SLOTS.items():
             for x, y in product(gamma.universe, repeat=2):
                 if x != y:
-                    facts.append(((slot[x] + i, slot[y] + j), (x, y) in rels[name]))
+                    a, b = slot[x] + i, slot[y] + j
+                    equal = (x, y) in rels[name]
+                    if facts.setdefault((a, b) if a < b else (b, a), equal) != equal:
+                        return None
                 elif (x, x) in rels[name]:
                     return None  # no structure of the age relates a point to itself
-        for pair, equal in facts:
-            if want.setdefault(tuple(sorted(pair)), equal) != equal:
+        return tuple(facts.items())
+
+    def _slot_constraints(self, labels, restrictions):
+        """`{(a, b): equal}` over slots `a < b` of the labels, label i owning
+        slots 2i and 2i + 1: each gamma's `_slot_facts`, built once per gamma,
+        moved onto the slots of its images.  None if the restrictions
+        contradict each other or no structure can meet them."""
+        slot_of = {x: 2 * i for i, x in enumerate(labels)}
+        want = {}
+        for images, gamma in restrictions:
+            if gamma not in self._facts:
+                self._facts[gamma] = self._slot_facts(gamma)
+            facts = self._facts[gamma]
+            if facts is None:
                 return None
-    return want
+            to = [slot_of[y] + o for y in images for o in (0, 1)]
+            for (a, b), equal in facts:
+                a, b = to[a], to[b]
+                if want.setdefault((a, b) if a < b else (b, a), equal) != equal:
+                    return None
+        return want
+
+
+# slot offsets (first coordinate 0, second 1) compared by each binary relation
+_PAIR_SLOTS = {"eq_ff": (0, 0), "eq_fs": (0, 1), "eq_sf": (1, 0), "eq_ss": (1, 1)}
 
 
 def age_for(name: str):
@@ -524,18 +562,24 @@ def _sap_problems(age, size_cap: int):
 
     Problems are enumerated up to isomorphism of the three structures and up
     to automorphisms of the sides, which act on the two embeddings separately.
+    Aut(gamma) is listed once per side, and only for a side that sigma embeds
+    in more than one way: a lone embedding needs no key.
     """
     by_size = {k: _iso_classes(age, k) for k in range(0, size_cap + 1)}
+    auts = {}  # side -> its automorphisms as mappings
     for s_size in range(0, size_cap + 1):
         for sigma in by_size[s_size]:
             sides = []  # (gamma, [(embedding, key), ...]) with sigma in gamma
             for n in range(s_size, size_cap + 1):
                 for gamma in by_size[n]:
                     embs = enumerate_embeddings(sigma, gamma)
-                    if embs:
-                        auts = [a.mapping for a in automorphisms(gamma)]
+                    if len(embs) == 1:
+                        sides.append((gamma, [(embs[0], None)]))
+                    elif embs:
+                        if gamma not in auts:
+                            auts[gamma] = [a.mapping for a in automorphisms(gamma)]
                         keys = [
-                            min(tuple(a[y] for y in f.images) for a in auts)
+                            min(tuple(a[y] for y in f.images) for a in auts[gamma])
                             for f in embs
                         ]
                         sides.append((gamma, list(zip(embs, keys))))

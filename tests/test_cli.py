@@ -487,6 +487,9 @@ def dihedral(n):
     return f"N={n}\n({' '.join(map(str, range(1, n + 1)))})\n[1,{','.join(map(str, range(n, 1, -1)))}]\n"
 
 
+PAIR_SIGMA = "[source]\nuniverse = a\ndiag/1:\neq_ff/2:\neq_fs/2:\neq_sf/2:\neq_ss/2:\n[target]\n"
+
+
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     # str and frozenset iteration order follows PYTHONHASHSEED; reports must not
     files = {
@@ -496,6 +499,11 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         "inhomogeneous.chain": "FI 0 1 : [] : x1^3\n--\nFI 0 2 : [] : 1 + x1\n",
         "e1.emb": EMBEDDING_A_BELOW_B,
         "e2.emb": EMBEDDING_C_BELOW_A,
+        # a pair-age point and its mirror on each side: only a weak amalgam
+        "m1.emb": PAIR_SIGMA + "universe = a b\ndiag/1:\neq_ff/2:\neq_fs/2: (a,b) (b,a)\n"
+        + "eq_sf/2: (a,b) (b,a)\neq_ss/2:\n[map]\na -> a\n",
+        "m2.emb": PAIR_SIGMA + "universe = c a\ndiag/1:\neq_ff/2:\neq_fs/2: (a,c) (c,a)\n"
+        + "eq_sf/2: (a,c) (c,a)\neq_ss/2:\n[map]\na -> a\n",
         "d12.grp": dihedral(12),
         "d6.grp": dihedral(6),
         "c6.grp": "N=6\n(1 2 3 4 5 6)\n",
@@ -517,7 +525,10 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         + ("--order", "lex", "--field", "fp:7"),
         ("sap", "--kind", "pair", "--cap", "2"),
         ("sap", "--kind", "linear", "--cap", "5"),
+        ("sap", "--kind", "separation", "--cap", "4"),
+        ("sap", "--kind", "cyclic", "--cap", "4"),
         ("amalgamate", "--embedding1", "e1.emb", "--embedding2", "e2.emb", "--age", "linear"),
+        ("amalgamate", "--embedding1", "m1.emb", "--embedding2", "m2.emb", "--age", "pair", "--weak"),
         ("growth", "--group", "d12.grp", "--max-n", "12"),
         ("orbitcat", "--group", "d6.grp", "--cap", "2"),
         ("orbitcat", "--group", "c6.grp", "--cap", "2"),  # exits 1 with hom mismatches

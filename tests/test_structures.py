@@ -1,8 +1,10 @@
 """Unit tests for relational structures, ages, and amalgamation."""
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitlab.actions import symmetric_action
 from orbitlab import structures
@@ -351,6 +353,111 @@ def test_search_matches_generate_and_test(name, cap, weak_side_cap):
             assert (am.delta, am.g1.images, am.g2.images) == expected, (p, strong)
             assert _embedding_ok(p.gamma1, am.delta, am.g1.images)
             assert _embedding_ok(p.gamma2, am.delta, am.g2.images)
+
+
+AGES = ("set", "linear", "betweenness", "cyclic", "separation", "pair")
+
+
+@pytest.mark.parametrize("name", AGES)
+def test_sap_does_each_sides_work_once(monkeypatch, name):
+    # one run of the check (the pair age's takes seconds) counts the per-side
+    # search data built and the automorphisms listed, per side
+    built, listed, sides = Counter(), Counter(), set()
+    if name == "pair":
+        real_facts = PairAge._slot_facts
+        monkeypatch.setattr(PairAge, "_slot_facts", staticmethod(lambda g: built.update([g]) or real_facts(g)))
+    else:
+        real_prefixes = BuiltinAge._prefix_set
+        monkeypatch.setattr(BuiltinAge, "_prefix_set", lambda age, g: built.update([g]) or real_prefixes(age, g))
+    real_auts = structures.automorphisms
+    monkeypatch.setattr(structures, "automorphisms", lambda g: listed.update([g]) or real_auts(g))
+    real_solve = structures.solve_amalgamation
+    monkeypatch.setattr(
+        structures,
+        "solve_amalgamation",
+        lambda p, strong=True: sides.update((p.gamma1, p.gamma2)) or real_solve(p, strong),
+    )
+    age = age_for(name)
+    age_has_sap(age, 4)
+    # every side the search meets is built for once; the set age restricts
+    # by signature alone and builds nothing
+    assert sides and built == Counter(() if name == "set" else sides)
+    # a side's automorphisms do not depend on sigma, and serve only as keys
+    # between two or more embeddings of one sigma
+    assert listed and set(listed.values()) == {1}
+    by_size = {k: _iso_classes(age, k) for k in range(5)}
+    for gamma in listed:
+        assert any(
+            len(enumerate_embeddings(sigma, gamma)) > 1 for k in range(gamma.size + 1) for sigma in by_size[k]
+        )
+
+
+@pytest.mark.parametrize("name", AGES)
+def test_sap_lists_no_automorphisms_for_lone_embeddings(monkeypatch, name):
+    # sigma = {} embeds once in every side, so the search up to the pushout
+    # cap (with the cap at 10, `sap --kind set --cap 10` meets it) lists none
+    monkeypatch.setattr(structures, "automorphisms", lambda g: pytest.fail(f"Aut listed for {g}"))
+    monkeypatch.setattr(structures, "PUSHOUT_LABEL_CAP", 3)
+    with pytest.raises(ResourceCapError, match="pushout universe of size 4 exceeds cap"):
+        age_has_sap(age_for(name), 3)
+
+
+def relabeled(draw, s):
+    """s on fresh labels of one drawn family, its universe in a drawn order;
+    returns the structure and the relabeling."""
+    family = draw(
+        st.sampled_from(
+            (
+                st.integers(-50, 50),
+                st.text("abcxyz", min_size=1, max_size=3),
+                st.tuples(st.sampled_from("pq"), st.integers(0, 9)),
+            )
+        )
+    )
+    fresh = draw(st.lists(family, min_size=s.size, max_size=s.size, unique=True))
+    relabel = dict(zip(s.universe, fresh))
+    order = draw(st.permutations(s.universe))
+    relations = tuple(
+        (name, frozenset(tuple(relabel[x] for x in t) for t in tuples)) for name, tuples in s.relations
+    )
+    return structures.FiniteStructure(tuple(relabel[x] for x in order), s.signature, relations), relabel
+
+
+_PROBLEMS = {}  # age name -> its `_sap_problems` at a small cap
+
+
+@st.composite
+def relabeled_problems(draw):
+    name = draw(st.sampled_from(AGES))
+    if name not in _PROBLEMS:
+        _PROBLEMS[name] = list(_sap_problems(age_for(name), 2 if name == "pair" else 3))
+    p = draw(st.sampled_from(_PROBLEMS[name]))
+    sigma, to_sigma = relabeled(draw, p.sigma)
+    sides = []
+    for f in (p.f1, p.f2):
+        gamma, to_gamma = relabeled(draw, f.target)
+        images = {to_sigma[a]: to_gamma[b] for a, b in zip(p.sigma.universe, f.images)}
+        sides.append((gamma, StructureEmbedding(sigma, gamma, tuple(images[a] for a in sigma.universe))))
+    (g1, f1), (g2, f2) = sides
+    return name, AmalgamationProblem(sigma, g1, g2, f1, f2, None), draw(st.booleans())
+
+
+SHARED_AGES = {}  # one age per name, reused by every example
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabeled_problems())
+def test_an_age_reused_across_problems_solves_as_a_fresh_one(drawn):
+    # the per-side data an age keeps is read in each side's own labels, so
+    # sides met before, on other labels or in another order, change nothing
+    name, p, strong = drawn
+    shared = SHARED_AGES.setdefault(name, age_for(name))
+
+    def solved(age):
+        am = solve_amalgamation(p._replace(age=age), strong=strong)
+        return am and (am.delta, am.g1.images, am.g2.images)
+
+    assert solved(shared) == solved(age_for(name))
 
 
 def test_structure_text_round_trip():
