@@ -129,15 +129,14 @@ class FiniteAction:
     equal and hashed by its domain size and generators."""
 
     # beside the two fields, write-once caches: the base and strong
-    # generating set, orbit transversals keyed by point tuples, and
-    # orbit-tree nodes keyed by point sets
-    __slots__ = ("domain_size", "generators", "_chain", "_orbits", "_nodes")
+    # generating set, and orbit-tree nodes keyed by point sets
+    __slots__ = ("domain_size", "generators", "_chain", "_nodes")
 
     def __init__(self, domain_size: int, generators: tuple[Perm, ...]):
         if domain_size < 1:
             raise MalformedInputError("domain size must be positive")
         gens = tuple(_check_perm(g, domain_size) for g in generators)
-        for name, value in zip(self.__slots__, (domain_size, gens, None, {}, {})):
+        for name, value in zip(self.__slots__, (domain_size, gens, None, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -199,21 +198,6 @@ class FiniteAction:
         if pts and not (1 <= pts[0] and pts[-1] <= self.domain_size):
             raise MalformedInputError(f"points {pts} are not all in [{self.domain_size}]")
         return pts
-
-    def orbit_transversal(self, points) -> dict:
-        """The orbit of the point tuple under the group: each image tuple ->
-        an element sending `points` to it.  Built from the generators, held
-        to the group-order cap, and cached per tuple; callers must not
-        modify it."""
-        pts = tuple(points)
-        transversal = self._orbits.get(pts)
-        if transversal is None:
-            if not all(1 <= x <= self.domain_size for x in pts):
-                raise MalformedInputError(f"points {pts} are not all in [{self.domain_size}]")
-            ident = identity_perm(self.domain_size)
-            transversal = _orbit_transversal(pts, self.generators, ident, DEFAULT_GROUP_ORDER_CAP)
-            self._orbits[pts] = transversal
-        return transversal
 
     def _node(self, points: tuple) -> tuple:
         """The orbit-tree node (gens, least) of a point tuple: Sims-filtered
@@ -585,13 +569,14 @@ def lemma_equivalence_check(G: FiniteAction, H: FiniteAction, n: int) -> LemmaRe
         raise MalformedInputError("n exceeds domain size")
     if n < 0:
         raise MalformedInputError("n must be a natural number")
-    # agree[mode][s]: whether G and H have the same orbits on s-tuples
-    agree = {
-        mode: _levels_agree(G, H, lambda X: _descent_counts(X, n, mode))
-        for mode in ("power", "injective")
-    }
-    c1, c2 = agree["power"][n], agree["injective"][n]
-    c3, c4 = all(agree["power"][1:]), all(agree["injective"][1:])
+    # whether G and H have the same orbits on all s-tuples, then on
+    # injective ones, s = 0..n: both modes in one call share the join's tree
+    agree = _levels_agree(
+        G, H, lambda X: _descent_counts(X, n, "power") + _descent_counts(X, n, "injective")
+    )
+    power, injective = agree[: n + 1], agree[n + 1 :]
+    c1, c2 = power[n], injective[n]
+    c3, c4 = all(power[1:]), all(injective[1:])
     witness = None
     if len({c1, c2, c3, c4}) != 1:
         witness = f"conditions disagree: ({c1}, {c2}, {c3}, {c4})"

@@ -3,14 +3,14 @@
 Morphisms are injections that preserve *and* reflect the canonical relation
 of their kind (no relation for FI, the linear order for OI, betweenness for
 BI, the cyclic order for CI, the separation relation for SI).  Each relation
-holds on a tuple exactly when it holds on the tuple's order pattern, so
-validity is decided by one pattern lookup per a-subset of [m], a the
-relation's arity.  Everything is materialized explicitly: composition is
-array lookup, and a hom-set is the sorted list of eps' o g over the
-increasing injections eps' and g in End([m]), the unique factorization of a
-morphism; End([m]) has a closed form per kind.  Validity is checked once,
-where data enters (`parse_morphism`, `InjectionMorphism.checked`), not again
-on morphisms the library builds.
+holds on a tuple exactly when it holds on the tuple's order pattern, so an
+injection is valid exactly when the pattern of each a-subset of [m], a the
+relation's arity, lies in End([a]).  Everything is materialized explicitly:
+composition is array lookup, and a hom-set is the sorted list of eps' o g
+over the increasing injections eps' and g in End([m]), the unique
+factorization of a morphism; End([m]) has a closed form per kind.  Validity
+is checked once, where data enters (`parse_morphism`,
+`InjectionMorphism.checked`), not again on morphisms the library builds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from math import comb, factorial
 from .errors import FalsificationError, MalformedInputError, ResourceCapError
 
 # Bound on the morphisms built per hom-set (all 10! of FI [10] -> [10] fit),
-# and on the factorizations of one restriction check.
+# ten times it on their image entries, and on the factorizations of one
+# restriction check.
 DEFAULT_ENUMERATION_CAP = 4_000_000
 
 
@@ -91,17 +92,6 @@ def _relation_patterns(kind: CategoryKind, a: int) -> frozenset[tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
-def _pattern_ok(kind: CategoryKind, a: int, sigma: tuple[int, ...]) -> bool:
-    """Whether an injection whose a points take the order pattern sigma
-    preserves and reflects the relation: p in R_a iff sigma o p in R_a."""
-    relation = _relation_patterns(kind, a)
-    return all(
-        (p in relation) == (tuple(sigma[i - 1] for i in p) in relation)
-        for p in permutations(range(1, a + 1))
-    )
-
-
-@lru_cache(maxsize=None)
 def canonical_relation(kind: CategoryKind, n: int) -> frozenset[tuple[int, ...]]:
     """All tuples of distinct points of [n] in the canonical relation of `kind`:
     S o p over the a-subsets S of [n] and the patterns p in R_a."""
@@ -138,9 +128,10 @@ def is_morphism(kind: CategoryKind, m: int, n: int, image) -> bool:
     a = RELATION_ARITY[kind]
     if a == 0 or m < a:
         return True
+    allowed = _endomorphism_images(kind, a)
     for values in combinations(image, a):
         ordered = sorted(values)
-        if not _pattern_ok(kind, a, tuple(ordered.index(v) + 1 for v in values)):
+        if tuple(ordered.index(v) + 1 for v in values) not in allowed:
             return False
     return True
 
@@ -200,11 +191,16 @@ def hom_set(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[InjectionMorphism]:
     """All morphisms [m] -> [n], sorted lexicographically by image array;
-    ResourceCapError, before any is built, when there are more than `cap`."""
+    ResourceCapError, before any is built, when there are more than `cap`
+    or their images hold more than 10 * cap entries."""
     size = hom_size_formula(kind, m, n)
     if size > cap:
         raise ResourceCapError(
             f"hom_set({kind.value}, {m}, {n}): {size} injections exceeds cap {cap}"
+        )
+    if size * m > 10 * cap:
+        raise ResourceCapError(
+            f"hom_set({kind.value}, {m}, {n}): {size * m} image entries exceeds cap {10 * cap}"
         )
     if size == 0:
         return []

@@ -23,6 +23,7 @@ from .actions import (
     DEFAULT_GROUP_ORDER_CAP,
     DEFAULT_SPACE_CAP,
     FiniteAction,
+    _orbit_transversal,
     identity_perm,
     pinv,
     pmul,
@@ -35,10 +36,6 @@ class OrbitObject(namedtuple("OrbitObject", "gamma fixed")):
     points fixed by the stabilizer of gamma."""
 
     __slots__ = ()
-
-    @property
-    def sorted_points(self) -> tuple:
-        return tuple(sorted(self.gamma))
 
 
 class OrbitMorphism(namedtuple("OrbitMorphism", "source_gamma target_gamma representative")):
@@ -91,8 +88,10 @@ class OrbitCategory:
         """One morphism per image u(B) of the sorted points of the target
         subset B inside Fix(G_A) of the source subset A, in orbit-transversal
         order, each represented by pinv(u).  The key of that morphism is u(B)
-        itself, so distinct images are distinct morphisms."""
-        transversal = self.action.orbit_transversal(target.sorted_points)
+        itself, so distinct images are distinct morphisms.  `object` has
+        held B's orbit to the group-order cap."""
+        points, ident = tuple(sorted(target.gamma)), identity_perm(self.action.domain_size)
+        transversal = _orbit_transversal(points, self.action.generators, ident)
         return [
             OrbitMorphism(source.gamma, target.gamma, pinv(u))
             for image, u in transversal.items()

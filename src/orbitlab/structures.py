@@ -62,20 +62,6 @@ class FiniteStructure(namedtuple("FiniteStructure", "universe signature relation
         )
         return FiniteStructure(subset, self.signature, rels)
 
-    def canonical_form(self):
-        """Isomorphism invariant: minimal relation encoding over relabelings."""
-        labels = list(range(len(self.universe)))
-        best = None
-        for perm in permutations(labels):
-            relabel = dict(zip(self.universe, perm))
-            enc = tuple(
-                (name, tuple(sorted(tuple(relabel[x] for x in t) for t in tuples)))
-                for name, tuples in self.relations
-            )
-            if best is None or enc < best:
-                best = enc
-        return (len(self.universe), self.signature, best)
-
 
 def make_structure(universe, signature, relations) -> FiniteStructure:
     universe = tuple(universe)
@@ -366,8 +352,10 @@ class PairAge(_Age):
         return FiniteStructure(labels, PairAge.signature, relations)
 
     def structures_on(self, labels, restrictions=()):
-        """The age structures on the labels, each at its first slot partition
-        in `_set_partitions` order; label i owns slots 2i and 2i + 1.
+        """The age structures on the labels, one per slot partition with
+        distinct pairs (the relations record every equality of two slots, so
+        no two coincide), in `_set_partitions` order; label i owns slots 2i
+        and 2i + 1.
 
         `restrictions` is as for `BuiltinAge.structures_on`.  Each one fixes,
         for every pair of slots of its points, whether the two coordinates are
@@ -378,19 +366,14 @@ class PairAge(_Age):
         want = self._slot_constraints(labels, restrictions)
         if want is None:
             return
-        seen = set()
         for part in _set_partitions(range(2 * k), want):
             cls = {}
             for i, block in enumerate(part):
                 for s in block:
                     cls[s] = i
             pairs = [(cls[2 * i], cls[2 * i + 1]) for i in range(k)]
-            if len(set(pairs)) != k:
-                continue
-            s = PairAge.from_pairs(labels, pairs)
-            if s.relations not in seen:
-                seen.add(s.relations)
-                yield s
+            if len(set(pairs)) == k:
+                yield PairAge.from_pairs(labels, pairs)
 
     @staticmethod
     def _slot_facts(gamma: FiniteStructure):
@@ -536,21 +519,23 @@ def solve_amalgamation(p: AmalgamationProblem, strong: bool = True) -> Amalgam |
 
 def _iso_classes(age, size: int):
     """The first structure the age builds in each isomorphism class on
-    [size], sorted by `canonical_form`.  A kept structure covers all its
-    relabelings, so later members of its class cost one set lookup."""
+    [size], sorted by the least of its relabelings, each with its relations
+    as sorted lists.  A kept structure covers all its relabelings, listed
+    once, so later members of its class cost one set lookup."""
     labels = tuple(range(1, size + 1))
-    reps, covered = [], set()
+    keyed, covered = [], set()
     for s in age.structures_on(labels):
         if s.relations not in covered:
-            reps.append(s)
-            covered.update(
-                tuple(
-                    (name, frozenset(tuple(p[x - 1] for x in t) for t in ts))
+            relabelings = [
+                [
+                    (name, sorted(tuple([p[x - 1] for x in t]) for t in ts))
                     for name, ts in s.relations
-                )
+                ]
                 for p in permutations(labels)
-            )
-    return sorted(reps, key=FiniteStructure.canonical_form)
+            ]
+            covered.update(tuple((name, frozenset(ts)) for name, ts in r) for r in relabelings)
+            keyed.append((min(relabelings), s))
+    return [s for _, s in sorted(keyed, key=itemgetter(0))]
 
 
 # certificate: an AmalgamationProblem without a strong amalgam, or None
@@ -602,9 +587,11 @@ def age_has_sap(age, size_cap: int) -> SapReport:
         raise MalformedInputError("size_cap must be >= 1")
     if isinstance(age, str):
         age = age_for(age)
-    if size_cap > PUSHOUT_LABEL_CAP:
-        # sigma = {} comes first, and each ({}, {}, Gamma) amalgamates as Gamma
-        # until |Gamma| outgrows the pushout cap: fail now as that search would
+    if 2 * size_cap > PUSHOUT_LABEL_CAP:
+        # sigma = {} comes first, and every built-in age holds the disjoint
+        # union of two of its structures, so ({}, Gamma1, Gamma2) amalgamates
+        # until two sides of size_cap points outgrow the pushout cap: fail now
+        # as that search would (an age without disjoint unions may fail first)
         raise ResourceCapError(f"pushout universe of size {PUSHOUT_LABEL_CAP + 1} exceeds cap")
     for problem in _sap_problems(age, size_cap):
         if solve_amalgamation(problem, strong=True) is None:

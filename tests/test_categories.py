@@ -173,6 +173,11 @@ def test_hom_set_cap():
     assert len(hom_set(CategoryKind.SI, 5, 9, cap=1260)) == 1260
     with pytest.raises(ResourceCapError):
         hom_set(CategoryKind.SI, 5, 9, cap=1259)
+    # and at ten times the cap on image entries: the 10 CI morphisms
+    # [10] -> [10] hold 100, the 11 of [11] -> [11] hold 121
+    assert len(hom_set(CategoryKind.CI, 10, 10, cap=10)) == 10
+    with pytest.raises(ResourceCapError, match=r"\(CI, 11, 11\): 121 image entries exceeds cap 110"):
+        hom_set(CategoryKind.CI, 11, 11, cap=11)
 
 
 def test_negative_objects_are_malformed():
@@ -277,6 +282,24 @@ def test_endomorphism_closed_forms_match_the_permutation_filter(kind):
         expected = tuple(g for g in permutations(range(1, m + 1)) if is_morphism(kind, m, m, g))
         assert categories._endomorphism_images(kind, m) == expected, (kind, m)
         assert len(expected) == hom_size_formula(kind, m, m)
+
+
+def pattern_ok(kind, a, sigma):
+    """Whether an injection whose a points take the order pattern sigma
+    preserves and reflects the relation: p in R_a iff sigma o p in R_a, over
+    the patterns p in S_a, with R_a filtered through `in_relation`."""
+    patterns = list(permutations(range(1, a + 1)))
+    relation = {p for p in patterns if categories.in_relation(kind, a, p)}
+    return all((p in relation) == (tuple(sigma[i - 1] for i in p) in relation) for p in patterns)
+
+
+@pytest.mark.parametrize("kind", list(CategoryKind))
+def test_allowed_patterns_on_the_arity_are_the_endomorphisms(kind):
+    # `is_morphism` looks each a-subset's pattern up in End([a])
+    a = ARITY[kind]
+    ends = set(categories._endomorphism_images(kind, a))
+    for sigma in permutations(range(1, a + 1)):
+        assert (sigma in ends) == pattern_ok(kind, a, sigma), sigma
 
 
 def test_endomorphism_groups_are_groups():

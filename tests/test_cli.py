@@ -289,12 +289,14 @@ def test_sap_at_cap_6_hits_the_pushout_cap_at_once(capsys):
 
 
 def test_sap_above_the_pushout_cap_exits_3_before_enumerating(capsys):
-    # the isomorphism classes of every size up to 11 took minutes to list
-    # before the first problem, which could only hit the pushout cap
-    start = time.monotonic()
-    assert main(["sap", "--kind", "set", "--cap", "11"]) == 3
-    assert time.monotonic() - start < 1
-    assert capsys.readouterr().err == "resource cap: pushout universe of size 11 exceeds cap\n"
+    # two sides of more than 5 points amalgamate only past the pushout cap;
+    # listing the isomorphism classes of every size up to the cap took from
+    # seconds to minutes before the search could only hit it
+    for kind, cap in (("set", "11"), ("pair", "6"), ("separation", "8")):
+        start = time.monotonic()
+        assert main(["sap", "--kind", kind, "--cap", cap]) == 3
+        assert time.monotonic() - start < 1, kind
+        assert capsys.readouterr().err == "resource cap: pushout universe of size 11 exceeds cap\n"
 
 
 def test_amalgamate_hits_the_pushout_cap_before_the_age_check(capsys, tmp_path):
@@ -620,6 +622,17 @@ def test_missing_file(capsys):
 
 def test_resource_cap_exit(capsys):
     assert main(["homset", "--kind", "fi", "--m", "9", "--n", "11"]) == 3
+
+
+def test_homset_caps_image_entries_before_building(capsys):
+    # 7,000 CI morphisms [7000] -> [7000] fit the morphism cap, but hold
+    # 49,000,000 entries; building them took 12 s and 1.4 GB
+    start = time.monotonic()
+    assert main(["homset", "--kind", "ci", "--m", "7000", "--n", "7000"]) == 3
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == (
+        "resource cap: hom_set(CI, 7000, 7000): 49000000 image entries exceeds cap 40000000\n"
+    )
 
 
 EMBEDDING_WITH_BAD_ARITY = (

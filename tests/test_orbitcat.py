@@ -33,6 +33,7 @@ from test_actions import (
     cyclic_action,
     dihedral_action,
     elements,
+    orbit_transversal,
     pointwise_stabilizer,
 )
 
@@ -59,7 +60,7 @@ def phi(cat, embedding):
     it."""
     mapping = {int(x): int(y) for x, y in embedding.mapping.items()}
     points = tuple(sorted(mapping))
-    u = cat.action.orbit_transversal(points).get(tuple(mapping[x] for x in points))
+    u = orbit_transversal(cat.action, points).get(tuple(mapping[x] for x in points))
     if u is None:
         raise NoExtensionError(f"no group element extends {embedding.mapping}")
     sigma = frozenset(int(y) for y in embedding.target.universe)
@@ -243,7 +244,7 @@ def test_report_lists_no_tuple_orbit(monkeypatch):
     def listed(*args, **kwargs):
         raise AssertionError("phi_iso_report listed a tuple orbit or built an object")
 
-    monkeypatch.setattr(FiniteAction, "orbit_transversal", listed)
+    monkeypatch.setattr(orbitcat, "_orbit_transversal", listed)
     monkeypatch.setattr(OrbitCategory, "object", listed)
     monkeypatch.setattr(orbitcat, "OrbitCategory", listed)
     s7 = phi_iso_report(symmetric_action(7), 3)

@@ -39,6 +39,21 @@ def linear(labels):
     return arrangement_structure("linear", labels)
 
 
+def canonical_form(s):
+    """Isomorphism invariant: minimal relation encoding over relabelings."""
+    labels = list(range(len(s.universe)))
+    best = None
+    for perm in permutations(labels):
+        relabel = dict(zip(s.universe, perm))
+        enc = tuple(
+            (name, tuple(sorted(tuple(relabel[x] for x in t) for t in tuples)))
+            for name, tuples in s.relations
+        )
+        if best is None or enc < best:
+            best = enc
+    return (len(s.universe), s.signature, best)
+
+
 def generate_and_test(p, strong=True):
     """Oracle for `solve_amalgamation`: on each candidate universe, build every
     structure of the age and keep the first that restricts to both sides.
@@ -96,7 +111,7 @@ def test_automorphism_counts():
 def test_canonical_form_is_iso_invariant():
     a = linear(("a", "b", "c"))
     b = arrangement_structure("linear", ("z", "x", "y"))
-    assert a.canonical_form() == b.canonical_form()
+    assert canonical_form(a) == canonical_form(b)
 
 
 def fixed_point_condition(action, gamma) -> bool:
@@ -168,6 +183,32 @@ def test_pair_age_structures_on_counts():
     assert len(singles) == 2  # diagonal or not
 
 
+def slot_partitions(slots):
+    """Every set partition of the slots, as a block index per slot (restricted
+    growth strings)."""
+    if not slots:
+        yield ()
+        return
+    for head in slot_partitions(slots[:-1]):
+        for block in range(max(head, default=-1) + 2):
+            yield head + (block,)
+
+
+def test_pair_age_yields_one_structure_per_partition_with_distinct_pairs():
+    # the relations record every equality between two coordinate slots, so
+    # no two slot partitions give one structure, and nothing needs dropping
+    age = PairAge()
+    for k, expected in enumerate((1, 2, 13, 162, 3075)):
+        labels = tuple("abcd"[:k])
+        with_distinct_pairs = sum(
+            1
+            for blocks in slot_partitions(tuple(range(2 * k)))
+            if len({(blocks[2 * i], blocks[2 * i + 1]) for i in range(k)}) == k
+        )
+        found = [s.relations for s in age.structures_on(labels)]
+        assert len(found) == len(set(found)) == with_distinct_pairs == expected
+
+
 def test_solve_amalgamation_linear_strong():
     sigma = linear(("s",))
     g1 = linear(("s", "x"))
@@ -213,17 +254,24 @@ def test_age_has_sap_small_caps():
 
 @pytest.mark.parametrize("name", ["set", "linear", "betweenness", "cyclic", "separation", "pair"])
 def test_sap_above_the_pushout_cap_stops_as_its_search_would(monkeypatch, name):
-    # with the cap at c, the search over sides of size c + 1 first fails on
-    # the pushout cap; age_has_sap raises that error before enumerating
-    monkeypatch.setattr(structures, "PUSHOUT_LABEL_CAP", 3)
-    with pytest.raises(ResourceCapError) as searched:
-        for problem in _sap_problems(age_for(name), 4):
-            if solve_amalgamation(problem, strong=True) is None:
-                break
-    monkeypatch.setattr(structures, "_iso_classes", lambda *_: pytest.fail("enumerated"))
-    with pytest.raises(ResourceCapError) as guarded:
-        age_has_sap(name, 4)
-    assert str(guarded.value) == str(searched.value) == "pushout universe of size 4 exceeds cap"
+    # with the pushout cap at c, the diagrams ({}, Gamma1, Gamma2) amalgamate
+    # as disjoint unions until two sides of `size` points outgrow it, so the
+    # search fails on that cap once 2 * size > c; age_has_sap raises that
+    # error before enumerating
+    for cap, size in ((3, 4), (5, 3), (6, 4), (7, 4), (9, 5)):
+        if (name, size) == ("pair", 5):
+            continue  # the pair age's search to five-point sides takes 80 s
+        monkeypatch.setattr(structures, "PUSHOUT_LABEL_CAP", cap)
+        with pytest.raises(ResourceCapError) as searched:
+            for problem in _sap_problems(age_for(name), size):
+                if solve_amalgamation(problem, strong=True) is None:
+                    break
+        with monkeypatch.context() as patch:
+            patch.setattr(structures, "_iso_classes", lambda *_: pytest.fail("enumerated"))
+            with pytest.raises(ResourceCapError) as guarded:
+                age_has_sap(name, size)
+        message = f"pushout universe of size {cap + 1} exceeds cap"
+        assert str(guarded.value) == str(searched.value) == message, (cap, size)
 
 
 def test_amalgam_embeddings_verified():
@@ -293,7 +341,7 @@ def iso_classes_by_canonical_form(age, size):
     `canonical_form`, sorted by it, with one `canonical_form` per structure."""
     classes = {}
     for s in age.structures_on(tuple(range(1, size + 1))):
-        classes.setdefault(s.canonical_form(), s)
+        classes.setdefault(canonical_form(s), s)
     return [classes[k] for k in sorted(classes)]
 
 
@@ -395,11 +443,12 @@ def test_sap_does_each_sides_work_once(monkeypatch, name):
 @pytest.mark.parametrize("name", AGES)
 def test_sap_lists_no_automorphisms_for_lone_embeddings(monkeypatch, name):
     # sigma = {} embeds once in every side, so the search up to the pushout
-    # cap (with the cap at 10, `sap --kind set --cap 10` meets it) lists none
+    # cap lists none
     monkeypatch.setattr(structures, "automorphisms", lambda g: pytest.fail(f"Aut listed for {g}"))
     monkeypatch.setattr(structures, "PUSHOUT_LABEL_CAP", 3)
     with pytest.raises(ResourceCapError, match="pushout universe of size 4 exceeds cap"):
-        age_has_sap(age_for(name), 3)
+        for problem in _sap_problems(age_for(name), 3):
+            assert solve_amalgamation(problem, strong=True) is not None
 
 
 def relabeled(draw, s):
