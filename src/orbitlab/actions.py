@@ -24,7 +24,7 @@ from itertools import accumulate
 from math import factorial
 from operator import mul
 
-from .errors import MalformedInputError, ResourceCapError, parse_int
+from .errors import FalsificationError, MalformedInputError, ResourceCapError, parse_int
 
 Perm = tuple[int, ...]
 
@@ -496,27 +496,29 @@ class GrowthProfile(namedtuple("GrowthProfile", "f F F_star max_n")):
 
     __slots__ = ()
 
-    def validate(self, domain_size: int | None = None) -> None:
+    def validate(self, domain_size: int) -> None:
+        """The sandwich inequality, the Stirling identity and monotonicity
+        on a domain of `domain_size` points; FalsificationError names the
+        first that fails."""
         for i in range(self.max_n):
             n = i + 1
             if not self.f[i] <= self.F[i] <= factorial(n) * self.f[i]:
-                raise AssertionError(f"sandwich inequality fails at n={n}")
+                raise FalsificationError(f"sandwich inequality fails at n={n}")
             expected = sum(
                 stirling2(n, j) * self.F[j - 1] for j in range(1, n + 1)
             )
             if self.F_star[i] != expected:
-                raise AssertionError(f"Stirling identity fails at n={n}")
+                raise FalsificationError(f"Stirling identity fails at n={n}")
         for arr in (self.F, self.F_star):
             if any(a > b for a, b in zip(arr, arr[1:])):
-                raise AssertionError("F and F_star must be nondecreasing")
+                raise FalsificationError("F and F_star must be nondecreasing")
         # f can genuinely dip past the midpoint of a finite domain (e.g. the
         # trivial group has f(n) = C(N,n)); monotonicity is only guaranteed
         # while n+1 <= N-n, so the check stops there.
-        if domain_size is not None:
-            for i in range(self.max_n - 1):
-                n = i + 1
-                if n + 1 <= domain_size - n and self.f[i] > self.f[i + 1]:
-                    raise AssertionError(f"f decreases at n={n} inside the safe range")
+        for i in range(self.max_n - 1):
+            n = i + 1
+            if n + 1 <= domain_size - n and self.f[i] > self.f[i + 1]:
+                raise FalsificationError(f"f decreases at n={n} inside the safe range")
 
 
 def growth_profile(action: FiniteAction, max_n: int) -> GrowthProfile:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from .errors import FalsificationError, MalformedInputError, ResourceCapError
+from .errors import FalsificationError, MalformedInputError, ResourceCapError, format_count
 
 # Bound on the morphisms built per hom-set (all 10! of FI [10] -> [10] fit),
 # ten times it on their image entries, and on the factorizations of one
@@ -196,11 +196,12 @@ def hom_set(
     size = hom_size_formula(kind, m, n)
     if size > cap:
         raise ResourceCapError(
-            f"hom_set({kind.value}, {m}, {n}): {size} injections exceeds cap {cap}"
+            f"hom_set({kind.value}, {m}, {n}): {format_count(size)} injections exceeds cap {cap}"
         )
     if size * m > 10 * cap:
         raise ResourceCapError(
-            f"hom_set({kind.value}, {m}, {n}): {size * m} image entries exceeds cap {10 * cap}"
+            f"hom_set({kind.value}, {m}, {n}): {format_count(size * m)} image entries "
+            f"exceeds cap {10 * cap}"
         )
     if size == 0:
         return []

@@ -38,7 +38,7 @@ from .categories import (
     hom_set,
     hom_size_formula,
 )
-from .errors import MalformedInputError, ResourceCapError, parse_int
+from .errors import MalformedInputError, ResourceCapError, format_count, parse_int
 from .polynomials import (
     GREVLEX,
     CoefficientField,
@@ -266,7 +266,6 @@ def groebner_basis(
     generators,
     order: MonomialOrder = GREVLEX,
     degree_cap: int | None = None,
-    pair_cap: int = DEFAULT_PAIR_CAP,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by the vectors.
 
@@ -279,7 +278,7 @@ def groebner_basis(
     (Kreuzer-Robbiano, CCA 2, 4.3), so the result is the degree <= D part
     of one homogeneous submodule, whatever the pair order, and keeps h only
     when one of its vectors uses it.  Pairs are taken first in, first out,
-    and at most `pair_cap` of them are reduced.  Each basis vector's
+    and at most `DEFAULT_PAIR_CAP` of them are reduced.  Each basis vector's
     `_head` is computed once.
     """
     basis = [g for g in generators if not g.is_zero()]
@@ -300,8 +299,8 @@ def groebner_basis(
     processed = 0
     while pairs:
         processed += 1
-        if processed > pair_cap:
-            raise ResourceCapError(f"S-pair queue exceeded cap {pair_cap}")
+        if processed > DEFAULT_PAIR_CAP:
+            raise ResourceCapError(f"S-pair queue exceeded cap {DEFAULT_PAIR_CAP}")
         i, j, lcm = pairs.popleft()
         (_, mi, inv_i), (_, mj, inv_j) = heads[i], heads[j]
         gi, gj = basis[i], basis[j]
@@ -477,7 +476,7 @@ def width_component(
         pushes = len(images) * hom_size_formula(CategoryKind.OI, v.width, width)
         if pushes > DEFAULT_ENUMERATION_CAP:
             raise ResourceCapError(
-                f"width_component: {pushes} images of a width-{v.width} generator "
+                f"width_component: {format_count(pushes)} images of a width-{v.width} generator "
                 f"at width {width} exceed cap {DEFAULT_ENUMERATION_CAP}"
             )
         oi = hom_set(CategoryKind.OI, v.width, width)
@@ -621,7 +620,7 @@ def restriction_decomposition_check(
     if work > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(
             f"restriction_decomposition_check({kind.value}, {gen_width}, {width}): "
-            f"{work} factorizations exceeds cap {DEFAULT_ENUMERATION_CAP}"
+            f"{format_count(work)} factorizations exceeds cap {DEFAULT_ENUMERATION_CAP}"
         )
     homs = hom_set(kind, gen_width, width)
     classes: dict = {}

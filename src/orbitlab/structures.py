@@ -64,19 +64,21 @@ class FiniteStructure(namedtuple("FiniteStructure", "universe signature relation
 
 
 def make_structure(universe, signature, relations) -> FiniteStructure:
+    """The structure, or MalformedInputError naming the first invalid tuple
+    in the order each relation's tuples are given."""
     universe = tuple(universe)
     uni = set(universe)
     if len(uni) != len(universe):
         raise MalformedInputError("universe labels must be distinct")
     sig = tuple((str(n), int(a)) for n, a in signature)
-    rels = {str(n): frozenset(map(tuple, ts)) for n, ts in dict(relations).items()}
-    aligned = tuple((name, rels.get(name, frozenset())) for name, _ in sig)
-    for (name, arity), (_, tuples) in zip(sig, aligned):
-        for tup in tuples:
+    rels = {str(n): [tuple(t) for t in ts] for n, ts in dict(relations).items()}
+    for name, arity in sig:
+        for tup in rels.get(name, ()):
             if len(tup) != arity or any(x not in uni for x in tup):
                 raise MalformedInputError(
                     f"tuple {tup} invalid for relation {name}/{arity}"
                 )
+    aligned = tuple((name, frozenset(rels.get(name, ()))) for name, _ in sig)
     return FiniteStructure(universe, sig, aligned)
 
 
@@ -143,10 +145,6 @@ def enumerate_embeddings(A: FiniteStructure, B: FiniteStructure) -> list[Structu
     return out
 
 
-def automorphisms(A: FiniteStructure) -> list[StructureEmbedding]:
-    return enumerate_embeddings(A, A)
-
-
 # -- ages ----------------------------------------------------------------------
 
 
@@ -167,7 +165,7 @@ class BuiltinAge(_Age):
         if kind_name not in BUILTIN_KINDS:
             raise MalformedInputError(f"unknown built-in age {kind_name!r}")
         self.kind_name = kind_name
-        self._prefixes = {}  # side structure -> `_prefix_set` of it
+        self._positions = {}  # side structure -> label -> place in `_inducing_arrangement`
 
     @property
     def signature(self):
@@ -181,11 +179,13 @@ class BuiltinAge(_Age):
 
         `restrictions` is `((images, gamma), ...)` with `images` among the
         labels: only structures whose restriction to `images` is `gamma`
-        (its universe mapped onto `images` in order) are built.  A partial
-        arrangement is dropped as soon as its subsequence on some `images` is
-        no prefix of an arrangement that induces that `gamma`.  Each `gamma`'s
-        prefixes are built once, in its own labels, and kept for later calls;
-        the subsequences are read in `gamma`'s labels too.
+        (its universe mapped onto `images` in order) are built.  The
+        arrangements inducing `gamma` are `arr o g` for one of them, `arr`,
+        and g in End([n]), so a partial arrangement is dropped as soon as the
+        places in `arr` of its subsequence on some `images` are no prefix of
+        an image array of End([n]).  Each `gamma`'s places are found once and
+        kept for later calls; a `gamma` that no arrangement induces admits no
+        structure.
         """
         labels = tuple(labels)
         if self.kind_name == "set":
@@ -193,13 +193,19 @@ class BuiltinAge(_Age):
                 yield plain_set_structure(labels)
             return
         prefixes = []
-        member = {x: [] for x in labels}  # label -> (restriction, its gamma label)
+        member = {x: [] for x in labels}  # label -> (restriction, place in its arr)
         for r, (images, gamma) in enumerate(restrictions):
-            if gamma not in self._prefixes:
-                self._prefixes[gamma] = self._prefix_set(gamma)
-            prefixes.append(self._prefixes[gamma])
+            if gamma not in self._positions:
+                arr = self._inducing_arrangement(gamma)
+                self._positions[gamma] = (
+                    None if arr is None else {x: i for i, x in enumerate(arr, 1)}
+                )
+            position = self._positions[gamma]
+            if position is None:
+                return
+            prefixes.append(_end_prefixes(BUILTIN_KINDS[self.kind_name], gamma.size))
             for x, y in zip(images, gamma.universe):
-                member[x].append((r, y))
+                member[x].append((r, position[y]))
 
         def extend(arr, subs):
             if len(arr) == len(labels):
@@ -209,8 +215,8 @@ class BuiltinAge(_Age):
                 if x in arr:
                     continue
                 grown = list(subs)
-                for r, y in member[x]:
-                    grown[r] = subs[r] + (y,)
+                for r, i in member[x]:
+                    grown[r] = subs[r] + (i,)
                     if grown[r] not in prefixes[r]:
                         break
                 else:
@@ -223,61 +229,54 @@ class BuiltinAge(_Age):
                 seen.add(s.relations)
                 yield s
 
-    def _prefix_set(self, gamma: FiniteStructure) -> frozenset:
-        """Every prefix of every arrangement that induces gamma, in gamma's
-        labels.  A SAP check meets each side in many problems, so
-        `structures_on` builds this once per side and keeps it."""
-        return frozenset(
-            arr[:j] for arr in self._inducing_arrangements(gamma) for j in range(len(arr) + 1)
-        )
-
-    def _inducing_arrangements(self, gamma: FiniteStructure) -> tuple:
-        """The arrangements of gamma's universe whose structure is gamma, in
-        `permutations(gamma.universe)` order.  One arrangement arr is grown
-        one label at a time, each prefix checked on the a-subsets through its
-        newest label; any two differ by a permutation of [n] preserving and
-        reflecting R_n, so the others are arr o g for g in End([n])."""
+    def _inducing_arrangement(self, gamma: FiniteStructure):
+        """The first arrangement of gamma's universe, in
+        `permutations(gamma.universe)` order, whose structure is gamma, or
+        None.  It is grown one label at a time, each prefix checked on the
+        a-subsets through its newest label."""
         universe = gamma.universe
         if gamma.signature != self.signature:
-            arr = None
-        elif self.kind_name == "set":
-            arr = universe
-        else:
-            ((_, a),) = gamma.signature
-            ((_, relation),) = gamma.relations
-            # R_a, the relation on [a], as positions into a's labels
-            patterns = tuple(
-                tuple(i - 1 for i in p)
-                for p in canonical_relation(BUILTIN_KINDS[self.kind_name], a)
-            )
-            on = {}  # label set -> the tuples of the relation on it
-            for t in relation:
-                on.setdefault(frozenset(t), set()).add(t)
+            return None
+        if self.kind_name == "set":
+            return universe
+        ((_, a),) = gamma.signature
+        ((_, relation),) = gamma.relations
+        if any(len(set(t)) != a for t in relation):
+            return None  # an arrangement induces only tuples of distinct labels
+        # R_a, the relation on [a], as positions into a's labels
+        patterns = tuple(
+            tuple(i - 1 for i in p)
+            for p in canonical_relation(BUILTIN_KINDS[self.kind_name], a)
+        )
+        on = {}  # label set -> the tuples of the relation on it
+        for t in relation:
+            on.setdefault(frozenset(t), set()).add(t)
 
-            def fits(labels):  # labels in arrangement order
-                return on.get(frozenset(labels), set()) == {
-                    tuple(map(labels.__getitem__, p)) for p in patterns
-                }
+        def fits(labels):  # labels in arrangement order
+            return on.get(frozenset(labels), set()) == {
+                tuple(map(labels.__getitem__, p)) for p in patterns
+            }
 
-            def extend(arr):
-                if len(arr) == len(universe):
-                    yield arr
-                    return
-                for x in universe:
-                    if x not in arr and all(
-                        fits(rest + (x,)) for rest in combinations(arr, a - 1)
-                    ):
-                        yield from extend(arr + (x,))
+        def extend(arr):
+            if len(arr) == len(universe):
+                yield arr
+                return
+            for x in universe:
+                if x not in arr and all(
+                    fits(rest + (x,)) for rest in combinations(arr, a - 1)
+                ):
+                    yield from extend(arr + (x,))
 
-            # an arrangement induces only tuples of distinct labels
-            distinct = all(len(set(t)) == a for t in relation)
-            arr = next(extend(()), None) if distinct else None
-        if arr is None:
-            return ()
-        ends = _endomorphism_images(BUILTIN_KINDS[self.kind_name], len(arr))
-        position = {x: i for i, x in enumerate(universe)}
-        images = (tuple(arr[i - 1] for i in g) for g in ends)
-        return tuple(sorted(images, key=lambda t: [position[x] for x in t]))
+        return next(extend(()), None)
+
+
+@lru_cache(maxsize=None)
+def _end_prefixes(kind: CategoryKind, n: int) -> frozenset:
+    """Every prefix of every image array of End([n]).  Any two arrangements
+    inducing one structure differ by a permutation of [n] preserving and
+    reflecting R_n, so these are the places, in one inducing arrangement, of
+    the prefixes of all of them."""
+    return frozenset(g[:j] for g in _endomorphism_images(kind, n) for j in range(n + 1))
 
 
 def _set_partitions(items, want):
@@ -518,11 +517,14 @@ def solve_amalgamation(p: AmalgamationProblem, strong: bool = True) -> Amalgam |
 
 
 def _iso_classes(age, size: int):
-    """The first structure the age builds in each isomorphism class on
-    [size], sorted by the least of its relabelings, each with its relations
-    as sorted lists.  A kept structure covers all its relabelings, listed
-    once, so later members of its class cost one set lookup."""
+    """`(s, Aut(s))` for the first structure s the age builds in each
+    isomorphism class on [size], sorted by the least of its relabelings.
+    A kept structure covers all its relabelings, listed once, so later
+    members of its class cost one set lookup; Aut(s) is read off the same
+    list, as the permutations p (each a tuple, p[x - 1] the image of x) whose
+    relabeling equals the identity's, the first."""
     labels = tuple(range(1, size + 1))
+    perms = list(permutations(labels))
     keyed, covered = [], set()
     for s in age.structures_on(labels):
         if s.relations not in covered:
@@ -531,11 +533,12 @@ def _iso_classes(age, size: int):
                     (name, sorted(tuple([p[x - 1] for x in t]) for t in ts))
                     for name, ts in s.relations
                 ]
-                for p in permutations(labels)
+                for p in perms
             ]
             covered.update(tuple((name, frozenset(ts)) for name, ts in r) for r in relabelings)
-            keyed.append((min(relabelings), s))
-    return [s for _, s in sorted(keyed, key=itemgetter(0))]
+            aut = [p for p, r in zip(perms, relabelings) if r == relabelings[0]]
+            keyed.append((min(relabelings), s, aut))
+    return [(s, aut) for _, s, aut in sorted(keyed, key=itemgetter(0))]
 
 
 # certificate: an AmalgamationProblem without a strong amalgam, or None
@@ -546,39 +549,26 @@ def _sap_problems(age, size_cap: int):
     """The diagrams with sides <= cap that `age_has_sap` checks, in order.
 
     Problems are enumerated up to isomorphism of the three structures and up
-    to automorphisms of the sides, which act on the two embeddings separately.
-    Aut(gamma) is listed once per side, and only for a side that sigma embeds
-    in more than one way: a lone embedding needs no key.
+    to automorphisms of the sides, which act on the two embeddings
+    separately: each side keeps the first embedding of sigma with each key,
+    the least image of its image tuple under Aut(gamma) from `_iso_classes`,
+    and the problems are the product of two sides' lists.
     """
     by_size = {k: _iso_classes(age, k) for k in range(0, size_cap + 1)}
-    auts = {}  # side -> its automorphisms as mappings
     for s_size in range(0, size_cap + 1):
-        for sigma in by_size[s_size]:
-            sides = []  # (gamma, [(embedding, key), ...]) with sigma in gamma
+        for sigma, _ in by_size[s_size]:
+            sides = []  # (gamma, its embeddings of sigma, one per key)
             for n in range(s_size, size_cap + 1):
-                for gamma in by_size[n]:
-                    embs = enumerate_embeddings(sigma, gamma)
-                    if len(embs) == 1:
-                        sides.append((gamma, [(embs[0], None)]))
-                    elif embs:
-                        if gamma not in auts:
-                            auts[gamma] = [a.mapping for a in automorphisms(gamma)]
-                        keys = [
-                            min(tuple(a[y] for y in f.images) for a in auts[gamma])
-                            for f in embs
-                        ]
-                        sides.append((gamma, list(zip(embs, keys))))
-            for gamma1, side1 in sides:
-                for gamma2, side2 in sides:
-                    seen = set()
-                    for f1, key1 in side1:
-                        for f2, key2 in side2:
-                            if (key1, key2) in seen:
-                                continue
-                            seen.add((key1, key2))
-                            yield AmalgamationProblem(
-                                sigma, gamma1, gamma2, f1, f2, age
-                            )
+                for gamma, aut in by_size[n]:
+                    kept = {}
+                    for f in enumerate_embeddings(sigma, gamma):
+                        key = min(tuple(p[y - 1] for y in f.images) for p in aut)
+                        kept.setdefault(key, f)
+                    if kept:
+                        sides.append((gamma, list(kept.values())))
+            for (gamma1, side1), (gamma2, side2) in product(sides, repeat=2):
+                for f1, f2 in product(side1, side2):
+                    yield AmalgamationProblem(sigma, gamma1, gamma2, f1, f2, age)
 
 
 def age_has_sap(age, size_cap: int) -> SapReport:
@@ -630,11 +620,11 @@ def parse_structure(text: str) -> FiniteStructure:
         if "/" not in head:
             raise MalformedInputError(f"bad relation header: {ln!r}")
         name, _, arity = head.strip().partition("/")
-        tuples = set()
+        tuples = []  # in file order, so that an invalid one is named as read
         for tok in body.split():
             if not (tok.startswith("(") and tok.endswith(")")):
                 raise MalformedInputError(f"bad tuple token: {tok!r}")
-            tuples.add(tuple(t.strip() for t in tok[1:-1].split(",") if t.strip()))
+            tuples.append(tuple(t.strip() for t in tok[1:-1].split(",") if t.strip()))
         signature.append((name.strip(), parse_int(arity, "relation arity")))
         relations[name.strip()] = tuples
     return make_structure(universe, signature, relations)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import orbitlab
+from orbitlab import actions, modlab
 from orbitlab.cli import build_parser, main
 from orbitlab.structures import (
     AmalgamationProblem,
@@ -90,6 +91,21 @@ def test_growth_json_above_the_group_order_cap(capsys, grp):
     assert data["group_order"] == 40320
     assert data["f"] == data["F"] == [1, 1, 1, 1]
     assert data["F_star"] == [1, 2, 5, 15]
+
+
+def test_growth_reports_a_broken_identity_as_a_falsification(capsys, grp, monkeypatch):
+    # one more orbit on 3-tuples than the injective counts allow
+    real = actions._descent_counts
+
+    def broken(action, max_n, mode):
+        counts = list(real(action, max_n, mode))
+        if mode == "power":
+            counts[3] += 1
+        return counts
+
+    monkeypatch.setattr(actions, "_descent_counts", broken)
+    assert main(["growth", "--group", grp("s4.grp", S4), "--max-n", "3"]) == 1
+    assert capsys.readouterr() == ("", "FALSIFICATION: Stirling identity fails at n=3\n")
 
 
 def test_listing_elements_above_the_cap_exits_3(capsys, grp):
@@ -370,6 +386,29 @@ def test_embedding_check_reads_relation_tuples_not_the_tuple_space(capsys, tmp_p
     assert capsys.readouterr().err == "error: structure outside the age\n"
 
 
+def test_amalgamate_names_the_first_invalid_tuple_in_file_order(tmp_path):
+    # the tuples of a relation are checked as read, not in the hash order of
+    # the set they end up in
+    side = "universe = a b c d e\nlt/2: (d) (e) (c) (a,b)\n"
+    (tmp_path / "e.emb").write_text(f"[source]\n{side}[target]\n{side}[map]\na -> a\n")
+    script = (
+        "from orbitlab.cli import main\n"
+        "main(['amalgamate', '--embedding1', 'e.emb', '--embedding2', 'e.emb', '--age', 'linear'])\n"
+    )
+    src = str(Path(orbitlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for seed in ("0", "3"):
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (run.stdout, run.stderr) == ("", "error: tuple ('d',) invalid for relation lt/2\n"), seed
+
+
 def test_amalgamate(capsys, tmp_path):
     e1 = tmp_path / "e1.emb"
     e1.write_text(EMBEDDING_A_BELOW_B)
@@ -471,6 +510,16 @@ def test_noeth_chain_caps_the_rank_profile_work(capsys, tmp_path):
     assert main(argv) == 3
     assert time.monotonic() - start < 2
     assert capsys.readouterr().err == "resource cap: rank profile exceeds 3000000 units of work\n"
+
+
+def test_noeth_chain_stops_at_the_s_pair_cap(capsys, tmp_path, monkeypatch):
+    # the FI chain reduces between 11 and 100 S-pairs at width 3
+    chain = tmp_path / "fi.chain"
+    chain.write_text(FI_CHAIN)
+    monkeypatch.setattr(modlab, "DEFAULT_PAIR_CAP", 10)
+    argv = ["noeth-chain", "--kind", "fi", "--chain", str(chain), "--width", "3", "--degree", "3"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "resource cap: S-pair queue exceeded cap 10\n")
 
 
 def test_noeth_chain_rank_two_chain_at_width_8(capsys, tmp_path):
@@ -633,6 +682,23 @@ def test_homset_caps_image_entries_before_building(capsys):
     assert capsys.readouterr().err == (
         "resource cap: hom_set(CI, 7000, 7000): 49000000 image entries exceeds cap 40000000\n"
     )
+
+
+def test_cap_messages_give_a_count_past_the_int_to_str_limit_as_a_power_of_ten(capsys):
+    # 4000! has 12,674 digits; formatting it whole raised ValueError
+    for argv, message in (
+        (
+            ("homset", "--kind", "fi", "--m", "4000", "--n", "4000"),
+            "hom_set(FI, 4000, 4000): about 10^12673 injections exceeds cap 4000000",
+        ),
+        (
+            ("restrict-check", "--kind", "fi", "--n", "4000", "--s", "4000"),
+            "restriction_decomposition_check(FI, 4000, 4000): "
+            "about 10^12677 factorizations exceeds cap 4000000",
+        ),
+    ):
+        assert main(list(argv)) == 3
+        assert capsys.readouterr() == ("", f"resource cap: {message}\n")
 
 
 EMBEDDING_WITH_BAD_ARITY = (

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitlab.actions import symmetric_action
+from orbitlab.categories import _endomorphism_images
 from orbitlab import structures
 from orbitlab.errors import MalformedInputError, ResourceCapError
 from orbitlab.structures import (
+    BUILTIN_KINDS,
     AmalgamationProblem,
     BuiltinAge,
     PairAge,
@@ -22,7 +24,6 @@ from orbitlab.structures import (
     age_for,
     age_has_sap,
     arrangement_structure,
-    automorphisms,
     enumerate_embeddings,
     format_structure,
     make_structure,
@@ -98,6 +99,10 @@ def test_embeddings_of_linear_orders():
     big = linear(("a", "b", "c"))
     embs = enumerate_embeddings(small, big)
     assert [e.images for e in embs] == [("a", "b"), ("a", "c"), ("b", "c")]
+
+
+def automorphisms(A):
+    return enumerate_embeddings(A, A)
 
 
 def test_automorphism_counts():
@@ -302,7 +307,7 @@ def test_unrestricted_enumeration_is_permutation_order(name):
 
 
 def inducing_by_filter(age, gamma):
-    """Oracle for `BuiltinAge._inducing_arrangements`: every arrangement of
+    """Oracle for `BuiltinAge._inducing_arrangement`: every arrangement of
     gamma's universe, filtered by the structure it induces."""
     fits = gamma.signature == age.signature
     return tuple(
@@ -314,6 +319,8 @@ def inducing_by_filter(age, gamma):
 
 @pytest.mark.parametrize("name", ["set", "linear", "betweenness", "cyclic", "separation"])
 def test_inducing_arrangements_by_extension_match_the_filter(name):
+    # the first arrangement is the filter's first, and composed with
+    # End([n]) it gives every other
     age = BuiltinAge(name)
     for n in range(7):
         labels = tuple(range(1, n + 1))
@@ -322,8 +329,12 @@ def test_inducing_arrangements_by_extension_match_the_filter(name):
             by_relations.setdefault(arrangement_structure(name, arr).relations, []).append(arr)
         structures = list(age.structures_on(labels))
         assert len(structures) == len(by_relations)
+        ends = _endomorphism_images(BUILTIN_KINDS[name], n)
         for s in structures:
-            assert age._inducing_arrangements(s) == tuple(by_relations[s.relations]), (name, n)
+            arr = age._inducing_arrangement(s)
+            assert arr == by_relations[s.relations][0], (name, n)
+            composed = sorted(tuple(arr[i - 1] for i in g) for g in ends)
+            assert composed == by_relations[s.relations], (name, n)
     # structures outside the age: an arrangement's relation with one tuple of
     # a repeated label added, a lone tuple, another signature
     if name != "set":
@@ -331,9 +342,9 @@ def test_inducing_arrangements_by_extension_match_the_filter(name):
         induced = arrangement_structure(name, (1, 2, 3, 4)).relation(rel)
         for tuples in (induced | {(1,) * arity}, {tuple(range(1, arity + 1))}):
             gamma = make_structure(range(1, 5), ((rel, arity),), {rel: tuples})
-            assert age._inducing_arrangements(gamma) == inducing_by_filter(age, gamma) == ()
+            assert age._inducing_arrangement(gamma) is None and inducing_by_filter(age, gamma) == ()
     other = arrangement_structure("cyclic" if name == "linear" else "linear", (1, 2, 3))
-    assert age._inducing_arrangements(other) == inducing_by_filter(age, other) == ()
+    assert age._inducing_arrangement(other) is None and inducing_by_filter(age, other) == ()
 
 
 def iso_classes_by_canonical_form(age, size):
@@ -352,7 +363,7 @@ def iso_classes_by_canonical_form(age, size):
 def test_iso_classes_match_the_canonical_form_grouping(name, max_size):
     age = age_for(name)
     for size in range(max_size + 1):
-        classes = _iso_classes(age, size)
+        classes = [s for s, _ in _iso_classes(age, size)]
         assert classes == iso_classes_by_canonical_form(age, size)
         if name != "pair":  # a built-in age has one class per size
             assert len(classes) == 1
@@ -409,46 +420,42 @@ AGES = ("set", "linear", "betweenness", "cyclic", "separation", "pair")
 @pytest.mark.parametrize("name", AGES)
 def test_sap_does_each_sides_work_once(monkeypatch, name):
     # one run of the check (the pair age's takes seconds) counts the per-side
-    # search data built and the automorphisms listed, per side
+    # search data built, per side, and the isomorphism classes listed, per size
     built, listed, sides = Counter(), Counter(), set()
     if name == "pair":
         real_facts = PairAge._slot_facts
         monkeypatch.setattr(PairAge, "_slot_facts", staticmethod(lambda g: built.update([g]) or real_facts(g)))
     else:
-        real_prefixes = BuiltinAge._prefix_set
-        monkeypatch.setattr(BuiltinAge, "_prefix_set", lambda age, g: built.update([g]) or real_prefixes(age, g))
-    real_auts = structures.automorphisms
-    monkeypatch.setattr(structures, "automorphisms", lambda g: listed.update([g]) or real_auts(g))
+        real_arrangement = BuiltinAge._inducing_arrangement
+        monkeypatch.setattr(
+            BuiltinAge, "_inducing_arrangement", lambda age, g: built.update([g]) or real_arrangement(age, g)
+        )
+    real_classes = structures._iso_classes
+    monkeypatch.setattr(structures, "_iso_classes", lambda age, k: listed.update([k]) or real_classes(age, k))
     real_solve = structures.solve_amalgamation
     monkeypatch.setattr(
         structures,
         "solve_amalgamation",
         lambda p, strong=True: sides.update((p.gamma1, p.gamma2)) or real_solve(p, strong),
     )
-    age = age_for(name)
-    age_has_sap(age, 4)
+    age_has_sap(age_for(name), 4)
     # every side the search meets is built for once; the set age restricts
     # by signature alone and builds nothing
     assert sides and built == Counter(() if name == "set" else sides)
-    # a side's automorphisms do not depend on sigma, and serve only as keys
-    # between two or more embeddings of one sigma
-    assert listed and set(listed.values()) == {1}
-    by_size = {k: _iso_classes(age, k) for k in range(5)}
-    for gamma in listed:
-        assert any(
-            len(enumerate_embeddings(sigma, gamma)) > 1 for k in range(gamma.size + 1) for sigma in by_size[k]
-        )
+    # the classes of each size, with their automorphisms, are listed once
+    assert listed == Counter(range(5))
 
 
-@pytest.mark.parametrize("name", AGES)
-def test_sap_lists_no_automorphisms_for_lone_embeddings(monkeypatch, name):
-    # sigma = {} embeds once in every side, so the search up to the pushout
-    # cap lists none
-    monkeypatch.setattr(structures, "automorphisms", lambda g: pytest.fail(f"Aut listed for {g}"))
-    monkeypatch.setattr(structures, "PUSHOUT_LABEL_CAP", 3)
-    with pytest.raises(ResourceCapError, match="pushout universe of size 4 exceeds cap"):
-        for problem in _sap_problems(age_for(name), 3):
-            assert solve_amalgamation(problem, strong=True) is not None
+@pytest.mark.parametrize(
+    "name, max_size",
+    [("set", 4), ("linear", 4), ("betweenness", 4), ("cyclic", 4), ("separation", 4), ("pair", 3)],
+)
+def test_automorphisms_read_off_the_relabelings_are_the_self_embeddings(name, max_size):
+    age = age_for(name)
+    for size in range(max_size + 1):
+        for s, aut in _iso_classes(age, size):
+            assert s.universe == tuple(range(1, size + 1))
+            assert aut == [e.images for e in automorphisms(s)], (name, s)
 
 
 def relabeled(draw, s):
