@@ -5,13 +5,14 @@ orbit of a tuple of points comes with a transversal (one element sending the
 tuple to each image), and Schreier's lemma turns it into generators of the
 pointwise stabilizer G_Gamma, whose common fixed points are Fix(G_Gamma).
 Such stabilizers, one point at a time, are the nodes of the orbit tree, the
-one orbit engine: along the sorted support they form a base and strong
-generating set (the group order, membership by sifting, the least element
-of each coset gK); its node counts give the growth functions F and F*, the
-same-orbit conditions and density; its least sets give f; and its nodes
-name the relations of the canonical structure.  No group is ever listed
-element by element.  Permutations are tuples p of length N with p[i-1] the
-image of the point i; points are 1-based to match the rest of the library.
+one orbit engine: along the sorted support, up to the first trivial one,
+they give the group order and form a base and strong generating set
+(membership by sifting, the least element of each coset gK); its node counts
+give the growth functions F and F*, the same-orbit conditions and density;
+its least sets give f; and its nodes name the relations of the canonical
+structure.  No group is ever listed element by element.  Permutations are
+tuples p of length N with p[i-1] the image of the point i; points are
+1-based to match the rest of the library.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import factorial
 from operator import mul
@@ -57,10 +58,9 @@ def _inverses(transversal: dict) -> dict:
     return {image: pinv(u) for (image,), u in transversal.items()}
 
 
-def _orbit_transversal(base: tuple, gens, ident: Perm, cap: int | None = None) -> dict:
+def _orbit_transversal(base: tuple, gens, ident: Perm) -> dict:
     """Orbit of the point tuple `base` under <gens>: each image tuple -> an
-    element sending `base` to it.  Raises ResourceCapError as soon as the
-    orbit outgrows `cap`."""
+    element sending `base` to it."""
     transversal = {base: ident}
     bdy = [base]
     while bdy:
@@ -71,8 +71,6 @@ def _orbit_transversal(base: tuple, gens, ident: Perm, cap: int | None = None) -
                 if image not in transversal:
                     transversal[image] = pmul(s, transversal[k])
                     new.append(image)
-                    if cap is not None and len(transversal) > cap:
-                        raise ResourceCapError(f"orbit of {base} exceeds cap {cap}")
         bdy = new
     return transversal
 
@@ -124,58 +122,46 @@ def _check_perm(p, n: int) -> Perm:
     return p
 
 
-class FiniteAction:
-    """A permutation group on {1,...,N} given by generators; immutable, and
-    equal and hashed by its domain size and generators."""
+class FiniteAction(namedtuple("FiniteAction", "domain_size generators")):
+    """A permutation group on {1,...,N} given by generators.  Instances keep
+    a `__dict__` for the `_nodes` and `chain` caches."""
 
-    # beside the two fields, write-once caches: the base and strong
-    # generating set, and orbit-tree nodes keyed by point sets
-    __slots__ = ("domain_size", "generators", "_chain", "_nodes")
-
-    def __init__(self, domain_size: int, generators: tuple[Perm, ...]):
+    def __new__(cls, domain_size: int, generators):
         if domain_size < 1:
             raise MalformedInputError("domain size must be positive")
         gens = tuple(_check_perm(g, domain_size) for g in generators)
-        for name, value in zip(self.__slots__, (domain_size, gens, None, {})):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, domain_size, gens)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    @cached_property
+    def _nodes(self) -> dict:
+        """The orbit-tree nodes expanded so far, keyed by point sets."""
+        return {}
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteAction):
-            return NotImplemented
-        return (self.domain_size, self.generators) == (other.domain_size, other.generators)
+    def _support(self) -> list:
+        N = self.domain_size
+        return sorted({x for g in self.generators for x in range(1, N + 1) if g[x - 1] != x})
 
-    def __hash__(self):
-        return hash((self.domain_size, self.generators))
-
-    def __repr__(self):
-        return f"FiniteAction(domain_size={self.domain_size!r}, generators={self.generators!r})"
-
+    @cached_property
     def chain(self) -> tuple[list, list, list]:
         """A base and strong generating set (base, transversals, inverses),
-        read-only: base is the sorted support; transversals[i] maps each point
-        (p,) of the orbit of base[i] under the orbit-tree node G_{base[:i]} to
-        an element of it sending base[i] to p; inverses[i] maps p to its inverse."""
-        # write-once memo; the value is deterministic so races are harmless
-        if self._chain is None:
-            N = self.domain_size
-            base = sorted({x for g in self.generators for x in range(1, N + 1) if g[x - 1] != x})
-            transversals = [
-                _orbit_transversal((b,), self._node(tuple(base[:i]))[0], identity_perm(N))
-                for i, b in enumerate(base)
-            ]
-            inverses = [_inverses(t) for t in transversals]
-            object.__setattr__(self, "_chain", (base, transversals, inverses))
-        return self._chain
+        read-only: base is the sorted support up to its first point whose
+        orbit-tree node G_{base} is trivial, as that node fixes every later
+        point; transversals[i] maps each point (p,) of the orbit of base[i]
+        under G_{base[:i]} to an element of it sending base[i] to p;
+        inverses[i] maps p to its inverse."""
+        base, transversals = [], []
+        for b in self._support():
+            gens = self._node(tuple(base))[0]
+            if not gens:
+                break
+            base.append(b)
+            transversals.append(_orbit_transversal((b,), gens, identity_perm(self.domain_size)))
+        return base, transversals, [_inverses(t) for t in transversals]
 
     def order(self) -> int:
-        """The group order, from the generators alone (no cap applies)."""
-        order = 1
-        for t in self.chain()[1]:
-            order *= len(t)
-        return order
+        """The group order, from the generators alone (no cap applies): the
+        orbit size of the support, whose pointwise stabilizer is trivial."""
+        return self.orbit_size(self._support())
 
     def contains_action(self, other: "FiniteAction") -> bool:
         """Whether `other` generates a subgroup of this group: every
@@ -183,7 +169,7 @@ class FiniteAction:
         identity."""
         if other.domain_size != self.domain_size:
             return False
-        base, _, inverses = self.chain()
+        base, _, inverses = self.chain
         for g in other.generators:
             for b, inverse in zip(base, inverses):
                 if g[b - 1] not in inverse:
@@ -231,13 +217,15 @@ class FiniteAction:
         """The length of the orbit of the sorted points as a tuple: the
         product over its points of the orbit length of each under the
         orbit-tree node of the points before it, read off that node's least
-        points, so no orbit is listed."""
+        points, so no orbit is listed.  The walk stops at the first trivial
+        node, which fixes every later point."""
         pts = self._points(points)
         size = 1
         for k, p in enumerate(pts):
             least = self._node(pts[:k])[1]
-            if least is not None:
-                size *= least.count(least[p - 1])
+            if least is None:
+                break
+            size *= least.count(least[p - 1])
         return size
 
     def fixed_points(self, points) -> frozenset:
@@ -245,10 +233,12 @@ class FiniteAction:
         points.  The generators of the orbit-tree node of the sorted points
         generate G_points, so a point is in Fix(G_points) iff they all fix
         it.  The prefixes are expanded in order, so no node expansion
-        recurses."""
+        recurses, up to the first trivial node, which fixes every point."""
         pts = self._points(points)
         for k in range(len(pts) + 1):
             gens = self._node(pts[:k])[0]
+            if not gens:
+                break
         return frozenset(
             x for x in range(1, self.domain_size + 1) if all(h[x - 1] == x for h in gens)
         )
@@ -620,7 +610,7 @@ def _coset_orbit(gens, K: FiniteAction, cap: int) -> set:
     """The orbit of the coset K under <gens>, each coset gK named by its
     least element (K by the identity).  Raises ResourceCapError above `cap`
     cosets."""
-    base, transversals, _ = K.chain()
+    base, transversals, _ = K.chain
 
     def act(s: Perm, c: Perm) -> Perm:
         return _least_in_coset(pmul(s, c), base, transversals)

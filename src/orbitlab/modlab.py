@@ -58,7 +58,7 @@ DEFAULT_PAIR_CAP = 20_000
 # -- free-module vectors and Buchberger ---------------------------------------
 
 
-class ModuleVector:
+class ModuleVector(namedtuple("ModuleVector", "width field coords")):
     """Element of a free module over R, the width-variable polynomial ring:
     `coords` maps each position with a nonzero coordinate to its term dict
     {exponent tuple: nonzero coefficient}.  Positions are any mutually
@@ -66,23 +66,19 @@ class ModuleVector:
     morphisms.  The constructor trusts its term dicts to be canonical for
     its width and field and only drops empty ones; outside data enters
     through `parse_element_line`.  No term dict is mutated once a vector
-    holds it."""
+    holds it.  Vectors are equal by their fields and hashed by their width
+    and terms."""
 
-    __slots__ = ("width", "field", "coords")
+    __slots__ = ()
 
-    def __init__(self, width, field, entries=None):
-        self.width = width
-        self.field = field
-        self.coords = {pos: terms for pos, terms in (entries or {}).items() if terms}
+    def __new__(cls, width, field, coords):
+        coords = {pos: terms for pos, terms in coords.items() if terms}
+        return super().__new__(cls, width, field, coords)
 
     @property
     def terms(self) -> dict:
         """Flat view: (position, monomial) -> nonzero coefficient."""
-        return {
-            (pos, mono): c
-            for pos, terms in self.coords.items()
-            for mono, c in terms.items()
-        }
+        return {(pos, mono): c for pos, terms in self.coords.items() for mono, c in terms.items()}
 
     def is_zero(self):
         return not self.coords
@@ -94,19 +90,8 @@ class ModuleVector:
         mono = max(terms, key=order.key)
         return (pos, mono), terms[mono]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleVector)
-            and self.width == other.width
-            and self.field == other.field
-            and self.coords == other.coords
-        )
-
     def __hash__(self):
         return hash((self.width, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"ModuleVector({self.coords})"
 
 
 def _head(g: ModuleVector, order: MonomialOrder) -> tuple:
@@ -317,7 +302,7 @@ def groebner_basis(
             leads.setdefault(head[0], []).append((head[1], head[2], r))
             pairs, dropped = _update(basis, heads, len(basis) - 1, pairs, degree_cap)
             capped = capped or dropped
-    vectors = _reduce_basis(basis, order)
+    vectors = _reduce_basis(basis, heads, order)
     if homogenize and not any(m[-1] for g in vectors for _, m in g.terms):
         vectors = tuple(_in_ring(g, g.width - 1) for g in vectors)
     return GroebnerBasis(vectors, order, capped, degree_cap)
@@ -336,9 +321,8 @@ def _in_ring(v: ModuleVector, width: int, degree: int = 0) -> ModuleVector:
     return ModuleVector(width, v.field, coords)
 
 
-def _reduce_basis(basis, order: MonomialOrder) -> tuple:
-    basis = [g for g in basis if not g.is_zero()]
-    heads = [_head(g, order) for g in basis]
+def _reduce_basis(basis, heads, order: MonomialOrder) -> tuple:
+    """The reduced basis of the nonzero vectors `basis`, given their `_head`s."""
     # drop elements whose leading term another leading term divides: keep,
     # per position, the first index of each minimal leading monomial
     first: dict = {}
@@ -349,13 +333,12 @@ def _reduce_basis(basis, order: MonomialOrder) -> tuple:
     leads = _leads([basis[i] for i in kept], [heads[i] for i in kept])
     reduced = []
     for i in kept:
-        g = basis[i]
-        f = g.field
+        g, f, inv = basis[i], basis[i].field, heads[i][2]
+        # no other kept leading monomial divides g's, so the remainder keeps
+        # g's leading term
         r = _reduce(_coords(g), leads, order, f, skip=g)
-        if r:
-            _, _, inv = _head(ModuleVector(g.width, f, r), order)
-            monic = {pos: {m: f.mul(c, inv) for m, c in terms.items()} for pos, terms in r.items()}
-            reduced.append(ModuleVector(g.width, f, monic))
+        monic = {pos: {m: f.mul(c, inv) for m, c in terms.items()} for pos, terms in r.items()}
+        reduced.append(ModuleVector(g.width, f, monic))
     reduced.sort(key=lambda v: sorted(v.terms))
     return tuple(reduced)
 
@@ -401,7 +384,22 @@ def _outside_count(monos: frozenset, width: int, degree: int, memo: dict, charge
     recursion is on the exponent e of the last variable: such a monomial is
     one in the first width - 1 variables, of degree <= degree - e, that no
     m[:-1] with m[-1] <= e divides.  Memoized on (monos, degree) in `memo`;
-    each miss charges its degree + 1 steps to `charge` before it loops."""
+    each miss charges its degree + 1 steps to `charge` before it loops.  It
+    takes one level per variable, so the levels wait on an explicit stack."""
+    stack, count = [_outside_level(monos, width, degree, memo, charge)], None
+    while stack:
+        try:
+            stack.append(_outside_level(*stack[-1].send(count), memo, charge))
+            count = None
+        except StopIteration as done:
+            stack.pop()
+            count = done.value
+    return count
+
+
+def _outside_level(monos: frozenset, width: int, degree: int, memo: dict, charge):
+    """One count of `_outside_count`: yields (monos, width, degree) for each
+    count one variable down, is sent that count, and returns its own."""
     if degree < 0:
         return 0
     if not monos:
@@ -419,7 +417,7 @@ def _outside_count(monos: frozenset, width: int, degree: int, memo: dict, charge
         for e in range(degree + 1):
             if e in by_last:
                 below = _minimal(below | set(by_last[e]))
-            total += _outside_count(below, width - 1, degree - e, memo, charge)
+            total += yield below, width - 1, degree - e
         memo[key] = total
     return memo[key]
 

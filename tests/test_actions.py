@@ -70,12 +70,12 @@ def elements(G):
     return _listed(G.generators, G.domain_size)
 
 
+@lru_cache(maxsize=None)
 def orbit_transversal(G, points):
     """The orbit of the point tuple under G, each image tuple -> an element
     sending `points` to it, by the library's own walk over point tuples,
-    held to the group-order cap."""
-    ident = identity_perm(G.domain_size)
-    return actions._orbit_transversal(tuple(points), G.generators, ident, DEFAULT_GROUP_ORDER_CAP)
+    walked once per group and tuple; callers must not modify it."""
+    return actions._orbit_transversal(tuple(points), G.generators, identity_perm(G.domain_size))
 
 
 def pointwise_stabilizer(G, gamma):
@@ -225,6 +225,26 @@ def alternating_action(n):
     return FiniteAction(n, tuple(perm_from_cycles(f"(1 2 {k})", n) for k in range(3, n + 1)))
 
 
+def agl1_action(p, a):
+    """AGL(1, p) on the points 1..p, the point x + 1 standing for x mod p,
+    generated by x -> x + 1 and x -> a * x for a primitive root a."""
+    translation = tuple((x + 1) % p + 1 for x in range(p))
+    return FiniteAction(p, (translation, tuple(a * x % p + 1 for x in range(p))))
+
+
+def regular_action(G):
+    """G acting on its sorted elements by left multiplication."""
+    els = elements(G)
+    index = {g: i for i, g in enumerate(els, 1)}
+    return FiniteAction(len(els), tuple(tuple(index[pmul(s, g)] for g in els) for s in G.generators))
+
+
+def short_base_groups():
+    """Groups whose point stabilizers become trivial before the support ends:
+    a cyclic group, AGL(1, 7) (base (1, 2)) and the regular S3."""
+    return [cyclic_action(9), agl1_action(7, 3), regular_action(symmetric_action(3))]
+
+
 def test_pmul_convention():
     a = (2, 1, 3)
     b = (1, 3, 2)
@@ -257,9 +277,24 @@ def small_groups():
 
 def test_order_matches_element_count():
     rng = random.Random(17)
-    groups = small_groups() + [random_subgroup(rng, rng.randint(1, 6)) for _ in range(40)]
+    groups = small_groups() + short_base_groups()
+    groups += [random_subgroup(rng, rng.randint(1, 6)) for _ in range(40)]
     for G in groups:
         assert G.order() == len(mulclose(G.generators, G.domain_size)), G.generators
+
+
+def test_the_orbit_tree_stops_at_a_trivial_stabilizer():
+    # C200 is regular, so the stabilizer of the point 1 is trivial: the base
+    # is (1,), and no walk expands a node below that stabilizer
+    G = cyclic_action(200)
+    points = range(1, 201)
+    assert G.order() == G.orbit_size(points) == 200
+    base, transversals, _ = G.chain
+    assert base == [1] and len(transversals[0]) == 200
+    assert G.fixed_points(points) == set(points) and G.fixed_points(()) == set()
+    assert len(G._nodes) <= 2
+    assert agl1_action(7, 3).chain[0] == [1, 2]
+    assert regular_action(symmetric_action(3)).chain[0] == [1]
 
 
 def test_order_above_the_cap_lists_no_elements():
@@ -270,8 +305,6 @@ def test_order_above_the_cap_lists_no_elements():
     assert S10.order() == 3628800
     assert S10.fixed_points((1, 2)) == {1, 2}
     assert len(orbit_transversal(S10, (1, 2))) == 90
-    with pytest.raises(ResourceCapError):
-        orbit_transversal(S8, tuple(range(1, 8)))  # a tuple orbit stops at the cap
 
 
 def test_order_matches_sympy():
@@ -634,9 +667,15 @@ def test_is_t_dense_requires_subgroup():
 
 def test_subgroup_test_matches_element_lists():
     rng = random.Random(43)
+    pairs = []
     for _ in range(60):
         N = rng.randint(1, 6)
-        G, H = random_subgroup(rng, N), random_subgroup(rng, N, k=1)
+        pairs.append((random_subgroup(rng, N), random_subgroup(rng, N, k=1)))
+    for G in short_base_groups():
+        N, els = G.domain_size, elements(G)
+        pairs += [(G, FiniteAction(N, (rng.choice(els),))) for _ in range(10)]
+        pairs += [(G, random_subgroup(rng, N, k=1)) for _ in range(10)]
+    for G, H in pairs:
         els = set(elements(G))
         assert G.contains_action(H) == all(h in els for h in H.generators), (G.generators, H)
     assert not symmetric_action(4).contains_action(symmetric_action(5))
@@ -701,6 +740,12 @@ def test_fullness_witness_matches_the_module_oracle():
         els = elements(G)
         H, K = (FiniteAction(N, tuple(rng.choice(els) for _ in range(rng.randint(1, 2)))) for _ in "HK")
         triples.append((G, H, K))
+    for G in short_base_groups():
+        els = elements(G)
+        for _ in range(10):
+            H = FiniteAction(G.domain_size, tuple(rng.choice(els) for _ in range(rng.randint(1, 2))))
+            K = FiniteAction(G.domain_size, (rng.choice(els),))  # cyclic
+            triples += [(G, H, K), (G, K, H)]
     full = 0
     for G, H, K in triples:
         got = restriction_fullness_witness(G, H, K)

@@ -512,6 +512,18 @@ def test_noeth_chain_caps_the_rank_profile_work(capsys, tmp_path):
     assert capsys.readouterr().err == "resource cap: rank profile exceeds 3000000 units of work\n"
 
 
+def test_noeth_chain_rank_profile_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # the rank profile takes one level per variable, so at width 1100 its
+    # levels outnumber Python's default recursion limit
+    chain = tmp_path / "c.chain"
+    chain.write_text("OI 0 1100 : [] : x1\n")
+    argv = ("noeth-chain", "--kind", "oi", "--chain", str(chain), "--width", "1100", "--degree", "1")
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    profiles = [r["component_rank_profile"] for r in data["results"]]
+    assert profiles == [[0]] * 1099 + [[1]]
+
+
 def test_noeth_chain_stops_at_the_s_pair_cap(capsys, tmp_path, monkeypatch):
     # the FI chain reduces between 11 and 100 S-pairs at width 3
     chain = tmp_path / "fi.chain"

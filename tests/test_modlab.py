@@ -151,7 +151,7 @@ def oracle_groebner_basis(generators, order, degree_cap=None, pair_cap=DEFAULT_P
             heads.append(head)
             leads.setdefault(head[0], []).append((head[1], head[2], r))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return GroebnerBasis(_reduce_basis(basis, order), order, capped)
+    return GroebnerBasis(_reduce_basis(basis, heads, order), order, capped)
 
 
 def homogenize(v):
