@@ -8,9 +8,11 @@ injection is valid exactly when the pattern of each a-subset of [m], a the
 relation's arity, lies in End([a]).  Everything is materialized explicitly:
 composition is array lookup, and a hom-set is the sorted list of eps' o g
 over the increasing injections eps' and g in End([m]), the unique
-factorization of a morphism; End([m]) has a closed form per kind.  Validity
-is checked once, where data enters (`parse_morphism`,
-`InjectionMorphism.checked`), not again on morphisms the library builds.
+factorization of a morphism, composed in one pass per g; End([m]) has a
+closed form per kind.  The morphisms of one hom-set are formatted from one
+`%` template.  Validity is checked once, where data enters
+(`parse_morphism`, `InjectionMorphism.checked`), not again on morphisms the
+library builds.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
+from operator import itemgetter
 
 from .errors import FalsificationError, MalformedInputError, ResourceCapError, format_count
 
@@ -192,7 +195,8 @@ def hom_set(
 ) -> list[InjectionMorphism]:
     """All morphisms [m] -> [n], sorted lexicographically by image array;
     ResourceCapError, before any is built, when there are more than `cap`
-    or their images hold more than 10 * cap entries."""
+    or their images hold more than 10 * cap entries.  Each g in End([m])
+    composes all the increasing injections eps' in one pass."""
     size = hom_size_formula(kind, m, n)
     if size > cap:
         raise ResourceCapError(
@@ -206,11 +210,13 @@ def hom_set(
     if size == 0:
         return []
     ends = _endomorphism_images(kind, m)
-    images = sorted(
-        tuple(eps_prime[i - 1] for i in g)
-        for eps_prime in combinations(range(1, n + 1), m)
-        for g in ends
-    )
+    if len(ends) == 1:  # the identity (always at m < 2, where itemgetter gives no tuple)
+        images = combinations(range(1, n + 1), m)
+    else:
+        images = []
+        for g in ends:
+            images.extend(map(itemgetter(*[i - 1 for i in g]), combinations(range(1, n + 1), m)))
+        images.sort()
     return [InjectionMorphism(kind, m, n, image) for image in images]
 
 
@@ -304,12 +310,13 @@ _MORPHISM_RE = re.compile(
 
 
 def format_morphism(f: InjectionMorphism) -> str:
-    return _format_head(f.kind, f.source, f.target) + ",".join(map(str, f.image)) + "]"
+    return morphism_template(f.kind, f.source, f.target) % f.image
 
 
 @lru_cache(maxsize=None)  # fixed per hom-set
-def _format_head(kind: CategoryKind, source: int, target: int) -> str:
-    return f"{kind.value} {source}->{target} : ["
+def morphism_template(kind: CategoryKind, source: int, target: int) -> str:
+    """The `%` template that formats an image array [source] -> [target]."""
+    return f"{kind.value} {source}->{target} : [{','.join(['%d'] * source)}]"
 
 
 def parse_morphism(text: str) -> InjectionMorphism:

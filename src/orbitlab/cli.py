@@ -27,6 +27,7 @@ from .categories import (
     factorize,
     format_morphism,
     hom_set,
+    morphism_template,
     parse_morphism,
 )
 from .errors import FalsificationError, MalformedInputError, ResourceCapError
@@ -84,8 +85,10 @@ def _kind(args) -> CategoryKind:
 
 
 def cmd_homset(args) -> int:
-    morphisms = hom_set(_kind(args), args.m, args.n)
-    _emit(args, {"count": len(morphisms), "morphisms": [format_morphism(f) for f in morphisms]})
+    kind = _kind(args)
+    morphisms = hom_set(kind, args.m, args.n)
+    template = morphism_template(kind, args.m, args.n)  # the one `format_morphism` uses
+    _emit(args, {"count": len(morphisms), "morphisms": [template % f.image for f in morphisms]})
     return EXIT_OK
 
 

@@ -9,11 +9,12 @@ substituting variables in the coefficients and post-composing the keys.
 Width components of finitely generated subpresheaves are submodules of that
 free module: the OI-spans of the End([s])-images of the generators.  They are
 handled by a Buchberger engine with the Gebauer-Moller pair criteria
-(position-over-term extension of the chosen monomial order).  Keys
-of one generator width order like the hom-set, lexicographically by image.
-A coefficient is a term dict {monomial: nonzero coefficient}, the form
-`parse_polynomial` returns, and vectors are added and multiplied only in
-`_add_multiple` and `_reduce`.
+(position-over-term extension of the chosen monomial order); it never
+reduces the S-pair of two single-term vectors, whose S-polynomial is 0.
+Keys of one generator width order like the hom-set, lexicographically by
+image.  A coefficient is a term dict {monomial: nonzero coefficient}, the
+form `parse_polynomial` returns, and vectors are added and multiplied only
+in `_add_multiple` and `_reduce`.
 
 Everything is truncated: statements are certified only up to a width W and,
 when Buchberger pairs are discarded, up to a degree bound D.  Both appear in
@@ -216,13 +217,17 @@ def _update(basis, heads, k: int, pairs: deque, degree_cap) -> tuple:
     - B_k drops an old pair (i, j) when lm(k) divides its lcm and neither
       lcm(i, k) nor lcm(j, k) equals it;
     - M and F keep, of the new pairs, the first one of each minimal lcm;
-    - the product criterion drops a new pair whose leading monomials are
-      coprime, with every other new pair of that lcm, when both vectors have
-      one coordinate (a pair of polynomials at one position).
+    - a new pair whose S-polynomial is 0 is dropped, with every other new
+      pair of that lcm: by the product criterion when both vectors have one
+      coordinate and coprime leading monomials, and at once when both are
+      single terms (one position, one monomial), whose S-polynomial is
+      exactly 0 over any field.
     Old pairs keep their order, and the new ones follow by i."""
     pos, mk, _ = heads[k]
+    one_k = len(basis[k].coords) == 1
+    term_k = one_k and len(basis[k].coords[pos]) == 1
     capped = False
-    new = {}  # lcm -> [first i, coprime]
+    new = {}  # lcm -> [first i, S-polynomial is 0]
     for i in range(k):
         ipos, mi, _ = heads[i]
         if ipos != pos:
@@ -231,9 +236,14 @@ def _update(basis, heads, k: int, pairs: deque, degree_cap) -> tuple:
         if degree_cap is not None and monomial_degree(lcm) > degree_cap:
             capped = True
             continue
-        coprime = len(basis[i].coords) == len(basis[k].coords) == 1 and monomial_mul(mi, mk) == lcm
+        gi = basis[i]
+        zero = (
+            one_k
+            and len(gi.coords) == 1
+            and (term_k and len(gi.coords[pos]) == 1 or monomial_mul(mi, mk) == lcm)
+        )
         entry = new.setdefault(lcm, [i, False])
-        entry[1] = entry[1] or coprime
+        entry[1] = entry[1] or zero
     kept = deque(
         (i, j, lcm)
         for i, j, lcm in pairs
@@ -242,8 +252,9 @@ def _update(basis, heads, k: int, pairs: deque, degree_cap) -> tuple:
         or monomial_lcm(heads[i][1], mk) == lcm
         or monomial_lcm(heads[j][1], mk) == lcm
     )
-    minimal = _minimal(new)
-    kept.extend((i, k, lcm) for lcm, (i, coprime) in new.items() if not coprime and lcm in minimal)
+    if not all(zero for _, zero in new.values()):
+        minimal = _minimal(new)
+        kept.extend((i, k, lcm) for lcm, (i, zero) in new.items() if not zero and lcm in minimal)
     return kept, capped
 
 
@@ -256,15 +267,18 @@ def groebner_basis(
 
     Each vector, given or found, queues its S-pairs through `_update`, which
     forms them only between vectors with the same leading position and
-    leaves out those the Gebauer-Moller criteria show to reduce to zero.
+    leaves out those the Gebauer-Moller criteria show to reduce to zero,
+    among them every pair of two single-term vectors, whose S-polynomial
+    is 0, so a monomial submodule reduces no pair.
     With a degree cap, pairs whose lcm degree exceeds the cap are dropped,
     before any criterion, and the result is flagged as degree-truncated;
     inhomogeneous generators are then homogenized with a variable h
     (Kreuzer-Robbiano, CCA 2, 4.3), so the result is the degree <= D part
     of one homogeneous submodule, whatever the pair order, and keeps h only
     when one of its vectors uses it.  Pairs are taken first in, first out,
-    and at most `DEFAULT_PAIR_CAP` of them are reduced.  Each basis vector's
-    `_head` is computed once.
+    and at most `DEFAULT_PAIR_CAP` of them are reduced: the cap counts only
+    the pairs left on the queue.  Each basis vector's `_head` is computed
+    once.
     """
     basis = [g for g in generators if not g.is_zero()]
     homogenize = degree_cap is not None and any(

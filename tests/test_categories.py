@@ -338,8 +338,11 @@ def test_si_endomorphisms_are_dihedral():
 
 def test_morphism_round_trip():
     for kind in CategoryKind:
-        for f in hom_set(kind, 2, 4):
-            assert parse_morphism(format_morphism(f)) == f
+        for m, n in ((0, 3), (1, 4), (2, 4)):
+            for f in hom_set(kind, m, n):
+                assert parse_morphism(format_morphism(f)) == f
+    assert format_morphism(hom_set(CategoryKind.FI, 0, 3)[0]) == "FI 0->3 : []"
+    assert format_morphism(hom_set(CategoryKind.CI, 1, 4)[2]) == "CI 1->4 : [3]"
 
 
 @pytest.mark.parametrize("kind", list(CategoryKind))

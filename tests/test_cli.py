@@ -62,6 +62,15 @@ def test_homset(capsys):
     assert data["version"]
 
 
+@pytest.mark.parametrize("kind", list(orbitlab.CategoryKind))
+@pytest.mark.parametrize("m, n", [(0, 3), (1, 4), (3, 5)])
+def test_homset_lists_the_formatted_hom_set(capsys, kind, m, n):
+    code, data = run_json(capsys, "homset", "--kind", kind.value.lower(), "--m", str(m), "--n", str(n))
+    assert code == 0
+    assert data["morphisms"] == [orbitlab.format_morphism(f) for f in orbitlab.hom_set(kind, m, n)]
+    assert data["count"] == len(data["morphisms"])
+
+
 def test_factorize(capsys):
     code, data = run_json(capsys, "factorize", "--morphism", "CI 3->4 : [2,3,1]")
     assert code == 0

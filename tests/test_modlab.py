@@ -234,6 +234,29 @@ def test_groebner_single_module_term():
     assert [w.terms for w in gb.vectors] == [v.terms]
 
 
+@pytest.mark.parametrize("field", [QQ, CoefficientField(7)])
+@pytest.mark.parametrize("cap", [None, 3, 5])
+def test_monomial_generators_reduce_no_s_pair(monkeypatch, field, cap):
+    # the S-polynomial of two single-term vectors is 0, so no pair of them
+    # is reduced; the degree cap still sees every pair first
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return add_multiple(*args)
+
+    add_multiple = modlab._add_multiple
+    monkeypatch.setattr(modlab, "_add_multiple", recording)
+    quadratic = [m for m in monomials_upto(5, 2) if monomial_degree(m) == 2]
+    monos = quadratic + [(1, 1, 1, 0, 0)]  # x1*x2 divides the last one
+    gb = groebner_basis([vec(5, field, {(0, m): field.coerce(3)}) for m in monos], GREVLEX, cap)
+    assert calls == []
+    assert [v.terms for v in gb.vectors] == [{(0, m): 1} for m in sorted(quadratic)]
+    assert gb.degree_capped == any(
+        cap is not None and monomial_degree(monomial_lcm(u, v)) > cap for u, v in combinations(monos, 2)
+    )
+
+
 def test_generators_reduce_to_zero():
     rng = random.Random(3)
     for _ in range(10):
@@ -292,18 +315,25 @@ def test_membership_vs_linear_algebra_oracle():
 def test_pair_criteria_against_the_criteria_free_engine():
     # widths 1-3, one to three positions, vectors of one coordinate (where
     # the product criterion applies) or of several, homogeneous (where the
-    # criteria also run under a degree cap) or not, Q and F7, lex and grevlex
+    # criteria also run under a degree cap) or not, Q and F7, lex and grevlex;
+    # from trial 400 on, single-term generators (whose S-polynomials are 0):
+    # all of them in even trials, about half of them in odd ones
     rng = random.Random(5)
     F7 = CoefficientField(7)
     capped = 0
-    for trial in range(400):
+    for trial in range(600):
         field = (QQ, F7)[trial % 2]
         order = (GREVLEX, LEX)[trial // 2 % 2]
         homogeneous = trial // 4 % 2
         width, rank = rng.randint(1, 3), rng.randint(1, 3)
         single = rng.random() < 0.5
+        terms_only = trial >= 400 and trial % 2 == 0
         gens = []
         for _ in range(rng.randint(1, 4)):
+            if trial >= 400 and (terms_only or rng.random() < 0.5):
+                mono = tuple(rng.randint(0, 2) for _ in range(width))
+                gens.append(vec(width, field, {(rng.randrange(rank), mono): field.coerce(rng.choice((1, -2, 3)))}))
+                continue
             terms = {}
             pos = rng.randrange(rank)
             degree = rng.randint(0, 4)
@@ -333,6 +363,9 @@ def test_pair_criteria_against_the_criteria_free_engine():
         # truncated basis of homogeneous vectors
         assert vectors == oracle.vectors, trial
         assert oracle.degree_capped or not gb.degree_capped, trial
+        if terms_only:
+            # no new vector arises, so both engines form the same pairs
+            assert gb.degree_capped == oracle.degree_capped, trial
         capped += oracle.degree_capped
         degree = max((monomial_degree(m) for v in gens + list(vectors) for _, m in v.terms), default=0)
         member = la_span(gens, degree + slack, field)
