@@ -7,7 +7,7 @@ pointwise stabilizer G_Gamma, whose common fixed points are Fix(G_Gamma).
 Such stabilizers, one point at a time, are the nodes of the orbit tree, the
 one orbit engine: along the sorted support, up to the first trivial one,
 they give the group order and form a base and strong generating set
-(membership by sifting, the least element of each coset gK); its node counts
+(the least element of each coset gK, so membership too); its node counts
 give the growth functions F and F*, the same-orbit conditions and density;
 its least sets give f; and its nodes name the relations of the canonical
 structure.  No group is ever listed element by element.  Permutations are
@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from .errors import FalsificationError, MalformedInputError, ResourceCapError, parse_int
@@ -137,26 +137,24 @@ class FiniteAction(namedtuple("FiniteAction", "domain_size generators")):
         """The orbit-tree nodes expanded so far, keyed by point sets."""
         return {}
 
-    def _support(self) -> list:
+    def _support(self) -> tuple:
         N = self.domain_size
-        return sorted({x for g in self.generators for x in range(1, N + 1) if g[x - 1] != x})
+        return tuple(sorted({x for g in self.generators for x in range(1, N + 1) if g[x - 1] != x}))
 
     @cached_property
-    def chain(self) -> tuple[list, list, list]:
-        """A base and strong generating set (base, transversals, inverses),
-        read-only: base is the sorted support up to its first point whose
-        orbit-tree node G_{base} is trivial, as that node fixes every later
-        point; transversals[i] maps each point (p,) of the orbit of base[i]
-        under G_{base[:i]} to an element of it sending base[i] to p;
-        inverses[i] maps p to its inverse."""
+    def chain(self) -> tuple[list, list]:
+        """A base and strong generating set (base, transversals), read-only:
+        base is the sorted support up to its first point whose orbit-tree
+        node G_{base} is trivial (`_prefix_nodes`), as that node fixes every
+        later point; transversals[i] maps each point (p,) of the orbit of
+        base[i] under G_{base[:i]} to an element of it sending base[i] to p."""
+        support, ident = self._support(), identity_perm(self.domain_size)
         base, transversals = [], []
-        for b in self._support():
-            gens = self._node(tuple(base))[0]
-            if not gens:
-                break
-            base.append(b)
-            transversals.append(_orbit_transversal((b,), gens, identity_perm(self.domain_size)))
-        return base, transversals, [_inverses(t) for t in transversals]
+        for b, (gens, _) in zip(support, self._prefix_nodes(support)):
+            if gens:
+                base.append(b)
+                transversals.append(_orbit_transversal((b,), gens, ident))
+        return base, transversals
 
     def order(self) -> int:
         """The group order, from the generators alone (no cap applies): the
@@ -164,20 +162,14 @@ class FiniteAction(namedtuple("FiniteAction", "domain_size generators")):
         return self.orbit_size(self._support())
 
     def contains_action(self, other: "FiniteAction") -> bool:
-        """Whether `other` generates a subgroup of this group: every
-        generator of `other` sifts through this group's chain to the
-        identity."""
+        """Whether `other` generates a subgroup of this group G: whether the
+        least element of gG is the identity for every generator g of
+        `other`, as g lies in G iff the identity, the least permutation of
+        all, lies in gG."""
         if other.domain_size != self.domain_size:
             return False
-        base, _, inverses = self.chain
-        for g in other.generators:
-            for b, inverse in zip(base, inverses):
-                if g[b - 1] not in inverse:
-                    return False
-                g = pmul(inverse[g[b - 1]], g)
-            if g != identity_perm(self.domain_size):
-                return False
-        return True
+        ident = identity_perm(self.domain_size)
+        return all(_least_in_coset(g, *self.chain) == ident for g in other.generators)
 
     def _points(self, points) -> tuple[int, ...]:
         pts = tuple(sorted(set(points)))
@@ -188,9 +180,10 @@ class FiniteAction(namedtuple("FiniteAction", "domain_size generators")):
     def _node(self, points: tuple) -> tuple:
         """The orbit-tree node (gens, least) of a point tuple: Sims-filtered
         Schreier generators of its pointwise stabilizer K, built from the
-        node of points[:-1] (expanded first by every caller), and least[x - 1]
-        the least point of x's K-orbit, or None for a trivial K.  Cached per
-        point set; callers must not modify it."""
+        node of points[:-1] (expanded first by every caller, as in
+        `_prefix_nodes`), and least[x - 1] the least point of x's K-orbit,
+        or None for a trivial K.  Cached per point set; callers must not
+        modify it."""
         key = frozenset(points)
         node = self._nodes.get(key)
         if node is not None:
@@ -213,32 +206,32 @@ class FiniteAction(namedtuple("FiniteAction", "domain_size generators")):
         self._nodes[key] = gens, least
         return gens, least
 
+    def _prefix_nodes(self, pts: tuple):
+        """Yield the orbit-tree nodes of pts[:0], pts[:1], ..., pts in turn,
+        up to and including the first trivial one, which fixes every later
+        point.  Each prefix is expanded after the one before it, so no node
+        expansion recurses."""
+        for k in range(len(pts) + 1):
+            node = self._node(pts[:k])
+            yield node
+            if not node[0]:
+                return
+
     def orbit_size(self, points) -> int:
         """The length of the orbit of the sorted points as a tuple: the
         product over its points of the orbit length of each under the
         orbit-tree node of the points before it, read off that node's least
-        points, so no orbit is listed.  The walk stops at the first trivial
-        node, which fixes every later point."""
+        points, so no orbit is listed."""
         pts = self._points(points)
-        size = 1
-        for k, p in enumerate(pts):
-            least = self._node(pts[:k])[1]
-            if least is None:
-                break
-            size *= least.count(least[p - 1])
-        return size
+        nodes = zip(pts, self._prefix_nodes(pts))
+        return prod(least.count(least[p - 1]) for p, (_, least) in nodes if least)
 
     def fixed_points(self, points) -> frozenset:
         """Fix(G_points), the points fixed by every element fixing the given
-        points.  The generators of the orbit-tree node of the sorted points
+        points.  The generators of the last prefix node of the sorted points
         generate G_points, so a point is in Fix(G_points) iff they all fix
-        it.  The prefixes are expanded in order, so no node expansion
-        recurses, up to the first trivial node, which fixes every point."""
-        pts = self._points(points)
-        for k in range(len(pts) + 1):
-            gens = self._node(pts[:k])[0]
-            if not gens:
-                break
+        it."""
+        *_, (gens, _) = self._prefix_nodes(self._points(points))
         return frozenset(
             x for x in range(1, self.domain_size + 1) if all(h[x - 1] == x for h in gens)
         )
@@ -282,24 +275,40 @@ def _sims_filter(gens, ident: Perm) -> list:
     return holders
 
 
-def _work_budget(space_cap: int, what: str = "orbit tree"):
+def _work_budget(what: str = "orbit tree"):
     """A charge(units) function for one walk of the orbit tree (or another
     capped count, named by `what`), which raises ResourceCapError once the
-    walk has done more than 3 * space_cap units."""
-    left = 3 * space_cap
+    walk has done more than 3 * DEFAULT_SPACE_CAP units."""
+    left = 3 * DEFAULT_SPACE_CAP
 
     def charge(units: int) -> None:
         nonlocal left
         left -= units
         if left < 0:
-            raise ResourceCapError(f"{what} exceeds {3 * space_cap} units of work")
+            raise ResourceCapError(f"{what} exceeds {3 * DEFAULT_SPACE_CAP} units of work")
 
     return charge
 
 
-def _descent_counts(
-    action: FiniteAction, n: int, mode: str, space_cap: int = DEFAULT_SPACE_CAP
-) -> list[int]:
+def _depth_first(root):
+    """Run the generator `root` as a recursive function whose depth is not
+    bounded by Python's recursion limit: a generator calls another by
+    yielding it, and is sent that one's return value.  The waiting
+    generators are held on an explicit stack, the path from the root."""
+    stack, value = [root], None
+    while stack:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+    return value
+
+
+def _descent_counts(action: FiniteAction, n: int, mode: str) -> list[int]:
     """The orbit counts on k-tuples (power) or injective k-tuples for
     k = 0..n, as the node counts of the orbit tree (Cameron, Oligomorphic
     Permutation Groups, 2-3).  The children of a tuple t are the orbits of
@@ -307,10 +316,10 @@ def _descent_counts(
     all points, those of t being fixed singletons (power).  G_t depends only
     on t's point set, so each set is expanded once (`FiniteAction._node`);
     below a trivial G_t the counts are N^j or the falling factorial of the
-    free points.
+    free points.  The tree is walked depth first by `_depth_first`.
 
-    The whole descent may do at most 3 * space_cap units of work: a point
-    scanned, or a count of at most w words built or added, where every
+    The whole descent may do at most 3 * DEFAULT_SPACE_CAP units of work: a
+    point scanned, or a count of at most w words built or added, where every
     count is at most N^n < 2^(64 w).  An expansion of a set of j < n points
     scans N points, builds a list of n - j + 1 counts and adds at most N
     lists of n - j counts, so the descent costs at most
@@ -325,13 +334,11 @@ def _descent_counts(
     if n < 0:
         raise MalformedInputError("n must be a natural number")
     words = n * (N - 1).bit_length() // 64 + 1
-    charge = _work_budget(space_cap)
+    charge = _work_budget()
     memo = {}
-    stack = []
 
     def counts(chosen: tuple):
-        """The counts below the tuple `chosen`, or None after pushing its
-        frame on the stack."""
+        """The counts below the tuple `chosen`, for `_depth_first`."""
         r = n - len(chosen)
         least = action._node(chosen)[1] if r else None
         if least is None:
@@ -342,59 +349,46 @@ def _descent_counts(
         outside = set(chosen)
         reps = [y for y in range(1, N + 1) if least[y - 1] == y and y not in outside]
         charge((r + 1) * words)
-        if r > 1:
-            stack.append((chosen, [1] + [0] * r, iter(reps)))
-            return None
-        memo[frozenset(chosen)] = out = [1, len(reps) + (len(chosen) if power else 0)]
-        return out
-
-    # depth first on an explicit stack: a tree may be deeper than Python's
-    # recursion limit
-    total = counts(())
-    while stack:
-        chosen, out, reps = stack[-1]
+        if r == 1:
+            memo[frozenset(chosen)] = out = [1, len(reps) + (len(chosen) if power else 0)]
+            return out
+        out = [1] + [0] * r
         for y in reps:
             child = chosen + (y,)
             sub = memo.get(frozenset(child))
             if sub is not None:
                 charge(len(sub) * words)
             else:
-                sub = counts(child)
-                if sub is None:  # resume here once the child's frame is done
-                    break
+                sub = yield counts(child)
             for j, c in enumerate(sub, 1):
                 out[j] += c
-        else:
-            stack.pop()
-            if power:
-                for j in range(1, len(out)):
-                    out[j] += len(chosen) * out[j - 1]
-            memo[frozenset(chosen)] = out
-            if stack:
-                for j, c in enumerate(out, 1):
-                    stack[-1][1][j] += c
-            else:
-                total = out
-    return total
+        if power:
+            for j in range(1, len(out)):
+                out[j] += len(chosen) * out[j - 1]
+        memo[frozenset(chosen)] = out
+        return out
+
+    return _depth_first(counts(()))
 
 
 def _is_least(C: tuple, path: list, charge) -> bool:
     """Whether the set of the increasing tuple C is least in its G-orbit as a
     sorted tuple: a smallest-image search (Linton, ISSAC 2004) down K_k =
-    G_{C[:k]}, path[k] the frame of C[:k] in `_least_set_counts`.  Level-k
-    states are images of C with least points C[:k]; any such image is a state
-    moved by K_k.  A state point outside C[:k] whose K_k-orbit goes below C[k]
-    gives a smaller image; else moving each point of C[k]'s orbit to C[k]
-    gives the next states.  One unit of work per state."""
+    G_{C[:k]}, path[k] the frame [least, inverse] of C[:k] in
+    `_least_set_counts`.  Level-k states are images of C with least points
+    C[:k]; any such image is a state moved by K_k.  A state point outside
+    C[:k] whose K_k-orbit goes below C[k] gives a smaller image; else moving
+    each point of C[k]'s orbit to C[k] gives the next states.  One unit of
+    work per state."""
     charge(1)
-    if path[0][1][1] is None:  # G is trivial
+    if path[0][0] is None:  # G is trivial
         return True
     states = {frozenset(C)}
     for k, c in enumerate(C):
-        least = path[k][1][1]
+        least, inverse = path[k]
         if least is None:
             return all(tuple(sorted(T)) >= C for T in states)
-        prefix, inverse, images = frozenset(C[:k]), path[k][2], []
+        prefix, images = frozenset(C[:k]), []
         for T in states:
             for t in T - prefix:
                 if least[t - 1] < c:
@@ -407,48 +401,45 @@ def _is_least(C: tuple, path: list, charge) -> bool:
     return True
 
 
-def _least_set_counts(
-    action: FiniteAction, n: int, space_cap: int = DEFAULT_SPACE_CAP
-) -> list[int]:
+def _least_set_counts(action: FiniteAction, n: int) -> list[int]:
     """The orbit counts on k-subsets for k = 0..n: the k-sets least in their
     orbit as sorted tuples, by orderly generation (Read, "Every one a winner",
     1978).  A least set less its largest point y is a least S, with y > max S
     the least of its G_S-orbit outside S: a child of S in the orbit tree.  So
-    each least S is extended by those children that pass `_is_least`.  Work:
-    N per nontrivial node scanned, 1 per least-test state."""
+    each least S is extended by those children that pass `_is_least`, depth
+    first by `_depth_first`.  Work: N per nontrivial node scanned, 1 per
+    least-test state."""
     N = action.domain_size
     if n > N:
         raise MalformedInputError(f"n={n} exceeds domain size {N} for mode subsets")
     if n < 0:
         raise MalformedInputError("n must be a natural number")
     ident = identity_perm(N)
-    charge = _work_budget(space_cap)
+    charge = _work_budget()
     out = [1] + [0] * n
+    path = []  # a frame [least, the next extension's inverted transversal] per level
 
-    def frame(S: tuple, node: tuple) -> list:
-        """[S, its node, the next extension's inverted transversal, extensions]"""
+    def extend(S: tuple, node: tuple):
+        """Count the least sets above S, whose orbit-tree node is `node`."""
+        gens, least = node
         start = S[-1] + 1 if S else 1
-        if node[1] is None:
-            return [S, node, None, iter(range(start, N + 1))]
-        charge(N)
-        return [S, node, None, iter([y for y in range(start, N + 1) if node[1][y - 1] == y])]
-
-    # depth first on an explicit stack, as the tree may be deeper than
-    # Python's recursion limit; the stack is the path to the top frame
-    stack = [frame((), action._node(()))] if n else []
-    while stack:
-        top = stack[-1]
-        S, (gens, least), _, points = top
+        points = range(start, N + 1)
+        if least is not None:
+            charge(N)
+            points = [y for y in points if least[y - 1] == y]
+        frame = [least, None]
+        path.append(frame)
         for y in points:
             C = S + (y,)
-            if _is_least(C, stack, charge):
+            if _is_least(C, path, charge):
                 out[len(C)] += 1
                 if len(C) < n:
-                    top[2] = least and _inverses(_orbit_transversal((y,), gens, ident))
-                    stack.append(frame(C, action._node(C) if least else top[1]))
-                    break
-        else:
-            stack.pop()
+                    frame[1] = least and _inverses(_orbit_transversal((y,), gens, ident))
+                    yield extend(C, action._node(C) if least else node)
+        path.pop()
+
+    if n:
+        _depth_first(extend((), action._node(())))
     return out
 
 
@@ -606,16 +597,16 @@ def is_t_dense(H: FiniteAction, G: FiniteAction, t: int) -> bool:
 FullnessWitness = namedtuple("FullnessWitness", "g coset_index lhs rhs")
 
 
-def _coset_orbit(gens, K: FiniteAction, cap: int) -> set:
+def _coset_orbit(gens, K: FiniteAction) -> set:
     """The orbit of the coset K under <gens>, each coset gK named by its
-    least element (K by the identity).  Raises ResourceCapError above `cap`
-    cosets."""
-    base, transversals, _ = K.chain
+    least element (K by the identity).  Raises ResourceCapError above
+    DEFAULT_GROUP_ORDER_CAP cosets."""
+    base, transversals = K.chain
 
     def act(s: Perm, c: Perm) -> Perm:
         return _least_in_coset(pmul(s, c), base, transversals)
 
-    return _orbit(identity_perm(K.domain_size), gens, act, cap, "coset space")
+    return _orbit(identity_perm(K.domain_size), gens, act, DEFAULT_GROUP_ORDER_CAP, "coset space")
 
 
 def restriction_fullness_witness(
@@ -631,11 +622,11 @@ def restriction_fullness_witness(
     """
     _require_subgroup(H, G)
     _require_subgroup(K, G)
-    hk = _coset_orbit(H.generators, K, DEFAULT_GROUP_ORDER_CAP)
+    hk = _coset_orbit(H.generators, K)
     # the H-orbit of K has |HK|/|K| cosets
     if len(hk) * K.order() == G.order():
         return None
-    g = min(_coset_orbit(G.generators, K, DEFAULT_GROUP_ORDER_CAP) - hk)
+    g = min(_coset_orbit(G.generators, K) - hk)
     return FullnessWitness(g, 0, Fraction(0), Fraction(1))
 
 

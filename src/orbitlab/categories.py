@@ -187,17 +187,13 @@ def compose(f: InjectionMorphism, g: InjectionMorphism) -> InjectionMorphism:
     )
 
 
-def hom_set(
-    kind: CategoryKind,
-    m: int,
-    n: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[InjectionMorphism]:
+def hom_set(kind: CategoryKind, m: int, n: int) -> list[InjectionMorphism]:
     """All morphisms [m] -> [n], sorted lexicographically by image array;
-    ResourceCapError, before any is built, when there are more than `cap`
-    or their images hold more than 10 * cap entries.  Each g in End([m])
-    composes all the increasing injections eps' in one pass."""
-    size = hom_size_formula(kind, m, n)
+    ResourceCapError, before any is built, when there are more than
+    DEFAULT_ENUMERATION_CAP or their images hold more than ten times as many
+    entries.  Each g in End([m]) composes all the increasing injections eps'
+    in one pass."""
+    size, cap = hom_size_formula(kind, m, n), DEFAULT_ENUMERATION_CAP
     if size > cap:
         raise ResourceCapError(
             f"hom_set({kind.value}, {m}, {n}): {format_count(size)} injections exceeds cap {cap}"

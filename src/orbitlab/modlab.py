@@ -28,7 +28,7 @@ from collections import deque, namedtuple
 from functools import cached_property
 from math import comb
 
-from .actions import DEFAULT_SPACE_CAP, _work_budget
+from .actions import DEFAULT_SPACE_CAP, _depth_first, _work_budget
 from .categories import (
     DEFAULT_ENUMERATION_CAP,
     CategoryKind,
@@ -367,13 +367,17 @@ def submodule_dimension_upto(gb: GroebnerBasis, width: int, degree: int) -> int:
     `_outside_count` counts without listing them.  The count may take
     3 * DEFAULT_SPACE_CAP steps of `_outside_count`."""
     memo: dict = {}
-    charge = _work_budget(DEFAULT_SPACE_CAP, "rank profile")
-    everything = _outside_count(frozenset(), width, degree, memo, charge)
+    charge = _work_budget("rank profile")
+
+    def count(monos, n, d):
+        return _depth_first(_outside_count(monos, n, d, memo, charge))
+
+    everything = count(frozenset(), width, degree)
 
     def outside(monos):
         n = len(next(iter(monos)))  # with h, those of degree `degree` only
-        below = _outside_count(monos, n, degree - 1, memo, charge) if n > width else 0
-        return _outside_count(monos, n, degree, memo, charge) - below
+        below = count(monos, n, degree - 1) if n > width else 0
+        return count(monos, n, degree) - below
 
     return sum(
         everything - outside(_minimal(mono for mono, _, _ in entries))
@@ -392,28 +396,15 @@ def _minimal(monos) -> frozenset:
     return frozenset(kept)
 
 
-def _outside_count(monos: frozenset, width: int, degree: int, memo: dict, charge) -> int:
+def _outside_count(monos: frozenset, width: int, degree: int, memo: dict, charge):
     """Number of monomials in `width` variables of degree <= `degree` that no
-    monomial of `monos` (minimal, each of length `width`) divides.  The
-    recursion is on the exponent e of the last variable: such a monomial is
-    one in the first width - 1 variables, of degree <= degree - e, that no
-    m[:-1] with m[-1] <= e divides.  Memoized on (monos, degree) in `memo`;
-    each miss charges its degree + 1 steps to `charge` before it loops.  It
-    takes one level per variable, so the levels wait on an explicit stack."""
-    stack, count = [_outside_level(monos, width, degree, memo, charge)], None
-    while stack:
-        try:
-            stack.append(_outside_level(*stack[-1].send(count), memo, charge))
-            count = None
-        except StopIteration as done:
-            stack.pop()
-            count = done.value
-    return count
-
-
-def _outside_level(monos: frozenset, width: int, degree: int, memo: dict, charge):
-    """One count of `_outside_count`: yields (monos, width, degree) for each
-    count one variable down, is sent that count, and returns its own."""
+    monomial of `monos` (minimal, each of length `width`) divides, as a
+    generator for `_depth_first`, since it takes one level per variable.
+    The recursion is on the exponent e of the last variable: such a monomial
+    is one in the first width - 1 variables, of degree <= degree - e, that
+    no m[:-1] with m[-1] <= e divides.  Memoized on (monos, degree) in
+    `memo`; each miss charges its degree + 1 steps to `charge` before it
+    loops."""
     if degree < 0:
         return 0
     if not monos:
@@ -431,7 +422,7 @@ def _outside_level(monos: frozenset, width: int, degree: int, memo: dict, charge
         for e in range(degree + 1):
             if e in by_last:
                 below = _minimal(below | set(by_last[e]))
-            total += yield below, width - 1, degree - e
+            total += yield _outside_count(below, width - 1, degree - e, memo, charge)
         memo[key] = total
     return memo[key]
 
@@ -504,10 +495,10 @@ class WidthChainResult(
         "WidthChainResult", "width first_stable_index rank_profile monotone degree_capped"
     )
 ):
-    """first_stable_index: 1-based, the earliest chain index whose component
-    persists; rank_profile: the leading-term dimension count per chain index;
-    monotone: consecutive components are nested (unchecked past a
-    degree-capped one)."""
+    """first_stable_index: 1-based, the earliest chain index from which the
+    component's degree-<=D part persists; rank_profile: the leading-term
+    dimension count per chain index; monotone: consecutive components are
+    nested (unchecked past a degree-capped one)."""
 
     __slots__ = ()
 
@@ -557,9 +548,10 @@ def chain_experiment(
     """Track an ascending chain of generator sets across widths.
 
     Each chain entry must contain the previous one (subobject ascent); for
-    each width the report gives the earliest index from which the width
-    component never changes again inside the window, plus a dimension
-    profile of the degree-truncated components.
+    each width the report gives a dimension profile of the degree-truncated
+    components, and the earliest index from which the truncated width
+    component never changes again inside the window: the first whose
+    profile count is the last one's.
     """
     if max_width < 1:
         raise MalformedInputError("max_width must be >= 1")
@@ -577,18 +569,12 @@ def chain_experiment(
         profile = tuple(
             submodule_dimension_upto(gb, width, degree_cap) for gb in gbs
         )
-        # the first step from which the basis is the last one, or, where a
-        # basis has h and so stands for its degree-D part, that part is: the
-        # steps ascend, so equal counts mean equal parts
+        # the first step from which the degree-<=D part is the last one's:
+        # each count is that part's dimension and the steps ascend, so equal
+        # counts mean equal parts
         first_stable = len(chain)
-        for i in range(len(chain) - 1, -1, -1):
-            if gbs[i] == gbs[-1] or (
-                profile[i] == profile[-1]
-                and any(v.width > width for v in gbs[i].vectors + gbs[-1].vectors)
-            ):
-                first_stable = i + 1
-            else:
-                break
+        while first_stable > 1 and profile[first_stable - 2] == profile[-1]:
+            first_stable -= 1
         # a reduction to zero proves membership, but a nonzero normal form
         # disproves it only modulo a Groebner basis, which a degree-capped
         # basis need not be: there the nesting is left unverified

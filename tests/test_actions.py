@@ -5,6 +5,7 @@ closing its generators, and walk the whole space of tuples or subsets for its
 orbits, which the library itself never does.  Other test files import them."""
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -13,7 +14,7 @@ from math import comb, factorial, perm
 
 import pytest
 
-from orbitlab import actions
+from orbitlab import actions, modlab
 from orbitlab.actions import (
     DEFAULT_GROUP_ORDER_CAP,
     DEFAULT_SPACE_CAP,
@@ -289,7 +290,7 @@ def test_the_orbit_tree_stops_at_a_trivial_stabilizer():
     G = cyclic_action(200)
     points = range(1, 201)
     assert G.order() == G.orbit_size(points) == 200
-    base, transversals, _ = G.chain
+    base, transversals = G.chain
     assert base == [1] and len(transversals[0]) == 200
     assert G.fixed_points(points) == set(points) and G.fixed_points(()) == set()
     assert len(G._nodes) <= 2
@@ -574,13 +575,15 @@ def test_least_sets_match_enumeration_on_random_groups():
         assert growth_profile(G, N).f == tuple(want[1:])
 
 
-def test_least_set_walk_charges_every_state():
+def test_least_set_walk_charges_every_state(monkeypatch):
     # the trivial group on 12 points: one state per candidate, no scans
     G = trivial_action(12)
     assert sum(comb(12, n) for n in range(1, 4)) == 298
-    assert actions._least_set_counts(G, 3, space_cap=100) == [1, 12, 66, 220]
+    monkeypatch.setattr(actions, "DEFAULT_SPACE_CAP", 100)
+    assert actions._least_set_counts(G, 3) == [1, 12, 66, 220]
+    monkeypatch.setattr(actions, "DEFAULT_SPACE_CAP", 99)
     with pytest.raises(ResourceCapError, match="297 units"):
-        actions._least_set_counts(G, 3, space_cap=99)
+        actions._least_set_counts(G, 3)
     with pytest.raises(MalformedInputError):
         actions._least_set_counts(G, 13)
 
@@ -601,20 +604,49 @@ def test_same_orbits_by_counts_matches_partitions():
     assert answers == {True, False} and outside > 0
 
 
-def test_descent_cap_bounds_the_work_of_the_whole_descent():
+def test_descent_cap_bounds_the_work_of_the_whole_descent(monkeypatch):
     # <(1 2)> on 12 points, injective pairs: the root scans 12 points and
     # builds 3 counts; below it the point 1 has a closed form of 2 counts,
     # and each of the points 3..12 scans 12 points and builds 2 counts
     G = FiniteAction(12, (perm_from_cycles("(1 2)", 12),))
     assert 12 + 3 + 2 + 10 * (12 + 2) == 157 <= 3 * 53
-    counts = actions._descent_counts(G, 2, "injective", space_cap=53)
+    monkeypatch.setattr(actions, "DEFAULT_SPACE_CAP", 53)
+    counts = actions._descent_counts(G, 2, "injective")
     assert counts[2] == enumerated_count(G, 2, "injective")
+    monkeypatch.setattr(actions, "DEFAULT_SPACE_CAP", 52)
     with pytest.raises(ResourceCapError, match="156 units"):
-        actions._descent_counts(G, 2, "injective", space_cap=52)
+        actions._descent_counts(G, 2, "injective")
+    monkeypatch.undo()
     # a closed form is charged before it is built: 2^j for j <= 10^6 would
     # fill gigabytes
     with pytest.raises(ResourceCapError):
         orbit_count(trivial_action(2), 10**6, "power")
+
+
+def test_depth_first_walks_outgrow_the_recursion_limit(monkeypatch):
+    # every walk run by `_depth_first` holds its path on a stack of its own,
+    # so each goes some 200 levels deep under a limit of 60 more frames
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        # every set is least: the sets 1..200 come first, in 200 units of work
+        monkeypatch.setattr(actions, "DEFAULT_SPACE_CAP", 1000)
+        with pytest.raises(ResourceCapError):
+            actions._least_set_counts(trivial_action(300), 200)
+        monkeypatch.undo()
+        # the tuples (3, 4, ...) are each fixed by (1 2): depth 199 inside the cap
+        G = FiniteAction(300, (perm_from_cycles("(1 2)", 300),))
+        with pytest.raises(ResourceCapError):
+            actions._descent_counts(G, 200, "injective")
+        # one level of the rank profile per variable
+        (step,) = modlab.parse_chain_file("OI 0 300 : [] : x1\n", modlab.CategoryKind.OI)
+        gb = modlab.width_component(modlab.CategoryKind.OI, step, 300, modlab.GREVLEX, 1)
+        assert modlab.submodule_dimension_upto(gb, 300, 1) == 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_is_t_dense_matches_definition():
@@ -681,7 +713,7 @@ def test_subgroup_test_matches_element_lists():
     assert not symmetric_action(4).contains_action(symmetric_action(5))
 
 
-def test_permutation_module_cosets():
+def test_permutation_module_cosets(monkeypatch):
     # the oracle's cosets, in order, are the names the library gives them
     S4 = symmetric_action(4)
     K = FiniteAction(4, (perm_from_cycles("(1 2)", 4),))
@@ -690,9 +722,11 @@ def test_permutation_module_cosets():
     for g in S4.generators:
         imgs = [mod.act_on_index(g, i) for i in range(12)]
         assert sorted(imgs) == list(range(12))
-    assert sorted(actions._coset_orbit(S4.generators, K, 12)) == mod.reps
+    monkeypatch.setattr(actions, "DEFAULT_GROUP_ORDER_CAP", 12)
+    assert sorted(actions._coset_orbit(S4.generators, K)) == mod.reps
+    monkeypatch.setattr(actions, "DEFAULT_GROUP_ORDER_CAP", 11)
     with pytest.raises(ResourceCapError):
-        actions._coset_orbit(S4.generators, K, 11)
+        actions._coset_orbit(S4.generators, K)
 
 
 def test_fullness_witness_nontrivial():

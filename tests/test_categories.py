@@ -162,22 +162,26 @@ def test_built_morphisms_satisfy_is_morphism():
                             assert is_morphism(kind, m, r, compose(f, g).image)
 
 
-def test_hom_set_cap():
+def test_hom_set_cap(monkeypatch):
+    def capped(cap, *args):
+        monkeypatch.setattr(categories, "DEFAULT_ENUMERATION_CAP", cap)
+        return hom_set(*args)
+
     with pytest.raises(ResourceCapError):
-        hom_set(CategoryKind.FI, 5, 9, cap=10)
+        capped(10, CategoryKind.FI, 5, 9)
     # the cap is on the morphisms built, C(9,5) = 126 here, not on the
     # 9!/4! = 15,120 injections [5] -> [9]
-    assert len(hom_set(CategoryKind.OI, 5, 9, cap=126)) == 126
+    assert len(capped(126, CategoryKind.OI, 5, 9)) == 126
     with pytest.raises(ResourceCapError, match=r"hom_set\(OI, 5, 9\): 126 "):
-        hom_set(CategoryKind.OI, 5, 9, cap=125)
-    assert len(hom_set(CategoryKind.SI, 5, 9, cap=1260)) == 1260
+        capped(125, CategoryKind.OI, 5, 9)
+    assert len(capped(1260, CategoryKind.SI, 5, 9)) == 1260
     with pytest.raises(ResourceCapError):
-        hom_set(CategoryKind.SI, 5, 9, cap=1259)
+        capped(1259, CategoryKind.SI, 5, 9)
     # and at ten times the cap on image entries: the 10 CI morphisms
     # [10] -> [10] hold 100, the 11 of [11] -> [11] hold 121
-    assert len(hom_set(CategoryKind.CI, 10, 10, cap=10)) == 10
+    assert len(capped(10, CategoryKind.CI, 10, 10)) == 10
     with pytest.raises(ResourceCapError, match=r"\(CI, 11, 11\): 121 image entries exceeds cap 110"):
-        hom_set(CategoryKind.CI, 11, 11, cap=11)
+        capped(11, CategoryKind.CI, 11, 11)
 
 
 def test_negative_objects_are_malformed():

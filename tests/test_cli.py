@@ -543,6 +543,19 @@ def test_noeth_chain_stops_at_the_s_pair_cap(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr() == ("", "resource cap: S-pair queue exceeded cap 10\n")
 
 
+def test_noeth_chain_index_is_read_off_the_rank_profile(capsys, tmp_path):
+    # the second step adds x1^2, above D = 1, so the bases differ while the
+    # degree-<=1 parts, and so the profile counts, do not: index 1 everywhere
+    chain = tmp_path / "rank2.chain"
+    chain.write_text(RANK2_CHAIN)
+    argv = ("noeth-chain", "--kind", "fi", "--chain", str(chain), "--width", "3", "--degree", "1")
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert [r["component_rank_profile"] for r in data["results"]] == [[0, 0], [2, 2], [6, 6]]
+    assert [r["chain_index"] for r in data["results"]] == [1, 1, 1]
+    assert data["width_uniform_index"] is True
+
+
 def test_noeth_chain_rank_two_chain_at_width_8(capsys, tmp_path):
     chain = tmp_path / "rank2.chain"
     chain.write_text(RANK2_CHAIN)
@@ -584,6 +597,10 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         # AGL(1,13): x -> x+1 and x -> 2x (mod 13) on the points x+1
         "agl13.grp": "N=13\n"
         + "".join(f"{[(a * x + b) % 13 + 1 for x in range(13)]}\n" for a, b in ((1, 1), (2, 0))),
+        # its translations, and the stabilizer of the point 1 (x -> 2x)
+        "t13.grp": f"N=13\n{[(x + 1) % 13 + 1 for x in range(13)]}\n",
+        "m13.grp": f"N=13\n{[2 * x % 13 + 1 for x in range(13)]}\n",
+        "c12.grp": "N=12\n(1 2 3 4 5 6 7 8 9 10 11 12)\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -607,6 +624,13 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         ("orbitcat", "--group", "c8.grp", "--cap", "3"),  # exits 1, every failing pair listed
         ("orbitcat", "--group", "agl13.grp", "--cap", "2"),  # exits 1, failing orbits shared
         ("orbitcat", "--group", "s10.grp", "--cap", "5"),  # 5-tuple orbits of 30,240 images
+        # the join's tree, subgroup tests on the chain, and cosets named by it
+        ("same-orbits", "--group", "agl13.grp", "--subgroup", "t13.grp", "--n", "3"),
+        ("same-orbits", "--group", "d12.grp", "--subgroup", "c12.grp", "--n", "3"),
+        ("dense", "--group", "agl13.grp", "--subgroup", "t13.grp", "--t", "2"),
+        ("dense", "--group", "d12.grp", "--subgroup", "c12.grp", "--t", "2"),
+        ("fullness-witness", "--group", "agl13.grp", "--subgroup", "t13.grp", "--k-subgroup", "m13.grp"),
+        ("fullness-witness", "--group", "d12.grp", "--subgroup", "c12.grp", "--k-subgroup", "c12.grp"),
     )
     script = f"from orbitlab.cli import main\nfor argv in {commands!r}:\n    main(list(argv))\n"
     src = str(Path(orbitlab.__file__).resolve().parents[1])
