@@ -5,7 +5,9 @@ linear orders, betweenness, cyclic orders and separation relations, each
 induced by a linear or circular arrangement of the universe.  A further
 "pair" age models points that are ordered pairs over a base set, carrying
 coordinate-equality relations; it is the stock negative example for the
-strong amalgamation property.
+strong amalgamation property.  A built-in age reads its isomorphism classes,
+their automorphisms and the embeddings between them off its injection
+category; the pair age finds them by relabeling and filtering.
 
 Structures and embeddings trust their constructor arguments; data from outside
 is checked where it is built (`make_structure`) or parsed
@@ -19,7 +21,13 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import itemgetter
 
-from .categories import CategoryKind, _endomorphism_images, canonical_relation
+from .categories import (
+    RELATION_ARITY,
+    CategoryKind,
+    _endomorphism_images,
+    canonical_relation,
+    hom_set,
+)
 from .errors import MalformedInputError, ResourceCapError, parse_int
 
 BUILTIN_KINDS = {
@@ -32,12 +40,14 @@ BUILTIN_KINDS = {
 
 PUSHOUT_LABEL_CAP = 10
 
-_KIND_RELATION = {
-    "linear": ("lt", 2),
-    "betweenness": ("btw", 3),
-    "cyclic": ("cyc", 3),
-    "separation": ("sep", 4),
-}
+_KIND_RELATION = {"linear": "lt", "betweenness": "btw", "cyclic": "cyc", "separation": "sep"}
+
+
+def _signature(kind_name: str) -> tuple:
+    """((relation name, arity),) of a built-in kind with a relation, else ()."""
+    if kind_name == "set":
+        return ()
+    return ((_KIND_RELATION[kind_name], RELATION_ARITY[BUILTIN_KINDS[kind_name]]),)
 
 
 class FiniteStructure(namedtuple("FiniteStructure", "universe signature relations")):
@@ -99,10 +109,9 @@ def arrangement_structure(kind_name: str, arrangement) -> FiniteStructure:
     arrangement = tuple(arrangement)
     if kind_name == "set":
         return FiniteStructure(arrangement, (), ())
-    name, arity = _KIND_RELATION[kind_name]
     tuples = frozenset(g(arrangement) for g in _relation_getters(kind_name, len(arrangement)))
     return FiniteStructure(
-        tuple(sorted(arrangement)), ((name, arity),), ((name, tuples),)
+        tuple(sorted(arrangement)), _signature(kind_name), ((_KIND_RELATION[kind_name], tuples),)
     )
 
 
@@ -156,6 +165,16 @@ class _Age:
             for t in self.structures_on(s.universe, ((s.universe, s),))
         )
 
+    def iso_classes(self, size: int):
+        """`(s, Aut(s))` per isomorphism class on [size]: `_iso_classes`,
+        which relabels every structure the age builds."""
+        return _iso_classes(self, size)
+
+    def embeddings(self, sigma: FiniteStructure, gamma: FiniteStructure):
+        """The embeddings sigma -> gamma of two `iso_classes` structures, by
+        image tuple: every injection, filtered."""
+        return enumerate_embeddings(sigma, gamma)
+
 
 class BuiltinAge(_Age):
     """Enumeration of all age structures on a fixed label set, one per
@@ -169,9 +188,20 @@ class BuiltinAge(_Age):
 
     @property
     def signature(self):
-        if self.kind_name == "set":
-            return ()
-        return (_KIND_RELATION[self.kind_name],)
+        return _signature(self.kind_name)
+
+    def iso_classes(self, size: int):
+        """All structures on [size] are isomorphic: the one class is that of
+        the identity arrangement, whose automorphisms are End([size])."""
+        kind = BUILTIN_KINDS[self.kind_name]
+        s = arrangement_structure(self.kind_name, range(1, size + 1))
+        return [(s, list(_endomorphism_images(kind, size)))]
+
+    def embeddings(self, sigma: FiniteStructure, gamma: FiniteStructure):
+        """The embeddings [s] -> [n] of two `iso_classes` structures: the
+        images of hom([s], [n]), already sorted."""
+        morphisms = hom_set(BUILTIN_KINDS[self.kind_name], sigma.size, gamma.size)
+        return [StructureEmbedding(sigma, gamma, f.image) for f in morphisms]
 
     def structures_on(self, labels, restrictions=()):
         """The age structures on the labels, each at its first inducing
@@ -550,18 +580,18 @@ def _sap_problems(age, size_cap: int):
 
     Problems are enumerated up to isomorphism of the three structures and up
     to automorphisms of the sides, which act on the two embeddings
-    separately: each side keeps the first embedding of sigma with each key,
-    the least image of its image tuple under Aut(gamma) from `_iso_classes`,
-    and the problems are the product of two sides' lists.
+    separately: each side keeps the first of `age.embeddings` of sigma with
+    each key, the least image of its image tuple under Aut(gamma) from
+    `age.iso_classes`, and the problems are the product of two sides' lists.
     """
-    by_size = {k: _iso_classes(age, k) for k in range(0, size_cap + 1)}
+    by_size = {k: age.iso_classes(k) for k in range(0, size_cap + 1)}
     for s_size in range(0, size_cap + 1):
         for sigma, _ in by_size[s_size]:
             sides = []  # (gamma, its embeddings of sigma, one per key)
             for n in range(s_size, size_cap + 1):
                 for gamma, aut in by_size[n]:
                     kept = {}
-                    for f in enumerate_embeddings(sigma, gamma):
+                    for f in age.embeddings(sigma, gamma):
                         key = min(tuple(p[y - 1] for y in f.images) for p in aut)
                         kept.setdefault(key, f)
                     if kept:

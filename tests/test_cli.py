@@ -687,6 +687,30 @@ def test_parser_is_built_once_and_reused(capsys):
         assert "the following arguments are required: --group" in capsys.readouterr().err
 
 
+def test_console_entry_ends_quietly_when_its_reader_closes_stdout():
+    # 6,720 morphisms, more than a pipe holds: the report is still being
+    # written when the reader goes, which is no failed property (exit 1)
+    script = (
+        "import sys\n"
+        "from orbitlab.cli import main\n"
+        "sys.argv = ['orbitlab', 'homset', '--kind', 'fi', '--m', '5', '--n', '8']\n"
+        "main()\n"
+    )
+    src = str(Path(orbitlab.__file__).resolve().parents[1])
+    run = subprocess.Popen(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert run.stdout.read(8) == "{\n  \"too"
+    run.stdout.close()
+    err = run.stderr.read()
+    assert run.wait(timeout=60) != 1
+    assert "Traceback" not in err, err
+
+
 def test_import_loads_no_costly_standard_modules():
     # a one-shot run pays for every import before it reports; typing is
     # listed so that typing.NamedTuple is no way round

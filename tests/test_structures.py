@@ -1,7 +1,7 @@
 """Unit tests for relational structures, ages, and amalgamation."""
 
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,7 +272,7 @@ def test_sap_above_the_pushout_cap_stops_as_its_search_would(monkeypatch, name):
                 if solve_amalgamation(problem, strong=True) is None:
                     break
         with monkeypatch.context() as patch:
-            patch.setattr(structures, "_iso_classes", lambda *_: pytest.fail("enumerated"))
+            patch.setattr(structures, "_sap_problems", lambda *_: pytest.fail("enumerated"))
             with pytest.raises(ResourceCapError) as guarded:
                 age_has_sap(name, size)
         message = f"pushout universe of size {cap + 1} exceeds cap"
@@ -422,6 +422,7 @@ def test_sap_does_each_sides_work_once(monkeypatch, name):
     # one run of the check (the pair age's takes seconds) counts the per-side
     # search data built, per side, and the isomorphism classes listed, per size
     built, listed, sides = Counter(), Counter(), set()
+    age = age_for(name)
     if name == "pair":
         real_facts = PairAge._slot_facts
         monkeypatch.setattr(PairAge, "_slot_facts", staticmethod(lambda g: built.update([g]) or real_facts(g)))
@@ -430,20 +431,82 @@ def test_sap_does_each_sides_work_once(monkeypatch, name):
         monkeypatch.setattr(
             BuiltinAge, "_inducing_arrangement", lambda age, g: built.update([g]) or real_arrangement(age, g)
         )
-    real_classes = structures._iso_classes
-    monkeypatch.setattr(structures, "_iso_classes", lambda age, k: listed.update([k]) or real_classes(age, k))
+    real_classes = type(age).iso_classes
+    monkeypatch.setattr(type(age), "iso_classes", lambda age, k: listed.update([k]) or real_classes(age, k))
     real_solve = structures.solve_amalgamation
     monkeypatch.setattr(
         structures,
         "solve_amalgamation",
         lambda p, strong=True: sides.update((p.gamma1, p.gamma2)) or real_solve(p, strong),
     )
-    age_has_sap(age_for(name), 4)
+    age_has_sap(age, 4)
     # every side the search meets is built for once; the set age restricts
     # by signature alone and builds nothing
     assert sides and built == Counter(() if name == "set" else sides)
     # the classes of each size, with their automorphisms, are listed once
     assert listed == Counter(range(5))
+
+
+REDUCTS = ("set", "linear", "betweenness", "cyclic", "separation")
+
+
+@pytest.mark.parametrize("name", REDUCTS)
+def test_a_reducts_classes_and_embeddings_are_the_relabeled_and_filtered_ones(name):
+    # End([n]) and hom([s], [n]) against the relabeling and the injection
+    # filter that the pair age still uses
+    age = BuiltinAge(name)
+    classes = {n: age.iso_classes(n) for n in range(7)}
+    for n, listed in classes.items():
+        assert listed == _iso_classes(age, n), (name, n)
+        ((gamma, _),) = listed
+        for s in range(n + 1):
+            ((sigma, _),) = classes[s]
+            assert age.embeddings(sigma, gamma) == enumerate_embeddings(sigma, gamma), (name, s, n)
+
+
+def sap_problems_by_relabeling(age, size_cap):
+    """Oracle for `_sap_problems`: its loop over `_iso_classes` and
+    `enumerate_embeddings`, which any age answers."""
+    by_size = {k: _iso_classes(age, k) for k in range(0, size_cap + 1)}
+    for s_size in range(0, size_cap + 1):
+        for sigma, _ in by_size[s_size]:
+            sides = []
+            for n in range(s_size, size_cap + 1):
+                for gamma, aut in by_size[n]:
+                    kept = {}
+                    for f in enumerate_embeddings(sigma, gamma):
+                        key = min(tuple(p[y - 1] for y in f.images) for p in aut)
+                        kept.setdefault(key, f)
+                    if kept:
+                        sides.append((gamma, list(kept.values())))
+            for (gamma1, side1), (gamma2, side2) in product(sides, repeat=2):
+                for f1, f2 in product(side1, side2):
+                    yield AmalgamationProblem(sigma, gamma1, gamma2, f1, f2, age)
+
+
+@pytest.mark.parametrize("name", REDUCTS)
+def test_a_reducts_problems_are_the_relabeled_and_filtered_ones(name):
+    age = BuiltinAge(name)
+    for cap in range(1, 6):
+        assert list(_sap_problems(age, cap)) == list(sap_problems_by_relabeling(age, cap)), (name, cap)
+
+
+class Relabeled(Exception):
+    pass
+
+
+def test_only_the_pair_age_relabels_and_filters(monkeypatch):
+    def refuse(*_):
+        raise Relabeled
+
+    monkeypatch.setattr(structures, "_iso_classes", refuse)
+    monkeypatch.setattr(structures, "enumerate_embeddings", refuse)
+    for name in REDUCTS:
+        assert age_has_sap(name, 5).holds, name
+    point = PairAge.from_pairs("a", [(0, 0)])
+    for search in (lambda: age_has_sap("pair", 1), lambda: PairAge().embeddings(point, point)):
+        with pytest.raises(Relabeled):
+            search()
 
 
 @pytest.mark.parametrize(
