@@ -7,8 +7,9 @@ pointwise stabilizer G_Gamma, whose common fixed points are Fix(G_Gamma).
 Such stabilizers, one point at a time, are the nodes of the orbit tree, the
 one orbit engine: along the sorted support, up to the first trivial one,
 they give the group order and form a base and strong generating set
-(the least element of each coset gK, so membership too); its node counts
-give the growth functions F and F*, the same-orbit conditions and density;
+(the least element of each coset gK, so membership too); its node counts,
+on all tuples and on injective ones in one descent, give the growth
+functions F* and F, the same-orbit conditions and density;
 its least sets give f; and its nodes name the relations of the canonical
 structure.  No group is ever listed element by element.  Permutations are
 tuples p of length N with p[i-1] the image of the point i; points are
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import factorial, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import FalsificationError, MalformedInputError, ResourceCapError, parse_int
 
@@ -308,29 +309,28 @@ def _depth_first(root):
     return value
 
 
-def _descent_counts(action: FiniteAction, n: int, mode: str) -> list[int]:
-    """The orbit counts on k-tuples (power) or injective k-tuples for
+def _descent_counts(action: FiniteAction, n: int) -> tuple[list[int], list[int]]:
+    """The orbit counts on all k-tuples and on injective k-tuples for
     k = 0..n, as the node counts of the orbit tree (Cameron, Oligomorphic
-    Permutation Groups, 2-3).  The children of a tuple t are the orbits of
-    its pointwise stabilizer G_t on the points outside t (injective), or on
-    all points, those of t being fixed singletons (power).  G_t depends only
-    on t's point set, so each set is expanded once (`FiniteAction._node`);
-    below a trivial G_t the counts are N^j or the falling factorial of the
-    free points.  The tree is walked depth first by `_depth_first`.
+    Permutation Groups, 2-3), both in one walk.  The injective children of a
+    tuple t are the orbits of its pointwise stabilizer G_t on the points
+    outside t; on all points, those of t are |t| more children, fixed
+    singletons whose counts are t's own one level down.  G_t depends only on
+    t's point set, so each set is expanded once (`FiniteAction._node`) and
+    its pair of counts is kept; below a trivial G_t the counts are N^j and
+    the falling factorial of the free points.  The tree is walked depth first
+    by `_depth_first`.
 
     The whole descent may do at most 3 * DEFAULT_SPACE_CAP units of work: a
-    point scanned, or a count of at most w words built or added, where every
-    count is at most N^n < 2^(64 w).  An expansion of a set of j < n points
-    scans N points, builds a list of n - j + 1 counts and adds at most N
-    lists of n - j counts, so the descent costs at most
+    point scanned, or a pair of counts of at most w words each built or
+    added, where every count is at most N^n < 2^(64 w).  An expansion of a
+    set of j < n points scans N points, builds a pair of n - j + 1 counts and
+    adds at most N pairs of n - j counts, so the descent costs at most
     sum_{j<n} C(N, j) * (N + (n - j + 1) w + N (n - j) w).  For the default
     cap that is at most 2,005,003 (at N = 1000, n = 2) wherever the n-tuples
     number at most 1,000,000, so every space the enumeration answers stays
     answered, and the scans and counts stay bounded at any n."""
     N = action.domain_size
-    power = mode == "power"
-    if not power and n > N:
-        raise MalformedInputError(f"n={n} exceeds domain size {N} for mode {mode}")
     if n < 0:
         raise MalformedInputError("n must be a natural number")
     words = n * (N - 1).bit_length() // 64 + 1
@@ -344,29 +344,31 @@ def _descent_counts(action: FiniteAction, n: int, mode: str) -> list[int]:
         if least is None:
             charge((r + 1) * words)
             free = N - len(chosen)
-            return list(accumulate((N if power else free - j for j in range(r)), mul, initial=1))
+            return [N**j for j in range(r + 1)], list(
+                accumulate((free - j for j in range(r)), mul, initial=1)
+            )
         charge(N)
         outside = set(chosen)
         reps = [y for y in range(1, N + 1) if least[y - 1] == y and y not in outside]
         charge((r + 1) * words)
         if r == 1:
-            memo[frozenset(chosen)] = out = [1, len(reps) + (len(chosen) if power else 0)]
+            memo[frozenset(chosen)] = out = [1, len(reps) + len(chosen)], [1, len(reps)]
             return out
-        out = [1] + [0] * r
+        power, injective = [1] + [0] * r, [1] + [0] * r
         for y in reps:
             child = chosen + (y,)
             sub = memo.get(frozenset(child))
             if sub is not None:
-                charge(len(sub) * words)
+                charge(len(sub[0]) * words)
             else:
                 sub = yield counts(child)
-            for j, c in enumerate(sub, 1):
-                out[j] += c
-        if power:
-            for j in range(1, len(out)):
-                out[j] += len(chosen) * out[j - 1]
-        memo[frozenset(chosen)] = out
-        return out
+            for out, below in zip((power, injective), sub):
+                for j, c in enumerate(below, 1):
+                    out[j] += c
+        for j in range(1, r + 1):
+            power[j] += len(chosen) * power[j - 1]
+        memo[frozenset(chosen)] = power, injective
+        return power, injective
 
     return _depth_first(counts(()))
 
@@ -445,13 +447,16 @@ def _least_set_counts(action: FiniteAction, n: int) -> list[int]:
 
 def orbit_count(action: FiniteAction, n: int, mode: str) -> int:
     """The number of orbits on n-tuples (power), injective n-tuples or n-subsets."""
+    if mode not in ("power", "injective", "subsets"):
+        raise MalformedInputError(f"unknown mode {mode!r}")
     if n == 0:
         return 1
     if mode == "subsets":
         return _least_set_counts(action, n)[n]
-    if mode in ("power", "injective"):
-        return _descent_counts(action, n, mode)[n]
-    raise MalformedInputError(f"unknown mode {mode!r}")
+    if mode == "injective" and n > action.domain_size:
+        raise MalformedInputError(f"n={n} exceeds domain size {action.domain_size} for mode {mode}")
+    power, injective = _descent_counts(action, n)
+    return (power if mode == "power" else injective)[n]
 
 
 # -- growth functions --------------------------------------------------------
@@ -508,8 +513,7 @@ def growth_profile(action: FiniteAction, max_n: int) -> GrowthProfile:
     if max_n < 0:
         raise MalformedInputError("max_n must be a natural number")
     f = tuple(_least_set_counts(action, max_n)[1:])
-    F = tuple(_descent_counts(action, max_n, "injective")[1:])
-    F_star = tuple(_descent_counts(action, max_n, "power")[1:])
+    F_star, F = (tuple(counts[1:]) for counts in _descent_counts(action, max_n))
     profile = GrowthProfile(f, F, F_star, max_n)
     profile.validate(action.domain_size)
     return profile
@@ -553,10 +557,8 @@ def lemma_equivalence_check(G: FiniteAction, H: FiniteAction, n: int) -> LemmaRe
     if n < 0:
         raise MalformedInputError("n must be a natural number")
     # whether G and H have the same orbits on all s-tuples, then on
-    # injective ones, s = 0..n: both modes in one call share the join's tree
-    agree = _levels_agree(
-        G, H, lambda X: _descent_counts(X, n, "power") + _descent_counts(X, n, "injective")
-    )
+    # injective ones, s = 0..n: one descent of each group gives both
+    agree = _levels_agree(G, H, lambda X: add(*_descent_counts(X, n)))
     power, injective = agree[: n + 1], agree[n + 1 :]
     c1, c2 = power[n], injective[n]
     c3, c4 = all(power[1:]), all(injective[1:])

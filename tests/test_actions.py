@@ -472,14 +472,14 @@ def test_lemma_consistency_random():
         assert report.consistent, report.witness
 
 
-def test_lemma_check_descends_once_per_group_and_mode(monkeypatch):
+def test_growth_and_lemma_check_descend_once_per_group(monkeypatch):
     descents, orbit_bases = [], []
     descend = actions._descent_counts
     transversal = actions._orbit_transversal
 
-    def counting_descent(action, n, mode, *rest):
-        descents.append((action, n, mode))
-        return descend(action, n, mode, *rest)
+    def counting_descent(action, n, *rest):
+        descents.append((action, n))
+        return descend(action, n, *rest)
 
     def recording_transversal(base, *rest):
         orbit_bases.append(base)
@@ -490,14 +490,17 @@ def test_lemma_check_descends_once_per_group_and_mode(monkeypatch):
 
     monkeypatch.setattr(actions, "_descent_counts", counting_descent)
     monkeypatch.setattr(actions, "_orbit_transversal", recording_transversal)
+    assert growth_profile(symmetric_action(4), 3).F_star == (1, 2, 5)
+    # one descent gives F and F*
+    assert [n for _, n in descents] == [3]
+    descents.clear()
     monkeypatch.setattr(actions, "_least_set_counts", no_tuple_orbits)
     report = lemma_equivalence_check(symmetric_action(4), symmetric_action(4), 3)
     assert report.consistent and report.cond1
-    # G, H and <G u H>, each to depth 3 once per mode; no tuple is
-    # enumerated: the only orbits walked are those of single points
-    assert len(descents) == 6 and {n for _, n, _ in descents} == {3}
-    # three group objects: both modes descend one join, sharing its tree
-    assert len({id(action) for action, _, _ in descents}) == 3
+    # G, H and <G u H>, each to depth 3 once for both tuple spaces; no tuple
+    # is enumerated: the only orbits walked are those of single points
+    assert len(descents) == 3 and {n for _, n in descents} == {3}
+    assert len({id(action) for action, _ in descents}) == 3
     assert orbit_bases and {len(base) for base in orbit_bases} == {1}
 
 
@@ -525,8 +528,8 @@ def test_descent_counts_match_enumeration(G):
     # of their levels
     N = G.domain_size
     for mode, size, walk in (
-        ("power", lambda n: N**n, lambda n: actions._descent_counts(G, n, "power")),
-        ("injective", lambda n: perm(N, n), lambda n: actions._descent_counts(G, n, "injective")),
+        ("power", lambda n: N**n, lambda n: actions._descent_counts(G, n)[0]),
+        ("injective", lambda n: perm(N, n), lambda n: actions._descent_counts(G, n)[1]),
         ("subsets", lambda n: comb(N, n), lambda n: actions._least_set_counts(G, n)),
     ):
         levels = [n for n in range(N + 1) if size(n) <= DEFAULT_SPACE_CAP]
@@ -538,8 +541,8 @@ def test_descent_counts_match_enumeration(G):
 def test_descent_of_the_trivial_group_is_the_closed_form():
     for N in (1, 5, 20):
         G = trivial_action(N)
-        assert actions._descent_counts(G, min(N, 6), "power") == [N**n for n in range(min(N, 6) + 1)]
-        assert actions._descent_counts(G, N, "injective") == [perm(N, n) for n in range(N + 1)]
+        assert actions._descent_counts(G, min(N, 6))[0] == [N**n for n in range(min(N, 6) + 1)]
+        assert actions._descent_counts(G, N)[1] == [perm(N, n) for n in range(N + 1)]
 
 
 def test_descent_counts_match_enumeration_on_random_groups():
@@ -547,9 +550,10 @@ def test_descent_counts_match_enumeration_on_random_groups():
     for _ in range(40):
         N = rng.randint(1, 6)
         G = random_subgroup(rng, N, rng.randint(1, 3))
-        for mode in ("power", "injective"):
+        counts = actions._descent_counts(G, N)
+        for mode, got in zip(("power", "injective"), counts):
             want = [1] + [enumerated_count(G, n, mode) for n in range(1, N + 1)]
-            assert actions._descent_counts(G, N, mode) == want, (G.generators, mode)
+            assert got == want, (G.generators, mode)
 
 
 def random_cycles(rng, N, k):
@@ -605,22 +609,56 @@ def test_same_orbits_by_counts_matches_partitions():
 
 
 def test_descent_cap_bounds_the_work_of_the_whole_descent(monkeypatch):
-    # <(1 2)> on 12 points, injective pairs: the root scans 12 points and
-    # builds 3 counts; below it the point 1 has a closed form of 2 counts,
-    # and each of the points 3..12 scans 12 points and builds 2 counts
+    # <(1 2)> on 12 points, pairs of points and injective pairs in one
+    # walk: the root scans 12 points and builds 3 counts of each; below it
+    # the point 1 has closed forms of 2 counts, and each of the points 3..12
+    # scans 12 points and builds 2 counts of each
     G = FiniteAction(12, (perm_from_cycles("(1 2)", 12),))
     assert 12 + 3 + 2 + 10 * (12 + 2) == 157 <= 3 * 53
     monkeypatch.setattr(actions, "DEFAULT_SPACE_CAP", 53)
-    counts = actions._descent_counts(G, 2, "injective")
-    assert counts[2] == enumerated_count(G, 2, "injective")
+    power, injective = actions._descent_counts(G, 2)
+    assert injective[2] == enumerated_count(G, 2, "injective")
+    assert power[2] == enumerated_count(G, 2, "power")
     monkeypatch.setattr(actions, "DEFAULT_SPACE_CAP", 52)
     with pytest.raises(ResourceCapError, match="156 units"):
-        actions._descent_counts(G, 2, "injective")
+        actions._descent_counts(G, 2)
     monkeypatch.undo()
     # a closed form is charged before it is built: 2^j for j <= 10^6 would
     # fill gigabytes
     with pytest.raises(ResourceCapError):
         orbit_count(trivial_action(2), 10**6, "power")
+
+
+def test_every_caller_of_the_descent_hits_its_cap_at_the_same_work(monkeypatch):
+    # one walk charges what a walk for either tuple space alone charged, so
+    # counts on all tuples, on injective tuples and the lemma stop at one
+    # budget
+    G = FiniteAction(12, (perm_from_cycles("(1 2)", 12),))
+    monkeypatch.setattr(actions, "DEFAULT_SPACE_CAP", 53)
+    # Burnside: the identity and (1 2) fix 12^2 and 10^2 pairs, 12*11 and
+    # 10*9 injective ones
+    assert orbit_count(G, 2, "power") == (12**2 + 10**2) // 2
+    assert orbit_count(G, 2, "injective") == (12 * 11 + 10 * 9) // 2
+    monkeypatch.setattr(actions, "DEFAULT_SPACE_CAP", 52)
+    for run in (
+        lambda: orbit_count(G, 2, "power"),
+        lambda: orbit_count(G, 2, "injective"),
+        lambda: lemma_equivalence_check(G, G, 2),
+    ):
+        with pytest.raises(ResourceCapError, match="orbit tree exceeds 156 units"):
+            run()
+
+
+def test_orbit_count_checks_its_mode_at_every_level():
+    G = symmetric_action(3)
+    for n in (0, 1):
+        with pytest.raises(MalformedInputError, match="unknown mode 'bogus'"):
+            orbit_count(G, n, "bogus")
+        with pytest.raises(MalformedInputError, match="unknown mode 'bogus'"):
+            same_orbits(G, G, n, "bogus")
+    with pytest.raises(MalformedInputError, match="n=4 exceeds domain size 3 for mode injective"):
+        orbit_count(G, 4, "injective")
+    assert orbit_count(G, 4, "power") == stirling2(4, 1) + stirling2(4, 2) + stirling2(4, 3)
 
 
 def test_depth_first_walks_outgrow_the_recursion_limit(monkeypatch):
@@ -640,7 +678,7 @@ def test_depth_first_walks_outgrow_the_recursion_limit(monkeypatch):
         # the tuples (3, 4, ...) are each fixed by (1 2): depth 199 inside the cap
         G = FiniteAction(300, (perm_from_cycles("(1 2)", 300),))
         with pytest.raises(ResourceCapError):
-            actions._descent_counts(G, 200, "injective")
+            actions._descent_counts(G, 200)
         # one level of the rank profile per variable
         (step,) = modlab.parse_chain_file("OI 0 300 : [] : x1\n", modlab.CategoryKind.OI)
         gb = modlab.width_component(modlab.CategoryKind.OI, step, 300, modlab.GREVLEX, 1)

@@ -106,11 +106,9 @@ def test_growth_reports_a_broken_identity_as_a_falsification(capsys, grp, monkey
     # one more orbit on 3-tuples than the injective counts allow
     real = actions._descent_counts
 
-    def broken(action, max_n, mode):
-        counts = list(real(action, max_n, mode))
-        if mode == "power":
-            counts[3] += 1
-        return counts
+    def broken(action, max_n):
+        power, injective = real(action, max_n)
+        return power[:3] + [power[3] + 1] + power[4:], injective
 
     monkeypatch.setattr(actions, "_descent_counts", broken)
     assert main(["growth", "--group", grp("s4.grp", S4), "--max-n", "3"]) == 1
@@ -697,17 +695,17 @@ def test_console_entry_ends_quietly_when_its_reader_closes_stdout():
         "main()\n"
     )
     src = str(Path(orbitlab.__file__).resolve().parents[1])
-    run = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": src},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    assert run.stdout.read(8) == "{\n  \"too"
-    run.stdout.close()
-    err = run.stderr.read()
-    assert run.wait(timeout=60) != 1
+    ) as run:
+        assert run.stdout.read(8) == "{\n  \"too"
+        run.stdout.close()
+        err = run.stderr.read()
+        assert run.wait(timeout=60) != 1
     assert "Traceback" not in err, err
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from orbitlab.actions import parse_group_file  # noqa: E402
 from orbitlab.cli import main  # noqa: E402
+from orbitlab.orbitcat import phi_iso_report  # noqa: E402
 
 from test_actions import orbit_point_sets  # noqa: E402
 from test_orbitcat import (  # noqa: E402
@@ -148,6 +149,26 @@ def test_orbitcat_on_random_groups_matches_the_coset_oracle(group):
 def test_report_up_to_symmetry_on_random_groups_matches_all_pairs(group, cap):
     G = parse_group_file(group[0])
     assert_report_matches_oracles(G, min(cap, G.domain_size))
+
+
+@FUZZ
+@given(st.integers(1, 7).flatmap(group_files), st.integers(1, 3))
+def test_orbitcat_fails_exactly_at_a_fixed_point_violation_from_cap_1(group, cap):
+    # a point x of Fix(G_A) outside A is a morphism G/G_A -> G/G_{x} that no
+    # embedding {x} -> A gives, and each failure names such a point
+    G = parse_group_file(group[0])
+    assert phi_iso_report(G, min(cap, G.domain_size)).consistent_with_fixed_points
+
+
+def test_orbitcat_at_cap_0_passes_beside_a_global_fixed_point():
+    # C3 on 4 points fixes 4, which no hom-set of 0-point objects can show
+    code, out = run_orbitcat("N=4\n(1 2 3)\n", 0)
+    data = json.loads(out)
+    assert code == 0 and data["isomorphism"] is True
+    assert data["fixed_point_violations"] == [[]]
+    assert data["consistent_with_fixed_points"] is False
+    code, out = run_orbitcat("N=4\n(1 2 3)\n", 1)
+    assert code == 1 and json.loads(out)["consistent_with_fixed_points"] is True
 
 
 @FUZZ

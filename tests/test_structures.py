@@ -447,6 +447,43 @@ def test_sap_does_each_sides_work_once(monkeypatch, name):
     assert listed == Counter(range(5))
 
 
+def one_point_problems(age, max_base):
+    """The one-point diagrams (sigma, sigma+x, sigma+y) with |sigma| <= max_base,
+    up to automorphisms of each side: a side gamma keeps one of
+    `age.embeddings` of sigma per pullback, gamma's relations read back
+    through the embedding with the one point outside its image sent to None.
+    Two embeddings into a one-point extension differ by an automorphism of
+    it iff their pullbacks are equal."""
+    for size in range(max_base + 1):
+        extensions = age.iso_classes(size + 1)
+        for sigma, _ in age.iso_classes(size):
+            sides = []
+            for gamma, _ in extensions:
+                kept = {}
+                for f in age.embeddings(sigma, gamma):
+                    back = dict(zip(f.images, sigma.universe))
+                    key = tuple(
+                        frozenset(tuple(back.get(x) for x in t) for t in ts)
+                        for _, ts in gamma.relations
+                    )
+                    kept.setdefault(key, f)
+                sides += [(gamma, f) for f in kept.values()]
+            for (gamma1, f1), (gamma2, f2) in product(sides, repeat=2):
+                yield AmalgamationProblem(sigma, gamma1, gamma2, f1, f2, age)
+
+
+@pytest.mark.parametrize("name", AGES)
+def test_one_point_diagrams_decide_strong_amalgamation(name):
+    # adding the points of a side one at a time reduces every diagram whose
+    # pushout has at most 2k points to one-point diagrams over bases of at
+    # most 2k - 2 points; on every age they give the verdict of the search
+    # over sides of at most k points
+    age = age_for(name)
+    for k in range(1, 4):
+        holds = all(solve_amalgamation(p) is not None for p in one_point_problems(age, 2 * k - 2))
+        assert holds == age_has_sap(age, k).holds, (name, k)
+
+
 REDUCTS = ("set", "linear", "betweenness", "cyclic", "separation")
 
 
