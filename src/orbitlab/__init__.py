@@ -16,7 +16,6 @@ from .categories import (
     format_morphism,
     hom_set,
     hom_size_formula,
-    identity,
     is_morphism,
     parse_morphism,
 )
@@ -32,7 +31,6 @@ from .actions import (
     parse_group_file,
     perm_from_cycles,
     restriction_fullness_witness,
-    same_orbits,
     stirling2,
     symmetric_action,
     trivial_action,
@@ -55,9 +53,6 @@ from .structures import (
     solve_amalgamation,
 )
 from .orbitcat import (
-    OrbitCategory,
-    OrbitMorphism,
-    OrbitObject,
     PhiIsoReport,
     phi_iso_report,
 )

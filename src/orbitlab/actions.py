@@ -533,11 +533,6 @@ def _levels_agree(G: FiniteAction, H: FiniteAction, counts) -> list[bool]:
     return [len(set(c)) == 1 for c in zip(*(counts(X) for X in (G, J, H)))]
 
 
-def same_orbits(G: FiniteAction, H: FiniteAction, n: int, mode: str = "injective") -> bool:
-    """Whether G and H induce the same orbit partition on the given space."""
-    return _levels_agree(G, H, lambda X: [orbit_count(X, n, mode)])[0]
-
-
 class LemmaReport(namedtuple("LemmaReport", "n cond1 cond2 cond3 cond4 witness")):
     """Evaluations of the four same-orbit conditions at level n:
     (1) on all n-tuples, (2) on injective n-tuples, (3) on all s-tuples for

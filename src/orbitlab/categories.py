@@ -25,7 +25,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 from operator import itemgetter
 
-from .errors import FalsificationError, MalformedInputError, ResourceCapError, format_count
+from .errors import FalsificationError, MalformedInputError, ResourceCapError, format_count, parse_int
 
 # Bound on the morphisms built per hom-set (all 10! of FI [10] -> [10] fit),
 # ten times it on their image entries, and on the factorizations of one
@@ -155,23 +155,8 @@ class InjectionMorphism(namedtuple("InjectionMorphism", "kind source target imag
             )
         return cls(kind, source, target, image)
 
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
-
-    @property
-    def image_set(self) -> frozenset[int]:
-        return frozenset(self.image)
-
-    @property
-    def is_increasing(self) -> bool:
-        return all(a < b for a, b in zip(self.image, self.image[1:]))
-
     def __str__(self) -> str:
         return format_morphism(self)
-
-
-def identity(kind: CategoryKind, n: int) -> InjectionMorphism:
-    return InjectionMorphism(kind, n, n, tuple(range(1, n + 1)))
 
 
 def compose(f: InjectionMorphism, g: InjectionMorphism) -> InjectionMorphism:
@@ -322,6 +307,5 @@ def parse_morphism(text: str) -> InjectionMorphism:
         raise MalformedInputError(f"cannot parse morphism: {text!r}")
     kind = CategoryKind.from_string(m.group(1))
     src, tgt = int(m.group(2)), int(m.group(3))
-    body = m.group(4).strip()
-    image = tuple(int(tok) for tok in body.split(",")) if body else ()
+    image = tuple(parse_int(tok, "image entry") for tok in m.group(4).split(",") if tok.strip())
     return InjectionMorphism.checked(kind, src, tgt, image)

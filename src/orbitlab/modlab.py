@@ -157,25 +157,13 @@ def _coords(v: ModuleVector) -> dict:
     return {pos: dict(terms) for pos, terms in v.coords.items()}
 
 
-def normal_form(v: ModuleVector, basis, order: MonomialOrder) -> ModuleVector:
-    """Remainder of multivariate division of v by the nonzero vectors of the
-    basis, which share its width (a capped basis can have the h of
-    `groebner_basis`)."""
-    basis = [g for g in basis if not g.is_zero()]
-    if any(g.width != v.width for g in basis):
-        raise MalformedInputError(f"basis widths differ from the element width {v.width}")
-    leads = _leads(basis, [_head(g, order) for g in basis])
-    return ModuleVector(v.width, v.field, _reduce(_coords(v), leads, order, v.field))
-
-
 class GroebnerBasis(
     namedtuple("GroebnerBasis", "vectors order degree_capped degree_cap", defaults=(None,))
 ):
     """vectors: reduced, monic, in a deterministic order; order: a
     MonomialOrder; degree_capped: True when S-pairs above the degree cap were
-    skipped; degree_cap: the cap of the run, or None.  Bases are equal when
-    their orders and vector sets are; instances keep a `__dict__` for the
-    `leads` cache."""
+    skipped; degree_cap: the cap of the run, or None.  Instances keep a
+    `__dict__` for the `leads` cache."""
 
     @cached_property
     def leads(self) -> dict:
@@ -191,18 +179,6 @@ class GroebnerBasis(
         if self.vectors and self.vectors[0].width != v.width:
             v = _in_ring(v, self.vectors[0].width, self.degree_cap or 0)
         return not _reduce(_coords(v), self.leads, self.order, v.field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and self.order == other.order
-            and set(self.vectors) == set(other.vectors)
-        )
-
-    def __hash__(self):
-        return hash((self.order, frozenset(self.vectors)))
-
-    __ne__ = object.__ne__  # the negation of __eq__, where tuple's would compare fields
 
 
 def _update(basis, heads, k: int, pairs: deque, degree_cap) -> tuple:

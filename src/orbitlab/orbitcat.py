@@ -1,16 +1,9 @@
-"""Finite orbit categories: coset objects, hom-sets from tuple orbits, and
-the report on the comparison functor from substructure embeddings.
+"""The report on the comparison functor from substructure embeddings to the
+finite orbit category.
 
-Objects are coset spaces G/G_Gamma for pointwise stabilizers of subsets.
-A morphism G/G_A -> G/G_B is represented by a group element g with
-g G_A g^{-1} inside G_B, acting by x G_A -> x g^{-1} G_B; two representatives
-give the same morphism exactly when they lie in the same coset G_B g, which
-happens iff their inverses agree on B.  That restriction is used as the
-identity key throughout.  Writing u = g^{-1}, the condition says
-G_A <= G_{u(B)}, that is u(B) inside Fix(G_A): the morphisms are the images
-u(B) of B that lie in Fix(G_A).  They are read off the orbit of B as a point
-tuple, and Fix(G_A) from the orbit-tree node of A, so no group elements are
-listed.
+Objects are the coset spaces G/G_A for pointwise stabilizers of subsets A.
+The morphisms G/G_A -> G/G_B correspond to the images u(B) of B that lie in
+Fix(G_A), so the report counts subsets and lists no group elements.
 """
 
 from __future__ import annotations
@@ -19,84 +12,8 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .actions import (
-    DEFAULT_GROUP_ORDER_CAP,
-    DEFAULT_SPACE_CAP,
-    FiniteAction,
-    _orbit_transversal,
-    identity_perm,
-    pinv,
-    pmul,
-)
+from .actions import DEFAULT_SPACE_CAP, FiniteAction, identity_perm, pmul
 from .errors import MalformedInputError, ResourceCapError
-
-
-class OrbitObject(namedtuple("OrbitObject", "gamma fixed")):
-    """gamma: a frozenset of points; fixed: Fix(G_gamma), the frozenset of
-    points fixed by the stabilizer of gamma."""
-
-    __slots__ = ()
-
-
-class OrbitMorphism(namedtuple("OrbitMorphism", "source_gamma target_gamma representative")):
-    """A morphism between the orbit objects of two frozensets of points,
-    given by a representative Perm; equal morphisms have equal keys."""
-
-    __slots__ = ()
-
-    @property
-    def key(self) -> tuple:
-        """Restriction of the inverse representative to the target subset;
-        equal keys mean equal morphisms."""
-        inv = pinv(self.representative)
-        return tuple(inv[b - 1] for b in sorted(self.target_gamma))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrbitMorphism)
-            and self.source_gamma == other.source_gamma
-            and self.target_gamma == other.target_gamma
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash((self.source_gamma, self.target_gamma, self.key))
-
-    __ne__ = object.__ne__  # the negation of __eq__, where tuple's would compare fields
-
-
-class OrbitCategory:
-    """Caches per-subset objects for one ambient action."""
-
-    def __init__(self, action: FiniteAction):
-        self.action = action
-        self._objects: dict = {}
-
-    def object(self, gamma) -> OrbitObject:
-        """The object G/G_gamma.  Its hom-sets list the orbit of its sorted
-        points, so that orbit is held to the group-order cap here, before
-        any of it is listed."""
-        gamma = frozenset(gamma)
-        if gamma not in self._objects:
-            points = tuple(sorted(gamma))
-            if self.action.orbit_size(points) > DEFAULT_GROUP_ORDER_CAP:
-                raise ResourceCapError(f"orbit of {points} exceeds cap {DEFAULT_GROUP_ORDER_CAP}")
-            self._objects[gamma] = OrbitObject(gamma, self.action.fixed_points(gamma))
-        return self._objects[gamma]
-
-    def hom(self, source: OrbitObject, target: OrbitObject) -> list[OrbitMorphism]:
-        """One morphism per image u(B) of the sorted points of the target
-        subset B inside Fix(G_A) of the source subset A, in orbit-transversal
-        order, each represented by pinv(u).  The key of that morphism is u(B)
-        itself, so distinct images are distinct morphisms.  `object` has
-        held B's orbit to the group-order cap."""
-        points, ident = tuple(sorted(target.gamma)), identity_perm(self.action.domain_size)
-        transversal = _orbit_transversal(points, self.action.generators, ident)
-        return [
-            OrbitMorphism(source.gamma, target.gamma, pinv(u))
-            for image, u in transversal.items()
-            if source.fixed.issuperset(image)
-        ]
 
 
 class PhiIsoReport(

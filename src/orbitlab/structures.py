@@ -120,9 +120,6 @@ class StructureEmbedding(namedtuple("StructureEmbedding", "source target images"
 
     __slots__ = ()
 
-    def apply(self, x):
-        return self.images[self.source.universe.index(x)]
-
     @property
     def mapping(self) -> dict:
         return dict(zip(self.source.universe, self.images))

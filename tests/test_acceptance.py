@@ -16,10 +16,8 @@ from orbitlab.actions import (
     growth_profile,
     is_t_dense,
     lemma_equivalence_check,
-    orbit_count,
     pmul,
     restriction_fullness_witness,
-    same_orbits,
     stirling2,
     symmetric_action,
 )
@@ -33,14 +31,14 @@ from orbitlab.categories import (
     hom_size_formula,
 )
 from orbitlab.modlab import chain_experiment, groebner_basis
-from orbitlab.orbitcat import OrbitCategory, phi_iso_report
+from orbitlab.orbitcat import phi_iso_report
 from orbitlab.polynomials import GREVLEX, CoefficientField, QQ, parse_polynomial
 from orbitlab.structures import age_has_sap
 
 from test_actions import elements
 from test_categories import oracle_hom
 from test_modlab import ideal_gen, la_member, random_vector
-from test_orbitcat import oracle_equivariant_map_count
+from test_orbitcat import OrbitCategory, oracle_equivariant_map_count
 
 
 def _report(num, desc):
@@ -155,7 +153,8 @@ def test_criterion_4_same_orbits_lemma():
             H = FiniteAction(N, tuple(rng.choice(els) for _ in range(2)))
             report = lemma_equivalence_check(G, H, n)
             assert report.consistent, report.witness
-            assert is_t_dense(H, G, n) == same_orbits(G, H, n, "injective")
+            # cond2: G and H have the same orbits on injective n-tuples
+            assert is_t_dense(H, G, n) == report.cond2
             triples += 1
 
 
@@ -203,7 +202,7 @@ def test_criterion_6_sap():
 
 
 def test_criterion_7_orbit_category():
-    with _report(7, "phi iso report on S7/S3; orbit-category hom vs brute force"):
+    with _report(7, "phi iso report on S7/S3; report and orbit-category hom vs brute force"):
         assert phi_iso_report(symmetric_action(7), 2).passed
         s3 = phi_iso_report(symmetric_action(3), 2)
         assert not s3.passed
@@ -218,14 +217,17 @@ def test_criterion_7_orbit_category():
         ]
         for G in groups:
             cat = OrbitCategory(G)
+            report = phi_iso_report(G, 2)
+            index = {frozenset(s): i for i, s in enumerate(report.objects)}
             N = G.domain_size
             subsets = [
                 frozenset(c) for k in (1, 2) for c in combinations(range(1, N + 1), k)
             ]
             for src in subsets:
                 for tgt in subsets:
-                    homs = cat.hom(cat.object(src), cat.object(tgt))
-                    assert len(homs) == oracle_equivariant_map_count(G, src, tgt)
+                    want = oracle_equivariant_map_count(G, src, tgt)
+                    assert len(cat.hom(cat.object(src), cat.object(tgt))) == want
+                    assert report.hom_counts[index[src]][index[tgt]] == want
 
 
 def test_criterion_8_module_lab():

@@ -31,7 +31,6 @@ from orbitlab.actions import (
     pinv,
     pmul,
     restriction_fullness_witness,
-    same_orbits,
     stirling2,
     symmetric_action,
     trivial_action,
@@ -457,8 +456,8 @@ def test_same_orbits_basic():
     S4 = symmetric_action(4)
     A4 = FiniteAction(4, (perm_from_cycles("(1 2 3)", 4), perm_from_cycles("(2 3 4)", 4)))
     assert A4.order() == 12
-    assert same_orbits(S4, A4, 2, "injective")
-    assert not same_orbits(S4, cyclic_action(4), 2, "injective")
+    assert lemma_equivalence_check(S4, A4, 2).cond2
+    assert not lemma_equivalence_check(S4, cyclic_action(4), 2).cond2
 
 
 def test_lemma_consistency_random():
@@ -602,7 +601,7 @@ def test_same_orbits_by_counts_matches_partitions():
         outside += not G.contains_action(H)
         for mode in ("power", "injective", "subsets"):
             n = rng.randint(1, min(N, 4))
-            got = same_orbits(G, H, n, mode)
+            got = actions._levels_agree(G, H, lambda X: [orbit_count(X, n, mode)])[0]
             assert got == (enumerated_partition(G, n, mode) == enumerated_partition(H, n, mode))
             answers.add(got)
     assert answers == {True, False} and outside > 0
@@ -654,8 +653,6 @@ def test_orbit_count_checks_its_mode_at_every_level():
     for n in (0, 1):
         with pytest.raises(MalformedInputError, match="unknown mode 'bogus'"):
             orbit_count(G, n, "bogus")
-        with pytest.raises(MalformedInputError, match="unknown mode 'bogus'"):
-            same_orbits(G, G, n, "bogus")
     with pytest.raises(MalformedInputError, match="n=4 exceeds domain size 3 for mode injective"):
         orbit_count(G, 4, "injective")
     assert orbit_count(G, 4, "power") == stirling2(4, 1) + stirling2(4, 2) + stirling2(4, 3)
@@ -711,7 +708,7 @@ def test_is_t_dense_agrees_with_same_orbits():
     for _ in range(15):
         H = random_subgroup(rng, 5)
         t = rng.randint(1, 3)
-        assert is_t_dense(H, S, t) == same_orbits(S, H, t, "injective")
+        assert is_t_dense(H, S, t) == lemma_equivalence_check(S, H, t).cond2
 
 
 def test_is_t_dense_matches_the_counting_oracle():

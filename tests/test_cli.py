@@ -78,6 +78,20 @@ def test_factorize(capsys):
     assert data["g"] == "CI 3->3 : [2,3,1]"
 
 
+def test_factorize_reads_image_entries_as_element_lines_do(capsys):
+    # empty entries are skipped, as in a chain file's element lines, and an
+    # entry that is no integer is malformed input
+    for text in ("OI 2->3 : [1,,2]", "OI 2->3 : [1,2,]"):
+        code, data = run_json(capsys, "factorize", "--morphism", text)
+        assert code == 0 and data["input"] == data["eps_prime"] == "OI 2->3 : [1,2]"
+    for text, message in (
+        ("OI 2->3 : [,]", "image has length 0, expected 2"),
+        ("OI 2->3 : [1 2]", "bad image entry: '1 2'"),
+    ):
+        assert main(["factorize", "--morphism", text]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_growth_tsv(capsys, grp):
     code, out = run(capsys, "growth", "--group", grp("s8.grp", S8), "--max-n", "4", "--format", "tsv")
     assert code == 0
@@ -259,6 +273,23 @@ def test_same_orbits(capsys, grp):
     assert code == 0
     assert data["consistent"]
     assert data["conditions"]["injective_tuples"]
+
+
+def test_same_orbits_at_level_0_holds_all_four_conditions(capsys, grp):
+    # the empty tuple is one orbit of every group, though S4 and C4 part at level 2
+    argv = ("same-orbits", "--group", grp("s4.grp", S4), "--subgroup", grp("c4.grp", C4), "--n", "0")
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert list(data["conditions"].values()) == [True] * 4
+    assert data["consistent"] and data["witness"] is None
+
+
+def test_group_file_header_admits_at_most_a_million_points(capsys, grp):
+    # the header is checked before a permutation of N points is built
+    assert actions.parse_group_file("N=1000000\n").domain_size == 10**6
+    big = grp("big.grp", "N=1000001\n")
+    assert main(["dense", "--group", big, "--subgroup", big, "--t", "0"]) == 3
+    assert capsys.readouterr() == ("", "resource cap: domain size 1000001 exceeds cap 1000000\n")
 
 
 def test_dense(capsys, grp):
@@ -470,6 +501,18 @@ def test_noeth_chain(capsys, tmp_path):
     assert data["all_stabilized"] and data["width_uniform_index"]
     assert data["results"][0]["chain_index"] == 3
     assert data["config"]["width"] == 3 and data["config"]["degree"] == 3
+
+
+def test_noeth_chain_takes_fp_2_and_rejects_fp_1_and_fp_0(capsys, tmp_path):
+    # 2 is the least prime; 1 and 0 name no field
+    chain = tmp_path / "oi.chain"
+    chain.write_text(OI_CHAIN)
+    argv = ("noeth-chain", "--kind", "oi", "--chain", str(chain), "--width", "3", "--degree", "3", "--field")
+    code, data = run_json(capsys, *argv, "fp:2")
+    assert code == 0 and data["config"]["field"] == "fp:2" and data["all_stabilized"]
+    for spec in ("fp:1", "fp:0"):
+        assert main([*argv, spec]) == 2
+        assert capsys.readouterr() == ("", f"error: bad prime modulus {spec[3:]}\n")
 
 
 def test_noeth_chain_under_the_degree_cap_is_no_failed_check(capsys, tmp_path):

@@ -21,13 +21,13 @@ from orbitlab.modlab import (
     apply_morphism,
     chain_experiment,
     groebner_basis,
-    normal_form,
     parse_chain_file,
     parse_element_line,
     restriction_decomposition_check,
     submodule_dimension_upto,
     width_component,
     _add_multiple,
+    _coords,
     _head,
     _leads,
     _reduce,
@@ -505,10 +505,13 @@ def test_arithmetic_builds_canonical_values():
         assert ring in (width, width + 1)
         for g in gb.vectors:
             assert_canonical(g, ring, field)
-        query = v if ring == width else homogenize(v)
-        assert_canonical(normal_form(query, gb.vectors, order), ring, field)
+        # the remainders of v by the basis, in its ring, and by the nonzero generators
         nonzero = [g for g in gens if not g.is_zero()]
-        assert_canonical(normal_form(v, nonzero, order), width, field)
+        for u, leads, w in (
+            (v if ring == width else homogenize(v), gb.leads, ring),
+            (v, _leads(nonzero, [_head(g, order) for g in nonzero]), width),
+        ):
+            assert_canonical(ModuleVector(w, field, _reduce(_coords(u), leads, order, field)), w, field)
         assert [g.coords for g in gens + [v]] == held
 
     run()
@@ -610,14 +613,6 @@ def test_width_closure():
     for v in M2.vectors:
         for pi in hom_set(OI, 2, 3):
             assert M3.contains(apply_morphism(v, pi))
-
-
-def test_membership_shape_checks():
-    gen = element(1, {(1,): "x1"})
-    M = width_component(OI, [gen], 2)
-    wrong_width = element(3, {(1,): "x1"})
-    with pytest.raises(MalformedInputError):
-        normal_form(wrong_width, M.vectors, GREVLEX)
 
 
 def morphism_images(kind, generators, width):
@@ -803,8 +798,6 @@ def test_capped_membership_in_the_ring_with_h():
     assert M.contains(element(1, {(): "x1^2 - 1"}))
     assert not M.contains(element(1, {(): "x1"}))
     assert not M.contains(one)
-    with pytest.raises(MalformedInputError, match="basis widths"):
-        normal_form(one, M.vectors, GREVLEX)
     unit = width_component(OI, [a, one], 1, degree_cap=2)
     assert unit.vectors == (one,)
     assert unit.contains(g)
@@ -910,6 +903,13 @@ def test_parse_chain_file_accumulates():
     chain = parse_chain_file(text, OI)
     assert len(chain) == 2
     assert len(chain[0]) == 1 and len(chain[1]) == 2
+
+
+def test_parse_chain_file_skips_blank_and_comment_lines():
+    # blank lines and `#` lines, indented or not, add no generator and no step
+    commented = "# the FI chain\n\n" + FI_CHAIN.replace("--\n", "  \n--\n# next step\n   # indented\n")
+    chain = parse_chain_file(commented, FI)
+    assert len(chain) == 3 and chain == parse_chain_file(FI_CHAIN, FI)
 
 
 @pytest.mark.parametrize(

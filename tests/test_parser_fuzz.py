@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from orbitlab.cli import main  # noqa: E402
 from orbitlab.structures import PairAge, arrangement_structure, format_structure  # noqa: E402
@@ -143,6 +143,10 @@ MORPHISM_TEXT = st.one_of(
 
 @FUZZ
 @given(MORPHISM_TEXT)
+@example("OI 2->3 : [1,,2]")
+@example("OI 2->3 : [1,2,]")
+@example("OI 2->3 : [,]")
+@example("OI 2->3 : [1 2]")
 def test_factorize_exit_code_contract(text):
     # `--morphism=...` keeps a text that starts with "-" an argument value
     assert_contract(*run_cli({}, "factorize", f"--morphism={text}"))

@@ -9,7 +9,7 @@ from orbitlab.actions import FiniteAction, FullnessWitness, GrowthProfile, Lemma
 from orbitlab.categories import CategoryKind, InjectionMorphism
 from orbitlab.errors import MalformedInputError
 from orbitlab.modlab import ChainReport, GroebnerBasis, RestrictionReport, WidthChainResult
-from orbitlab.orbitcat import OrbitMorphism, OrbitObject, PhiIsoReport
+from orbitlab.orbitcat import PhiIsoReport
 from orbitlab.polynomials import LEX, CoefficientField, MonomialOrder
 from orbitlab.structures import (
     Amalgam,
@@ -43,8 +43,6 @@ RECORDS = [
     (WidthChainResult, lambda: WidthChainResult(1, 1, (1,), True, False), "rank_profile"),
     (ChainReport, lambda: ChainReport(OI, 1, 1, LEX, ()), "results"),
     (RestrictionReport, lambda: RestrictionReport(OI, 1, 2, True, (), ()), "ok"),
-    (OrbitObject, lambda: OrbitObject(frozenset({1}), frozenset({1})), "fixed"),
-    (OrbitMorphism, lambda: OrbitMorphism(frozenset({1}), frozenset({1, 2}), (1, 2)), "representative"),
     (PhiIsoReport, lambda: PhiIsoReport(1, ((1,),), ((1,),), (), (), ()), "hom_counts"),
     (MonomialOrder, lambda: MonomialOrder("grevlex"), "name"),
     (CoefficientField, lambda: CoefficientField(7), "modulus"),

@@ -230,7 +230,8 @@ def test_solve_amalgamation_linear_strong():
     assert am is not None
     assert len(am.delta.universe) == 3  # pushout: no extra identifications
     # both squares commute over sigma
-    assert am.g1.apply(("S", "s") if ("S", "s") in am.g1.mapping else "s") == am.g2.apply("s")
+    g1 = am.g1.mapping
+    assert g1[("S", "s") if ("S", "s") in g1 else "s"] == am.g2.mapping["s"]
 
 
 def test_pair_age_weak_but_not_strong():
@@ -288,8 +289,9 @@ def test_amalgam_embeddings_verified():
         assert _embedding_ok(p.gamma1, am.delta, am.g1.images)
         assert _embedding_ok(p.gamma2, am.delta, am.g2.images)
         # the square commutes, and the sides meet only in the image of sigma
-        over_sigma = {am.g1.apply(p.f1.apply(a)) for a in p.sigma.universe}
-        assert over_sigma == {am.g2.apply(p.f2.apply(a)) for a in p.sigma.universe}
+        g1, f1, g2, f2 = (e.mapping for e in (am.g1, p.f1, am.g2, p.f2))
+        over_sigma = {g1[f1[a]] for a in p.sigma.universe}
+        assert over_sigma == {g2[f2[a]] for a in p.sigma.universe}
         assert set(am.g1.images) & set(am.g2.images) == over_sigma
         assert len(am.delta.universe) == len(set(am.g1.images) | set(am.g2.images))
 
