@@ -11,7 +11,6 @@ from .categories import (
     CategoryKind,
     InjectionMorphism,
     compose,
-    endomorphism_group,
     factorize,
     format_morphism,
     hom_set,

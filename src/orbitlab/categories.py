@@ -6,13 +6,14 @@ BI, the cyclic order for CI, the separation relation for SI).  Each relation
 holds on a tuple exactly when it holds on the tuple's order pattern, so an
 injection is valid exactly when the pattern of each a-subset of [m], a the
 relation's arity, lies in End([a]).  Everything is materialized explicitly:
-composition is array lookup, and a hom-set is the sorted list of eps' o g
-over the increasing injections eps' and g in End([m]), the unique
-factorization of a morphism, composed in one pass per g; End([m]) has a
-closed form per kind.  The morphisms of one hom-set are formatted from one
-`%` template.  Validity is checked once, where data enters
-(`parse_morphism`, `InjectionMorphism.checked`), not again on morphisms the
-library builds.
+composition is array lookup, and a hom-set is the sorted list of the image
+arrays of eps' o g over the increasing injections eps' and g in End([m]),
+the unique factorization of a morphism, composed in one pass per g;
+End([m]) = hom_set(kind, m, m) has a closed form per kind.  A morphism the
+library builds is its image array, and the arrays of one hom-set are
+formatted from one `%` template.  `InjectionMorphism` is the checked form of
+a morphism read from outside (`parse_morphism`, `InjectionMorphism.checked`),
+and the argument and results of `factorize` and `compose`.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ def canonical_relation(kind: CategoryKind, n: int) -> frozenset[tuple[int, ...]]
     """All tuples of distinct points of [n] in the canonical relation of `kind`:
     S o p over the a-subsets S of [n] and the patterns p in R_a."""
     a = RELATION_ARITY[kind]
-    if a == 0:
-        return frozenset()
     patterns = _relation_patterns(kind, a)
     return frozenset(
         tuple(S[i - 1] for i in p)
@@ -129,7 +128,7 @@ def is_morphism(kind: CategoryKind, m: int, n: int, image) -> bool:
     if len(set(image)) != m:
         return False
     a = RELATION_ARITY[kind]
-    if a == 0 or m < a:
+    if m < a:
         return True
     allowed = _endomorphism_images(kind, a)
     for values in combinations(image, a):
@@ -172,8 +171,8 @@ def compose(f: InjectionMorphism, g: InjectionMorphism) -> InjectionMorphism:
     )
 
 
-def hom_set(kind: CategoryKind, m: int, n: int) -> list[InjectionMorphism]:
-    """All morphisms [m] -> [n], sorted lexicographically by image array;
+def hom_set(kind: CategoryKind, m: int, n: int) -> list[tuple[int, ...]]:
+    """The image arrays of all morphisms [m] -> [n], sorted lexicographically;
     ResourceCapError, before any is built, when there are more than
     DEFAULT_ENUMERATION_CAP or their images hold more than ten times as many
     entries.  Each g in End([m]) composes all the increasing injections eps'
@@ -192,13 +191,12 @@ def hom_set(kind: CategoryKind, m: int, n: int) -> list[InjectionMorphism]:
         return []
     ends = _endomorphism_images(kind, m)
     if len(ends) == 1:  # the identity (always at m < 2, where itemgetter gives no tuple)
-        images = combinations(range(1, n + 1), m)
-    else:
-        images = []
-        for g in ends:
-            images.extend(map(itemgetter(*[i - 1 for i in g]), combinations(range(1, n + 1), m)))
-        images.sort()
-    return [InjectionMorphism(kind, m, n, image) for image in images]
+        return list(combinations(range(1, n + 1), m))
+    images = []
+    for g in ends:
+        images.extend(map(itemgetter(*[i - 1 for i in g]), combinations(range(1, n + 1), m)))
+    images.sort()
+    return images
 
 
 @lru_cache(maxsize=None)
@@ -277,11 +275,6 @@ def factorize(f: InjectionMorphism) -> tuple[InjectionMorphism, InjectionMorphis
         InjectionMorphism(kind, m, f.target, sorted_image),
         InjectionMorphism(kind, m, m, g_image),
     )
-
-
-def endomorphism_group(kind: CategoryKind, n: int) -> list[InjectionMorphism]:
-    """End([n]) = hom_set(kind, n, n), sorted by image array."""
-    return hom_set(kind, n, n)
 
 
 _MORPHISM_RE = re.compile(

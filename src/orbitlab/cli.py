@@ -86,9 +86,9 @@ def _kind(args) -> CategoryKind:
 
 def cmd_homset(args) -> int:
     kind = _kind(args)
-    morphisms = hom_set(kind, args.m, args.n)
+    images = hom_set(kind, args.m, args.n)
     template = morphism_template(kind, args.m, args.n)  # the one `format_morphism` uses
-    _emit(args, {"count": len(morphisms), "morphisms": [template % f.image for f in morphisms]})
+    _emit(args, {"count": len(images), "morphisms": [template % image for image in images]})
     return EXIT_OK
 
 

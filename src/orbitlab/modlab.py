@@ -34,7 +34,6 @@ from .categories import (
     CategoryKind,
     InjectionMorphism,
     compose,
-    endomorphism_group,
     factorize,
     hom_set,
     hom_size_formula,
@@ -406,26 +405,27 @@ def _outside_count(monos: frozenset, width: int, degree: int, memo: dict, charge
 # -- presheaf elements ---------------------------------------------------------
 
 
-def apply_morphism(v: ModuleVector, pi: InjectionMorphism) -> ModuleVector:
-    """Push v along pi: [s] -> [r]; coefficients get pi's substitution and
-    each key (a basis morphism's image) is post-composed with pi."""
-    if pi.source != v.width:
+def apply_morphism(v: ModuleVector, pi: tuple[int, ...], target: int) -> ModuleVector:
+    """Push v along the morphism [s] -> [target] with image array pi;
+    coefficients get pi's substitution and each key (a basis morphism's
+    image) is post-composed with pi."""
+    if len(pi) != v.width:
         raise MalformedInputError(
-            f"morphism starts at [{pi.source}], element has width {v.width}"
+            f"morphism starts at [{len(pi)}], element has width {v.width}"
         )
 
     def moved(mono):
-        exps = [0] * pi.target
-        for i, e in zip(pi.image, mono):
+        exps = [0] * target
+        for i, e in zip(pi, mono):
             exps[i - 1] = e
         return tuple(exps)
 
     # pi is injective, so distinct keys and distinct monomials stay distinct
     return ModuleVector(
-        pi.target,
+        target,
         v.field,
         {
-            tuple(pi.image[i - 1] for i in image): {moved(m): c for m, c in terms.items()}
+            tuple(pi[i - 1] for i in image): {moved(m): c for m, c in terms.items()}
             for image, terms in v.coords.items()
         },
     )
@@ -447,19 +447,20 @@ def width_component(
     times C(width, s) are held to the hom-set cap before any is pushed."""
     vectors = {}
     for v in generators:
-        if v.width > width:  # no morphism [s] -> [width]
+        s = v.width
+        if s > width:  # no morphism [s] -> [width]
             continue
         # images often coincide (a symmetric polynomial under FI), and each
         # repeat only adds S-pairs
-        images = dict.fromkeys(apply_morphism(v, g) for g in endomorphism_group(kind, v.width))
-        pushes = len(images) * hom_size_formula(CategoryKind.OI, v.width, width)
+        images = dict.fromkeys(apply_morphism(v, g, s) for g in hom_set(kind, s, s))
+        pushes = len(images) * hom_size_formula(CategoryKind.OI, s, width)
         if pushes > DEFAULT_ENUMERATION_CAP:
             raise ResourceCapError(
-                f"width_component: {format_count(pushes)} images of a width-{v.width} generator "
+                f"width_component: {format_count(pushes)} images of a width-{s} generator "
                 f"at width {width} exceed cap {DEFAULT_ENUMERATION_CAP}"
             )
-        oi = hom_set(CategoryKind.OI, v.width, width)
-        vectors.update(dict.fromkeys(apply_morphism(u, eps) for u in images for eps in oi))
+        oi = hom_set(CategoryKind.OI, s, width)
+        vectors.update(dict.fromkeys(apply_morphism(u, eps, width) for u in images for eps in oi))
     return groebner_basis(list(vectors), order, degree_cap)
 
 
@@ -596,12 +597,13 @@ def restriction_decomposition_check(
             f"restriction_decomposition_check({kind.value}, {gen_width}, {width}): "
             f"{format_count(work)} factorizations exceeds cap {DEFAULT_ENUMERATION_CAP}"
         )
-    homs = hom_set(kind, gen_width, width)
+    # factorize and compose take morphisms: the one place images are wrapped
+    homs = [InjectionMorphism(kind, gen_width, width, f) for f in hom_set(kind, gen_width, width)]
     classes: dict = {}
     for eps in homs:
         eps_prime, g = factorize(eps)
         classes.setdefault(g.image, []).append((eps, eps_prime))
-    ends = endomorphism_group(kind, gen_width)
+    ends = hom_set(kind, gen_width, gen_width)
     oi_count = hom_size_formula(CategoryKind.OI, gen_width, width)
     failures = []
     if len(classes) != len(ends):
@@ -615,13 +617,13 @@ def restriction_decomposition_check(
                 f"class of g={g_image} has {len(members)} members, expected {oi_count}"
             )
     for pi in hom_set(CategoryKind.OI, width, width + 1):
-        pi_kind = InjectionMorphism.checked(kind, width, width + 1, pi.image)
+        pi_kind = InjectionMorphism.checked(kind, width, width + 1, pi)
         for g_image, members in classes.items():
             for eps, _ in members:
                 _, g2 = factorize(compose(eps, pi_kind))
                 if g2.image != g_image:
                     failures.append(
-                        f"post-composition by {pi.image} moved {eps.image} "
+                        f"post-composition by {pi} moved {eps.image} "
                         f"from class {g_image} to {g2.image}"
                     )
     ordered = tuple(

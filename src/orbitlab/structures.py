@@ -197,8 +197,8 @@ class BuiltinAge(_Age):
     def embeddings(self, sigma: FiniteStructure, gamma: FiniteStructure):
         """The embeddings [s] -> [n] of two `iso_classes` structures: the
         images of hom([s], [n]), already sorted."""
-        morphisms = hom_set(BUILTIN_KINDS[self.kind_name], sigma.size, gamma.size)
-        return [StructureEmbedding(sigma, gamma, f.image) for f in morphisms]
+        images = hom_set(BUILTIN_KINDS[self.kind_name], sigma.size, gamma.size)
+        return [StructureEmbedding(sigma, gamma, image) for image in images]
 
     def structures_on(self, labels, restrictions=()):
         """The age structures on the labels, each at its first inducing

@@ -9,7 +9,6 @@ from orbitlab.categories import (
     CategoryKind,
     InjectionMorphism,
     compose,
-    endomorphism_group,
     factorize,
     format_morphism,
     hom_set,
@@ -128,6 +127,11 @@ def test_non_injective_is_false_not_error():
 # -- hom sets ----------------------------------------------------------------------
 
 
+def morphisms(kind, m, n):
+    """hom_set's image arrays as morphisms, for `compose` and `factorize`."""
+    return [InjectionMorphism(kind, m, n, image) for image in hom_set(kind, m, n)]
+
+
 def test_hom_set_examples():
     assert len(hom_set(CategoryKind.FI, 2, 3)) == 6
     assert len(hom_set(CategoryKind.OI, 2, 4)) == 6
@@ -140,7 +144,7 @@ def test_hom_set_matches_oracle_and_is_sorted():
     for kind in CategoryKind:
         for m in range(0, 7):
             for n in range(m, 7):
-                got = [f.image for f in hom_set(kind, m, n)]
+                got = hom_set(kind, m, n)
                 assert got == sorted(oracle_hom(kind, m, n))
 
 
@@ -149,7 +153,7 @@ def test_built_morphisms_satisfy_is_morphism():
     for kind in CategoryKind:
         for m in range(0, 6):
             for n in range(m, 6):
-                homs = hom_set(kind, m, n)
+                homs = morphisms(kind, m, n)
                 for f in homs:
                     assert is_morphism(kind, m, n, f.image)
                     eps_prime, g = factorize(f)
@@ -157,7 +161,7 @@ def test_built_morphisms_satisfy_is_morphism():
                     assert is_morphism(kind, m, m, g.image)
                 for r in range(n, 6):
                     for f in homs[:4]:
-                        for g in hom_set(kind, n, r)[-4:]:
+                        for g in morphisms(kind, n, r)[-4:]:
                             assert is_morphism(kind, m, r, compose(f, g).image)
 
 
@@ -181,6 +185,16 @@ def test_hom_set_cap(monkeypatch):
     assert len(capped(10, CategoryKind.CI, 10, 10)) == 10
     with pytest.raises(ResourceCapError, match=r"\(CI, 11, 11\): 121 image entries exceeds cap 110"):
         capped(11, CategoryKind.CI, 11, 11)
+
+
+def test_no_morphism_into_a_smaller_object():
+    # an injection [m] -> [n] needs m <= n: the closed form says 0 before
+    # any cap or enumeration is reached
+    for kind in CategoryKind:
+        for n in range(0, 5):
+            for m in range(n + 1, n + 4):
+                assert hom_size_formula(kind, m, n) == 0
+                assert hom_set(kind, m, n) == []
 
 
 def test_negative_objects_are_malformed():
@@ -228,9 +242,9 @@ def test_bi_reversal_sign_multiplicative():
 
 def test_associativity_random_sample():
     for kind, m in ((CategoryKind.CI, 3), (CategoryKind.SI, 4)):
-        gs = hom_set(kind, m + 1, m + 2)[:3]
-        hs = hom_set(kind, m + 2, m + 3)[:3]
-        for f in hom_set(kind, m, m + 1):
+        gs = morphisms(kind, m + 1, m + 2)[:3]
+        hs = morphisms(kind, m + 2, m + 3)[:3]
+        for f in morphisms(kind, m, m + 1):
             for g in gs:
                 for h in hs:
                     assert compose(compose(f, g), h) == compose(f, compose(g, h))
@@ -243,7 +257,7 @@ def test_factorize_recomposes_everywhere():
     for kind in CategoryKind:
         for m in range(0, 4):
             for n in range(m, 5):
-                for f in hom_set(kind, m, n):
+                for f in morphisms(kind, m, n):
                     eps_prime, g = factorize(f)
                     assert eps_prime.image == tuple(sorted(eps_prime.image))
                     assert frozenset(eps_prime.image) == frozenset(f.image)
@@ -266,7 +280,7 @@ def test_factorize_uniqueness():
     # the pairing (increasing injection, endomorphism) -> morphism is injective
     kind = CategoryKind.CI
     seen = {}
-    for f in hom_set(kind, 3, 5):
+    for f in morphisms(kind, 3, 5):
         key = factorize(f)
         assert key not in seen
         seen[key] = f
@@ -276,11 +290,11 @@ def test_factorize_uniqueness():
 
 
 def test_endomorphism_group_sizes():
-    assert len(endomorphism_group(CategoryKind.FI, 3)) == 6
-    assert len(endomorphism_group(CategoryKind.OI, 5)) == 1
-    assert len(endomorphism_group(CategoryKind.BI, 3)) == 2
-    assert len(endomorphism_group(CategoryKind.CI, 3)) == 3
-    assert len(endomorphism_group(CategoryKind.SI, 4)) == 8
+    assert len(hom_set(CategoryKind.FI, 3, 3)) == 6
+    assert len(hom_set(CategoryKind.OI, 5, 5)) == 1
+    assert len(hom_set(CategoryKind.BI, 3, 3)) == 2
+    assert len(hom_set(CategoryKind.CI, 3, 3)) == 3
+    assert len(hom_set(CategoryKind.SI, 4, 4)) == 8
 
 
 @pytest.mark.parametrize("kind", list(CategoryKind))
@@ -312,7 +326,7 @@ def test_allowed_patterns_on_the_arity_are_the_endomorphisms(kind):
 def test_endomorphism_groups_are_groups():
     for kind in CategoryKind:
         for n in range(0, 6):
-            ends = endomorphism_group(kind, n)
+            ends = morphisms(kind, n, n)
             elems = {e.image for e in ends}
             assert identity(kind, n).image in elems
             for a in ends:
@@ -323,7 +337,7 @@ def test_endomorphism_groups_are_groups():
 
 
 def test_si_endomorphisms_are_dihedral():
-    ends = {e.image for e in endomorphism_group(CategoryKind.SI, 4)}
+    ends = set(hom_set(CategoryKind.SI, 4, 4))
     rot = (2, 3, 4, 1)
     ref = (4, 3, 2, 1)
     group = {(1, 2, 3, 4)}
@@ -346,10 +360,10 @@ def test_si_endomorphisms_are_dihedral():
 def test_morphism_round_trip():
     for kind in CategoryKind:
         for m, n in ((0, 3), (1, 4), (2, 4)):
-            for f in hom_set(kind, m, n):
+            for f in morphisms(kind, m, n):
                 assert parse_morphism(format_morphism(f)) == f
-    assert format_morphism(hom_set(CategoryKind.FI, 0, 3)[0]) == "FI 0->3 : []"
-    assert format_morphism(hom_set(CategoryKind.CI, 1, 4)[2]) == "CI 1->4 : [3]"
+    assert format_morphism(morphisms(CategoryKind.FI, 0, 3)[0]) == "FI 0->3 : []"
+    assert format_morphism(morphisms(CategoryKind.CI, 1, 4)[2]) == "CI 1->4 : [3]"
 
 
 @pytest.mark.parametrize("kind", list(CategoryKind))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import permutations
 from math import comb, perm
 from pathlib import Path
 
@@ -14,8 +15,10 @@ import pytest
 import orbitlab
 from orbitlab import actions, modlab
 from orbitlab.cli import build_parser, main
+from orbitlab.modlab import parse_chain_file, width_component
 from orbitlab.structures import (
     AmalgamationProblem,
+    BuiltinAge,
     PairAge,
     StructureEmbedding,
     _embedding_ok,
@@ -67,7 +70,9 @@ def test_homset(capsys):
 def test_homset_lists_the_formatted_hom_set(capsys, kind, m, n):
     code, data = run_json(capsys, "homset", "--kind", kind.value.lower(), "--m", str(m), "--n", str(n))
     assert code == 0
-    assert data["morphisms"] == [orbitlab.format_morphism(f) for f in orbitlab.hom_set(kind, m, n)]
+    assert data["morphisms"] == [
+        orbitlab.format_morphism(orbitlab.InjectionMorphism(kind, m, n, f)) for f in orbitlab.hom_set(kind, m, n)
+    ]
     assert data["count"] == len(data["morphisms"])
 
 
@@ -717,6 +722,78 @@ def test_restrict_check_past_the_old_injection_cap(capsys):
     assert code == 0
     assert data["ok"] and data["class_count"] == 10
     assert sum(len(c["members"]) for c in data["classes"]) == 2520
+
+
+def brute_force_classes(kind, n, s):
+    """The report's classes from scratch: every injection [n] -> [s] that
+    `is_morphism` accepts, grouped by the order pattern (the ranks) of its
+    image; labels sorted, members in lexicographic (hom-set) order."""
+    classes = {}
+    for image in permutations(range(1, s + 1), n):
+        if orbitlab.is_morphism(kind, n, s, image):
+            pattern = tuple(sum(w <= v for w in image) for v in image)
+            classes.setdefault(pattern, []).append(list(image))
+    return [{"g": list(g), "members": classes[g]} for g in sorted(classes)]
+
+
+@pytest.mark.parametrize("kind", list(orbitlab.CategoryKind))
+@pytest.mark.parametrize("n, s", [(0, 2), (1, 4), (2, 2), (2, 5), (3, 6), (4, 7)])
+def test_restrict_check_classes_match_a_brute_force_partition(capsys, kind, n, s):
+    code, data = run_json(capsys, "restrict-check", "--kind", kind.value.lower(), "--n", str(n), "--s", str(s))
+    assert code == 0
+    assert data["ok"] and data["failures"] == []
+    assert data["classes"] == brute_force_classes(kind, n, s)
+    assert data["class_count"] == len(data["classes"])
+
+
+def test_restrict_check_reports_a_wrong_factorization(capsys, monkeypatch):
+    real = modlab.factorize
+    identity = orbitlab.InjectionMorphism(orbitlab.CategoryKind.CI, 3, 3, (1, 2, 3))
+
+    # every g claimed to be the identity: one class of all 30 morphisms
+    monkeypatch.setattr(modlab, "factorize", lambda f: (real(f)[0], identity))
+    code, data = run_json(capsys, "restrict-check", "--kind", "ci", "--n", "3", "--s", "5")
+    assert code == 1
+    assert not data["ok"]
+    assert data["failures"] == [
+        "1 classes but 3 endomorphisms",
+        "class of g=(1, 2, 3) has 30 members, expected 10",
+    ]
+
+    # right classes, but every post-composition [3] -> [6] lands in the
+    # identity's: the 20 members of the other two classes move, per each of
+    # the 6 increasing injections [5] -> [6]
+    monkeypatch.setattr(modlab, "factorize", lambda f: (real(f)[0], identity if f.target == 6 else real(f)[1]))
+    code, data = run_json(capsys, "restrict-check", "--kind", "ci", "--n", "3", "--s", "5")
+    assert code == 1
+    assert not data["ok"] and data["class_count"] == 3
+    assert len(data["failures"]) == 6 * 20
+    assert data["failures"][0] == (
+        "post-composition by (1, 2, 3, 4, 5) moved (2, 3, 1) from class (2, 3, 1) to (1, 2, 3)"
+    )
+
+
+def test_library_builds_no_morphism_objects(capsys, monkeypatch):
+    # a morphism the library builds is its image array; InjectionMorphism is
+    # only the checked form of one read from outside
+    generators = parse_chain_file(RANK2_CHAIN, orbitlab.CategoryKind.FI)[-1]
+    age = BuiltinAge("cyclic")
+    ((sigma, _),), ((gamma, _),) = age.iso_classes(3), age.iso_classes(5)
+    built = []
+    new = orbitlab.InjectionMorphism.__new__
+
+    def counting(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(orbitlab.InjectionMorphism, "__new__", counting)
+    assert orbitlab.InjectionMorphism(orbitlab.CategoryKind.OI, 0, 0, ()) and len(built) == 1
+    built.clear()
+    assert main(["homset", "--kind", "fi", "--m", "5", "--n", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == perm(8, 5)
+    assert len(age.embeddings(sigma, gamma)) == 3 * comb(5, 3)
+    assert width_component(orbitlab.CategoryKind.FI, generators, 4).vectors
+    assert built == []
 
 
 def test_parser_is_built_once_and_reused(capsys):
