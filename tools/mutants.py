@@ -7,10 +7,14 @@ Four kinds of mutant, one per site:
   and    `and` to `or`
   int+1  an integer constant plus one
 
-The tree is copied once to a temporary directory.  Each mutant is written
-over the file there (`ast.unparse` of the mutated module), and the test
-command runs with the copy as its working directory.
-A mutant is killed when the command exits nonzero or outruns the timeout.
+The tree is copied once to a temporary directory.  The test command first
+runs there on the unmutated file, written back through `ast.unparse`; the
+sweep stops with an error unless that run passes, so a command that fails
+for another reason (a misspelt test path, an import error) never reads as
+a kill.  Then each mutant is written over the file (`ast.unparse` of the
+mutated module) and the command runs again, with the copy as its working
+directory.  A mutant is killed when the command exits nonzero or outruns
+TIMEOUT seconds.
 Bytecode is neither read nor written in the copy, so a mutant never runs
 stale code.  The sweep prints one row per survivor and a summary line.
 
@@ -21,8 +25,8 @@ files by relative paths:
         --sample 0 -- python3 -m pytest -q -x -p no:cacheprovider \\
         tests/test_categories.py tests/test_acceptance.py
 
-`--list` prints every site and runs nothing; `--ids 3,17` runs only those
-sites (ids are the positions in `--list`, in source order).
+`--ids 3,17` runs only those sites; a site's id is its position in source
+order, as the survivor table prints it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ FLIP = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
     ast.In: ast.NotIn, ast.NotIn: ast.In,
 }
+TIMEOUT = 600.0
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*")
 
 
@@ -107,8 +112,18 @@ def _short(text, width=48):
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def run(file: Path, chosen, command, timeout) -> list[tuple]:
-    """Run the command once per chosen (id, site); return the survivors."""
+def _exit_code(command, root, env):
+    """The command's exit code in the copy, or None if it outruns TIMEOUT."""
+    try:
+        return subprocess.run(command, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run(file: Path, chosen, command) -> list[tuple]:
+    """Run the command once per chosen (id, site); return the survivors.
+    Raises SystemExit if the command fails on the unmutated file."""
     source = file.read_text()
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     survivors = []
@@ -116,15 +131,17 @@ def run(file: Path, chosen, command, timeout) -> list[tuple]:
         root = Path(tmp) / "tree"
         shutil.copytree(Path.cwd(), root, ignore=IGNORE)
         target = root / file.resolve().relative_to(Path.cwd().resolve())
+        target.write_text(ast.unparse(ast.parse(source)) + "\n")
+        code = _exit_code(command, root, env)
+        if code != 0:
+            failure = "a timeout" if code is None else f"exit {code}"
+            sys.exit(f"the test command fails on the unmutated file ({failure}); "
+                     "no mutant can be judged")
         for n, (ident, site) in enumerate(chosen, 1):
             target.write_text(mutant_source(source, site))
             start = time.monotonic()
-            try:
-                proc = subprocess.run(command, cwd=root, env=env, stdout=subprocess.DEVNULL,
-                                      stderr=subprocess.DEVNULL, timeout=timeout)
-                verdict = "killed" if proc.returncode else "SURVIVED"
-            except subprocess.TimeoutExpired:
-                verdict = "killed (timeout)"
+            code = _exit_code(command, root, env)
+            verdict = "SURVIVED" if code == 0 else "killed (timeout)" if code is None else "killed"
             print(f"[{n}/{len(chosen)}] #{ident} line {site[3]} {site[0]}: {verdict} "
                   f"in {time.monotonic() - start:.1f} s", file=sys.stderr, flush=True)
             if verdict == "SURVIVED":
@@ -140,19 +157,13 @@ def main(argv=None) -> int:
     parser.add_argument("--sample", type=int, default=0, help="sites to draw (0: all)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--ids", help="comma-separated site ids to run instead of a sample")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
-    parser.add_argument("--list", action="store_true", help="print the sites and run nothing")
     argv = sys.argv[1:] if argv is None else list(argv)
     split = argv.index("--") if "--" in argv else len(argv)
     args, command = parser.parse_args(argv[:split]), argv[split + 1:]
 
-    numbered = list(enumerate(sites(args.file.read_text())))
-    if args.list:
-        for ident, s in numbered:
-            print(f"{ident:4d}  {s[3]:4d}:{s[4]:<3d} {s[0]:6s} {_short(s[5]):48s}  {s[6]}")
-        return 0
     if not command:
         parser.error("a test command after -- is required")
+    numbered = list(enumerate(sites(args.file.read_text())))
     if args.ids:
         wanted = {int(i) for i in args.ids.split(",")}
         chosen = [pair for pair in numbered if pair[0] in wanted]
@@ -161,7 +172,7 @@ def main(argv=None) -> int:
     else:
         chosen = numbered
 
-    survivors = run(args.file, chosen, command, args.timeout)
+    survivors = run(args.file, chosen, command)
     print(f"{'id':>4}  {'line':>4}  {'kind':6s} {'site':48s}  change")
     for ident, s in survivors:
         print(f"{ident:4d}  {s[3]:4d}  {s[0]:6s} {_short(s[5]):48s}  {s[6]}")
