@@ -38,7 +38,7 @@ from .categories import (
     hom_set,
     hom_size_formula,
 )
-from .errors import MalformedInputError, ResourceCapError, format_count, parse_int
+from .errors import FalsificationError, MalformedInputError, ResourceCapError, format_count, parse_int
 from .polynomials import (
     GREVLEX,
     CoefficientField,
@@ -585,7 +585,9 @@ def restriction_decomposition_check(
 
     Verifies the class count equals the endomorphism group order, each class
     is in increasing-injection bijection with the OI hom-set, and increasing
-    post-composition preserves classes.
+    post-composition preserves classes.  Each of those is an increasing
+    injection, a morphism of every kind; one that is not raises
+    FalsificationError.
     """
     if gen_width > width:
         raise MalformedInputError("need gen_width <= width")
@@ -617,7 +619,13 @@ def restriction_decomposition_check(
                 f"class of g={g_image} has {len(members)} members, expected {oi_count}"
             )
     for pi in hom_set(CategoryKind.OI, width, width + 1):
-        pi_kind = InjectionMorphism.checked(kind, width, width + 1, pi)
+        try:
+            pi_kind = InjectionMorphism.checked(kind, width, width + 1, pi)
+        except MalformedInputError:
+            raise FalsificationError(
+                f"increasing injection {pi} is not a {kind.value} morphism "
+                f"[{width}] -> [{width + 1}]"
+            ) from None
         for g_image, members in classes.items():
             for eps, _ in members:
                 _, g2 = factorize(compose(eps, pi_kind))

@@ -306,33 +306,9 @@ def _end_prefixes(kind: CategoryKind, n: int) -> frozenset:
     return frozenset(g[:j] for g in _endomorphism_images(kind, n) for j in range(n + 1))
 
 
-def _set_partitions(items, want):
-    """Set partitions of the items, recursing on the tail first.
-
-    `want` maps pairs `(a, b)`, `a` before `b` in items, to whether a and b
-    share a block; partitions that break it are skipped, the rest keep their
-    order.
-    """
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    ties = [(b, want[first, b]) for b in rest if (first, b) in want]
-    same = [b for b, equal in ties if equal]
-    apart = [b for b, equal in ties if not equal]
-    for part in _set_partitions(rest, want):
-        block = {x: i for i, blk in enumerate(part) for x in blk}
-        banned = {block[b] for b in apart}
-        if same:  # first joins the block of same[0], if that keeps every tie
-            i = block[same[0]]
-            if i not in banned and all(block[b] == i for b in same):
-                yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-            continue
-        for i in range(len(part)):
-            if i not in banned:
-                yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
+# the binary relation holding where two points' slots at these offsets (first
+# coordinate 0, second 1) are equal
+_PAIR_SLOTS = {(0, 0): "eq_ff", (0, 1): "eq_fs", (1, 0): "eq_sf", (1, 1): "eq_ss"}
 
 
 class PairAge(_Age):
@@ -357,49 +333,67 @@ class PairAge(_Age):
 
     @staticmethod
     def from_pairs(labels, pairs) -> FiniteStructure:
+        """The structure of one distinct pair per label: two slots of distinct
+        labels holding one value are in the relation of their offsets, and
+        the two slots of one label in diag."""
         labels = tuple(labels)
         pairs = [tuple(p) for p in pairs]
         if len(labels) != len(pairs) or len(set(pairs)) != len(pairs):
             raise MalformedInputError("need one distinct pair per label")
-        coord = dict(zip(labels, pairs))
         rels = {name: set() for name, _ in PairAge.signature}
-        rels["diag"].update((x,) for x in labels if coord[x][0] == coord[x][1])
-        for x, y in permutations(labels, 2):
-            (a, b), (c, d) = coord[x], coord[y]
-            if a == c:
-                rels["eq_ff"].add((x, y))
-            if a == d:
-                rels["eq_fs"].add((x, y))
-            if b == c:
-                rels["eq_sf"].add((x, y))
-            if b == d:
-                rels["eq_ss"].add((x, y))
+        holding = {}  # coordinate value -> the slots (label, offset) holding it
+        for x, pair in zip(labels, pairs):
+            for offset, value in enumerate(pair):
+                holding.setdefault(value, []).append((x, offset))
+        for slots in holding.values():
+            for (x, i), (y, j) in permutations(slots, 2):
+                if x != y:
+                    rels[_PAIR_SLOTS[i, j]].add((x, y))
+                else:  # the two slots of x, met in both orders
+                    rels["diag"].add((x,))
         relations = tuple((name, frozenset(ts)) for name, ts in rels.items())
         return FiniteStructure(labels, PairAge.signature, relations)
 
     def structures_on(self, labels, restrictions=()):
         """The age structures on the labels, one per slot partition with
         distinct pairs (the relations record every equality of two slots, so
-        no two coincide), in `_set_partitions` order; label i owns slots 2i
-        and 2i + 1.
+        no two coincide); label i owns slots 2i and 2i + 1.
+
+        The slots are placed from the last to the first, depth first: each
+        joins a block already opened, the newest first, or opens a new block
+        last.  Once slot 2i is placed, label i's pair is complete, and a pair
+        that repeats a later label's drops the branch.
 
         `restrictions` is as for `BuiltinAge.structures_on`.  Each one fixes,
         for every pair of slots of its points, whether the two coordinates are
-        equal, and only partitions that keep all of these are built.
+        equal: a slot tied equal to a placed one joins only its block, and
+        never the block of a slot tied unequal.
         """
         labels = tuple(labels)
-        k = len(labels)
-        want = self._slot_constraints(labels, restrictions)
-        if want is None:
+        ties = self._slot_constraints(labels, restrictions)
+        if ties is None:
             return
-        for part in _set_partitions(range(2 * k), want):
-            cls = {}
-            for i, block in enumerate(part):
-                for s in block:
-                    cls[s] = i
-            pairs = [(cls[2 * i], cls[2 * i + 1]) for i in range(k)]
-            if len(set(pairs)) == k:
-                yield PairAge.from_pairs(labels, pairs)
+        block = [0] * len(ties)  # slot -> its block, numbered as opened
+
+        def place(s, opened):
+            if s < 0:
+                yield PairAge.from_pairs(labels, zip(block[::2], block[1::2]))
+                return
+            same = {block[b] for b, equal in ties[s].items() if equal}
+            apart = {block[b] for b, equal in ties[s].items() if not equal}
+            if same:
+                choices = same if len(same) == 1 else ()
+            else:
+                choices = (*range(opened - 1, -1, -1), opened)
+            for i in choices:
+                if i in apart:
+                    continue
+                block[s] = i
+                if s % 2 == 0 and (i, block[s + 1]) in zip(block[s + 2 :: 2], block[s + 3 :: 2]):
+                    continue
+                yield from place(s - 1, opened + (i == opened))
+
+        yield from place(len(ties) - 1, 0)
 
     @staticmethod
     def _slot_facts(gamma: FiniteStructure):
@@ -412,7 +406,7 @@ class PairAge(_Age):
         slot = {x: 2 * i for i, x in enumerate(gamma.universe)}
         rels = dict(gamma.relations)
         facts = {(slot[x], slot[x] + 1): (x,) in rels["diag"] for x in gamma.universe}
-        for name, (i, j) in _PAIR_SLOTS.items():
+        for (i, j), name in _PAIR_SLOTS.items():
             for x, y in product(gamma.universe, repeat=2):
                 if x != y:
                     a, b = slot[x] + i, slot[y] + j
@@ -424,12 +418,13 @@ class PairAge(_Age):
         return tuple(facts.items())
 
     def _slot_constraints(self, labels, restrictions):
-        """`{(a, b): equal}` over slots `a < b` of the labels, label i owning
-        slots 2i and 2i + 1: each gamma's `_slot_facts`, built once per gamma,
-        moved onto the slots of its images.  None if the restrictions
-        contradict each other or no structure can meet them."""
+        """The ties of each slot of the labels, label i owning slots 2i and
+        2i + 1: `ties[a]` is `{b: equal}` over slots `b > a`, each gamma's
+        `_slot_facts`, built once per gamma, moved onto the slots of its
+        images.  None if the restrictions contradict each other or no
+        structure can meet them."""
         slot_of = {x: 2 * i for i, x in enumerate(labels)}
-        want = {}
+        ties = [{} for _ in range(2 * len(labels))]
         for images, gamma in restrictions:
             if gamma not in self._facts:
                 self._facts[gamma] = self._slot_facts(gamma)
@@ -438,14 +433,10 @@ class PairAge(_Age):
                 return None
             to = [slot_of[y] + o for y in images for o in (0, 1)]
             for (a, b), equal in facts:
-                a, b = to[a], to[b]
-                if want.setdefault((a, b) if a < b else (b, a), equal) != equal:
+                a, b = (to[a], to[b]) if to[a] < to[b] else (to[b], to[a])
+                if ties[a].setdefault(b, equal) != equal:
                     return None
-        return want
-
-
-# slot offsets (first coordinate 0, second 1) compared by each binary relation
-_PAIR_SLOTS = {"eq_ff": (0, 0), "eq_fs": (0, 1), "eq_sf": (1, 0), "eq_ss": (1, 1)}
+        return ties
 
 
 def age_for(name: str):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import orbitlab
-from orbitlab import actions, modlab
+from orbitlab import actions, categories, modlab
 from orbitlab.cli import build_parser, main
 from orbitlab.modlab import parse_chain_file, width_component
 from orbitlab.structures import (
@@ -770,6 +770,19 @@ def test_restrict_check_reports_a_wrong_factorization(capsys, monkeypatch):
     assert len(data["failures"]) == 6 * 20
     assert data["failures"][0] == (
         "post-composition by (1, 2, 3, 4, 5) moved (2, 3, 1) from class (2, 3, 1) to (1, 2, 3)"
+    )
+
+
+def test_restrict_check_reports_a_non_morphism_increasing_injection_as_a_falsification(capsys, monkeypatch):
+    # valid input, so a failed claim of the library is exit 1, not 2
+    real = categories.is_morphism
+    monkeypatch.setattr(
+        categories, "is_morphism", lambda kind, m, n, image: (m, n) != (5, 6) and real(kind, m, n, image)
+    )
+    assert main(["restrict-check", "--kind", "ci", "--n", "3", "--s", "5"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "FALSIFICATION: increasing injection (1, 2, 3, 4, 5) is not a CI morphism [5] -> [6]\n",
     )
 
 

@@ -188,15 +188,40 @@ def test_pair_age_structures_on_counts():
     assert len(singles) == 2  # diagonal or not
 
 
-def slot_partitions(slots):
-    """Every set partition of the slots, as a block index per slot (restricted
-    growth strings)."""
-    if not slots:
-        yield ()
+def set_partitions(items):
+    """Set partitions of the items, recursing on the tail first: the first
+    item joins each block of a partition of the rest, newest block first, then
+    opens a block of its own, kept first.  The order the pair age places its
+    slots in."""
+    items = list(items)
+    if not items:
+        yield []
         return
-    for head in slot_partitions(slots[:-1]):
-        for block in range(max(head, default=-1) + 2):
-            yield head + (block,)
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def distinct_pair_partitions(k):
+    """Per partition of 2k slots, in `set_partitions` order, the pairs of
+    blocks of k labels, label i owning slots 2i and 2i + 1, if no two labels
+    share one."""
+    for part in set_partitions(range(2 * k)):
+        block = {s: i for i, slots in enumerate(part) for s in slots}
+        pairs = [(block[2 * i], block[2 * i + 1]) for i in range(k)]
+        if len(set(pairs)) == k:
+            yield pairs
+
+
+def test_pair_age_enumerates_in_the_order_of_its_slot_partitions():
+    # certificates and class representatives are the first structure found,
+    # so the order is pinned, not only the set
+    for k in range(5):
+        labels = tuple("abcd"[:k])
+        expected = [PairAge.from_pairs(labels, pairs) for pairs in distinct_pair_partitions(k)]
+        assert list(PairAge().structures_on(labels)) == expected, k
 
 
 def test_pair_age_yields_one_structure_per_partition_with_distinct_pairs():
@@ -205,11 +230,7 @@ def test_pair_age_yields_one_structure_per_partition_with_distinct_pairs():
     age = PairAge()
     for k, expected in enumerate((1, 2, 13, 162, 3075)):
         labels = tuple("abcd"[:k])
-        with_distinct_pairs = sum(
-            1
-            for blocks in slot_partitions(tuple(range(2 * k)))
-            if len({(blocks[2 * i], blocks[2 * i + 1]) for i in range(k)}) == k
-        )
+        with_distinct_pairs = sum(1 for _ in distinct_pair_partitions(k))
         found = [s.relations for s in age.structures_on(labels)]
         assert len(found) == len(set(found)) == with_distinct_pairs == expected
 
@@ -623,6 +644,9 @@ def test_structure_text_round_trip():
     assert parse_structure(format_structure(s)) == s
     with pytest.raises(MalformedInputError):
         parse_structure("lt/2: (a,b)")
+    for token in ("(a,b", "a,b)"):  # a tuple is parenthesized at both ends
+        with pytest.raises(MalformedInputError, match="bad tuple token"):
+            parse_structure(f"universe = a b\nlt/2: {token}")
 
 
 def test_parse_embedding_file():
@@ -638,5 +662,8 @@ a -> a
 """
     e = parse_embedding_file(text)
     assert e.images == ("a",)
+    # a comment line that ends in a bracket is no section header
+    commented = text.replace("[source]\n", "[source]\n# the side [sigma]\n")
+    assert parse_embedding_file(commented) == e
     with pytest.raises(MalformedInputError):
         parse_embedding_file("[source]\nuniverse = a\n")
