@@ -659,7 +659,7 @@ def parse_group_file(text: str) -> FiniteAction:
     ]
     if not lines or not re.match(r"^N\s*=\s*\d+$", lines[0]):
         raise MalformedInputError("group file must start with a header like N=5")
-    n = int(lines[0].split("=")[1])
+    n = parse_int(lines[0].split("=")[1], "domain size")
     if n > DEFAULT_SPACE_CAP:  # every permutation is a list of n points
         raise ResourceCapError(f"domain size {n} exceeds cap {DEFAULT_SPACE_CAP}")
     gens = []

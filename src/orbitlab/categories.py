@@ -299,6 +299,6 @@ def parse_morphism(text: str) -> InjectionMorphism:
     if not m:
         raise MalformedInputError(f"cannot parse morphism: {text!r}")
     kind = CategoryKind.from_string(m.group(1))
-    src, tgt = int(m.group(2)), int(m.group(3))
+    src, tgt = parse_int(m.group(2), "source size"), parse_int(m.group(3), "target size")
     image = tuple(parse_int(tok, "image entry") for tok in m.group(4).split(",") if tok.strip())
     return InjectionMorphism.checked(kind, src, tgt, image)

@@ -342,19 +342,6 @@ SUBCOMMANDS = {
 }
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments when it first parses,
-    so that a run builds only those of the subcommand it invokes."""
-
-    arguments = ()
-
-    def parse_known_args(self, args=None, namespace=None):
-        for flag, options in self.arguments:
-            self.add_argument(flag, **options)
-        self.arguments = ()
-        return super().parse_known_args(args, namespace)
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process and shared:
@@ -363,12 +350,55 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orbitlab", description="finite orbit/category experiments"
     )
     parser.add_argument("--version", action="version", version=f"orbitlab {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (handler, help, *arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help)
-        p.arguments = arguments
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(func=handler)
     return parser
+
+
+def parse_plain(argv) -> argparse.Namespace | None:
+    """`build_parser().parse_args(argv)` for a plain argv, read off
+    `SUBCOMMANDS`; None for any other.  A plain argv is a subcommand, then
+    each of its flags spelled in full and at most once, each but a
+    `store_true` flag followed by a value that does not start with `-` and
+    that its `type` and `choices` accept.  Help, `--version` and usage errors
+    are all argparse's: their argv is never plain."""
+    if not argv or not isinstance(argv[0], str) or argv[0] not in SUBCOMMANDS:
+        return None
+    handler, _, *arguments = SUBCOMMANDS[argv[0]]
+    table = dict(arguments)
+    values = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if not isinstance(flag, str) or flag not in table or flag in values:
+            return None
+        options = table[flag]
+        if options.get("action") == "store_true":
+            values[flag] = True
+            continue
+        value = next(tokens, None)
+        if not isinstance(value, str) or value.startswith("-"):
+            return None
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except ValueError:
+                return None
+        if value not in options.get("choices", (value,)):
+            return None
+        values[flag] = value
+    args = argparse.Namespace(subcommand=argv[0])
+    for flag, options in arguments:
+        if flag not in values and options.get("required"):
+            return None
+        unset = False if options.get("action") == "store_true" else None
+        value = values.get(flag, options.get("default", unset))
+        setattr(args, options.get("dest", flag[2:].replace("-", "_")), value)
+    args.func = handler
+    return args
 
 
 def main(argv=None) -> int:
@@ -377,8 +407,10 @@ def main(argv=None) -> int:
 
         if hasattr(signal, "SIGPIPE"):
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv_list = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
+    args = parse_plain(argv_list)
+    if args is None:
+        args = build_parser().parse_args(argv_list)
     try:
         code = args.func(args)
     except FalsificationError as exc:

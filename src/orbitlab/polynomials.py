@@ -156,7 +156,8 @@ def parse_polynomial(text: str, width: int, field: CoefficientField = QQ) -> dic
                 raise MalformedInputError(f"empty factor in {text!r}")
             m = _FACTOR_RE.match(factor)
             if m:
-                i, e = int(m.group(1)), int(m.group(2) or 1)
+                i = parse_int(m.group(1), "variable index")
+                e = parse_int(m.group(2) or "1", "exponent")
                 if not 1 <= i <= width:
                     raise MalformedInputError(
                         f"variable x{i} outside width-{width} ring"

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its exit-code
 contract: 0 success, 1 property violation, 2 malformed input, 3 resource cap."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,10 +13,11 @@ from math import comb, perm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbitlab
 from orbitlab import actions, categories, modlab
-from orbitlab.cli import build_parser, main
+from orbitlab.cli import SUBCOMMANDS, build_parser, main, parse_plain
 from orbitlab.modlab import parse_chain_file, width_component
 from orbitlab.structures import (
     AmalgamationProblem,
@@ -103,6 +106,12 @@ def test_growth_tsv(capsys, grp):
     rows = [ln.split("\t") for ln in out.strip().splitlines() if not ln.startswith("#")]
     assert rows[0] == ["n", "f", "F", "F_star"]
     assert [r[3] for r in rows[1:]] == ["1", "2", "5", "15"]
+
+
+def test_growth_tsv_rows_run_from_n_1_to_max_n(capsys, grp):
+    code, out = run(capsys, "growth", "--group", grp("s4.grp", S4), "--max-n", "3", "--format", "tsv")
+    assert code == 0
+    assert out.splitlines()[2:] == ["n\tf\tF\tF_star", "1\t1\t1\t1", "2\t1\t1\t2", "3\t1\t1\t5"]
 
 
 def test_growth_json_deterministic(capsys, grp):
@@ -818,6 +827,137 @@ def test_parser_is_built_once_and_reused(capsys):
         assert "the following arguments are required: --group" in capsys.readouterr().err
 
 
+# tokens outside the plain form, and values that int() reads its own way
+EDGE_TOKENS = (
+    "-1", "", " 3", "+2", "\u0663", "3_0", "--m=5", "--ma", "x", "--", "-h", "--help",
+    "--version", "bogus",
+)
+ALL_FLAGS = sorted({flag for _, _, *arguments in SUBCOMMANDS.values() for flag, _ in arguments})
+
+
+def _good_values(options):
+    if "choices" in options:
+        return list(options["choices"])
+    return ["0", "1", "3"] if "type" in options else ["g.grp", "q", "fp:5"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's flags in any order, each with a value it accepts or, in
+    one case of four, an edge token; some flags left out, some tokens put in."""
+
+    def rarely():
+        return draw(st.integers(0, 3)) == 3  # False where Hypothesis shrinks to
+
+    argv = [draw(st.sampled_from(EDGE_TOKENS if rarely() else list(SUBCOMMANDS)))]
+    arguments = SUBCOMMANDS[argv[0]][2:] if argv[0] in SUBCOMMANDS else ()
+    for flag, options in draw(st.permutations(arguments)):
+        if rarely() and rarely():
+            continue
+        argv.append(flag)
+        if options.get("action") != "store_true":
+            argv.append(draw(st.sampled_from(EDGE_TOKENS if rarely() else _good_values(options))))
+    while rarely():
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(ALL_FLAGS + list(EDGE_TOKENS))))
+    return argv
+
+
+def _argparse_namespace(argv):
+    """`build_parser().parse_args(argv)`, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_plain_parser_declines_or_agrees_with_argparse(argv):
+    plain = parse_plain(argv)
+    if plain is not None:
+        assert list(vars(plain).items()) == list(vars(_argparse_namespace(argv)).items())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homset", "--kind", "fi", "--m", "2", "--n", "-1"],
+        ["homset", "--kind", "fi", "--m", "2", "--m", "2", "--n", "3"],
+        ["homset", "--kind", "fi", "--m=2", "--n", "3"],
+        ["homset", "--kind", "fi", "--m", "2", "--n"],
+        ["homset", "--kind", "xi", "--m", "2", "--n", "3"],
+        ["homset", "--kind", "fi", "--m", "two", "--n", "3"],
+        ["homset", "--kind", "fi", "--m", "2"],
+        ["homset", "--kind", "fi", "--m", "2", "--n", "3", "-h"],
+        ["homset", "--kind", "fi", "--m", 2, "--n", "3"],
+        ["homset", "--kind", "fi", 1, "--n", "3"],
+        ["amalgamate", "--embedding1", "a", "--embedding2", "b", "--age", "set", "--weak", "x"],
+        ["sap", "--age", "set", "--cap", "1"],
+        [1, "--kind", "fi"],
+        ["--version"],
+        [],
+    ],
+    ids=[
+        "negative-value", "repeated-flag", "flag=value", "flag-without-value", "bad-choice",
+        "bad-int", "missing-flag", "help", "non-str-value", "non-str-flag", "store-true-with-value",
+        "dest-as-flag", "non-str-subcommand", "version", "empty",
+    ],
+)
+def test_plain_parser_declines_what_argparse_must_parse(argv):
+    assert parse_plain(argv) is None
+
+
+def test_plain_parser_fills_absent_flags_with_their_defaults():
+    args = parse_plain(["amalgamate", "--embedding1", "a", "--embedding2", "b", "--age", "set"])
+    assert (args.weak, args.subcommand) == (False, "amalgamate")
+    args = parse_plain(["noeth-chain", "--kind", "fi", "--chain", "c", "--width", "1", "--degree", "2"])
+    assert (args.field, args.order, args.width, args.degree) == ("q", "grevlex", 1, 2)
+    assert list(vars(args)) == ["subcommand", "kind", "chain", "width", "degree", "field", "order", "func"]
+    args = parse_plain(["sap", "--cap", " 3", "--kind", "pair"])
+    assert (args.age, args.cap, args.func) == ("pair", 3, SUBCOMMANDS["sap"][0])
+
+
+def test_plain_runs_build_no_argparse_parser(tmp_path):
+    # argparse's first parser imports shutil (with zlib, bz2 and lzma);
+    # one plain run of each subcommand must need none of it
+    for name, text in {"s3.grp": S3, "c3.grp": "N=3\n(1 2 3)\n", "c.chain": FI_CHAIN,
+                       "e.emb": EMBEDDING_A_BELOW_B}.items():
+        (tmp_path / name).write_text(text)
+    runs = [
+        ["homset", "--kind", "oi", "--m", "2", "--n", "3"],
+        ["factorize", "--morphism", "CI 3->4 : [2,3,1]"],
+        ["growth", "--group", "s3.grp", "--max-n", "2", "--format", "tsv"],
+        ["same-orbits", "--group", "s3.grp", "--subgroup", "c3.grp", "--n", "2"],
+        ["dense", "--group", "s3.grp", "--subgroup", "c3.grp", "--t", "1"],
+        ["fullness-witness", "--group", "s3.grp", "--subgroup", "c3.grp", "--k-subgroup", "c3.grp"],
+        ["amalgamate", "--embedding1", "e.emb", "--embedding2", "e.emb", "--age", "linear", "--weak"],
+        ["sap", "--kind", "set", "--cap", "2"],
+        ["orbitcat", "--group", "s3.grp", "--cap", "2"],
+        ["noeth-chain", "--kind", "fi", "--chain", "c.chain", "--width", "2", "--degree", "3",
+         "--field", "fp:5", "--order", "lex"],
+        ["restrict-check", "--kind", "fi", "--n", "2", "--s", "3"],
+    ]
+    assert [name for name, *_ in runs] == list(SUBCOMMANDS)
+    script = (
+        "import contextlib, io, sys\n"
+        "from orbitlab.cli import build_parser, main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, build_parser.cache_info().currsize, 'shutil' in sys.modules)"
+    )
+    src = str(Path(orbitlab.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0] 0 False\n", "")
+
+
 def test_console_entry_ends_quietly_when_its_reader_closes_stdout():
     # 6,720 morphisms, more than a pipe holds: the report is still being
     # written when the reader goes, which is no failed property (exit 1)
@@ -1020,6 +1160,28 @@ def test_sizes_read_from_files_are_capped_before_allocation(capsys, tmp_path, mo
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("resource cap: ")
+
+
+LONG_INT = "9" * 5000  # past int()'s 4,300-digit limit for str
+
+
+@pytest.mark.parametrize(
+    "files, argv, what",
+    [
+        ({"g.grp": f"N={LONG_INT}\n(1 2)\n"}, GROWTH, "domain size"),
+        ({"c.chain": f"FI 0 1 : [] : x1^{LONG_INT}\n"}, CHAIN, "exponent"),
+        ({"c.chain": f"FI 0 1 : [] : x{LONG_INT}\n"}, CHAIN, "variable index"),
+        ({}, ("factorize", "--morphism", f"FI {LONG_INT}->3 : [1]"), "source size"),
+        ({}, ("factorize", "--morphism", f"FI 1->{LONG_INT} : [1]"), "target size"),
+    ],
+    ids=["group-header", "exponent", "variable-index", "morphism-source", "morphism-target"],
+)
+def test_integers_past_the_int_to_str_limit_are_malformed_input(capsys, tmp_path, monkeypatch, files, argv, what):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", f"error: bad {what}: '{LONG_INT}'\n")
 
 
 # --help of the program and of each subcommand, and two usage errors, as

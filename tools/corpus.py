@@ -8,12 +8,14 @@ lines exactly when every run gave the same bytes and exit code.
 
 The runs: `sap` on all six ages (caps 1-4 for `pair`, 1-5 for the reducts),
 `amalgamate --age pair`, strong and `--weak`, on generated embedding files,
-and small `restrict-check` runs.  Stdlib only, no options; from the
-repository root:
+small `restrict-check` runs, one small run of every subcommand, and the
+spellings that only argparse reads: `--help` of the program and of each
+subcommand, `--version` and usage errors (help at 80 columns).  Stdlib only,
+no options; from the repository root:
 
     python3 tools/corpus.py
 
-It takes about 15 s on a 2-vCPU host, most of it `sap --kind pair --cap 4`.
+It takes about 18 s on a 2-vCPU host, most of it `sap --kind pair --cap 4`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ from itertools import permutations
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+FILES = {
+    "s4.grp": "N=4\n(1 2)\n(1 2 3 4)\n",
+    "a4.grp": "N=4\n[2,3,1,4]\n(2 3 4)\n",
+    "c4.grp": "N=4\n(1 2 3 4)\n",
+    "c.chain": "FI 0 2 : [] : x1^2 - 3/2*x2\n--\nFI 0 2 : [] : x1*x2\n--\nFI 0 1 : [] : 2*x1^3\n",
+}
 REDUCTS = ("set", "linear", "betweenness", "cyclic", "separation")
 # coordinates (first 0, second 1) each binary relation of the pair age compares
 PAIR_RELATIONS = {"eq_ff": (0, 0), "eq_fs": (0, 1), "eq_sf": (1, 0), "eq_ss": (1, 1)}
@@ -92,10 +100,43 @@ def invocations(tmp: Path):
         for n, s in ((2, 3), (3, 4)):
             yield ["restrict-check", "--kind", kind, "--n", str(n), "--s", str(s)]
     yield ["restrict-check", "--kind", "fi", "--n", "3", "--s", "2"]
+    for name, text in FILES.items():
+        (tmp / name).write_text(text)
+    plain = [  # one run of each subcommand, in the parser's order
+        ["homset", "--kind", "si", "--m", "2", "--n", "4"],
+        ["factorize", "--morphism", "BI 3->5 : [4,1,3]"],
+        ["growth", "--group", "a4.grp", "--max-n", "3", "--format", "tsv"],
+        ["same-orbits", "--group", "s4.grp", "--subgroup", "a4.grp", "--n", "3"],
+        ["dense", "--group", "s4.grp", "--subgroup", "c4.grp", "--t", "2"],
+        ["fullness-witness", "--group", "s4.grp", "--subgroup", "a4.grp", "--k-subgroup", "c4.grp"],
+        ["amalgamate", "--age", "pair", "--embedding2", "d0-1.emb", "--embedding1", "d0-2.emb"],
+        ["sap", "--cap", "3", "--kind", "cyclic"],
+        ["orbitcat", "--group", "c4.grp", "--cap", "2"],
+        ["noeth-chain", "--kind", "fi", "--chain", "c.chain", "--width", "3", "--degree", "3",
+         "--field", "fp:3", "--order", "lex"],
+        ["restrict-check", "--s", "3", "--n", "2", "--kind", "oi"],
+    ]
+    yield from plain
+    yield ["--help"]
+    for name, *_ in plain:
+        yield [name, "--help"]
+    homset = ["homset", "--kind", "fi"]
+    yield ["--version"]
+    yield homset + ["--m=2", "--n", "3"]  # flag=value
+    yield homset + ["--m", "2", "--n", "-1"]  # a value that starts with -
+    yield ["sap", "--kind", "set", "--ca", "2"]  # abbreviation
+    yield homset + ["--m", "2", "--m", "1", "--n", "3"]  # repeated flag
+    yield homset + ["--m", "2"]  # missing flag
+    yield ["homset", "--kind", "xi", "--m", "2", "--n", "3"]  # bad choice
+    yield homset + ["--m", "two", "--n", "3"]  # bad int
+    yield ["amalgamate", "--embedding1", "d0-1.emb", "--embedding2", "d0-2.emb", "--age", "pair",
+           "--weak", "x"]  # a value after a store_true flag
+    yield ["bogus"]  # unknown subcommand
+    yield []
 
 
 def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         # relative file names, so the reports' echoed arguments match across runs
