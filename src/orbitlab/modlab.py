@@ -9,8 +9,10 @@ substituting variables in the coefficients and post-composing the keys.
 Width components of finitely generated subpresheaves are submodules of that
 free module: the OI-spans of the End([s])-images of the generators.  They are
 handled by a Buchberger engine with the Gebauer-Moller pair criteria
-(position-over-term extension of the chosen monomial order); it never
-reduces the S-pair of two single-term vectors, whose S-polynomial is 0.
+(position-over-term extension of the chosen monomial order), which forms and
+drops S-pairs per leading position and never reduces the S-pair of two
+single-term vectors, whose S-polynomial is 0.  A chain's steps at one width
+extend one run of the engine, which reduces each pair once.
 Keys of one generator width order like the hom-set, lexicographically by
 image.  A coefficient is a term dict {monomial: nonzero coefficient}, the
 form `parse_polynomial` returns, and vectors are added and multiplied only
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from functools import cached_property
+from itertools import combinations
 from math import comb
 
 from .actions import DEFAULT_SPACE_CAP, _depth_first, _work_budget
@@ -160,9 +163,9 @@ class GroebnerBasis(
     namedtuple("GroebnerBasis", "vectors order degree_capped degree_cap", defaults=(None,))
 ):
     """vectors: reduced, monic, in a deterministic order; order: a
-    MonomialOrder; degree_capped: True when S-pairs above the degree cap were
-    skipped; degree_cap: the cap of the run, or None.  Instances keep a
-    `__dict__` for the `leads` cache."""
+    MonomialOrder; degree_capped: True when the run so far skipped S-pairs
+    above the degree cap; degree_cap: the cap of the run, or None.
+    Instances keep a `__dict__` for the `leads` cache."""
 
     @cached_property
     def leads(self) -> dict:
@@ -180,57 +183,149 @@ class GroebnerBasis(
         return not _reduce(_coords(v), self.leads, self.order, v.field)
 
 
-def _update(basis, heads, k: int, pairs: deque, degree_cap) -> tuple:
-    """Queue the S-pairs of basis vector k with the vectors before it:
-    (the new queue, whether a pair was dropped on the degree cap).
+class _Run:
+    """One Buchberger run, fed generators in batches.
 
-    A pair (i, k, lcm of the leading monomials) joins only vectors leading
-    at one position, and one above the degree cap is dropped first.  The
-    Gebauer-Moller criteria (JSC 6, 1988; valid for submodules of free
-    modules, Kreuzer-Robbiano, CCA 1, 2.5) see only the pairs within the
-    cap:
-    - B_k drops an old pair (i, j) when lm(k) divides its lcm and neither
-      lcm(i, k) nor lcm(j, k) equals it;
-    - M and F keep, of the new pairs, the first one of each minimal lcm;
-    - a new pair whose S-polynomial is 0 is dropped, with every other new
-      pair of that lcm: by the product criterion when both vectors have one
-      coordinate and coprime leading monomials, and at once when both are
-      single terms (one position, one monomial), whose S-polynomial is
-      exactly 0 over any field.
-    Old pairs keep their order, and the new ones follow by i."""
-    pos, mk, _ = heads[k]
-    one_k = len(basis[k].coords) == 1
-    term_k = one_k and len(basis[k].coords[pos]) == 1
-    capped = False
-    new = {}  # lcm -> [first i, S-polynomial is 0]
-    for i in range(k):
-        ipos, mi, _ = heads[i]
-        if ipos != pos:
-            continue
-        lcm = monomial_lcm(mi, mk)
-        if degree_cap is not None and monomial_degree(lcm) > degree_cap:
-            capped = True
-            continue
-        gi = basis[i]
-        zero = (
-            one_k
-            and len(gi.coords) == 1
-            and (term_k and len(gi.coords[pos]) == 1 or monomial_mul(mi, mk) == lcm)
-        )
-        entry = new.setdefault(lcm, [i, False])
-        entry[1] = entry[1] or zero
-    kept = deque(
-        (i, j, lcm)
-        for i, j, lcm in pairs
-        if heads[i][0] != pos
-        or not monomial_divides(mk, lcm)
-        or monomial_lcm(heads[i][1], mk) == lcm
-        or monomial_lcm(heads[j][1], mk) == lcm
-    )
-    if not all(zero for _, zero in new.values()):
+    `feed` appends a batch to the basis (homogenized when the run is) and
+    reduces S-pairs first in, first out until none is left, so after each
+    batch every pair within the degree cap is done and the next batch
+    continues from the run's own state.  Beside the one queue, each leading
+    position keeps `at`, the indexes of the basis vectors leading there, and
+    `queued`, the pairs {(i, j): lcm of the leading monomials} queued there;
+    a pair that B_k drops leaves `queued` only and is skipped when it is
+    popped.  So the pairs reduced, their order and the S-pair count do not
+    depend on the indexes.  `processed` counts the pairs reduced over the
+    whole run against `DEFAULT_PAIR_CAP`, and `capped` records whether a
+    pair above the degree cap was dropped."""
+
+    def __init__(self, order: MonomialOrder, degree_cap, homogenize: bool):
+        self.order, self.degree_cap, self.homogenize = order, degree_cap, homogenize
+        self.basis, self.heads = [], []
+        self.leads, self.at, self.queued = {}, {}, {}
+        self.processed, self.capped = 0, False
+
+    def feed(self, generators) -> None:
+        for g in generators:
+            if not g.is_zero():
+                self._add(_in_ring(g, g.width + 1) if self.homogenize else g)
+        # the batch's pairs in (i, j) order, which decides the work a run
+        # does and, at times, whether it meets a pair above the cap
+        pairs = deque(sorted(ij for queued in self.queued.values() for ij in queued))
+        while pairs:
+            i, j = pairs.popleft()
+            (pos, mi, inv_i), (_, mj, inv_j) = self.heads[i], self.heads[j]
+            lcm = self.queued[pos].pop((i, j), None)
+            if lcm is None:  # dropped by B_k
+                continue
+            self.processed += 1
+            if self.processed > DEFAULT_PAIR_CAP:
+                raise ResourceCapError(f"S-pair queue exceeded cap {DEFAULT_PAIR_CAP}")
+            gi, gj = self.basis[i], self.basis[j]
+            f = gi.field
+            s = {}
+            _add_multiple(s, gi, monomial_div(lcm, mi), inv_i)
+            _add_multiple(s, gj, monomial_div(lcm, mj), f.neg(inv_j))
+            r = _reduce(s, self.leads, self.order, f)
+            if r:
+                pairs.extend(self._add(ModuleVector(gi.width, f, r)))
+
+    def _add(self, g: ModuleVector) -> list:
+        """Append g to the basis and queue its S-pairs with the vectors
+        before it: return the new pairs, in queue order.
+
+        A pair (i, k) joins only vectors leading at one position, and one
+        whose lcm is above the degree cap is dropped first.  The
+        Gebauer-Moller criteria (JSC 6, 1988; valid for submodules of free
+        modules, Kreuzer-Robbiano, CCA 1, 2.5) see only the pairs within the
+        cap:
+        - B_k drops a queued pair (i, j) when lm(k) divides its lcm and
+          neither lcm(i, k) nor lcm(j, k) equals it;
+        - M and F keep, of the new pairs, the first one of each minimal lcm;
+        - a new pair whose S-polynomial is 0 is dropped, with every other new
+          pair of that lcm: by the product criterion when both vectors have
+          one coordinate and coprime leading monomials, and at once when both
+          are single terms (one position, one monomial), whose S-polynomial
+          is exactly 0 over any field.
+        The new pairs follow by i."""
+        k, heads = len(self.basis), self.heads
+        pos, mk, inv = head = _head(g, self.order)
+        self.basis.append(g)
+        heads.append(head)
+        self.leads.setdefault(pos, []).append((mk, inv, g))
+        at = self.at.setdefault(pos, [])
+        one_k = len(g.coords) == 1
+        term_k = one_k and len(g.coords[pos]) == 1
+        new = {}  # lcm -> [first i, S-polynomial is 0]
+        for i in at:
+            mi = heads[i][1]
+            lcm = monomial_lcm(mi, mk)
+            if self.degree_cap is not None and monomial_degree(lcm) > self.degree_cap:
+                self.capped = True
+                continue
+            gi = self.basis[i]
+            zero = (
+                one_k
+                and len(gi.coords) == 1
+                and (term_k and len(gi.coords[pos]) == 1 or monomial_mul(mi, mk) == lcm)
+            )
+            entry = new.setdefault(lcm, [i, False])
+            entry[1] = entry[1] or zero
+        at.append(k)
+        self.queued[pos] = queued = {
+            (i, j): lcm
+            for (i, j), lcm in self.queued.get(pos, {}).items()
+            if not monomial_divides(mk, lcm)
+            or monomial_lcm(heads[i][1], mk) == lcm
+            or monomial_lcm(heads[j][1], mk) == lcm
+        }
+        if all(zero for _, zero in new.values()):
+            return []
         minimal = _minimal(new)
-        kept.extend((i, k, lcm) for lcm, (i, zero) in new.items() if not zero and lcm in minimal)
-    return kept, capped
+        pairs = {(i, k): lcm for lcm, (i, zero) in new.items() if not zero and lcm in minimal}
+        queued.update(pairs)
+        return list(pairs)
+
+    def groebner_basis(self) -> GroebnerBasis:
+        """The reduced basis so far, without h when none of its vectors uses it."""
+        vectors = _reduce_basis(self.basis, self.heads, self.order)
+        if self.homogenize and not any(m[-1] for g in vectors for _, m in g.terms):
+            vectors = tuple(_in_ring(g, g.width - 1) for g in vectors)
+        return GroebnerBasis(vectors, self.order, self.capped, self.degree_cap)
+
+    def certified(self) -> bool:
+        """Whether the basis so far is a Groebner basis of the submodule the
+        vectors fed generate: no pair was dropped, or else no two vectors
+        of the reduced basis leading at one position have an lcm above the
+        degree cap, and every other vector above the cap reduces to 0 by
+        them.  Under a cap the vectors are homogeneous, so the reduced basis
+        holds every vector within the cap and, by that test, every vector
+        above it: it generates the submodule, and its S-pairs, all within
+        the cap, reduce to 0 (Buchberger's criterion, Kreuzer-Robbiano,
+        CCA 1, 2.5)."""
+        if not self.capped:
+            return True
+        kept = _kept(self.heads)
+        leads = _leads([self.basis[i] for i in kept], [self.heads[i] for i in kept])
+        if any(
+            monomial_degree(monomial_lcm(a, b)) > self.degree_cap
+            for at in leads.values()
+            for (a, _, _), (b, _, _) in combinations(at, 2)
+        ):
+            return False
+        # a kept vector reduces to 0 at its first step, by itself
+        return not any(
+            _reduce(_coords(g), leads, self.order, g.field)
+            for g, (_, mono, _) in zip(self.basis, self.heads)
+            if monomial_degree(mono) > self.degree_cap
+        )
+
+
+def _homogenizes(generators, degree_cap) -> bool:
+    """Whether a run with this degree cap homogenizes the generators: it has
+    a cap, and one of them is inhomogeneous."""
+    return degree_cap is not None and any(
+        len({monomial_degree(m) for _, m in g.terms}) > 1 for g in generators
+    )
 
 
 def groebner_basis(
@@ -238,63 +333,26 @@ def groebner_basis(
     order: MonomialOrder = GREVLEX,
     degree_cap: int | None = None,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by the vectors.
+    """Reduced Groebner basis of the submodule generated by the vectors: one
+    `_Run` fed once.
 
-    Each vector, given or found, queues its S-pairs through `_update`, which
-    forms them only between vectors with the same leading position and
-    leaves out those the Gebauer-Moller criteria show to reduce to zero,
-    among them every pair of two single-term vectors, whose S-polynomial
-    is 0, so a monomial submodule reduces no pair.
+    Each vector, given or found, queues its S-pairs with the earlier vectors
+    at its leading position, less those the Gebauer-Moller criteria show to
+    reduce to zero, among them every pair of two single-term vectors, whose
+    S-polynomial is 0, so a monomial submodule reduces no pair.
     With a degree cap, pairs whose lcm degree exceeds the cap are dropped,
     before any criterion, and the result is flagged as degree-truncated;
     inhomogeneous generators are then homogenized with a variable h
     (Kreuzer-Robbiano, CCA 2, 4.3), so the result is the degree <= D part
     of one homogeneous submodule, whatever the pair order, and keeps h only
     when one of its vectors uses it.  Pairs are taken first in, first out,
-    and at most `DEFAULT_PAIR_CAP` of them are reduced: the cap counts only
-    the pairs left on the queue.  Each basis vector's `_head` is computed
-    once.
+    the generators' own in (i, j) order, and at most `DEFAULT_PAIR_CAP` of
+    them are reduced: the cap counts only the pairs the criteria leave.
     """
-    basis = [g for g in generators if not g.is_zero()]
-    homogenize = degree_cap is not None and any(
-        len({monomial_degree(m) for _, m in g.terms}) > 1 for g in basis
-    )
-    if homogenize:
-        basis = [_in_ring(g, g.width + 1) for g in basis]
-    heads = [_head(g, order) for g in basis]
-    leads = _leads(basis, heads)
-    pairs, capped = deque(), False
-    for k in range(len(basis)):
-        pairs, dropped = _update(basis, heads, k, pairs, degree_cap)
-        capped = capped or dropped
-    # the generators' pairs in (i, j) order, which decides the work a run
-    # does and, at times, whether it meets a pair above the cap
-    pairs = deque(sorted(pairs))
-    processed = 0
-    while pairs:
-        processed += 1
-        if processed > DEFAULT_PAIR_CAP:
-            raise ResourceCapError(f"S-pair queue exceeded cap {DEFAULT_PAIR_CAP}")
-        i, j, lcm = pairs.popleft()
-        (_, mi, inv_i), (_, mj, inv_j) = heads[i], heads[j]
-        gi, gj = basis[i], basis[j]
-        f = gi.field
-        s = {}
-        _add_multiple(s, gi, monomial_div(lcm, mi), inv_i)
-        _add_multiple(s, gj, monomial_div(lcm, mj), f.neg(inv_j))
-        r = _reduce(s, leads, order, f)
-        if r:
-            r = ModuleVector(gi.width, f, r)
-            head = _head(r, order)
-            basis.append(r)
-            heads.append(head)
-            leads.setdefault(head[0], []).append((head[1], head[2], r))
-            pairs, dropped = _update(basis, heads, len(basis) - 1, pairs, degree_cap)
-            capped = capped or dropped
-    vectors = _reduce_basis(basis, heads, order)
-    if homogenize and not any(m[-1] for g in vectors for _, m in g.terms):
-        vectors = tuple(_in_ring(g, g.width - 1) for g in vectors)
-    return GroebnerBasis(vectors, order, capped, degree_cap)
+    generators = list(generators)
+    run = _Run(order, degree_cap, _homogenizes(generators, degree_cap))
+    run.feed(generators)
+    return run.groebner_basis()
 
 
 def _in_ring(v: ModuleVector, width: int, degree: int = 0) -> ModuleVector:
@@ -310,14 +368,19 @@ def _in_ring(v: ModuleVector, width: int, degree: int = 0) -> ModuleVector:
     return ModuleVector(width, v.field, coords)
 
 
-def _reduce_basis(basis, heads, order: MonomialOrder) -> tuple:
-    """The reduced basis of the nonzero vectors `basis`, given their `_head`s."""
-    # drop elements whose leading term another leading term divides: keep,
-    # per position, the first index of each minimal leading monomial
+def _kept(heads) -> list:
+    """The indexes, ascending, of the vectors a reduced basis keeps, given
+    their `_head`s: per position, the first of each minimal leading
+    monomial, so no other kept leading monomial divides a kept one."""
     first: dict = {}
     for i, (pos, mono, _) in enumerate(heads):
         first.setdefault(pos, {}).setdefault(mono, i)
-    kept = sorted(at[mono] for at in first.values() for mono in _minimal(at))
+    return sorted(at[mono] for at in first.values() for mono in _minimal(at))
+
+
+def _reduce_basis(basis, heads, order: MonomialOrder) -> tuple:
+    """The reduced basis of the nonzero vectors `basis`, given their `_head`s."""
+    kept = _kept(heads)
     # tail-reduce each survivor against the others and make it monic
     leads = _leads([basis[i] for i in kept], [heads[i] for i in kept])
     reduced = []
@@ -443,25 +506,31 @@ def width_component(
 
     A morphism [s] -> [width] factors as eps' o g, with g in End([s]) and eps'
     increasing (`factorize`), so the span is the OI-span of the images g.v:
-    the kind enters only through End([s]).  A generator's distinct images
-    times C(width, s) are held to the hom-set cap before any is pushed."""
+    the kind enters only through End([s]) (`_images`)."""
     vectors = {}
     for v in generators:
-        s = v.width
-        if s > width:  # no morphism [s] -> [width]
-            continue
-        # images often coincide (a symmetric polynomial under FI), and each
-        # repeat only adds S-pairs
-        images = dict.fromkeys(apply_morphism(v, g, s) for g in hom_set(kind, s, s))
-        pushes = len(images) * hom_size_formula(CategoryKind.OI, s, width)
-        if pushes > DEFAULT_ENUMERATION_CAP:
-            raise ResourceCapError(
-                f"width_component: {format_count(pushes)} images of a width-{s} generator "
-                f"at width {width} exceed cap {DEFAULT_ENUMERATION_CAP}"
-            )
-        oi = hom_set(CategoryKind.OI, s, width)
-        vectors.update(dict.fromkeys(apply_morphism(u, eps, width) for u in images for eps in oi))
+        vectors.update(_images(kind, v, width))
     return groebner_basis(list(vectors), order, degree_cap)
+
+
+def _images(kind: CategoryKind, v: ModuleVector, width: int) -> dict:
+    """The distinct images of v under the morphisms into [width], as keys:
+    the OI-pushes of its distinct End([s])-images.  Their number times
+    C(width, s) is held to the hom-set cap before any is pushed."""
+    s = v.width
+    if s > width:  # no morphism [s] -> [width]
+        return {}
+    # images often coincide (a symmetric polynomial under FI), and each
+    # repeat only adds S-pairs
+    images = dict.fromkeys(apply_morphism(v, g, s) for g in hom_set(kind, s, s))
+    pushes = len(images) * hom_size_formula(CategoryKind.OI, s, width)
+    if pushes > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"width_component: {format_count(pushes)} images of a width-{s} generator "
+            f"at width {width} exceed cap {DEFAULT_ENUMERATION_CAP}"
+        )
+    oi = hom_set(CategoryKind.OI, s, width)
+    return dict.fromkeys(apply_morphism(u, eps, width) for u in images for eps in oi)
 
 
 # -- chain experiments ------------------------------------------------------------
@@ -475,7 +544,8 @@ class WidthChainResult(
     """first_stable_index: 1-based, the earliest chain index from which the
     component's degree-<=D part persists; rank_profile: the leading-term
     dimension count per chain index; monotone: consecutive components are
-    nested (unchecked past a degree-capped one)."""
+    nested (unchecked where the width's run does not certify the later
+    basis); degree_capped: the run dropped a pair above the degree cap."""
 
     __slots__ = ()
 
@@ -542,10 +612,8 @@ def chain_experiment(
             raise MalformedInputError("chain generator sets must be ascending")
     results = []
     for width in range(1, max_width + 1):
-        gbs = [width_component(kind, step, width, order, degree_cap) for step in chain]
-        profile = tuple(
-            submodule_dimension_upto(gb, width, degree_cap) for gb in gbs
-        )
+        steps, capped = _chain_components(kind, chain, width, order, degree_cap)
+        profile = tuple(submodule_dimension_upto(gb, width, degree_cap) for gb, _ in steps)
         # the first step from which the degree-<=D part is the last one's:
         # each count is that part's dimension and the steps ascend, so equal
         # counts mean equal parts
@@ -553,22 +621,33 @@ def chain_experiment(
         while first_stable > 1 and profile[first_stable - 2] == profile[-1]:
             first_stable -= 1
         # a reduction to zero proves membership, but a nonzero normal form
-        # disproves it only modulo a Groebner basis, which a degree-capped
-        # basis need not be: there the nesting is left unverified
+        # disproves it only modulo a Groebner basis: the nesting is checked
+        # where the run certifies one
         monotone = all(
-            later.degree_capped or all(later.contains(v) for v in earlier.vectors)
-            for earlier, later in zip(gbs, gbs[1:])
+            not certified or all(later.contains(v) for v in earlier.vectors)
+            for (earlier, _), (later, certified) in zip(steps, steps[1:])
         )
-        results.append(
-            WidthChainResult(
-                width,
-                first_stable,
-                profile,
-                monotone,
-                any(gb.degree_capped for gb in gbs),
-            )
-        )
+        results.append(WidthChainResult(width, first_stable, profile, monotone, capped))
     return ChainReport(kind, max_width, degree_cap, order, tuple(results))
+
+
+def _chain_components(kind, chain, width, order, degree_cap) -> tuple:
+    """The chain's width components from one run: ((basis, whether the run
+    certifies it as a Groebner basis) per step, whether the run dropped a
+    pair above the cap).  Each step feeds the images of the generators it
+    adds, each computed once, and continues from the run's own state; the
+    run homogenizes when a generator of the last step is inhomogeneous."""
+    run = _Run(order, degree_cap, _homogenizes(chain[-1], degree_cap))
+    fed, images, steps = set(), {}, []
+    for step in chain:
+        old = len(images)
+        for v in step:
+            if v not in fed:
+                fed.add(v)
+                images.update(_images(kind, v, width))
+        run.feed(list(images)[old:])  # the images first seen in this step
+        steps.append((run.groebner_basis(), run.certified()))
+    return steps, run.capped
 
 
 # -- restriction decomposition ------------------------------------------------------

@@ -598,6 +598,25 @@ def test_noeth_chain_stops_at_the_s_pair_cap(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr() == ("", "resource cap: S-pair queue exceeded cap 10\n")
 
 
+def test_noeth_chain_s_pair_cap_counts_the_whole_widths_run(capsys, tmp_path, monkeypatch):
+    # at width 3 each step restarted reduces at most 15 S-pairs, and the one
+    # run that feeds both steps 24: the cap counts the run, whose second
+    # step never reduces the first step's pairs again
+    text = "FI 0 2 : [] : x1^2 - 3/2*x2\nFI 0 2 : [] : x1*x2\n--\nFI 0 1 : [] : x1 - 1\n"
+    chain = tmp_path / "c.chain"
+    chain.write_text(text)
+    monkeypatch.setattr(modlab, "DEFAULT_PAIR_CAP", 15)
+    for step in parse_chain_file(text, orbitlab.CategoryKind.FI):
+        width_component(orbitlab.CategoryKind.FI, step, 3, degree_cap=3)
+    argv = ["noeth-chain", "--kind", "fi", "--chain", str(chain), "--width", "3", "--degree", "3"]
+    monkeypatch.setattr(modlab, "DEFAULT_PAIR_CAP", 24)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(modlab, "DEFAULT_PAIR_CAP", 23)
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "resource cap: S-pair queue exceeded cap 23\n")
+
+
 def test_noeth_chain_index_is_read_off_the_rank_profile(capsys, tmp_path):
     # the second step adds x1^2, above D = 1, so the bases differ while the
     # degree-<=1 parts, and so the profile counts, do not: index 1 everywhere

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitlab import categories, modlab
 from orbitlab.categories import CategoryKind, InjectionMorphism, compose, hom_set
@@ -708,6 +708,34 @@ def test_chain_oi_documented_example():
         assert list(r.rank_profile) == sorted(r.rank_profile)
 
 
+def test_chain_index_and_stability_read_off_the_profile():
+    g2, g1, g3 = (ideal_gen(OI, 1, text) for text in ("x1^2", "x1", "x1^3"))
+    (r,) = chain_experiment(OI, [[g2], [g2, g1], [g2, g1, g3]], 1, 2).results
+    assert r.rank_profile == (1, 2, 2) and r.first_stable_index == 2 and r.stabilized
+    # stable needs the nesting and every consecutive pair of counts ascending
+    assert not r._replace(monotone=False).stabilized
+    assert not r._replace(rank_profile=(2, 1, 3)).stabilized
+
+
+def test_nesting_is_checked_wherever_the_run_certifies_the_later_step(monkeypatch):
+    # at width 2 and D = 2 the power sums x1^k + x2^k, k >= 2, drop pairs
+    # with x1 or x2 above the cap, yet {x1, x2}, whose lcm has degree D, is
+    # a Groebner basis: every step's basis is tested against the next, one
+    # call per vector, 1 + 1 + 1 at width 1 and 2 + 2 + 2 at width 2
+    checked = []
+    contains = modlab.GroebnerBasis.contains
+
+    def recording(gb, v):
+        checked.append(v)
+        return contains(gb, v)
+
+    monkeypatch.setattr(modlab.GroebnerBasis, "contains", recording)
+    ps = [ideal_gen(FI, k, "+".join(f"x{i}^{k}" for i in range(1, k + 1))) for k in range(1, 5)]
+    rep = chain_experiment(FI, [ps[:i] for i in range(1, 5)], 2, 2)
+    assert [r.degree_capped for r in rep.results] == [False, True]
+    assert rep.all_stabilized and len(checked) == 9
+
+
 def test_chain_fi_power_sums():
     ps = [
         ideal_gen(FI, k, "+".join(f"x{i}^{k}" for i in range(1, k + 1)))
@@ -759,6 +787,20 @@ def test_rank_two_chain_components_against_linear_algebra():
             assert all(in_basis(v) for v in images)
 
 
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda order: order.name)
+def test_s_pairs_reduced_over_several_leading_positions(monkeypatch, order):
+    # the rank-2 chain's last step leads at many positions [2] -> [w]; the
+    # S-pairs its basis reduces are pinned, for pairs formed and dropped
+    # per position must not change which of them are reduced
+    last = parse_chain_file(RANK2_CHAIN, FI)[-1]
+    for width, reduced in zip(range(3, 7), (9, 30, 70, 135)):
+        monkeypatch.setattr(modlab, "DEFAULT_PAIR_CAP", reduced)
+        assert not width_component(FI, last, width, order).degree_capped
+        monkeypatch.setattr(modlab, "DEFAULT_PAIR_CAP", reduced - 1)
+        with pytest.raises(ResourceCapError, match=f"exceeded cap {reduced - 1}$"):
+            width_component(FI, last, width, order)
+
+
 def test_the_kind_enters_only_through_endomorphisms(monkeypatch):
     # width components call hom_set only for End([s]) and for OI morphisms
     calls = []
@@ -783,6 +825,18 @@ def test_pushes_are_held_to_the_hom_set_cap():
         width_component(CI, [ideal_gen(CI, 200, "x1")], 202)
     one = width_component(CI, [ideal_gen(CI, 200, "1")], 202)
     assert one.vectors == (ideal_gen(CI, 202, "1"),)
+
+
+def test_pushes_up_to_the_hom_set_cap_are_made(monkeypatch):
+    # the 2 rotations of x1 in [2], each pushed along the C(4, 2) = 6 OI
+    # morphisms into [4]: 12 pushes pass a cap of 12 and not one of 11
+    CI = CategoryKind.CI
+    g = ideal_gen(CI, 2, "x1")
+    monkeypatch.setattr(modlab, "DEFAULT_ENUMERATION_CAP", 12)
+    assert len(width_component(CI, [g], 4).vectors) == 4
+    monkeypatch.setattr(modlab, "DEFAULT_ENUMERATION_CAP", 11)
+    with pytest.raises(ResourceCapError, match="12 images of a width-2 generator at width 4 exceed cap 11"):
+        width_component(CI, [g], 4)
 
 
 def test_repeated_morphism_images_do_not_flag_degree_cap():
@@ -858,6 +912,58 @@ def test_capped_chain_index_reads_the_degree_d_part():
         for r in chain_experiment(FI, chain, 3, 2, order).results:
             assert r.first_stable_index == 1 and r.stabilized and not r.degree_capped
             assert r.rank_profile == (comb(r.width + 2, 2),) * 2
+
+
+@st.composite
+def ascending_chains(draw):
+    """(kind, chain): one to three steps over the generators of
+    `generator_sets`, each holding the previous step's and maybe more, each
+    in a drawn order, so a step need not extend the one before as a prefix."""
+    kind, pool = draw(generator_sets())
+    chain, held = [], set()
+    for _ in range(draw(st.integers(1, 3))):
+        held |= set(draw(st.lists(st.integers(0, len(pool) - 1), max_size=2)))
+        chain.append(tuple(pool[i] for i in draw(st.permutations(sorted(held)))))
+    return kind, chain
+
+
+def low_leads(gb, degree):
+    """The leading terms (position, monomial) of degree <= `degree` of a basis."""
+    leads = (g.leading(gb.order)[0] for g in gb.vectors)
+    return {(pos, mono) for pos, mono in leads if monomial_degree(mono) <= degree}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ascending_chains(), st.integers(1, 3), st.integers(0, 4), st.sampled_from((GREVLEX, LEX)))
+@example(
+    (FI, parse_chain_file("FI 0 1 : [] : x1^2 + 1\n--\nFI 0 1 : [] : x1\n", FI)), 1, 1, GREVLEX
+).via("the pair of x1^2 + h^2 and x1 is dropped: the lone minimal lead x1 is no certificate")
+@example(
+    (FI, parse_chain_file("FI 0 1 : [] : x1^2 + 1\n--\nFI 0 2 : [] : x1*x2 - x2\n--\nFI 0 1 : [] : x1\n", FI)),
+    4,
+    4,
+    GREVLEX,
+).via("a step the restart leaves uncapped after a step that dropped a pair")
+def test_chain_steps_match_the_restarted_engine(chain, max_width, degree, order):
+    # each step of the one run per width against `width_component` restarted
+    # on that step's generators: the same degree-<=D leading terms and rank
+    # count, the same vectors where the restart drops no pair, and there a
+    # certificate, so the nesting check is decisive wherever the restart's
+    # was; an ascending chain is never reported as not nested
+    kind, steps = chain
+    report = chain_experiment(kind, steps, max_width, degree, order)
+    for r in report.results:
+        components, capped = modlab._chain_components(kind, steps, r.width, order, degree)
+        restarts = [oracle_width_component(kind, step, r.width, order, degree) for step in steps]
+        assert r.degree_capped == capped == any(want.degree_capped for want in restarts)
+        assert r.monotone
+        for (gb, certified), want in zip(components, restarts):
+            assert low_leads(gb, degree) == low_leads(want, degree)
+            dimension = submodule_dimension_upto(gb, r.width, degree)
+            assert dimension == submodule_dimension_upto(want, r.width, degree)
+            if not want.degree_capped:
+                assert certified
+                assert gb.vectors == want.vectors
 
 
 def test_chain_requires_ascending():

@@ -8,14 +8,17 @@ lines exactly when every run gave the same bytes and exit code.
 
 The runs: `sap` on all six ages (caps 1-4 for `pair`, 1-5 for the reducts),
 `amalgamate --age pair`, strong and `--weak`, on generated embedding files,
-small `restrict-check` runs, one small run of every subcommand, and the
+small `restrict-check` runs, one small run of every subcommand, a
+`noeth-chain` grid (the seven chains of `CHAINS` at widths 1-4, `--degree`
+0-4, fields `q` and `fp:7`, orders grevlex and lex: 560 runs), and the
 spellings that only argparse reads: `--help` of the program and of each
 subcommand, `--version` and usage errors (help at 80 columns).  Stdlib only,
 no options; from the repository root:
 
     python3 tools/corpus.py
 
-It takes about 18 s on a 2-vCPU host, most of it `sap --kind pair --cap 4`.
+It takes about 80 s on a 2-vCPU host, most of it starting the 560
+`noeth-chain` interpreters and `sap --kind pair --cap 4`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import random
 import subprocess
 import sys
 import tempfile
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,6 +39,32 @@ FILES = {
     "c4.grp": "N=4\n(1 2 3 4)\n",
     "c.chain": "FI 0 2 : [] : x1^2 - 3/2*x2\n--\nFI 0 2 : [] : x1*x2\n--\nFI 0 1 : [] : 2*x1^3\n",
 }
+# the noeth-chain grid: (kind, chain file text); the first two are the
+# benchmark's chains, the third the rank-2 chain of ROADMAP item 6, the
+# fifth and sixth inhomogeneous, so that a run under the cap homogenizes them
+CHAINS = {
+    "fi-power-sums.chain": (
+        "fi",
+        "FI 0 1 : [] : x1\n--\nFI 0 2 : [] : x1^2+x2^2\n--\nFI 0 3 : [] : x1^3+x2^3+x3^3\n"
+        "--\nFI 0 4 : [] : x1^4+x2^4+x3^4+x4^4\n",
+    ),
+    "oi-documented.chain": ("oi", "OI 0 1 : [] : x1^2\n--\nOI 0 2 : [] : x1*x2\n--\nOI 0 1 : [] : x1\n"),
+    "rank2.chain": (
+        "fi",
+        "FI 2 2 : [1,2] : x1 - x2\n--\nFI 2 3 : [1,2] : x3*x1 - x3*x2\nFI 2 2 : [2,1] : x1^2\n",
+    ),
+    "c.chain": ("fi", FILES["c.chain"]),
+    "fi-inhomogeneous.chain": (
+        "fi",
+        "FI 0 1 : [] : x1^2 + 1\n--\nFI 0 2 : [] : x1*x2 - x2\n--\nFI 0 1 : [] : x1\n",
+    ),
+    "oi-inhomogeneous.chain": (
+        "oi",
+        "OI 0 2 : [] : x1*x2\n--\nOI 0 1 : [] : x1^2 - 1\n--\nOI 0 2 : [] : x1 - x2\n",
+    ),
+    "oi-width-1.chain": ("oi", "OI 1 2 : [1] : x1 - x2\n--\nOI 1 2 : [2] : x1*x2 + x2^2\n"),
+}
+ORDERS = ("grevlex", "lex")
 REDUCTS = ("set", "linear", "betweenness", "cyclic", "separation")
 # coordinates (first 0, second 1) each binary relation of the pair age compares
 PAIR_RELATIONS = {"eq_ff": (0, 0), "eq_fs": (0, 1), "eq_sf": (1, 0), "eq_ss": (1, 1)}
@@ -117,6 +146,11 @@ def invocations(tmp: Path):
         ["restrict-check", "--s", "3", "--n", "2", "--kind", "oi"],
     ]
     yield from plain
+    for name, (kind, text) in CHAINS.items():
+        (tmp / name).write_text(text)
+        for width, degree, field, order in product(range(1, 5), range(5), ("q", "fp:7"), ORDERS):
+            yield ["noeth-chain", "--kind", kind, "--chain", name, "--width", str(width),
+                   "--degree", str(degree), "--field", field, "--order", order]
     yield ["--help"]
     for name, *_ in plain:
         yield [name, "--help"]
