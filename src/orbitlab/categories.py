@@ -9,8 +9,10 @@ relation's arity, lies in End([a]).  Everything is materialized explicitly:
 composition is array lookup, and a hom-set is the sorted list of the image
 arrays of eps' o g over the increasing injections eps' and g in End([m]),
 the unique factorization of a morphism, composed in one pass per g;
-End([m]) = hom_set(kind, m, m) has a closed form per kind.  A morphism the
-library builds is its image array, and the arrays of one hom-set are
+End([m]) = hom_set(kind, m, m) has a closed form per kind.  For FI, End([m])
+is all of S_m, so the hom-set is `permutations`, already in order.  A
+morphism the library builds is its image array: `factor_image` factors one,
+`restrict-check` runs on image arrays, and the arrays of one hom-set are
 formatted from one `%` template.  `InjectionMorphism` is the checked form of
 a morphism read from outside (`parse_morphism`, `InjectionMorphism.checked`),
 and the argument and results of `factorize` and `compose`.
@@ -175,8 +177,9 @@ def hom_set(kind: CategoryKind, m: int, n: int) -> list[tuple[int, ...]]:
     """The image arrays of all morphisms [m] -> [n], sorted lexicographically;
     ResourceCapError, before any is built, when there are more than
     DEFAULT_ENUMERATION_CAP or their images hold more than ten times as many
-    entries.  Each g in End([m]) composes all the increasing injections eps'
-    in one pass."""
+    entries.  For FI they are `permutations`, already in order; otherwise
+    each g in End([m]) composes all the increasing injections eps' in one
+    pass."""
     size, cap = hom_size_formula(kind, m, n), DEFAULT_ENUMERATION_CAP
     if size > cap:
         raise ResourceCapError(
@@ -187,6 +190,8 @@ def hom_set(kind: CategoryKind, m: int, n: int) -> list[tuple[int, ...]]:
             f"hom_set({kind.value}, {m}, {n}): {format_count(size * m)} image entries "
             f"exceeds cap {10 * cap}"
         )
+    if kind is CategoryKind.FI:  # End([m]) = S_m: every injection, in order
+        return list(permutations(range(1, n + 1), m))
     if size == 0:
         return []
     ends = _endomorphism_images(kind, m)
@@ -217,8 +222,8 @@ def _endomorphism_images(kind: CategoryKind, m: int) -> tuple[tuple[int, ...], .
     return tuple(sorted(images))
 
 
-# factorize checks its g (a permutation of [m]) and its eps' (an increasing
-# injection) against the lemma; across a hom-set the same few recur
+# factor_image checks its g (a permutation of [m]) and its eps' (an
+# increasing injection) against the lemma; across a hom-set the same few recur
 @lru_cache(maxsize=None)
 def _is_morphism(kind: CategoryKind, m: int, n: int, image: tuple[int, ...]) -> bool:
     return is_morphism(kind, m, n, image)
@@ -249,31 +254,38 @@ def hom_size_formula(kind: CategoryKind, m: int, n: int) -> int:
     raise AssertionError(kind)
 
 
-def factorize(f: InjectionMorphism) -> tuple[InjectionMorphism, InjectionMorphism]:
-    """Split f into (eps_prime, g) with f = eps_prime after g.
+def factor_image(
+    kind: CategoryKind, m: int, n: int, image: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split the image array of a morphism [m] -> [n] into the image arrays
+    (eps_prime, g) with image = eps_prime after g.
 
     eps_prime is the unique strictly increasing injection with the same image
-    set as f; g is the endomorphism of [m] positioning f's entries inside the
-    sorted image.  The factorization lemma says both are morphisms of f's kind
-    and recompose to f; a failure of either claim raises FalsificationError.
+    set; g is the endomorphism of [m] positioning the entries inside the
+    sorted image.  The factorization lemma says both are morphisms of `kind`
+    and recompose to the image; a failure of either claim raises
+    FalsificationError.
     """
-    kind, m, image = f.kind, f.source, f.image
     sorted_image = tuple(sorted(image))
     # m is small: a scan of the sorted image beats building a dict
     g_image = tuple([sorted_image.index(v) + 1 for v in image])
     if not _is_morphism(kind, m, m, g_image):
-        raise FalsificationError(
-            f"factorization of {f} produced a non-endomorphism g = {g_image}"
-        )
-    if not _is_morphism(kind, m, f.target, sorted_image):
-        raise FalsificationError(
-            f"factorization of {f} produced a non-morphism eps' = {sorted_image}"
-        )
-    if tuple([sorted_image[i - 1] for i in g_image]) != image:
-        raise FalsificationError(f"factorization of {f} does not recompose")
+        claim = f"produced a non-endomorphism g = {g_image}"
+    elif not _is_morphism(kind, m, n, sorted_image):
+        claim = f"produced a non-morphism eps' = {sorted_image}"
+    elif tuple([sorted_image[i - 1] for i in g_image]) != image:
+        claim = "does not recompose"
+    else:
+        return sorted_image, g_image
+    raise FalsificationError(f"factorization of {morphism_template(kind, m, n) % image} {claim}")
+
+
+def factorize(f: InjectionMorphism) -> tuple[InjectionMorphism, InjectionMorphism]:
+    """`factor_image` of f's image, as the morphisms (eps_prime, g)."""
+    eps_prime, g = factor_image(f.kind, f.source, f.target, f.image)
     return (
-        InjectionMorphism(kind, m, f.target, sorted_image),
-        InjectionMorphism(kind, m, m, g_image),
+        InjectionMorphism(f.kind, f.source, f.target, eps_prime),
+        InjectionMorphism(f.kind, f.source, f.source, g),
     )
 
 

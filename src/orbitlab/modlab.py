@@ -31,13 +31,13 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
+from . import categories
 from .actions import DEFAULT_SPACE_CAP, _depth_first, _work_budget
 from .categories import (
     DEFAULT_ENUMERATION_CAP,
     CategoryKind,
     InjectionMorphism,
-    compose,
-    factorize,
+    factor_image,
     hom_set,
     hom_size_formula,
 )
@@ -666,7 +666,8 @@ def restriction_decomposition_check(
     is in increasing-injection bijection with the OI hom-set, and increasing
     post-composition preserves classes.  Each of those is an increasing
     injection, a morphism of every kind; one that is not raises
-    FalsificationError.
+    FalsificationError.  Morphisms are image arrays: each is factored once,
+    and each post-composition is a lookup in pi's image, factored in turn.
     """
     if gen_width > width:
         raise MalformedInputError("need gen_width <= width")
@@ -678,12 +679,10 @@ def restriction_decomposition_check(
             f"restriction_decomposition_check({kind.value}, {gen_width}, {width}): "
             f"{format_count(work)} factorizations exceeds cap {DEFAULT_ENUMERATION_CAP}"
         )
-    # factorize and compose take morphisms: the one place images are wrapped
-    homs = [InjectionMorphism(kind, gen_width, width, f) for f in hom_set(kind, gen_width, width)]
     classes: dict = {}
-    for eps in homs:
-        eps_prime, g = factorize(eps)
-        classes.setdefault(g.image, []).append((eps, eps_prime))
+    for eps in hom_set(kind, gen_width, width):
+        eps_prime, g = factor_image(kind, gen_width, width, eps)
+        classes.setdefault(g, []).append((eps, eps_prime))
     ends = hom_set(kind, gen_width, gen_width)
     oi_count = hom_size_formula(CategoryKind.OI, gen_width, width)
     failures = []
@@ -692,29 +691,27 @@ def restriction_decomposition_check(
             f"{len(classes)} classes but {len(ends)} endomorphisms"
         )
     for g_image, members in classes.items():
-        eps_primes = {ep.image for _, ep in members}
+        eps_primes = {ep for _, ep in members}
         if len(members) != oi_count or len(eps_primes) != oi_count:
             failures.append(
                 f"class of g={g_image} has {len(members)} members, expected {oi_count}"
             )
     for pi in hom_set(CategoryKind.OI, width, width + 1):
-        try:
-            pi_kind = InjectionMorphism.checked(kind, width, width + 1, pi)
-        except MalformedInputError:
+        if not categories.is_morphism(kind, width, width + 1, pi):
             raise FalsificationError(
                 f"increasing injection {pi} is not a {kind.value} morphism "
                 f"[{width}] -> [{width + 1}]"
-            ) from None
+            )
         for g_image, members in classes.items():
             for eps, _ in members:
-                _, g2 = factorize(compose(eps, pi_kind))
-                if g2.image != g_image:
+                _, g2 = factor_image(kind, gen_width, width + 1, tuple([pi[v - 1] for v in eps]))
+                if g2 != g_image:
                     failures.append(
-                        f"post-composition by {pi} moved {eps.image} "
-                        f"from class {g_image} to {g2.image}"
+                        f"post-composition by {pi} moved {eps} "
+                        f"from class {g_image} to {g2}"
                     )
     ordered = tuple(
-        (g_image, tuple(eps.image for eps, _ in classes[g_image]))
+        (g_image, tuple(eps for eps, _ in classes[g_image]))
         for g_image in sorted(classes)
     )
     return RestrictionReport(

@@ -9,6 +9,7 @@ from orbitlab.categories import (
     CategoryKind,
     InjectionMorphism,
     compose,
+    factor_image,
     factorize,
     format_morphism,
     hom_set,
@@ -261,13 +262,23 @@ def test_factorize_recomposes_everywhere():
 
 def test_factorize_rejects_a_bad_factor(monkeypatch):
     # an unchecked non-morphism: its g = (2, 1) is not an OI endomorphism
-    with pytest.raises(FalsificationError, match="non-endomorphism"):
+    with pytest.raises(FalsificationError, match="non-endomorphism") as caught:
         factorize(InjectionMorphism(CategoryKind.OI, 2, 3, (3, 1)))
+    with pytest.raises(FalsificationError) as image_level:
+        factor_image(CategoryKind.OI, 2, 3, (3, 1))
+    assert str(image_level.value) == str(caught.value) == (
+        "factorization of OI 2->3 : [3,1] produced a non-endomorphism g = (2, 1)"
+    )
     # the lemma makes every increasing injection a morphism, so a bad eps'
     # needs a predicate that says otherwise
     monkeypatch.setattr(categories, "_is_morphism", lambda kind, m, n, image: m == n)
-    with pytest.raises(FalsificationError, match="non-morphism eps'"):
+    with pytest.raises(FalsificationError, match="non-morphism eps'") as caught:
         factorize(InjectionMorphism(CategoryKind.CI, 3, 4, (2, 3, 1)))
+    with pytest.raises(FalsificationError) as image_level:
+        factor_image(CategoryKind.CI, 3, 4, (2, 3, 1))
+    assert str(image_level.value) == str(caught.value) == (
+        "factorization of CI 3->4 : [2,3,1] produced a non-morphism eps' = (1, 2, 3)"
+    )
 
 
 def test_factorize_uniqueness():

@@ -744,6 +744,19 @@ def test_restrict_check_caps_its_factorizations_before_building(capsys):
     )
 
 
+def test_restrict_check_cap_admits_exactly_its_count(capsys, monkeypatch):
+    # SI [4] -> [7]: 280 morphisms times 9 factorizations
+    monkeypatch.setattr(modlab, "DEFAULT_ENUMERATION_CAP", 2520)
+    assert main(["restrict-check", "--kind", "si", "--n", "4", "--s", "7"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(modlab, "DEFAULT_ENUMERATION_CAP", 2519)
+    assert main(["restrict-check", "--kind", "si", "--n", "4", "--s", "7"]) == 3
+    assert capsys.readouterr().err == (
+        "resource cap: restriction_decomposition_check(SI, 4, 7): "
+        "2520 factorizations exceeds cap 2519\n"
+    )
+
+
 def test_restrict_check_past_the_old_injection_cap(capsys):
     # 2,520 morphisms; the 11!/1! injections [10] -> [11] are never scanned
     code, data = run_json(capsys, "restrict-check", "--kind", "si", "--n", "5", "--s", "10")
@@ -775,11 +788,13 @@ def test_restrict_check_classes_match_a_brute_force_partition(capsys, kind, n, s
 
 
 def test_restrict_check_reports_a_wrong_factorization(capsys, monkeypatch):
-    real = modlab.factorize
-    identity = orbitlab.InjectionMorphism(orbitlab.CategoryKind.CI, 3, 3, (1, 2, 3))
+    real = modlab.factor_image
+    identity = (1, 2, 3)
 
     # every g claimed to be the identity: one class of all 30 morphisms
-    monkeypatch.setattr(modlab, "factorize", lambda f: (real(f)[0], identity))
+    monkeypatch.setattr(
+        modlab, "factor_image", lambda kind, m, n, image: (real(kind, m, n, image)[0], identity)
+    )
     code, data = run_json(capsys, "restrict-check", "--kind", "ci", "--n", "3", "--s", "5")
     assert code == 1
     assert not data["ok"]
@@ -791,7 +806,13 @@ def test_restrict_check_reports_a_wrong_factorization(capsys, monkeypatch):
     # right classes, but every post-composition [3] -> [6] lands in the
     # identity's: the 20 members of the other two classes move, per each of
     # the 6 increasing injections [5] -> [6]
-    monkeypatch.setattr(modlab, "factorize", lambda f: (real(f)[0], identity if f.target == 6 else real(f)[1]))
+    monkeypatch.setattr(
+        modlab,
+        "factor_image",
+        lambda kind, m, n, image: (
+            real(kind, m, n, image)[0], identity if n == 6 else real(kind, m, n, image)[1]
+        ),
+    )
     code, data = run_json(capsys, "restrict-check", "--kind", "ci", "--n", "3", "--s", "5")
     assert code == 1
     assert not data["ok"] and data["class_count"] == 3
@@ -834,6 +855,8 @@ def test_library_builds_no_morphism_objects(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["count"] == perm(8, 5)
     assert len(age.embeddings(sigma, gamma)) == 3 * comb(5, 3)
     assert width_component(orbitlab.CategoryKind.FI, generators, 4).vectors
+    assert main(["restrict-check", "--kind", "si", "--n", "4", "--s", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
     assert built == []
 
 

@@ -8,7 +8,9 @@ lines exactly when every run gave the same bytes and exit code.
 
 The runs: `sap` on all six ages (caps 1-4 for `pair`, 1-5 for the reducts),
 `amalgamate --age pair`, strong and `--weak`, on generated embedding files,
-small `restrict-check` runs, one small run of every subcommand, a
+`restrict-check` runs up to the benchmark's 4 -> 7, FI hom-sets from
+[0] -> [3] to [5] -> [8] and the empty [4] -> [3], one small run of every
+subcommand, a
 `noeth-chain` grid (the seven chains of `CHAINS` at widths 1-4, `--degree`
 0-4, fields `q` and `fp:7`, orders grevlex and lex: 560 runs), and the
 spellings that only argparse reads: `--help` of the program and of each
@@ -129,6 +131,11 @@ def invocations(tmp: Path):
         for n, s in ((2, 3), (3, 4)):
             yield ["restrict-check", "--kind", kind, "--n", str(n), "--s", str(s)]
     yield ["restrict-check", "--kind", "fi", "--n", "3", "--s", "2"]
+    # SI and CI at the benchmark's sizes, and FI
+    for kind, n, s in (("si", 4, 7), ("ci", 4, 7), ("fi", 3, 5)):
+        yield ["restrict-check", "--kind", kind, "--n", str(n), "--s", str(s)]
+    for m, n in ((0, 3), (1, 4), (3, 6), (5, 8), (4, 3)):  # FI hom-sets; [4] -> [3] is empty
+        yield ["homset", "--kind", "fi", "--m", str(m), "--n", str(n)]
     for name, text in FILES.items():
         (tmp / name).write_text(text)
     plain = [  # one run of each subcommand, in the parser's order
